@@ -6,7 +6,9 @@ ball has radius at most r (closed balls, so boundary contact counts).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernels
 from ._bits import proper_submasks
@@ -34,20 +36,47 @@ def subset_radii(config: PointConfig, max_dim: int | None = None) -> list[tuple[
     return _kernels.subset_meb_radii(config.points, _subset_size_cap(len(config), max_dim))
 
 
+class ScanReading(NamedTuple):
+    """What :func:`read_scan` finds."""
+
+    masks: set[int]
+    critical: list[int]
+    r2: float
+    r2_prime: float
+
+
+def read_scan(n_points: int, scan: list[tuple[int, float]], r: float,
+              eps: float = EPS_GEO) -> ScanReading:
+    """Read a :func:`subset_radii` scan of ``n_points`` points at radius ``r``.
+
+    A subset spans a simplex when its radius is at most ``r + eps`` and is
+    critical when its radius lies within ``eps`` of ``r``.  Gives the Cech
+    complex's masks (singletons included, and downward closed explicitly
+    against last-ulp rounding of the scan), the critical masks in scan
+    order, and twice the smallest slack |r - radius| over all subsets
+    (``r2``) and over the non-critical ones (``r2_prime``), +inf if none.
+    """
+    masks = {1 << i for i in range(n_points)}
+    for mask, radius in scan:
+        if radius <= r + eps:
+            masks.add(mask)
+            masks.update(proper_submasks(mask))
+    slack = {mask: abs(r - radius) for mask, radius in scan}
+    critical = [mask for mask, s in slack.items() if s <= eps]
+    noncritical = [s for s in slack.values() if s > eps]
+    return ScanReading(masks, critical, 2.0 * min(slack.values(), default=math.inf),
+                       2.0 * min(noncritical, default=math.inf))
+
+
 def cech_complex(x: RanPoint, max_dim: int | None = None, eps: float = EPS_GEO) -> SimplicialComplex:
     """Cech complex of a configuration at its radius.
 
     Vertex i is the i-th configuration point; a subset is a simplex when
-    its enclosing-ball radius is at most ``radius + eps``.  An explicit
-    downward closure guards against last-ulp rounding of the subset scan.
+    its enclosing-ball radius is at most ``radius + eps``.
     """
     n = len(x.config)
-    masks = {1 << i for i in range(n)}
-    for mask, radius in subset_radii(x.config, max_dim):
-        if radius <= x.radius + eps:
-            masks.add(mask)
-            masks.update(proper_submasks(mask))
-    return SimplicialComplex.from_masks(n, masks)
+    reading = read_scan(n, subset_radii(x.config, max_dim), x.radius, eps)
+    return SimplicialComplex.from_masks(n, reading.masks)
 
 
 @dataclass(frozen=True)
@@ -67,7 +96,7 @@ class Filtration:
         if len(self.critical_radii) != len(self.complexes):
             raise ValueError("one complex per critical radius required")
         for a, b in zip(self.complexes, self.complexes[1:]):
-            if not set(a.simplices) <= set(b.simplices):
+            if not set(a.masks) <= set(b.masks):
                 raise ValueError("filtration complexes must be nested")
 
     def complex_at(self, r: float) -> SimplicialComplex:
@@ -103,15 +132,17 @@ def cech_filtration(config: PointConfig, max_dim: int | None = None,
     for the vertices), deduplicated within ``eps``; each stored complex is
     evaluated at the midpoint of its interval.
     """
-    radii = sorted({0.0} | {max(r, 0.0) for _, r in subset_radii(config, max_dim)})
+    scan = subset_radii(config, max_dim)
+    radii = sorted({0.0} | {max(r, 0.0) for _, r in scan})
     criticals: list[float] = []
     for r in radii:
         if not criticals or r > criticals[-1] + eps:
             criticals.append(r)
+    n = len(config)
     complexes = []
     for i, c in enumerate(criticals):
         mid = 0.5 * (c + criticals[i + 1]) if i + 1 < len(criticals) else c + 0.5
-        complexes.append(cech_complex(RanPoint(config, mid), max_dim, eps))
+        complexes.append(SimplicialComplex.from_masks(n, read_scan(n, scan, mid, eps).masks))
     return Filtration(config, tuple(criticals), tuple(complexes))
 
 

@@ -1,9 +1,11 @@
 """Finite abstract simplicial complexes, simplicial maps, and canonical forms.
 
 Vertices are dense integers ``0..n-1``; a complex stores its full simplex
-set (downward closed, every vertex present as a singleton).  Canonical
-forms are computed by exhaustive relabeling under a configurable vertex
-cap, giving keys that agree exactly on isomorphism classes.
+set (downward closed, every vertex present as a singleton) as integer
+bitmasks, bit ``v`` standing for vertex ``v``.  Vertex tuples are derived
+from the masks on demand, for JSON and display.  Canonical forms are
+computed by exhaustive relabeling under a configurable vertex cap, giving
+keys that agree exactly on isomorphism classes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import _kernels
-from ._bits import mask_of, proper_submasks, vertices_of
+from ._bits import facet_submasks, mask_of, proper_submasks, vertices_of
 
 VERTEX_CAP = 8
 
@@ -22,55 +24,51 @@ class CapExceeded(ValueError):
     """Vertex count exceeds the configured brute-force cap."""
 
 
-def _normalize_simplices(n_vertices: int, simplices) -> tuple[tuple[int, ...], ...]:
-    seen = set()
-    for s in simplices:
-        t = tuple(sorted(set(int(v) for v in s)))
-        if not t:
-            raise ValueError("empty simplex is not allowed")
-        if t[0] < 0 or t[-1] >= n_vertices:
-            raise ValueError(f"simplex {t} has a vertex outside 0..{n_vertices - 1}")
-        seen.add(t)
-    return tuple(sorted(seen, key=lambda t: (len(t), t)))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SimplicialComplex:
     """Abstract simplicial complex on vertices ``0..n_vertices-1``.
 
-    ``simplices`` holds every simplex (not just facets), each as a sorted
-    vertex tuple, ordered by dimension then vertex order.  Construction
-    validates downward closure and the presence of all singletons.
+    ``masks`` holds every simplex (not just facets) as a vertex bitmask, in
+    ascending order; ``simplices`` derives sorted vertex tuples from them,
+    ordered by dimension then vertex order.  Simplices are given as vertex
+    tuples and/or ``masks``; construction checks that every vertex is in
+    range, every singleton present and the set downward closed.
     """
 
     n_vertices: int
-    simplices: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n_vertices < 0:
+    def __init__(self, n_vertices: int, simplices: Iterable[Iterable[int]] = (), *,
+                 masks: Iterable[int] = ()):
+        if n_vertices < 0:
             raise ValueError("n_vertices must be nonnegative")
-        normalized = _normalize_simplices(self.n_vertices, self.simplices)
-        object.__setattr__(self, "simplices", normalized)
-        present = set(normalized)
-        for v in range(self.n_vertices):
-            if (v,) not in present:
+        present = set(masks)
+        for s in simplices:
+            vs = {int(v) for v in s}
+            if not vs.issubset(range(n_vertices)):
+                raise ValueError(f"simplex {sorted(vs)} has a vertex outside 0..{n_vertices - 1}")
+            present.add(mask_of(vs))
+        for v in range(n_vertices):
+            if 1 << v not in present:
                 raise ValueError(f"vertex {v} is missing its singleton simplex")
-        for s in normalized:
-            if len(s) > 1:
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1 :]
-                    if face not in present:
-                        raise ValueError(
-                            f"not downward closed: {s} present but face {face} missing"
-                        )
+        for m in present:
+            if not 0 < m < 1 << n_vertices:
+                raise ValueError(f"simplex mask {m:#b} is empty or outside 0..{n_vertices - 1}")
+            for face in facet_submasks(m):
+                if face and face not in present:
+                    raise ValueError(f"not downward closed: {vertices_of(m)} present "
+                                     f"but face {vertices_of(face)} missing")
+        object.__setattr__(self, "n_vertices", n_vertices)
+        object.__setattr__(self, "masks", tuple(sorted(present)))
+        object.__setattr__(self, "_present", frozenset(present))
 
     @classmethod
     def from_masks(cls, n_vertices: int, masks: Iterable[int]) -> "SimplicialComplex":
-        return cls(n_vertices, tuple(vertices_of(m) for m in masks))
+        return cls(n_vertices, masks=masks)
 
     @functools.cached_property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(sorted(mask_of(s) for s in self.simplices))
+    def simplices(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(sorted(map(vertices_of, self.masks), key=lambda t: (len(t), t)))
 
     @functools.cached_property
     def simplex_set(self) -> frozenset[tuple[int, ...]]:
@@ -78,20 +76,20 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max((len(s) for s in self.simplices), default=0) - 1
+        return max((m.bit_count() for m in self.masks), default=0) - 1
 
     def has_simplex(self, vertices: Iterable[int]) -> bool:
-        return tuple(sorted(set(vertices))) in self.simplex_set
+        vs = set(vertices)
+        return vs.issubset(range(self.n_vertices)) and mask_of(vs) in self._present
 
     def facets(self) -> tuple[tuple[int, ...], ...]:
         """Maximal simplices, in (dimension, vertex order)."""
-        masks = set(self.masks)
-        maximal = []
-        for s in self.simplices:
-            m = mask_of(s)
-            if not any(other != m and other & m == m for other in masks):
-                maximal.append(s)
-        return tuple(maximal)
+        present = self._present
+        maximal = (
+            vertices_of(m) for m in self.masks
+            if not any(m | 1 << v in present for v in range(self.n_vertices) if not m >> v & 1)
+        )
+        return tuple(sorted(maximal, key=lambda t: (len(t), t)))
 
     def to_json_dict(self) -> dict:
         return {"n_vertices": self.n_vertices, "simplices": [list(s) for s in self.simplices]}
@@ -168,8 +166,8 @@ class SimplicialMap:
 
 def is_simplicial(m: SimplicialMap) -> bool:
     """True iff every source simplex maps onto a target simplex."""
-    tgt = m.target.simplex_set
-    return all(m.image_simplex(s) in tgt for s in m.source.simplices)
+    vm, present = m.vertex_map, m.target._present
+    return all(mask_of(vm[v] for v in vertices_of(s)) in present for s in m.source.masks)
 
 
 def identity_map(c: SimplicialComplex) -> SimplicialMap:
@@ -206,10 +204,10 @@ class IsoClass:
 
 
 @functools.lru_cache(maxsize=65536)
-def _canonical_cached(n: int, masks: tuple[int, ...]) -> tuple[tuple[int, ...], bytes]:
+def _canonical_cached(n: int, masks: tuple[int, ...]) -> IsoClass:
     canon = _kernels.canonical_masks(n, masks)
     key = bytes([n]) + b"".join(m.to_bytes(2, "big") for m in canon)
-    return canon, key
+    return IsoClass(SimplicialComplex.from_masks(n, canon), key)
 
 
 def canonical_form(c: SimplicialComplex, cap: int = VERTEX_CAP) -> IsoClass:
@@ -220,8 +218,7 @@ def canonical_form(c: SimplicialComplex, cap: int = VERTEX_CAP) -> IsoClass:
     """
     if c.n_vertices > cap:
         raise CapExceeded(f"canonical form needs {c.n_vertices} vertices > cap {cap}")
-    canon, key = _canonical_cached(c.n_vertices, c.masks)
-    return IsoClass(SimplicialComplex.from_masks(c.n_vertices, canon), key)
+    return _canonical_cached(c.n_vertices, c.masks)
 
 
 def are_isomorphic(a: SimplicialComplex, b: SimplicialComplex, cap: int = VERTEX_CAP) -> bool:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels
+from ._bits import facet_submasks, vertices_of
 from .complexes import (
     VERTEX_CAP,
     CapExceeded,
@@ -92,23 +91,13 @@ def _labeled_complexes(n: int):
     singletons = [1 << v for v in range(n)]
     family: set[int] = set()
 
-    def facets_present(mask: int) -> bool:
-        mm = mask
-        while mm:
-            low = mm & -mm
-            face = mask ^ low
-            if face.bit_count() >= 2 and face not in family:
-                return False
-            mm ^= low
-        return True
-
     def rec(i: int):
         if i == len(candidates):
             yield tuple(singletons) + tuple(sorted(family))
             return
         yield from rec(i + 1)
         m = candidates[i]
-        if facets_present(m):
+        if all(face.bit_count() < 2 or face in family for face in facet_submasks(m)):
             family.add(m)
             yield from rec(i + 1)
             family.remove(m)
@@ -168,11 +157,16 @@ class HasseDiagram:
 
 
 def hasse(universe: PosetUniverse) -> HasseDiagram:
-    rel = np.array(universe.relation, dtype=bool)
-    strict = rel & ~np.eye(len(rel), dtype=bool) if len(rel) else rel
-    covers = strict & ~(strict @ strict)
-    edges = tuple((int(i), int(j)) for i, j in np.argwhere(covers))
-    return HasseDiagram(universe.classes, tuple(sorted(edges)))
+    # row i as a bitset of the classes strictly below class i
+    strict = [sum(1 << j for j, below in enumerate(row) if below and j != i)
+              for i, row in enumerate(universe.relation)]
+    edges = []
+    for i, row in enumerate(strict):
+        covers = row
+        for j in vertices_of(row):
+            covers &= ~strict[j]
+        edges += ((i, j) for j in vertices_of(covers))
+    return HasseDiagram(universe.classes, tuple(edges))
 
 
 def _node_label(cls: IsoClass) -> str:

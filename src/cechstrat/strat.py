@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from ._bits import vertices_of
-from .cech import cech_complex, subset_radii
-from .complexes import IsoClass, SimplicialMap, canonical_form, is_simplicial
+from .cech import cech_complex, read_scan, subset_radii
+from .complexes import IsoClass, SimplicialComplex, SimplicialMap, canonical_form, is_simplicial
 from .geometry import EPS_GEO, PointConfig, RanPoint, sup_distance
 
 Case = Literal["generic", "boundary"]
@@ -46,10 +46,7 @@ def r2(config: PointConfig, r: float, max_dim: int | None = None) -> float:
     """
     if len(config) < 2:
         raise ValueError("r2 requires at least two points")
-    return min(
-        (2.0 * abs(r - radius) for _, radius in subset_radii(config, max_dim)),
-        default=math.inf,
-    )
+    return read_scan(len(config), subset_radii(config, max_dim), r).r2
 
 
 def r2_prime(config: PointConfig, r: float, max_dim: int | None = None,
@@ -60,12 +57,7 @@ def r2_prime(config: PointConfig, r: float, max_dim: int | None = None,
     """
     if len(config) < 2:
         raise ValueError("r2_prime requires at least two points")
-    slacks = [
-        2.0 * abs(r - radius)
-        for _, radius in subset_radii(config, max_dim)
-        if abs(r - radius) > eps
-    ]
-    return min(slacks) if slacks else math.inf
+    return read_scan(len(config), subset_radii(config, max_dim), r, eps).r2_prime
 
 
 @dataclass(frozen=True)
@@ -89,32 +81,19 @@ class SafeBall:
 def tilde_r(x: RanPoint, max_dim: int | None = None, eps: float = EPS_GEO) -> SafeBall:
     """Separation radius of a configuration-radius pair.
 
-    Generic case: the smaller of the pairwise gap and the simplex slack.
-    Boundary case (some subset exactly critical): the critical subsets are
-    exempted from the slack minimum.  Singletons admit any perturbation
-    radius, so they get 4*r (or 1 when r = 0) as a convention.
+    The smaller of the pairwise gap and :func:`r2_prime`, the simplex slack
+    with critical subsets exempted.  The case is "boundary" when some
+    subset is exactly critical; otherwise it is "generic" and the slack
+    equals :func:`r2`.  Singletons admit any perturbation radius, so they
+    get 4*r (or 1 when r = 0) as a convention.
     """
     config, r = x.config, x.radius
     if len(config) == 1:
         rt = 4.0 * r if r > 0.0 else 1.0
         return SafeBall(x, rt, rt / 4.0, "generic")
-    gap = r1(config)
-    slack_all = math.inf
-    slack_nondeg = math.inf
-    degenerate = False
-    for _, radius in subset_radii(config, max_dim):
-        s = abs(r - radius)
-        slack_all = min(slack_all, 2.0 * s)
-        if s > eps:
-            slack_nondeg = min(slack_nondeg, 2.0 * s)
-        else:
-            degenerate = True
-    if degenerate:
-        rt = min(gap, slack_nondeg)
-        case: Case = "boundary"
-    else:
-        rt = min(gap, slack_all)
-        case = "generic"
+    reading = read_scan(len(config), subset_radii(config, max_dim), r, eps)
+    rt = min(r1(config), reading.r2_prime)
+    case: Case = "boundary" if reading.critical else "generic"
     return SafeBall(x, rt, rt / 4.0, case)
 
 
@@ -191,12 +170,10 @@ class StratumLabel:
 def stratum_label(x: RanPoint, max_dim: int | None = None, eps: float = EPS_GEO,
                   cap: int = 8) -> StratumLabel:
     """Class of the Cech complex at x plus the degeneracy refinement."""
-    cls = canonical_form(cech_complex(x, max_dim, eps), cap=cap)
-    degenerate = sorted(
-        (vertices_of(mask) for mask, radius in subset_radii(x.config, max_dim)
-         if abs(x.radius - radius) <= eps),
-        key=lambda t: (len(t), t),
-    )
+    n = len(x.config)
+    reading = read_scan(n, subset_radii(x.config, max_dim), x.radius, eps)
+    cls = canonical_form(SimplicialComplex.from_masks(n, reading.masks), cap=cap)
+    degenerate = sorted(map(vertices_of, reading.critical), key=lambda t: (len(t), t))
     return StratumLabel(cls, bool(degenerate), tuple(degenerate))
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cechstrat import IsoClass, SimplicialComplex, canonical_form, make_complex
+from cechstrat import IsoClass, SimplicialComplex, canonical_form, cech, make_complex
 
 settings.register_profile(
     "ci",
@@ -57,3 +57,17 @@ def random_complex(rng: random.Random, n_max: int = 5) -> SimplicialComplex:
         if mask.bit_count() >= 2 and rng.random() < 1.8 / mask.bit_count() ** 2:
             generators.append([v for v in range(n) if mask >> v & 1])
     return make_complex(n, generators)
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """Arguments of every subset scan the kernels run during the test."""
+    calls = []
+    scan = cech._kernels.subset_meb_radii
+
+    def counting(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(cech._kernels, "subset_meb_radii", counting)
+    return calls

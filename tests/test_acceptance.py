@@ -70,7 +70,7 @@ def random_config_2d(rng, n_lo=2, n_hi=5, min_gap=0.0):
         except ValueError:
             continue
         if min_gap > 0.0:
-            radii = sorted({0.0} | {r for _, r in subset_radii(cfg)})
+            radii = cech_filtration(cfg).critical_radii
             if any(b - a < min_gap for a, b in zip(radii, radii[1:])):
                 continue
         return cfg

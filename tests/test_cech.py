@@ -170,6 +170,14 @@ class TestCechFiltration:
                 for r in (lo, 0.5 * (lo + hi), top):
                     assert cech_complex(RanPoint(cfg, r)) == cplx
 
+    def test_one_scan_per_filtration(self, scan_calls):
+        rng = random.Random(107)
+        for _ in range(10):
+            pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(rng.randint(1, 5))]
+            scan_calls.clear()
+            cech_filtration(config_2d(pts))
+            assert len(scan_calls) == 1
+
     def test_complex_at_lookup(self):
         f = cech_filtration(pair_1d())
         assert f.complex_at(0.2) == f.complexes[0]

@@ -63,6 +63,19 @@ class TestMakeComplex:
         with pytest.raises(ValueError, match="singleton"):
             SimplicialComplex(3, ((0,), (1,)))
 
+    @pytest.mark.parametrize(
+        "masks, match",
+        [
+            ((0b001, 0b010, 0b100, 0b111), "downward closed"),
+            ((0b001, 0b010), "singleton"),
+            ((0b001, 0b010, 0b100, 0b1000), "outside"),
+            ((0b001, 0b010, 0b100, 0), "empty"),
+        ],
+    )
+    def test_from_masks_validates(self, masks, match):
+        with pytest.raises(ValueError, match=match):
+            SimplicialComplex.from_masks(3, masks)
+
 
 class TestIsSimplicial:
     def test_identity_on_edge(self):
@@ -191,6 +204,17 @@ class TestJson:
             c = random_complex(rng)
             blob = json.dumps(c.to_json_dict())
             assert SimplicialComplex.from_json_dict(json.loads(blob)) == c
+
+    def test_masks_round_trip(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            c = random_complex(rng)
+            d = SimplicialComplex.from_masks(c.n_vertices, c.masks)
+            assert d == c and hash(d) == hash(c)
+            assert SimplicialComplex(c.n_vertices, c.simplices) == c
+            listed = sorted((list(s) for s in c.simplex_set), key=lambda s: (len(s), s))
+            assert d.to_json_dict() == {"n_vertices": c.n_vertices, "simplices": listed}
+            assert d.to_json_dict() == c.to_json_dict()
 
     def test_reader_applies_downward_closure(self):
         c = SimplicialComplex.from_json_dict(

@@ -127,6 +127,18 @@ class TestTildeR:
         sb = tilde_r(RanPoint(config_1d(0.0, 1.0), 0.45))
         assert sb.r_tilde == pytest.approx(0.1)
 
+    def test_r_tilde_is_gap_or_noncritical_slack(self):
+        rng = random.Random(97)
+        for k in range(60):
+            at_critical = k % 2 == 1
+            x = random_ranpoint(rng, engineered_boundary=at_critical)
+            sb = tilde_r(x)
+            assert sb.r_tilde == min(r1(x.config), r2_prime(x.config, x.radius))
+            if sb.case == "generic":
+                assert r2_prime(x.config, x.radius) == r2(x.config, x.radius)
+            if at_critical:
+                assert sb.case == "boundary"
+
     def test_singleton_fallbacks(self):
         sb = tilde_r(RanPoint(config_1d(0.0), 0.5))
         assert sb.r_tilde == pytest.approx(2.0) and sb.safe_radius == pytest.approx(0.5)
@@ -233,6 +245,14 @@ class TestStratumLabel:
     def test_radius_zero_is_not_degenerate(self):
         lbl = stratum_label(RanPoint(config_1d(0.0, 1.0), 0.0))
         assert not lbl.degenerate
+
+    def test_one_scan_per_label(self, scan_calls):
+        rng = random.Random(103)
+        for k in range(10):
+            x = random_ranpoint(rng, engineered_boundary=k % 2 == 1)
+            scan_calls.clear()
+            stratum_label(x)
+            assert len(scan_calls) == 1
 
 
 class TestContinuity:
