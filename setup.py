@@ -1,51 +1,20 @@
-"""Build script: compiles the optional kernel extension.
+"""Build script: compiles the kernel extension from the tracked C source.
 
-The package works without the extension (pure-Python kernels are selected
-at import time); set CECHSTRAT_PURE=1 to skip the build entirely.
+``_ckernels.c`` is generated from ``_ckernels.pyx`` with ``cython -3`` and
+committed, so a build needs a C compiler but not Cython; regenerate the
+``.c`` whenever the ``.pyx`` changes.  The extension is optional: where it
+does not compile, the package runs on its pure-Python kernels.
 """
 
-import os
-
 from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
 
-
-class optional_build_ext(build_ext):
-    """Never fail the install because the extension would not compile."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # missing compiler, broken toolchain, ...
-            print(f"warning: skipping compiled kernels ({exc}); "
-                  "falling back to pure-Python kernels")
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            print(f"warning: failed to build {ext.name} ({exc}); "
-                  "falling back to pure-Python kernels")
-
-
-ext_modules = []
-cmdclass = {}
-if os.environ.get("CECHSTRAT_PURE") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "cechstrat._kernels._ckernels",
-                    ["src/cechstrat/_kernels/_ckernels.pyx"],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+setup(
+    ext_modules=[
+        Extension(
+            "cechstrat._kernels._ckernels",
+            ["src/cechstrat/_kernels/_ckernels.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
         )
-        cmdclass["build_ext"] = optional_build_ext
-    except ImportError:
-        pass
-
-setup(ext_modules=ext_modules, cmdclass=cmdclass)
+    ]
+)

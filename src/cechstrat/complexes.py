@@ -205,7 +205,12 @@ class IsoClass:
 
 @functools.lru_cache(maxsize=65536)
 def _canonical_cached(n: int, masks: tuple[int, ...]) -> IsoClass:
-    canon = _kernels.canonical_masks(n, masks)
+    return _iso_class(n, _kernels.canonical_masks(n, masks))
+
+
+@functools.lru_cache(maxsize=65536)
+def _iso_class(n: int, canon: tuple[int, ...]) -> IsoClass:
+    """The class held by canonical masks, built once per class."""
     key = bytes([n]) + b"".join(m.to_bytes(2, "big") for m in canon)
     return IsoClass(SimplicialComplex.from_masks(n, canon), key)
 

@@ -11,7 +11,9 @@ zigzag of vertex-surjective simplicial maps.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .cech import Filtration, cech_complex
@@ -28,6 +30,12 @@ from .scposet import dominates
 from .strat import StratumLabel, local_map, stratum_label, tilde_r
 
 _BRACKET_FLOOR = 1e-13
+
+#: evenly spaced label checks that ``entrance_map`` makes on its stretch
+_CONSTANCY_SAMPLES = 32
+
+#: largest radius interpolation error of ``cech_path`` before ``t_max``
+_CECH_PATH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -55,6 +63,10 @@ class PLPath:
             tuple(tuple(tuple(float(c) for c in p) for p in tr) for tr in self.tracks),
         )
         object.__setattr__(self, "radius", tuple(float(r) for r in self.radius))
+        for what, values in (("breakpoint", bp), ("radius", self.radius)):
+            for v in values:
+                if not math.isfinite(v):
+                    raise ValueError(f"{what} {v} is not finite")
         if len(bp) < 2 or bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must run from 0.0 to 1.0")
         if any(a >= b for a, b in zip(bp, bp[1:])):
@@ -67,6 +79,8 @@ class PLPath:
             for p in tr:
                 if len(p) != self.dim:
                     raise ValueError(f"waypoint {p} does not have dimension {self.dim}")
+                if not all(map(math.isfinite, p)):
+                    raise ValueError(f"waypoint {p} is not finite")
         if len(self.radius) != len(bp):
             raise ValueError("radius needs one value per breakpoint")
         if any(r < 0.0 for r in self.radius):
@@ -74,37 +88,38 @@ class PLPath:
         self._check_merge_persistence()
 
     def _check_merge_persistence(self):
-        k = len(self.tracks)
-        for seg in range(len(self.breakpoints) - 1):
-            for i in range(k):
-                for j in range(i + 1, k):
-                    a = [self.tracks[i][seg][c] - self.tracks[j][seg][c] for c in range(self.dim)]
-                    b = [
-                        self.tracks[i][seg + 1][c] - self.tracks[j][seg + 1][c]
-                        for c in range(self.dim)
-                    ]
-                    d_start = math.hypot(*a)
-                    d_end = math.hypot(*b)
-                    if d_start <= DELTA_PT or d_end <= DELTA_PT:
-                        # merged at an endpoint: merging into, out of (only at
-                        # the starting breakpoint), or through is fine
-                        continue
-                    # distance along the segment is convex; its minimum is at
-                    # an endpoint or at the projection parameter
-                    diff = [bb - aa for aa, bb in zip(a, b)]
-                    denom = sum(x * x for x in diff)
-                    d_min = min(d_start, d_end)
-                    if denom > 0.0:
-                        u = -sum(x * y for x, y in zip(a, diff)) / denom
-                        if 0.0 < u < 1.0:
-                            mid = [aa + u * x for aa, x in zip(a, diff)]
-                            d_min = min(d_min, math.hypot(*mid))
-                    if d_min <= DELTA_PT:
-                        raise ValueError(
-                            f"tracks {i} and {j} touch inside segment {seg} but "
-                            "separate before its end; merges must persist and "
-                            "splits are only allowed at breakpoints"
-                        )
+        """One sweep over each pair's offsets, one offset per breakpoint.
+
+        A segment is rejected when both its ends keep the pair farther
+        apart than ``DELTA_PT`` but the distance dips within it inside:
+        the distance is convex along the segment, so it is least at the
+        projection parameter u when u lies in (0, 1).  A segment whose
+        offset does not change keeps a constant distance, so its ends
+        decide it.  The first violation in (segment, pair) order is
+        reported.
+        """
+        touches = []
+        for i, j in itertools.combinations(range(len(self.tracks)), 2):
+            rel = [tuple(map(operator.sub, p, q))
+                   for p, q in zip(self.tracks[i], self.tracks[j])]
+            for seg, (a, b) in enumerate(zip(rel, rel[1:])):
+                diff = tuple(map(operator.sub, b, a))
+                denom = sum(map(operator.mul, diff, diff))
+                if denom == 0.0 or math.hypot(*a) <= DELTA_PT or math.hypot(*b) <= DELTA_PT:
+                    continue
+                u = -sum(map(operator.mul, a, diff)) / denom
+                if not 0.0 < u < 1.0:
+                    continue
+                if math.hypot(*(aa + u * x for aa, x in zip(a, diff))) <= DELTA_PT:
+                    touches.append((seg, i, j))
+                    break
+        if touches:
+            seg, i, j = min(touches)
+            raise ValueError(
+                f"tracks {i} and {j} touch inside segment {seg} but "
+                "separate before its end; merges must persist and "
+                "splits are only allowed at breakpoints"
+            )
 
     def to_json_dict(self) -> dict:
         return {
@@ -218,14 +233,16 @@ def _resolve(label_fn, lo, hi, l_lo, l_hi):
 
 
 def transitions(path: PLPath, resolution: float, max_dim: int | None = None,
-                eps: float = EPS_GEO, cap: int = 8) -> list[tuple[float, StratumLabel]]:
+                eps: float = EPS_GEO) -> list[tuple[float, StratumLabel]]:
     """Instants where the refined stratum label changes, with the label at
     each instant.
 
     Scans at steps of at most ``resolution`` (label excursions narrower
     than a step between equal labels can be missed), then bisects each
-    change to within ``resolution * 1e-3``.  Every reported transition is
-    real: the labels on its two sides differ.
+    change down to a bracket of ``_BRACKET_FLOOR``, so that the instant
+    lands inside the tolerance band of a degenerate label.  Events closer
+    than ``resolution * 1e-3`` are merged into one.  Every reported
+    transition is real: the labels on its two sides differ.
     """
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
@@ -233,7 +250,7 @@ def transitions(path: PLPath, resolution: float, max_dim: int | None = None,
 
     def label_fn(t: float) -> StratumLabel:
         if t not in cache:
-            cache[t] = stratum_label(evaluate(path, t), max_dim, eps, cap)
+            cache[t] = stratum_label(evaluate(path, t), max_dim, eps)
         return cache[t]
 
     steps = max(1, math.ceil(1.0 / resolution))
@@ -298,11 +315,12 @@ def _renaming_map(path: PLPath, t_from: float, t_to: float, max_dim, eps) -> Sim
 
 
 def entrance_map(path: PLPath, t_from: float, t_to: float, max_dim: int | None = None,
-                 eps: float = EPS_GEO, cap: int = 8, samples: int = 32) -> SimplicialMap:
+                 eps: float = EPS_GEO) -> SimplicialMap:
     """Simplicial map induced by traversing the path from t_from to t_to.
 
     Requires the refined label to be constant on the half-open stretch
-    [t_from, t_to) (spot-checked by sampling); the label may drop at t_to.
+    [t_from, t_to), spot-checked at ``_CONSTANCY_SAMPLES`` evenly spaced
+    times; the label may drop at t_to.
     Built as a track renaming along the constant stretch composed with the
     snap map on a terminal stretch inside the safe ball of the endpoint.
     Works in either time direction.
@@ -311,14 +329,14 @@ def entrance_map(path: PLPath, t_from: float, t_to: float, max_dim: int | None =
         raise ValueError("path parameters must lie in [0, 1]")
     if t_from == t_to:
         return identity_map(cech_complex(evaluate(path, t_from), max_dim, eps))
-    l_from = stratum_label(evaluate(path, t_from), max_dim, eps, cap)
-    for k in range(samples):
-        t = t_from + (t_to - t_from) * k / samples
-        if stratum_label(evaluate(path, t), max_dim, eps, cap) != l_from:
+    l_from = stratum_label(evaluate(path, t_from), max_dim, eps)
+    for k in range(_CONSTANCY_SAMPLES):
+        t = t_from + (t_to - t_from) * k / _CONSTANCY_SAMPLES
+        if stratum_label(evaluate(path, t), max_dim, eps) != l_from:
             raise ValueError(
                 f"label is not constant on [{t_from}, {t_to}): changes near t={t}"
             )
-    l_to = stratum_label(evaluate(path, t_to), max_dim, eps, cap)
+    l_to = stratum_label(evaluate(path, t_to), max_dim, eps)
     if l_to == l_from:
         return _renaming_map(path, t_from, t_to, max_dim, eps)
 
@@ -381,7 +399,7 @@ class ZigzagDiagram:
 
 
 def zigzag(path: PLPath, resolution: float, max_dim: int | None = None,
-           eps: float = EPS_GEO, cap: int = 8) -> ZigzagDiagram:
+           eps: float = EPS_GEO) -> ZigzagDiagram:
     """Zigzag of simplicial maps along a path.
 
     Interval classes are sampled at interval midpoints; each transition
@@ -389,7 +407,7 @@ def zigzag(path: PLPath, resolution: float, max_dim: int | None = None,
     endpoint of the path degenerates its outer interval to the instant
     itself (identity map).
     """
-    events = transitions(path, resolution, max_dim, eps, cap)
+    events = transitions(path, resolution, max_dim, eps)
     times = [t for t, _ in events]
     bounds = [0.0] + times + [1.0]
     interval_classes: list[StratumLabel] = []
@@ -398,7 +416,7 @@ def zigzag(path: PLPath, resolution: float, max_dim: int | None = None,
         if b - a > 2.0 * _BRACKET_FLOOR:
             mid = 0.5 * (a + b)
             mids.append(mid)
-            interval_classes.append(stratum_label(evaluate(path, mid), max_dim, eps, cap))
+            interval_classes.append(stratum_label(evaluate(path, mid), max_dim, eps))
         else:
             mids.append(None)
             # zero-width outer interval: the instant is the whole interval
@@ -410,11 +428,11 @@ def zigzag(path: PLPath, resolution: float, max_dim: int | None = None,
         if mids[k] is None:
             left = identity_map(cech_complex(evaluate(path, t_star), max_dim, eps))
         else:
-            left = entrance_map(path, mids[k], t_star, max_dim, eps, cap)
+            left = entrance_map(path, mids[k], t_star, max_dim, eps)
         if mids[k + 1] is None:
             right = identity_map(cech_complex(evaluate(path, t_star), max_dim, eps))
         else:
-            right = entrance_map(path, mids[k + 1], t_star, max_dim, eps, cap)
+            right = entrance_map(path, mids[k + 1], t_star, max_dim, eps)
         map_pairs.append((left, right))
     return ZigzagDiagram(
         tuple(times),
@@ -468,13 +486,14 @@ def as_filtration(z: ZigzagDiagram) -> ChainFiltration | None:
     return ChainFiltration(tuple(distinct), tuple(maps))
 
 
-def cech_path(config: PointConfig, t_max: float, tol: float = 1e-6) -> PLPath:
+def cech_path(config: PointConfig, t_max: float) -> PLPath:
     """Stationary-configuration path whose radius grows like t/(1-t).
 
     The radius is a piecewise-linear approximation with interpolation
-    error at most ``tol`` up to time ``t_max`` (< 1) and is held constant
-    afterwards, so the label sequence up to ``t_max`` matches the
-    filtration of the configuration below radius ``t_max/(1-t_max)``.
+    error at most ``_CECH_PATH_TOL`` (1e-6) up to time ``t_max`` (< 1) and
+    is held constant afterwards, so the label sequence up to ``t_max``
+    matches the filtration of the configuration below radius
+    ``t_max/(1-t_max)``.
     """
     if not (0.0 < t_max < 1.0):
         raise ValueError("t_max must lie strictly between 0 and 1")
@@ -483,8 +502,8 @@ def cech_path(config: PointConfig, t_max: float, tol: float = 1e-6) -> PLPath:
         t = ts[-1]
         # within [t, t+h]: curvature of t/(1-t) is 2/(1-t)^3, interp error
         # is at most curvature * h^2 / 8 evaluated at the far end
-        h = 2.0 * math.sqrt(tol) * (1.0 - t) ** 1.5
-        h = 2.0 * math.sqrt(tol) * max(1.0 - (t + h), 1.0 - t_max) ** 1.5
+        h = 2.0 * math.sqrt(_CECH_PATH_TOL) * (1.0 - t) ** 1.5
+        h = 2.0 * math.sqrt(_CECH_PATH_TOL) * max(1.0 - (t + h), 1.0 - t_max) ** 1.5
         ts.append(min(t + max(h, 1e-9), t_max))
     radii = [t / (1.0 - t) for t in ts]
     if ts[-1] < 1.0:

@@ -167,12 +167,12 @@ class StratumLabel:
         }
 
 
-def stratum_label(x: RanPoint, max_dim: int | None = None, eps: float = EPS_GEO,
-                  cap: int = 8) -> StratumLabel:
+def stratum_label(x: RanPoint, max_dim: int | None = None,
+                  eps: float = EPS_GEO) -> StratumLabel:
     """Class of the Cech complex at x plus the degeneracy refinement."""
     n = len(x.config)
     reading = read_scan(n, subset_radii(x.config, max_dim), x.radius, eps)
-    cls = canonical_form(SimplicialComplex.from_masks(n, reading.masks), cap=cap)
+    cls = canonical_form(SimplicialComplex.from_masks(n, reading.masks))
     degenerate = sorted(map(vertices_of, reading.critical), key=lambda t: (len(t), t))
     return StratumLabel(cls, bool(degenerate), tuple(degenerate))
 

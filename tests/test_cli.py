@@ -143,6 +143,18 @@ class TestTrack:
         assert data["filtration"] is not None
         assert len(data["filtration"]["classes"]) == 2
 
+    def test_non_finite_radius_is_exit_2(self, capsys, tmp_path):
+        path_file = tmp_path / "path.json"
+        path_file.write_text(
+            '{"dim": 1, "breakpoints": [0.0, 1.0], '
+            '"tracks": [[[0.0], [0.0]], [[1.0], [1.0]]], "radius": [0.0, NaN]}'
+        )
+        code, _, err = run_cli(
+            capsys, "track", "--path", str(path_file), "--resolution", "0.01"
+        )
+        assert code == 2
+        assert "radius nan is not finite" in err
+
 
 class TestFrontierDemo:
     def test_violated_verdict(self, capsys):

@@ -174,6 +174,14 @@ class TestCanonicalForm:
         )
         assert canonical_form(relabeled).key == canonical_form(c).key
 
+    def test_isomorphic_complexes_share_one_class_object(self):
+        # the canonical representative is built once per class, not once
+        # per labelling that reaches it
+        p1 = make_complex(4, [{0, 1}, {1, 2}, {2, 3}])
+        p2 = make_complex(4, [{3, 1}, {1, 0}, {0, 2}])
+        assert p1 != p2
+        assert canonical_form(p1) is canonical_form(p2)
+
     def test_cap_enforced(self):
         big = make_complex(9, [])
         with pytest.raises(CapExceeded):

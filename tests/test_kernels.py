@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +135,25 @@ class TestBackendParity:
 
 def test_backend_selection_reports():
     assert _kernels.BACKEND in _kernels.backends
+
+
+def test_generated_c_matches_pyx():
+    """``_ckernels.c`` is built as committed, never regenerated on install,
+    so every source line it quotes must still read the same in the
+    ``.pyx`` (regenerate with ``cython -3`` after editing the ``.pyx``)."""
+    source = Path(_pure.__file__).with_name("_ckernels.pyx").read_text().splitlines()
+    generated = Path(_pure.__file__).with_name("_ckernels.c").read_text().splitlines()
+    block = re.compile(r'/\* "cechstrat/_kernels/_ckernels\.pyx":(\d+)$')
+    marker = "# <<<<<<<<<<<<<<"
+    quoted = []
+    line_no = None
+    for line in generated:
+        head = block.fullmatch(line.strip())
+        if head:
+            line_no = int(head.group(1))
+        elif line_no is not None and line.endswith(marker):
+            quoted.append((line_no, line[len(" * "):-len(marker)].rstrip()))
+            line_no = None
+    assert len({n for n, _ in quoted}) > 300
+    stale = [(n, text) for n, text in quoted if text != source[n - 1].rstrip()]
+    assert stale == []

@@ -22,9 +22,68 @@ from cechstrat import (
     transitions,
     zigzag,
 )
+from cechstrat.geometry import DELTA_PT
 from cechstrat.paths import reversed_path
 
 SQRT3 = math.sqrt(3.0)
+
+
+def reference_merge_check(tracks, dim):
+    """The segment-by-segment merge check that ``PLPath`` replaced: the
+    message of the first violation, or None."""
+    k = len(tracks)
+    for seg in range(len(tracks[0]) - 1):
+        for i in range(k):
+            for j in range(i + 1, k):
+                a = [tracks[i][seg][c] - tracks[j][seg][c] for c in range(dim)]
+                b = [tracks[i][seg + 1][c] - tracks[j][seg + 1][c] for c in range(dim)]
+                d_start = math.hypot(*a)
+                d_end = math.hypot(*b)
+                if d_start <= DELTA_PT or d_end <= DELTA_PT:
+                    continue
+                diff = [bb - aa for aa, bb in zip(a, b)]
+                denom = sum(x * x for x in diff)
+                d_min = min(d_start, d_end)
+                if denom > 0.0:
+                    u = -sum(x * y for x, y in zip(a, diff)) / denom
+                    if 0.0 < u < 1.0:
+                        mid = [aa + u * x for aa, x in zip(a, diff)]
+                        d_min = min(d_min, math.hypot(*mid))
+                if d_min <= DELTA_PT:
+                    return (
+                        f"tracks {i} and {j} touch inside segment {seg} but "
+                        "separate before its end; merges must persist and "
+                        "splits are only allowed at breakpoints"
+                    )
+    return None
+
+
+def construction_error(dim, breakpoints, tracks, radius):
+    try:
+        PLPath(dim, breakpoints, tracks, radius)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def random_grid_tracks(rng, dim, k, n_bp):
+    """Tracks on a coarse grid, so touches, merges and splits all occur;
+    some tracks copy another one shifted, so pairs translate together, and
+    some waypoints sit just off the grid, so passing tracks come closest
+    at about DELTA_PT."""
+    nudges = (0.0, 0.0, 0.0, 0.5 * DELTA_PT, 2.0 * DELTA_PT)
+    tracks = []
+    for _ in range(k):
+        if tracks and rng.random() < 0.25:
+            shift = tuple(rng.choice((0.0, 0.5, 0.1 * DELTA_PT)) for _ in range(dim))
+            base = rng.choice(tracks)
+            tracks.append(tuple(tuple(c + s for c, s in zip(p, shift)) for p in base))
+        else:
+            tracks.append(tuple(
+                tuple(rng.randint(-2, 2) * 0.5 + rng.choice(nudges) for _ in range(dim))
+                for _ in range(n_bp)
+            ))
+    return tuple(tracks)
 
 
 def ramp_path():
@@ -81,6 +140,69 @@ class TestPLPathValidation:
         )
         assert len(evaluate(p, 0.5).config) == 1
         assert len(evaluate(p, 0.75).config) == 2
+
+    @pytest.mark.parametrize("breakpoints", [(0.0, math.nan, 1.0), (0.0, math.inf, 1.0)])
+    def test_non_finite_breakpoint_rejected(self, breakpoints):
+        with pytest.raises(ValueError, match="breakpoint .* is not finite"):
+            PLPath(1, breakpoints, (((0.0,),) * 3,), (0.0,) * 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, bad):
+        with pytest.raises(ValueError, match="radius .* is not finite"):
+            PLPath(1, (0.0, 1.0), (((0.0,), (0.0,)),), (0.0, bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_waypoint_rejected(self, bad):
+        with pytest.raises(ValueError, match="waypoint .* is not finite"):
+            PLPath(2, (0.0, 1.0), (((0.0, 0.0), (0.0, 0.0)), ((1.0, 0.0), (1.0, bad))),
+                   (0.0, 0.0))
+
+    def test_non_finite_json_rejected(self):
+        # json.loads accepts NaN and Infinity, as a path file for `track` may carry
+        blob = '{"dim": 1, "breakpoints": [0.0, 1.0], "tracks": [[[0.0], [NaN]]], ' \
+               '"radius": [0.0, Infinity]}'
+        with pytest.raises(ValueError, match="is not finite"):
+            PLPath.from_json_dict(json.loads(blob))
+
+    def test_translating_pair_allowed(self):
+        # a pair moving together keeps its distance, closer or farther than
+        # DELTA_PT; the close pair is one vertex all along
+        for gap in (2.0 ** -45, 0.25):
+            p = PLPath(
+                1,
+                (0.0, 0.5, 1.0),
+                (((0.5,), (1.0,), (0.0,)), ((0.5 + gap,), (1.0 + gap,), (gap,))),
+                (0.0, 0.0, 0.0),
+            )
+            assert len(evaluate(p, 0.3).config) == (1 if gap < DELTA_PT else 2)
+
+    def test_touch_and_split_inside_segment_reports_first(self):
+        # tracks 1 and 2 cross inside segment 0; every pair, 0 and 1 among
+        # them, crosses inside segment 1
+        tracks = (
+            ((0.0,), (0.0,), (2.0,)),
+            ((1.0,), (1.0,), (0.0,)),
+            ((3.0,), (0.5,), (0.5,)),
+        )
+        with pytest.raises(ValueError) as err:
+            PLPath(1, (0.0, 0.5, 1.0), tracks, (0.0, 0.0, 0.0))
+        assert str(err.value).startswith("tracks 1 and 2 touch inside segment 0 but")
+        assert str(err.value) == reference_merge_check(tracks, 1)
+
+    def test_merge_check_matches_reference(self):
+        rng = random.Random(2024)
+        raised = 0
+        for _ in range(3000):
+            dim = rng.randint(1, 2)
+            n_bp = rng.randint(2, 5)
+            bp = (0.0,) + tuple(sorted(rng.sample(range(1, 20), n_bp - 2))) + (20,)
+            bp = tuple(t / 20 for t in bp)
+            tracks = random_grid_tracks(rng, dim, rng.randint(2, 4), n_bp)
+            expected = reference_merge_check(tracks, dim)
+            assert construction_error(dim, bp, tracks, (0.0,) * n_bp) == expected
+            raised += expected is not None
+        # the sample exercises both outcomes
+        assert 300 < raised < 2700
 
 
 class TestEvaluate:
