@@ -6,7 +6,9 @@ ball has radius at most r (closed balls, so boundary contact counts).
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,9 +33,23 @@ def _subset_size_cap(n_points: int, max_dim: int | None) -> int:
     return min(n_points, max_dim + 1)
 
 
-def subset_radii(config: PointConfig, max_dim: int | None = None) -> list[tuple[int, float]]:
-    """(mask, critical radius) for every subset of 2..max_dim+1 points."""
-    return _kernels.subset_meb_radii(config.points, _subset_size_cap(len(config), max_dim))
+#: scans kept, by configuration; a growth path needs one, a moving path a few
+_SCAN_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
+def _scan(points: tuple[tuple[float, ...], ...], size_cap: int) -> tuple[tuple[int, float], ...]:
+    return tuple(_kernels.subset_meb_radii(points, size_cap))
+
+
+def subset_radii(config: PointConfig, max_dim: int | None = None) -> tuple[tuple[int, float], ...]:
+    """(mask, critical radius) for every subset of 2..max_dim+1 points.
+
+    The scan is cached by value, keyed on the points and the subset size
+    cap, so every reader of an equal configuration shares one immutable
+    tuple and the kernel scans it once.
+    """
+    return _scan(config.points, _subset_size_cap(len(config), max_dim))
 
 
 class ScanReading(NamedTuple):
@@ -45,7 +61,7 @@ class ScanReading(NamedTuple):
     r2_prime: float
 
 
-def read_scan(n_points: int, scan: list[tuple[int, float]], r: float,
+def read_scan(n_points: int, scan: Sequence[tuple[int, float]], r: float,
               eps: float = EPS_GEO) -> ScanReading:
     """Read a :func:`subset_radii` scan of ``n_points`` points at radius ``r``.
 

@@ -16,11 +16,13 @@ from . import _kernels
 EPS_GEO = 1e-9
 #: two points closer than this are considered the same element of a configuration
 DELTA_PT = 1e-9
+#: largest ambient dimension; the compiled kernels hold coordinates in fixed buffers
+_MAX_DIM = 16
 
 
 @dataclass(frozen=True)
 class PointConfig:
-    """Nonempty finite set of pairwise-distinct points in R^dim.
+    """Nonempty finite set of pairwise-distinct points in R^dim, 1 <= dim <= 16.
 
     Points closer than ``DELTA_PT`` would collapse as a set, so such
     configurations are rejected at construction.
@@ -30,8 +32,8 @@ class PointConfig:
     points: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        if not 1 <= self.dim <= _MAX_DIM:
+            raise ValueError(f"dim must be in 1..{_MAX_DIM}, got {self.dim}")
         pts = tuple(tuple(float(c) for c in p) for p in self.points)
         object.__setattr__(self, "points", pts)
         if not pts:

@@ -329,10 +329,16 @@ def entrance_map(path: PLPath, t_from: float, t_to: float, max_dim: int | None =
         raise ValueError("path parameters must lie in [0, 1]")
     if t_from == t_to:
         return identity_map(cech_complex(evaluate(path, t_from), max_dim, eps))
+    samples = {k: t_from + (t_to - t_from) * k / _CONSTANCY_SAMPLES
+               for k in range(1, _CONSTANCY_SAMPLES)}
+    # labelled last: the samples at t_to - (t_to - t_from) / 2^j, where the
+    # terminal stretch below may start, and then t_from, so that the scan
+    # cache still holds their configurations when the maps read them
+    order = sorted(samples, key=lambda k: (_CONSTANCY_SAMPLES - k).bit_count() == 1)
+    labels = {k: stratum_label(evaluate(path, samples[k]), max_dim, eps) for k in order}
     l_from = stratum_label(evaluate(path, t_from), max_dim, eps)
-    for k in range(_CONSTANCY_SAMPLES):
-        t = t_from + (t_to - t_from) * k / _CONSTANCY_SAMPLES
-        if stratum_label(evaluate(path, t), max_dim, eps) != l_from:
+    for k, t in samples.items():
+        if labels[k] != l_from:
             raise ValueError(
                 f"label is not constant on [{t_from}, {t_to}): changes near t={t}"
             )

@@ -59,10 +59,21 @@ def random_complex(rng: random.Random, n_max: int = 5) -> SimplicialComplex:
     return make_complex(n, generators)
 
 
+class ScanCalls(list):
+    """Recorded scan arguments; ``clear`` also empties the scan cache, so
+    that each reader after it starts cold."""
+
+    def clear(self):
+        super().clear()
+        cech._scan.cache_clear()
+
+
 @pytest.fixture
 def scan_calls(monkeypatch):
-    """Arguments of every subset scan the kernels run during the test."""
-    calls = []
+    """Arguments of every subset scan the kernels run during the test,
+    which starts with an empty scan cache."""
+    calls = ScanCalls()
+    calls.clear()
     scan = cech._kernels.subset_meb_radii
 
     def counting(*args):

@@ -16,6 +16,7 @@ from cechstrat import (
     hausdorff,
     meb,
     set_distance,
+    stratum_label,
     sup_distance,
 )
 
@@ -106,6 +107,18 @@ class TestPointConfig:
     def test_ranpoint_radius_nonnegative(self):
         with pytest.raises(ValueError):
             RanPoint(config_1d(0.0), -0.1)
+
+    @pytest.mark.parametrize("dim", [0, 17, 40])
+    def test_rejects_dimension_outside_kernel_domain(self, dim):
+        # the compiled kernels hold at most 16 coordinates; both backends
+        # must refuse the same configurations, at construction
+        with pytest.raises(ValueError, match=r"dim must be in 1\.\.16"):
+            PointConfig(dim, ((0.0,) * dim, (1.0,) * dim))
+
+    def test_largest_dimension_labels(self):
+        cfg = PointConfig(16, ((0.0,) * 16, (0.25,) * 16))
+        assert stratum_label(RanPoint(cfg, 0.6)).cls.canonical.masks == (1, 2, 3)
+        assert meb(cfg).radius == pytest.approx(0.5)
 
 
 class TestHausdorff:
