@@ -3,8 +3,9 @@
 Operation-for-operation mirror of the compiled extension
 (``cechstrat._kernels._ckernels``); one of the two is selected at import
 time by ``cechstrat._kernels``.  Keep the two implementations in lockstep:
-same processing order, same deterministic shuffle, same tolerances, so
-results agree across backends.
+same processing order, same deterministic shuffle, same tolerances and the
+same floating-point operations in the same order, so results agree across
+backends bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +42,25 @@ def _shuffled_order(n: int) -> list[int]:
     return order
 
 
+# Sums run left to right in plain float adds, as in the compiled kernel:
+# ``sum()`` compensates float sums from Python 3.12 on, and ``math.dist`` is
+# more precise than ``sqrt`` of the rounded sum, either of which would move
+# radii off the compiled kernel's bits.
+def _dot(u, v) -> float:
+    s = 0.0
+    for x, y in zip(u, v):
+        s += x * y
+    return s
+
+
+def _dist_sq(p, q) -> float:
+    s = 0.0
+    for x, y in zip(p, q):
+        x -= y
+        s += x * x
+    return s
+
+
 def _circumball(support: list[tuple[float, ...]], d: int) -> tuple[tuple[float, ...], float]:
     """Smallest ball with all support points on its boundary.
 
@@ -56,8 +76,8 @@ def _circumball(support: list[tuple[float, ...]], d: int) -> tuple[tuple[float, 
         return q0, 0.0
     vs = [[q[k] - q0[k] for k in range(d)] for q in support[1:]]
     r = m - 1
-    a = [[2.0 * sum(vs[i][k] * vs[j][k] for k in range(d)) for j in range(r)] for i in range(r)]
-    b = [sum(vs[i][k] * vs[i][k] for k in range(d)) for i in range(r)]
+    a = [[2.0 * _dot(vs[i], vs[j]) for j in range(r)] for i in range(r)]
+    b = [_dot(v, v) for v in vs]
     scale = max(max(abs(x) for x in row) for row in a) or 1.0
     piv = list(range(r))
     for col in range(r):
@@ -95,15 +115,14 @@ def _circumball(support: list[tuple[float, ...]], d: int) -> tuple[tuple[float, 
                 center[k] += alpha[i] * vs[i][k]
     rad = 0.0
     for q in support:
-        rad = max(rad, math.dist(center, q))
+        rad = max(rad, math.sqrt(_dist_sq(center, q)))
     return tuple(center), rad
 
 
 def _inside(center: tuple[float, ...], radius: float, p: tuple[float, ...]) -> bool:
     if radius < 0.0:
         return False
-    dist_sq = sum((center[k] - p[k]) ** 2 for k in range(len(p)))
-    return dist_sq <= radius * radius * (1.0 + _INSIDE_REL) + _INSIDE_ABS
+    return _dist_sq(center, p) <= radius * radius * (1.0 + _INSIDE_REL) + _INSIDE_ABS
 
 
 def _mtf(pts, order, end, support, d):

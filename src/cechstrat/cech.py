@@ -2,6 +2,8 @@
 
 A subset spans a simplex at radius r exactly when its minimum enclosing
 ball has radius at most r (closed balls, so boundary contact counts).
+This module alone compares subset radii with r, under the one absolute
+tolerance ``EPS_GEO``.
 """
 
 from __future__ import annotations
@@ -33,8 +35,12 @@ def _subset_size_cap(n_points: int, max_dim: int | None) -> int:
     return min(n_points, max_dim + 1)
 
 
-#: scans kept, by configuration; a growth path needs one, a moving path a few
-_SCAN_CACHE_SIZE = 8
+#: scans kept, by configuration; a growth path needs one, an entrance map on a
+#: moving path 33 (its 31 samples and both ends).  An uncapped scan (at most
+#: 8 points) holds 247 entries, about 29 kB, so 32 of them take under 1 MB;
+#: the largest scan (16 points, max_dim 15) holds 65,519 entries, about
+#: 7.6 MB, so 32 of those take about 243 MB.
+_SCAN_CACHE_SIZE = 32
 
 
 @functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
@@ -61,12 +67,11 @@ class ScanReading(NamedTuple):
     r2_prime: float
 
 
-def read_scan(n_points: int, scan: Sequence[tuple[int, float]], r: float,
-              eps: float = EPS_GEO) -> ScanReading:
+def read_scan(n_points: int, scan: Sequence[tuple[int, float]], r: float) -> ScanReading:
     """Read a :func:`subset_radii` scan of ``n_points`` points at radius ``r``.
 
-    A subset spans a simplex when its radius is at most ``r + eps`` and is
-    critical when its radius lies within ``eps`` of ``r``.  Gives the Cech
+    A subset spans a simplex when its radius is at most ``r + EPS_GEO`` and
+    is critical when its radius lies within ``EPS_GEO`` of ``r``.  Gives the Cech
     complex's masks (singletons included, and downward closed explicitly
     against last-ulp rounding of the scan), the critical masks in scan
     order, and twice the smallest slack |r - radius| over all subsets
@@ -74,24 +79,24 @@ def read_scan(n_points: int, scan: Sequence[tuple[int, float]], r: float,
     """
     masks = {1 << i for i in range(n_points)}
     for mask, radius in scan:
-        if radius <= r + eps:
+        if radius <= r + EPS_GEO:
             masks.add(mask)
             masks.update(proper_submasks(mask))
     slack = {mask: abs(r - radius) for mask, radius in scan}
-    critical = [mask for mask, s in slack.items() if s <= eps]
-    noncritical = [s for s in slack.values() if s > eps]
+    critical = [mask for mask, s in slack.items() if s <= EPS_GEO]
+    noncritical = [s for s in slack.values() if s > EPS_GEO]
     return ScanReading(masks, critical, 2.0 * min(slack.values(), default=math.inf),
                        2.0 * min(noncritical, default=math.inf))
 
 
-def cech_complex(x: RanPoint, max_dim: int | None = None, eps: float = EPS_GEO) -> SimplicialComplex:
+def cech_complex(x: RanPoint, max_dim: int | None = None) -> SimplicialComplex:
     """Cech complex of a configuration at its radius.
 
     Vertex i is the i-th configuration point; a subset is a simplex when
-    its enclosing-ball radius is at most ``radius + eps``.
+    its enclosing-ball radius is at most ``radius + EPS_GEO``.
     """
     n = len(x.config)
-    reading = read_scan(n, subset_radii(x.config, max_dim), x.radius, eps)
+    reading = read_scan(n, subset_radii(x.config, max_dim), x.radius)
     return SimplicialComplex.from_masks(n, reading.masks)
 
 
@@ -140,25 +145,24 @@ class Filtration:
         )
 
 
-def cech_filtration(config: PointConfig, max_dim: int | None = None,
-                    eps: float = EPS_GEO) -> Filtration:
+def cech_filtration(config: PointConfig, max_dim: int | None = None) -> Filtration:
     """All Cech complexes of a configuration, indexed by critical radius.
 
     Critical radii are the distinct subset enclosing-ball radii (0 included
-    for the vertices), deduplicated within ``eps``; each stored complex is
+    for the vertices), deduplicated within ``EPS_GEO``; each stored complex is
     evaluated at the midpoint of its interval.
     """
     scan = subset_radii(config, max_dim)
     radii = sorted({0.0} | {max(r, 0.0) for _, r in scan})
     criticals: list[float] = []
     for r in radii:
-        if not criticals or r > criticals[-1] + eps:
+        if not criticals or r > criticals[-1] + EPS_GEO:
             criticals.append(r)
     n = len(config)
     complexes = []
     for i, c in enumerate(criticals):
         mid = 0.5 * (c + criticals[i + 1]) if i + 1 < len(criticals) else c + 0.5
-        complexes.append(SimplicialComplex.from_masks(n, read_scan(n, scan, mid, eps).masks))
+        complexes.append(SimplicialComplex.from_masks(n, read_scan(n, scan, mid).masks))
     return Filtration(config, tuple(criticals), tuple(complexes))
 
 

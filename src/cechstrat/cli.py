@@ -2,8 +2,8 @@
 
 Subcommands: enumerate, cech, filtration, dominates, stratum, track,
 frontier-demo.  Exit codes: 0 success, 2 validation error, 3 inconclusive
-frontier verdict.  --seed and --eps-geo can also be supplied through the
-environment as CECHSTRAT_SEED and CECHSTRAT_EPS_GEO (flags win).
+frontier verdict.  frontier-demo's --seed can also be supplied through the
+environment as CECHSTRAT_SEED (the flag wins).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import paths, scposet, strat
 from .cech import cech_filtration
 from .cech import cech_complex as build_cech_complex
 from .complexes import SimplicialComplex
-from .geometry import EPS_GEO, PointConfig, RanPoint
+from .geometry import PointConfig, RanPoint
 
 ENV_PREFIX = "CECHSTRAT_"
 
@@ -57,51 +57,37 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cechstrat",
         description="Cech complexes, the domination order on simplicial "
         "complex classes, and stratified configuration paths.",
-        epilog=f"Environment: {ENV_PREFIX}SEED and {ENV_PREFIX}EPS_GEO mirror "
-        "--seed and --eps-geo.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--eps-geo", type=float,
-        default=_env_default("EPS_GEO", EPS_GEO, float),
-        help="absolute tolerance for geometric comparisons",
-    )
-    common.add_argument(
-        "--seed", type=int, default=_env_default("SEED", 0, int),
-        help="seed for randomized procedures",
+        epilog=f"Environment: {ENV_PREFIX}SEED mirrors frontier-demo's --seed.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("enumerate", parents=[common],
-                       help="all classes up to a vertex bound, with Hasse diagram")
+    p = sub.add_parser("enumerate", help="all classes up to a vertex bound, with Hasse diagram")
     p.add_argument("--max-vertices", type=int, required=True)
     p.add_argument("--cap", type=int, default=scposet.ENUM_CAP,
                    help="enumeration safety cap")
     p.add_argument("--dot", help="write the Hasse diagram as DOT to this file")
     p.add_argument("--json", dest="json_file", help="write the universe as JSON to this file")
 
-    p = sub.add_parser("cech", parents=[common], help="Cech complex of a configuration")
+    p = sub.add_parser("cech", help="Cech complex of a configuration")
     p.add_argument("--points", required=True, help="point-configuration JSON file")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--max-dim", type=int, default=None)
 
-    p = sub.add_parser("filtration", parents=[common],
-                       help="full Cech filtration of a configuration")
+    p = sub.add_parser("filtration", help="full Cech filtration of a configuration")
     p.add_argument("--points", required=True)
     p.add_argument("--max-dim", type=int, default=None)
 
-    p = sub.add_parser("dominates", parents=[common],
-                       help="witness map between two complexes, if any")
+    p = sub.add_parser("dominates", help="witness map between two complexes, if any")
     p.add_argument("--a", required=True, help="complex JSON file (candidate dominator)")
     p.add_argument("--b", required=True, help="complex JSON file (candidate dominated)")
 
-    p = sub.add_parser("stratum", parents=[common],
+    p = sub.add_parser("stratum",
                        help="stratum label and safe ball of a configuration-radius pair")
     p.add_argument("--points", required=True)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--max-dim", type=int, default=None)
 
-    p = sub.add_parser("track", parents=[common], help="zigzag along a path")
+    p = sub.add_parser("track", help="zigzag along a path")
     p.add_argument("--path", required=True, help="path JSON file")
     p.add_argument("--resolution", type=float, required=True)
     p.add_argument("--out", help="write the zigzag JSON here instead of stdout")
@@ -109,8 +95,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--as-filtration", action="store_true",
                    help="also attempt to read the zigzag as a filtration")
 
-    p = sub.add_parser("frontier-demo", parents=[common],
+    p = sub.add_parser("frontier-demo",
                        help="frontier-condition violation on the two-point family")
+    p.add_argument("--seed", type=int, default=_env_default("SEED", 0, int),
+                   help="seed for the Monte-Carlo sampling")
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--probe-radius", type=float, default=0.05)
     p.add_argument("--refined", action="store_true",
@@ -134,14 +122,14 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_cech(args) -> int:
     config = PointConfig.from_json_dict(_load_json(args.points))
-    complex_ = build_cech_complex(RanPoint(config, args.radius), args.max_dim, args.eps_geo)
+    complex_ = build_cech_complex(RanPoint(config, args.radius), args.max_dim)
     sys.stdout.write(_dump(complex_.to_json_dict()))
     return 0
 
 
 def _cmd_filtration(args) -> int:
     config = PointConfig.from_json_dict(_load_json(args.points))
-    filt = cech_filtration(config, args.max_dim, args.eps_geo)
+    filt = cech_filtration(config, args.max_dim)
     sys.stdout.write(_dump(filt.to_json_dict()))
     return 0
 
@@ -160,8 +148,8 @@ def _cmd_dominates(args) -> int:
 def _cmd_stratum(args) -> int:
     config = PointConfig.from_json_dict(_load_json(args.points))
     x = RanPoint(config, args.radius)
-    label = strat.stratum_label(x, args.max_dim, args.eps_geo)
-    ball = strat.tilde_r(x, args.max_dim, args.eps_geo)
+    label = strat.stratum_label(x, args.max_dim)
+    ball = strat.tilde_r(x, args.max_dim)
     data = label.to_json_dict()
     data["safe_radius"] = ball.safe_radius
     data["r_tilde"] = ball.r_tilde if ball.r_tilde != float("inf") else None
@@ -172,7 +160,7 @@ def _cmd_stratum(args) -> int:
 
 def _cmd_track(args) -> int:
     path = paths.PLPath.from_json_dict(_load_json(args.path))
-    diagram = paths.zigzag(path, args.resolution, args.max_dim, args.eps_geo)
+    diagram = paths.zigzag(path, args.resolution, args.max_dim)
     data = diagram.to_json_dict()
     if args.as_filtration:
         chain = paths.as_filtration(diagram)
@@ -189,12 +177,12 @@ def _cmd_track(args) -> int:
 def _cmd_frontier_demo(args) -> int:
     family = strat.two_point_line_family()
     config = PointConfig(1, ((0.0,), (1.0,)))
-    label_a = strat.stratum_label(RanPoint(config, 0.4), eps=args.eps_geo)
-    label_b = strat.stratum_label(RanPoint(config, 0.6), eps=args.eps_geo)
+    label_a = strat.stratum_label(RanPoint(config, 0.4))
+    label_b = strat.stratum_label(RanPoint(config, 0.6))
     report = strat.frontier_check(
         family, label_a, label_b,
         n_samples=args.samples, probe_radius=args.probe_radius,
-        refined=args.refined, seed=args.seed, eps=args.eps_geo,
+        refined=args.refined, seed=args.seed,
     )
     sys.stdout.write(_dump(report.to_json_dict()))
     return 3 if report.verdict == "inconclusive" else 0

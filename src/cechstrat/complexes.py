@@ -78,10 +78,6 @@ class SimplicialComplex:
     def dim(self) -> int:
         return max((m.bit_count() for m in self.masks), default=0) - 1
 
-    def has_simplex(self, vertices: Iterable[int]) -> bool:
-        vs = set(vertices)
-        return vs.issubset(range(self.n_vertices)) and mask_of(vs) in self._present
-
     def facets(self) -> tuple[tuple[int, ...], ...]:
         """Maximal simplices, in (dimension, vertex order)."""
         present = self._present
@@ -141,9 +137,6 @@ class SimplicialMap:
         for w in self.vertex_map:
             if w < 0 or w >= self.target.n_vertices:
                 raise ValueError(f"vertex image {w} outside 0..{self.target.n_vertices - 1}")
-
-    def image_simplex(self, simplex: Iterable[int]) -> tuple[int, ...]:
-        return tuple(sorted({self.vertex_map[v] for v in simplex}))
 
     def is_vertex_surjective(self) -> bool:
         return len(set(self.vertex_map)) == self.target.n_vertices

@@ -18,6 +18,8 @@ EPS_GEO = 1e-9
 DELTA_PT = 1e-9
 #: largest ambient dimension; the compiled kernels hold coordinates in fixed buffers
 _MAX_DIM = 16
+#: most points :func:`meb` takes, for the same reason
+_MAX_MEB_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,10 @@ def sup_distance(a: RanPoint, b: RanPoint) -> float:
 
 
 def meb(p: PointConfig) -> Ball:
-    """The unique smallest closed ball containing the configuration."""
+    """The unique smallest closed ball containing the configuration
+    (at most 64 points)."""
+    if len(p) > _MAX_MEB_POINTS:
+        raise ValueError(f"meb takes at most {_MAX_MEB_POINTS} points, got {len(p)}")
     center, radius = _kernels.meb(p.points)
     return Ball(center, max(radius, 0.0))
 

@@ -25,7 +25,7 @@ from .complexes import (
     identity_map,
     is_simplicial,
 )
-from .geometry import DELTA_PT, EPS_GEO, PointConfig, RanPoint, sup_distance
+from .geometry import DELTA_PT, PointConfig, RanPoint, sup_distance
 from .scposet import dominates
 from .strat import StratumLabel, local_map, stratum_label, tilde_r
 
@@ -232,8 +232,8 @@ def _resolve(label_fn, lo, hi, l_lo, l_hi):
     return [(lo, l_lo) if low is l_lo else (hi, l_hi)]
 
 
-def transitions(path: PLPath, resolution: float, max_dim: int | None = None,
-                eps: float = EPS_GEO) -> list[tuple[float, StratumLabel]]:
+def transitions(path: PLPath, resolution: float,
+                max_dim: int | None = None) -> list[tuple[float, StratumLabel]]:
     """Instants where the refined stratum label changes, with the label at
     each instant.
 
@@ -250,7 +250,7 @@ def transitions(path: PLPath, resolution: float, max_dim: int | None = None,
 
     def label_fn(t: float) -> StratumLabel:
         if t not in cache:
-            cache[t] = stratum_label(evaluate(path, t), max_dim, eps)
+            cache[t] = stratum_label(evaluate(path, t), max_dim)
         return cache[t]
 
     steps = max(1, math.ceil(1.0 / resolution))
@@ -285,7 +285,7 @@ def transitions(path: PLPath, resolution: float, max_dim: int | None = None,
     return merged
 
 
-def _renaming_map(path: PLPath, t_from: float, t_to: float, max_dim, eps) -> SimplicialMap:
+def _renaming_map(path: PLPath, t_from: float, t_to: float, max_dim) -> SimplicialMap:
     """Vertex renaming induced by following the tracks along a stretch with
     constant label."""
     rp_a, asn_a = _evaluate_tracks(path, t_from)
@@ -303,8 +303,8 @@ def _renaming_map(path: PLPath, t_from: float, t_to: float, max_dim, eps) -> Sim
     if any(v is None for v in vmap):
         raise ValueError("some vertex lost all its tracks; label constancy violated")
     m = SimplicialMap(
-        cech_complex(rp_a, max_dim, eps),
-        cech_complex(rp_b, max_dim, eps),
+        cech_complex(rp_a, max_dim),
+        cech_complex(rp_b, max_dim),
         tuple(vmap),  # type: ignore[arg-type]
     )
     if not m.is_vertex_surjective():
@@ -314,8 +314,8 @@ def _renaming_map(path: PLPath, t_from: float, t_to: float, max_dim, eps) -> Sim
     return m
 
 
-def entrance_map(path: PLPath, t_from: float, t_to: float, max_dim: int | None = None,
-                 eps: float = EPS_GEO) -> SimplicialMap:
+def entrance_map(path: PLPath, t_from: float, t_to: float,
+                 max_dim: int | None = None) -> SimplicialMap:
     """Simplicial map induced by traversing the path from t_from to t_to.
 
     Requires the refined label to be constant on the half-open stretch
@@ -328,26 +328,22 @@ def entrance_map(path: PLPath, t_from: float, t_to: float, max_dim: int | None =
     if not (0.0 <= t_from <= 1.0 and 0.0 <= t_to <= 1.0):
         raise ValueError("path parameters must lie in [0, 1]")
     if t_from == t_to:
-        return identity_map(cech_complex(evaluate(path, t_from), max_dim, eps))
-    samples = {k: t_from + (t_to - t_from) * k / _CONSTANCY_SAMPLES
-               for k in range(1, _CONSTANCY_SAMPLES)}
-    # labelled last: the samples at t_to - (t_to - t_from) / 2^j, where the
-    # terminal stretch below may start, and then t_from, so that the scan
-    # cache still holds their configurations when the maps read them
-    order = sorted(samples, key=lambda k: (_CONSTANCY_SAMPLES - k).bit_count() == 1)
-    labels = {k: stratum_label(evaluate(path, samples[k]), max_dim, eps) for k in order}
-    l_from = stratum_label(evaluate(path, t_from), max_dim, eps)
-    for k, t in samples.items():
-        if labels[k] != l_from:
+        return identity_map(cech_complex(evaluate(path, t_from), max_dim))
+    samples = [t_from + (t_to - t_from) * k / _CONSTANCY_SAMPLES
+               for k in range(1, _CONSTANCY_SAMPLES)]
+    labels = [stratum_label(evaluate(path, t), max_dim) for t in samples]
+    l_from = stratum_label(evaluate(path, t_from), max_dim)
+    for t, label in zip(samples, labels):
+        if label != l_from:
             raise ValueError(
                 f"label is not constant on [{t_from}, {t_to}): changes near t={t}"
             )
-    l_to = stratum_label(evaluate(path, t_to), max_dim, eps)
+    l_to = stratum_label(evaluate(path, t_to), max_dim)
     if l_to == l_from:
-        return _renaming_map(path, t_from, t_to, max_dim, eps)
+        return _renaming_map(path, t_from, t_to, max_dim)
 
     end = evaluate(path, t_to)
-    ball = tilde_r(end, max_dim, eps)
+    ball = tilde_r(end, max_dim)
     tau = None
     h = t_to - t_from
     for _ in range(80):
@@ -362,8 +358,8 @@ def entrance_map(path: PLPath, t_from: float, t_to: float, max_dim: int | None =
         raise ValueError(
             "terminal stretch cannot fit inside the safe ball at the requested resolution"
         )
-    renaming = _renaming_map(path, t_from, tau, max_dim, eps)
-    return compose(renaming, local_map(evaluate(path, tau), end, max_dim, eps))
+    renaming = _renaming_map(path, t_from, tau, max_dim)
+    return compose(renaming, local_map(evaluate(path, tau), end, max_dim))
 
 
 @dataclass(frozen=True)
@@ -404,8 +400,7 @@ class ZigzagDiagram:
         }
 
 
-def zigzag(path: PLPath, resolution: float, max_dim: int | None = None,
-           eps: float = EPS_GEO) -> ZigzagDiagram:
+def zigzag(path: PLPath, resolution: float, max_dim: int | None = None) -> ZigzagDiagram:
     """Zigzag of simplicial maps along a path.
 
     Interval classes are sampled at interval midpoints; each transition
@@ -413,7 +408,7 @@ def zigzag(path: PLPath, resolution: float, max_dim: int | None = None,
     endpoint of the path degenerates its outer interval to the instant
     itself (identity map).
     """
-    events = transitions(path, resolution, max_dim, eps)
+    events = transitions(path, resolution, max_dim)
     times = [t for t, _ in events]
     bounds = [0.0] + times + [1.0]
     interval_classes: list[StratumLabel] = []
@@ -422,7 +417,7 @@ def zigzag(path: PLPath, resolution: float, max_dim: int | None = None,
         if b - a > 2.0 * _BRACKET_FLOOR:
             mid = 0.5 * (a + b)
             mids.append(mid)
-            interval_classes.append(stratum_label(evaluate(path, mid), max_dim, eps))
+            interval_classes.append(stratum_label(evaluate(path, mid), max_dim))
         else:
             mids.append(None)
             # zero-width outer interval: the instant is the whole interval
@@ -432,13 +427,13 @@ def zigzag(path: PLPath, resolution: float, max_dim: int | None = None,
     map_pairs = []
     for k, (t_star, lbl) in enumerate(events):
         if mids[k] is None:
-            left = identity_map(cech_complex(evaluate(path, t_star), max_dim, eps))
+            left = identity_map(cech_complex(evaluate(path, t_star), max_dim))
         else:
-            left = entrance_map(path, mids[k], t_star, max_dim, eps)
+            left = entrance_map(path, mids[k], t_star, max_dim)
         if mids[k + 1] is None:
-            right = identity_map(cech_complex(evaluate(path, t_star), max_dim, eps))
+            right = identity_map(cech_complex(evaluate(path, t_star), max_dim))
         else:
-            right = entrance_map(path, mids[k + 1], t_star, max_dim, eps)
+            right = entrance_map(path, mids[k + 1], t_star, max_dim)
         map_pairs.append((left, right))
     return ZigzagDiagram(
         tuple(times),

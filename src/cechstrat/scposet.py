@@ -118,7 +118,7 @@ def enumerate_classes(n_max: int, cap: int = ENUM_CAP) -> PosetUniverse:
     by_key: dict[bytes, IsoClass] = {}
     for n in range(1, n_max + 1):
         for masks in _labeled_complexes(n):
-            cls = canonical_form(SimplicialComplex.from_masks(n, masks), cap=max(cap, n_max))
+            cls = canonical_form(SimplicialComplex.from_masks(n, masks), cap=cap)
             by_key.setdefault(cls.key, cls)
     classes = tuple(sorted(by_key.values(), key=lambda c: (c.n_vertices, c.key)))
     relation = []
@@ -130,7 +130,7 @@ def enumerate_classes(n_max: int, cap: int = ENUM_CAP) -> PosetUniverse:
             elif a.key == b.key:
                 row.append(True)
             else:
-                row.append(dominates(a.canonical, b.canonical, cap=max(cap, n_max)) is not None)
+                row.append(dominates(a.canonical, b.canonical, cap=cap) is not None)
         relation.append(tuple(row))
     return PosetUniverse(classes, tuple(relation), n_max)
 

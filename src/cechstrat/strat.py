@@ -21,7 +21,7 @@ from typing import Literal
 from ._bits import vertices_of
 from .cech import cech_complex, read_scan, subset_radii
 from .complexes import IsoClass, SimplicialComplex, SimplicialMap, canonical_form, is_simplicial
-from .geometry import EPS_GEO, PointConfig, RanPoint, sup_distance
+from .geometry import PointConfig, RanPoint, sup_distance
 
 Case = Literal["generic", "boundary"]
 
@@ -49,15 +49,14 @@ def r2(config: PointConfig, r: float, max_dim: int | None = None) -> float:
     return read_scan(len(config), subset_radii(config, max_dim), r).r2
 
 
-def r2_prime(config: PointConfig, r: float, max_dim: int | None = None,
-             eps: float = EPS_GEO) -> float:
+def r2_prime(config: PointConfig, r: float, max_dim: int | None = None) -> float:
     """Like :func:`r2` but ignoring subsets already at their critical radius.
 
     +inf when every multi-point subset is critical (empty minimum).
     """
     if len(config) < 2:
         raise ValueError("r2_prime requires at least two points")
-    return read_scan(len(config), subset_radii(config, max_dim), r, eps).r2_prime
+    return read_scan(len(config), subset_radii(config, max_dim), r).r2_prime
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ class SafeBall:
             raise ValueError("safe_radius must equal r_tilde / 4")
 
 
-def tilde_r(x: RanPoint, max_dim: int | None = None, eps: float = EPS_GEO) -> SafeBall:
+def tilde_r(x: RanPoint, max_dim: int | None = None) -> SafeBall:
     """Separation radius of a configuration-radius pair.
 
     The smaller of the pairwise gap and :func:`r2_prime`, the simplex slack
@@ -91,14 +90,13 @@ def tilde_r(x: RanPoint, max_dim: int | None = None, eps: float = EPS_GEO) -> Sa
     if len(config) == 1:
         rt = 4.0 * r if r > 0.0 else 1.0
         return SafeBall(x, rt, rt / 4.0, "generic")
-    reading = read_scan(len(config), subset_radii(config, max_dim), r, eps)
+    reading = read_scan(len(config), subset_radii(config, max_dim), r)
     rt = min(r1(config), reading.r2_prime)
     case: Case = "boundary" if reading.critical else "generic"
     return SafeBall(x, rt, rt / 4.0, case)
 
 
-def local_map(source: RanPoint, target: RanPoint, max_dim: int | None = None,
-              eps: float = EPS_GEO) -> SimplicialMap:
+def local_map(source: RanPoint, target: RanPoint, max_dim: int | None = None) -> SimplicialMap:
     """Vertex-surjective simplicial map from the source complex onto the
     target complex, defined whenever the source lies strictly inside the
     target's safe ball.
@@ -107,7 +105,7 @@ def local_map(source: RanPoint, target: RanPoint, max_dim: int | None = None,
     radius ``r_tilde/4`` around the target points and is mapped there.
     Raises when the points are too far apart (the caller must subdivide).
     """
-    ball = tilde_r(target, max_dim, eps)
+    ball = tilde_r(target, max_dim)
     dist = sup_distance(source, target)
     if not (dist < ball.safe_radius):
         raise ValueError(
@@ -125,8 +123,8 @@ def local_map(source: RanPoint, target: RanPoint, max_dim: int | None = None,
             )
         vertex_map.append(hits[0])
     m = SimplicialMap(
-        cech_complex(source, max_dim, eps),
-        cech_complex(target, max_dim, eps),
+        cech_complex(source, max_dim),
+        cech_complex(target, max_dim),
         tuple(vertex_map),
     )
     if not is_simplicial(m):
@@ -167,11 +165,10 @@ class StratumLabel:
         }
 
 
-def stratum_label(x: RanPoint, max_dim: int | None = None,
-                  eps: float = EPS_GEO) -> StratumLabel:
+def stratum_label(x: RanPoint, max_dim: int | None = None) -> StratumLabel:
     """Class of the Cech complex at x plus the degeneracy refinement."""
     n = len(x.config)
-    reading = read_scan(n, subset_radii(x.config, max_dim), x.radius, eps)
+    reading = read_scan(n, subset_radii(x.config, max_dim), x.radius)
     cls = canonical_form(SimplicialComplex.from_masks(n, reading.masks))
     degenerate = sorted(map(vertices_of, reading.critical), key=lambda t: (len(t), t))
     return StratumLabel(cls, bool(degenerate), tuple(degenerate))
@@ -179,6 +176,11 @@ def stratum_label(x: RanPoint, max_dim: int | None = None,
 
 # --------------------------------------------------------------------------
 # Monte-Carlo frontier checking
+
+#: shrinking probe balls around a boundary candidate, each a quarter of the last
+_LEVELS = 8
+#: family points sampled per probe ball
+_PROBES_PER_LEVEL = 60
 
 
 @dataclass(frozen=True)
@@ -189,15 +191,14 @@ class ParametricFamily:
     RanPoint; ``anchors`` are parameter points always tried as boundary
     witness candidates (random sampling almost surely misses measure-zero
     boundary strata).  Probe steps in parameter space are taken at the
-    probe radius times ``param_scale``, assuming roughly unit Lipschitz
-    realization per coordinate.
+    probe radius, assuming roughly unit Lipschitz realization per
+    coordinate.
     """
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     realize: Callable[[tuple[float, ...]], RanPoint]
     anchors: tuple[tuple[float, ...], ...] = ()
-    param_scale: float = 1.0
 
     def sample(self, rng: random.Random) -> tuple[float, ...]:
         return tuple(rng.uniform(lo, hi) for lo, hi in zip(self.lower, self.upper))
@@ -247,19 +248,17 @@ def _label_matches(label: StratumLabel, ref: StratumLabel, refined: bool) -> boo
 
 
 def _probe_near(family: ParametricFamily, theta: tuple[float, ...], center: RanPoint,
-                radius: float, rng: random.Random, attempts: int,
-                max_dim, eps) -> list[StratumLabel]:
+                radius: float, rng: random.Random, max_dim) -> list[StratumLabel]:
     """Labels of family points sampled within the sup-ball around ``center``."""
     out = []
-    step = radius * family.param_scale
-    for _ in range(attempts):
-        cand = family.clip(tuple(t + rng.uniform(-step, step) for t in theta))
+    for _ in range(_PROBES_PER_LEVEL):
+        cand = family.clip(tuple(t + rng.uniform(-radius, radius) for t in theta))
         try:
             y = family.realize(cand)
         except ValueError:
             continue
         if sup_distance(y, center) < radius:
-            out.append(stratum_label(y, max_dim, eps))
+            out.append(stratum_label(y, max_dim))
     return out
 
 
@@ -270,11 +269,8 @@ def frontier_check(
     n_samples: int = 2000,
     probe_radius: float = 0.05,
     refined: bool = False,
-    levels: int = 8,
-    probes_per_level: int = 60,
     seed: int = 0,
     max_dim: int | None = None,
-    eps: float = EPS_GEO,
 ) -> FrontierReport:
     """Monte-Carlo check of the frontier condition for a stratum pair.
 
@@ -290,8 +286,8 @@ def frontier_check(
     params = {
         "n_samples": n_samples,
         "probe_radius": probe_radius,
-        "levels": levels,
-        "probes_per_level": probes_per_level,
+        "levels": _LEVELS,
+        "probes_per_level": _PROBES_PER_LEVEL,
         "seed": seed,
     }
 
@@ -321,7 +317,7 @@ def frontier_check(
             point = family.realize(theta)
         except ValueError:
             continue
-        samples.append((theta, point, stratum_label(point, max_dim, eps)))
+        samples.append((theta, point, stratum_label(point, max_dim)))
     a_hits = [s for s in samples if _label_matches(s[2], label_a, refined)]
     b_hits = [s for s in samples if _label_matches(s[2], label_b, refined)]
     if not a_hits or not b_hits:
@@ -341,7 +337,7 @@ def frontier_check(
             point = family.realize(theta)
         except ValueError:
             continue
-        if _label_matches(stratum_label(point, max_dim, eps), label_b, refined):
+        if _label_matches(stratum_label(point, max_dim), label_b, refined):
             candidates.append((theta, point))
     for theta, point, _ in b_hits[:40]:
         candidates.append((theta, point))
@@ -349,12 +345,11 @@ def frontier_check(
     boundary_witness = None
     for theta, z in candidates:
         ok = True
-        for k in range(levels):
+        for k in range(_LEVELS):
             rho = probe_radius * (4.0 ** (-k))
             found = any(
                 _label_matches(lbl, label_a, refined)
-                for lbl in _probe_near(family, theta, z, rho, rng,
-                                       probes_per_level, max_dim, eps)
+                for lbl in _probe_near(family, theta, z, rho, rng, max_dim)
             )
             if not found:
                 ok = False
@@ -365,9 +360,8 @@ def frontier_check(
 
     interior_witness = None
     for theta, z, _ in b_hits:
-        labels = _probe_near(family, theta, z, probe_radius, rng,
-                             probes_per_level, max_dim, eps)
-        if len(labels) < probes_per_level // 2:
+        labels = _probe_near(family, theta, z, probe_radius, rng, max_dim)
+        if len(labels) < _PROBES_PER_LEVEL // 2:
             continue
         if not any(_label_matches(lbl, label_a, refined) for lbl in labels):
             interior_witness = z

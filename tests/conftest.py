@@ -1,8 +1,11 @@
+import importlib
+import pkgutil
 import random
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+import cechstrat
 from cechstrat import IsoClass, SimplicialComplex, canonical_form, cech, make_complex
 
 settings.register_profile(
@@ -57,6 +60,13 @@ def random_complex(rng: random.Random, n_max: int = 5) -> SimplicialComplex:
         if mask.bit_count() >= 2 and rng.random() < 1.8 / mask.bit_count() ** 2:
             generators.append([v for v in range(n) if mask >> v & 1])
     return make_complex(n, generators)
+
+
+def package_modules():
+    """Every module of the package, the compiled kernels included when built."""
+    for info in pkgutil.walk_packages(cechstrat.__path__, "cechstrat."):
+        if not info.name.endswith("__main__"):
+            yield importlib.import_module(info.name)
 
 
 class ScanCalls(list):

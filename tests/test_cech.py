@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import json
 import math
@@ -18,6 +20,9 @@ from cechstrat import (
     is_simplicial,
     meb,
 )
+from cechstrat import cech
+
+from conftest import package_modules
 
 SQRT3 = math.sqrt(3.0)
 
@@ -197,3 +202,48 @@ class TestCechFiltration:
         assert restored.critical_radii == f.critical_radii
         assert restored.complexes == f.complexes
         assert restored.config == f.config
+
+
+#: settings no caller varied, now constants of the modules that use them
+REMOVED_SETTINGS = {"eps", "levels", "probes_per_level", "param_scale"}
+
+#: modules that may name the tolerance: its definition, its one reader, the re-export
+TOLERANCE_MODULES = {"cechstrat", "cechstrat.geometry", "cechstrat.cech"}
+
+
+class TestOneTolerance:
+    """``cech`` alone compares radii under ``EPS_GEO``: no function takes a
+    tolerance, and no other module reads it."""
+
+    def test_no_function_takes_a_removed_setting(self):
+        for module in package_modules():
+            try:
+                tree = ast.parse(inspect.getsource(module))
+            except (OSError, TypeError):  # compiled extension: no Python source
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    args = node.args
+                    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                elif isinstance(node, ast.ClassDef):  # dataclass and NamedTuple fields
+                    names = {stmt.target.id for stmt in node.body
+                             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+                else:
+                    continue
+                assert not names & REMOVED_SETTINGS, \
+                    f"{module.__name__} line {node.lineno}: {names & REMOVED_SETTINGS}"
+
+    def test_only_cech_reads_the_tolerance(self):
+        for module in package_modules():
+            try:
+                source = inspect.getsource(module)
+            except (OSError, TypeError):
+                continue
+            if module.__name__ not in TOLERANCE_MODULES:
+                assert "EPS_GEO" not in source, module.__name__
+        readers = set()
+        for node in ast.parse(inspect.getsource(cech)).body:
+            if isinstance(node, ast.FunctionDef):
+                if any(isinstance(n, ast.Name) and n.id == "EPS_GEO" for n in ast.walk(node)):
+                    readers.add(node.name)
+        assert readers == {"read_scan", "cech_filtration"}

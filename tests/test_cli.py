@@ -172,6 +172,20 @@ class TestFrontierDemo:
         assert json.loads(out)["verdict"] == "satisfied-at-budget"
 
 
+class TestOptions:
+    VERBS = ("enumerate", "cech", "filtration", "dominates", "stratum", "track",
+             "frontier-demo")
+
+    def test_only_frontier_demo_takes_a_seed(self, capsys):
+        for verb in self.VERBS:
+            with pytest.raises(SystemExit) as exc:
+                main([verb, "--help"])
+            assert exc.value.code == 0
+            text = capsys.readouterr().out
+            assert "--eps-geo" not in text
+            assert ("--seed" in text) == (verb == "frontier-demo"), verb
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys, two_points_file):
         _, out1, _ = run_cli(capsys, "filtration", "--points", two_points_file)

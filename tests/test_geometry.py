@@ -203,6 +203,12 @@ class TestMeb:
         b = meb(config_1d(2.5))
         assert b.center == (2.5,) and b.radius == 0.0
 
+    def test_point_limit_is_the_same_on_every_backend(self):
+        # the compiled kernel holds at most 64 points; pure used to take more
+        assert meb(config_1d(*range(64))).radius == 31.5
+        with pytest.raises(ValueError, match="meb takes at most 64 points, got 65"):
+            meb(config_1d(*range(65)))
+
     def test_pair_midpoint(self):
         b = meb(config_1d(0.0, 1.0))
         assert b.center == (0.5,) and b.radius == pytest.approx(0.5)

@@ -323,6 +323,15 @@ class TestZigzag:
         assert right.vertex_map == (0, 1)
         assert right.source.simplex_set == right.target.simplex_set
 
+    def test_growth_times_are_the_same_on_every_backend(self):
+        # radii bit-equal across backends give equal transition times; pure
+        # used to end this bisection at 0.16998687172457716
+        cfg = PointConfig(2, ((0.7748417797458663, 0.1685230873018202),
+                              (0.3919152606639159, 0.023123830219864083),
+                              (0.7729798597694224, 0.38282264820311507),
+                              (0.2247346192298202, 0.7185251345569895)))
+        assert zigzag(cech_path(cfg, 0.9), 0.01).times[1] == 0.1699868717245408
+
     def test_triangle_growth_two_transitions(self, named_classes):
         z = zigzag(cech_path(triangle_config(), 0.9), 0.01)
         keys = [lbl.cls.key for lbl in z.interval_classes]

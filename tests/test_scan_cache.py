@@ -7,15 +7,12 @@ in one bounded cache keyed on the points and the subset size cap.  The
 
 import ast
 import functools
-import importlib
 import inspect
 import json
-import pkgutil
 import random
 
 import pytest
 
-import cechstrat
 from cechstrat import (
     PLPath,
     PointConfig,
@@ -29,6 +26,8 @@ from cechstrat import (
     zigzag,
 )
 from cechstrat import _kernels, cech
+
+from conftest import package_modules
 
 
 def five_points():
@@ -159,12 +158,6 @@ class TestCachedScan:
         assert cech._scan.cache_info().hits > hits
         cech._scan.cache_clear()
         assert render() == warm == cold
-
-
-def package_modules():
-    for info in pkgutil.walk_packages(cechstrat.__path__, "cechstrat."):
-        if not info.name.endswith("__main__"):
-            yield importlib.import_module(info.name)
 
 
 def is_functools_cache(node, module) -> bool:
