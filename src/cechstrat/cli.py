@@ -29,7 +29,7 @@ def _env_default(name: str, fallback, cast):
     try:
         return cast(raw)
     except ValueError as exc:
-        raise SystemExit(f"invalid {ENV_PREFIX}{name}={raw!r}: {exc}")
+        raise ValueError(f"invalid {ENV_PREFIX}{name}={raw!r}: {exc}") from None
 
 
 def _dump(data) -> str:
@@ -97,8 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frontier-demo",
                        help="frontier-condition violation on the two-point family")
-    p.add_argument("--seed", type=int, default=_env_default("SEED", 0, int),
-                   help="seed for the Monte-Carlo sampling")
+    p.add_argument("--seed", type=int,
+                   help=f"seed for the Monte-Carlo sampling (default: {ENV_PREFIX}SEED, else 0)")
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--probe-radius", type=float, default=0.05)
     p.add_argument("--refined", action="store_true",
@@ -182,7 +182,8 @@ def _cmd_frontier_demo(args) -> int:
     report = strat.frontier_check(
         family, label_a, label_b,
         n_samples=args.samples, probe_radius=args.probe_radius,
-        refined=args.refined, seed=args.seed,
+        refined=args.refined,
+        seed=_env_default("SEED", 0, int) if args.seed is None else args.seed,
     )
     sys.stdout.write(_dump(report.to_json_dict()))
     return 3 if report.verdict == "inconclusive" else 0

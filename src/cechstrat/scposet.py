@@ -9,10 +9,11 @@ queries, and Hasse diagrams with DOT export.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import _kernels
-from ._bits import facet_submasks, vertices_of
+from ._bits import facet_submasks, mask_of, vertices_of
 from .complexes import (
     VERTEX_CAP,
     CapExceeded,
@@ -105,34 +106,115 @@ def _labeled_complexes(n: int):
     yield from rec(0)
 
 
+def _relabellings(n: int) -> list[list[int]]:
+    """Each vertex permutation of 0..n-1 as a table from masks to masks."""
+    tables = []
+    for perm in itertools.permutations(range(n)):
+        table = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            table[m] = table[m ^ low] | 1 << perm[low.bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
+def _component_count(c: SimplicialComplex) -> int:
+    """Connected components of ``c``, which no vertex-surjective simplicial
+    map out of ``c`` can increase."""
+    parts: list[int] = []
+    for m in c.masks:
+        merged, rest = m, []
+        for p in parts:
+            if p & m:
+                merged |= p
+            else:
+                rest.append(p)
+        parts = rest + [merged]
+    return len(parts)
+
+
+def _f_vector(c: SimplicialComplex) -> tuple[int, ...]:
+    """Simplex counts by size 1..n_vertices."""
+    counts = [0] * c.n_vertices
+    for m in c.masks:
+        counts[m.bit_count() - 1] += 1
+    return tuple(counts)
+
+
+def _bijection_excluded(fa: tuple[int, ...], fb: tuple[int, ...]) -> bool:
+    """True when no simplicial bijection maps a complex with f-vector ``fa``
+    onto a different class with f-vector ``fb``: a bijection is injective
+    on simplices, and with equal f-vectors it would be an isomorphism."""
+    return fa == fb or any(x > y for x, y in zip(fa, fb))
+
+
 def enumerate_classes(n_max: int, cap: int = ENUM_CAP) -> PosetUniverse:
     """Every isomorphism class on 1..n_max vertices with the full relation.
 
-    Enumerates labeled complexes per vertex count, dedupes by canonical
-    key, then fills the relation matrix by witness search.
+    Classes: the labeled complexes of each vertex count are visited in
+    turn, and one that is not yet a known relabeling gets its canonical
+    form, whose n! relabelings (its whole orbit) are then marked known.
+    So the canonical labeling runs once per class.
+
+    Relation: the pairs (a, b) are decided with ``a`` ascending and ``b``
+    descending in class order, each by a sound rule where one applies,
+    from the class invariants and the answers already known:
+
+    - fewer vertices than ``b``, or fewer connected components: no;
+    - as many vertices, and some simplex count above ``b``'s or all of
+      them equal: no (the map would be a simplicial bijection);
+    - some c with a >= c >= b: yes;
+    - some c with c >= a but not c >= b, or b >= c but not a >= c: no;
+    - otherwise a witness search by :func:`dominates`.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > cap:
         raise CapExceeded(f"enumeration capped at {cap} vertices, got n_max={n_max}")
-    by_key: dict[bytes, IsoClass] = {}
+    found: list[IsoClass] = []
     for n in range(1, n_max + 1):
+        tables = _relabellings(n)
+        # each labeled complex is held as one bitset over its simplex masks
+        known: set[int] = set()
         for masks in _labeled_complexes(n):
+            if mask_of(masks) in known:
+                continue
             cls = canonical_form(SimplicialComplex.from_masks(n, masks), cap=cap)
-            by_key.setdefault(cls.key, cls)
-    classes = tuple(sorted(by_key.values(), key=lambda c: (c.n_vertices, c.key)))
-    relation = []
-    for a in classes:
-        row = []
-        for b in classes:
-            if a.n_vertices < b.n_vertices:
-                row.append(False)
-            elif a.key == b.key:
-                row.append(True)
+            found.append(cls)
+            known.update(mask_of(map(t.__getitem__, cls.canonical.masks)) for t in tables)
+    classes = tuple(sorted(found, key=lambda c: (c.n_vertices, c.key)))
+
+    size = len(classes)
+    components = [_component_count(c.canonical) for c in classes]
+    f_vectors = [_f_vector(c.canonical) for c in classes]
+    # known facts as bitsets: ge[a] holds each b with a >= b, le[b] each
+    # a with a >= b; nge and nle the same for "not >="
+    ge = [1 << a for a in range(size)]
+    le = ge[:]
+    nge = [0] * size
+    nle = [0] * size
+    for a, ca in enumerate(classes):
+        for b in reversed(range(size)):
+            if a == b:
+                continue
+            cb = classes[b]
+            if ge[a] & le[b]:
+                above = True
+            elif (ca.n_vertices < cb.n_vertices or components[a] < components[b]
+                  or (ca.n_vertices == cb.n_vertices
+                      and _bijection_excluded(f_vectors[a], f_vectors[b]))
+                  or le[a] & nle[b] or ge[b] & nge[a]):
+                above = False
             else:
-                row.append(dominates(a.canonical, b.canonical, cap=cap) is not None)
-        relation.append(tuple(row))
-    return PosetUniverse(classes, tuple(relation), n_max)
+                above = dominates(ca.canonical, cb.canonical, cap=cap) is not None
+            if above:
+                ge[a] |= 1 << b
+                le[b] |= 1 << a
+            else:
+                nge[a] |= 1 << b
+                nle[b] |= 1 << a
+    relation = tuple(tuple(bool(ge[a] >> b & 1) for b in range(size)) for a in range(size))
+    return PosetUniverse(classes, relation, n_max)
 
 
 def upset(cls: IsoClass, universe: PosetUniverse) -> tuple[IsoClass, ...]:

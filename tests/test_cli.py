@@ -185,6 +185,26 @@ class TestOptions:
             assert "--eps-geo" not in text
             assert ("--seed" in text) == (verb == "frontier-demo"), verb
 
+    def test_seed_variable_is_read_by_frontier_demo_only(self, capsys, monkeypatch,
+                                                         two_points_file):
+        monkeypatch.setenv("CECHSTRAT_SEED", "abc")
+        code, out, _ = run_cli(capsys, "cech", "--points", two_points_file, "--radius", "0.4")
+        assert code == 0
+        assert json.loads(out)["n_vertices"] == 2
+
+    def test_invalid_seed_variable_is_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("CECHSTRAT_SEED", "abc")
+        code, out, err = run_cli(capsys, "frontier-demo", "--samples", "50")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid CECHSTRAT_SEED='abc'")
+
+    def test_seed_flag_wins_over_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("CECHSTRAT_SEED", "abc")
+        code, out, _ = run_cli(capsys, "frontier-demo", "--samples", "50", "--seed", "4")
+        assert code in (0, 3)
+        assert json.loads(out)["params"]["seed"] == 4
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys, two_points_file):

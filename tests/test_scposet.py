@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -18,8 +19,25 @@ from cechstrat import (
     make_complex,
     upset,
 )
+from cechstrat import _kernels, complexes, scposet
 
 from conftest import FIG2_MAP_C_TO_D, fig2_complexes, random_complex
+
+#: sha256 of the DOT Hasse diagram followed by the universe JSON (as
+#: ``cechstrat enumerate --max-vertices 5`` writes them), as an all-pairs
+#: witness search over lexicographically least representatives gives them
+ENUM5_SHA256 = "08665fc97ca899b3bd299a51753b75b6689fd5a40da45eeb91fd00d4f0b367eb"
+
+
+@pytest.fixture(scope="module")
+def universe5():
+    return enumerate_classes(5)
+
+
+def _domination_matrix(classes, witness=_kernels.surjection_witness):
+    """``a >= b`` for every ordered pair, each by its own witness search."""
+    return [[witness(a.n_vertices, b.n_vertices, a.canonical.masks, b.canonical.masks)
+              is not None for b in classes] for a in classes]
 
 
 class TestDominates:
@@ -158,11 +176,32 @@ class TestEnumeration:
         with pytest.raises(CapExceeded):
             enumerate_classes(6)
 
+    def test_five_vertices_full_default_cap(self, universe5):
+        u = universe5
+        assert len(u.classes) == 1 + 2 + 5 + 20 + 180
+        h = hasse(u)
+        assert len(h.cover_edges) == 547
+        # reduction then closure recovers the strict relation
+        import numpy as np
+
+        n = len(u.classes)
+        adj = np.zeros((n, n), dtype=bool)
+        for i, j in h.cover_edges:
+            adj[i][j] = True
+        reach = adj.copy()
+        for _ in range(n):
+            new = reach | (reach @ reach)
+            if (new == reach).all():
+                break
+            reach = new
+        strict = np.array(u.relation, dtype=bool) & ~np.eye(n, dtype=bool)
+        assert (reach == strict).all()
+
     @pytest.mark.skipif(
         __import__("cechstrat").KERNEL_BACKEND != "compiled",
-        reason="full default-cap enumeration is slow on the pure backend",
+        reason="the five-vertex orbit count takes about 11 s of plain Python",
     )
-    def test_five_vertices_full_default_cap(self):
+    def test_five_vertex_orbit_count(self):
         from cechstrat.scposet import _labeled_complexes
 
         # independent orbit count for exactly five vertices
@@ -183,24 +222,92 @@ class TestEnumeration:
             )
         assert fixed_total / len(perms) == 180
 
-        u = enumerate_classes(5)
-        assert len(u.classes) == 1 + 2 + 5 + 20 + 180
-        h = hasse(u)
-        # reduction then closure recovers the strict relation
-        import numpy as np
+    def test_five_vertex_output_bytes(self, universe5):
+        text = (export_dot(hasse(universe5))
+                + json.dumps(universe5.to_json_dict(), sort_keys=True, indent=2) + "\n")
+        assert hashlib.sha256(text.encode()).hexdigest() == ENUM5_SHA256
 
-        n = len(u.classes)
-        adj = np.zeros((n, n), dtype=bool)
-        for i, j in h.cover_edges:
-            adj[i][j] = True
-        reach = adj.copy()
-        for _ in range(n):
-            new = reach | (reach @ reach)
-            if (new == reach).all():
-                break
-            reach = new
-        strict = np.array(u.relation, dtype=bool) & ~np.eye(n, dtype=bool)
-        assert (reach == strict).all()
+    @pytest.mark.parametrize("backend", sorted(_kernels.backends))
+    def test_relation_equals_all_pairs_search(self, backend):
+        witness = _kernels.backends[backend].surjection_witness
+        for n_max in range(1, 5):
+            u = enumerate_classes(n_max)
+            expected = _domination_matrix(u.classes, witness)
+            assert [list(row) for row in u.relation] == expected, n_max
+
+    def test_one_labelling_per_class_and_few_searches(self, monkeypatch):
+        complexes._canonical_cached.cache_clear()
+        complexes._iso_class.cache_clear()
+        calls = {"canonical_masks": 0, "dominates": 0}
+        canonical_masks, dominates_ = _kernels.canonical_masks, scposet.dominates
+
+        def counting_canonical(*args):
+            calls["canonical_masks"] += 1
+            return canonical_masks(*args)
+
+        def counting_dominates(*args, **kwargs):
+            calls["dominates"] += 1
+            return dominates_(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "canonical_masks", counting_canonical)
+        monkeypatch.setattr(scposet, "dominates", counting_dominates)
+        u = enumerate_classes(5)
+        assert calls["canonical_masks"] == len(u.classes) == 208
+        assert calls["dominates"] <= 2600
+
+
+class TestEnumerationRules:
+    """Each rule ``enumerate_classes`` decides a pair by, against the
+    witness search on every pair of classes with at most four vertices."""
+
+    @pytest.fixture(scope="class")
+    def four(self):
+        classes = enumerate_classes(4).classes
+        return classes, _domination_matrix(classes)
+
+    def test_components_never_increase(self, four):
+        classes, ge = four
+        count = [scposet._component_count(c.canonical) for c in classes]
+        fired = 0
+        for a, b in itertools.product(range(len(classes)), repeat=2):
+            if count[a] < count[b]:
+                fired += 1
+                assert not ge[a][b]
+        assert fired
+
+    def test_component_count(self, named):
+        counts = {name: scposet._component_count(c) for name, c in named.items()}
+        assert counts == {"point": 1, "two_points": 2, "edge": 1, "discrete3": 3,
+                          "edge_plus_point": 2, "path3": 1, "cycle3": 1, "filled3": 1}
+
+    def test_f_vectors_of_a_bijection(self, four):
+        classes, ge = four
+        f = [scposet._f_vector(c.canonical) for c in classes]
+        larger = equal = 0
+        for a, b in itertools.product(range(len(classes)), repeat=2):
+            if a == b or classes[a].n_vertices != classes[b].n_vertices:
+                continue
+            if scposet._bijection_excluded(f[a], f[b]):
+                assert not ge[a][b]
+                larger += any(x > y for x, y in zip(f[a], f[b]))
+                equal += f[a] == f[b]
+        assert larger and equal
+
+    def test_transitivity_both_ways(self, four):
+        classes, ge = four
+        size = len(classes)
+        through = above = below = 0
+        for a, b, c in itertools.product(range(size), repeat=3):
+            if ge[a][c] and ge[c][b]:
+                through += 1
+                assert ge[a][b]
+            if ge[c][a] and not ge[c][b]:
+                above += 1
+                assert not ge[a][b]
+            if ge[b][c] and not ge[a][c]:
+                below += 1
+                assert not ge[a][b]
+        assert through and above and below
 
 
 class TestUpset:
