@@ -8,9 +8,10 @@ tolerance ``EPS_GEO``.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
-from collections.abc import Sequence
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,56 +38,106 @@ def _subset_size_cap(n_points: int, max_dim: int | None) -> int:
 
 #: scans kept, by configuration; a growth path needs one, an entrance map on a
 #: moving path 33 (its 31 samples and both ends).  An uncapped scan (at most
-#: 8 points) holds 247 entries, about 29 kB, so 32 of them take under 1 MB;
-#: the largest scan (16 points, max_dim 15) holds 65,519 entries, about
-#: 7.6 MB, so 32 of those take about 243 MB.
+#: 8 points) holds 247 entries, about 33 kB with its radius order, so 32 of
+#: them take about 1 MB; the largest scan (16 points, max_dim 15) holds
+#: 65,519 entries, about 8.6 MB, so 32 of those take about 277 MB.
 _SCAN_CACHE_SIZE = 32
 
 
+class Zone(NamedTuple):
+    """Where a radius sits among a scan's sorted radii, as :func:`read_scan`
+    finds it.  The Cech complex and the critical subsets, hence the stratum
+    label, depend on the radius only through its zone."""
+
+    #: subsets with radius at most r + EPS_GEO: a prefix of the radius order
+    spanned: int
+    #: subsets with radius within EPS_GEO of r: the run [lo, hi) of the radius order
+    lo: int
+    hi: int
+
+
+class Scan(tuple):
+    """(mask, critical radius) for every scanned subset, in kernel order.
+
+    ``masks`` and ``radii`` list the same subsets by ascending radius (ties
+    in kernel order), so that :func:`read_scan` can place a radius among
+    them by bisection.
+    """
+
+    masks: tuple[int, ...]
+    radii: tuple[float, ...]
+
+    def __new__(cls, entries):
+        scan = super().__new__(cls, entries)
+        ranked = sorted(scan, key=operator.itemgetter(1))
+        scan.masks, scan.radii = tuple(zip(*ranked)) or ((), ())
+        return scan
+
+    def complex_masks(self, n_points: int, zone: Zone) -> set[int]:
+        """The Cech complex's masks in ``zone``: the singletons, the spanned
+        subsets and their faces (closed downward explicitly against
+        last-ulp rounding of the scan)."""
+        masks = {1 << i for i in range(n_points)}
+        for mask in self.masks[:zone.spanned]:
+            masks.add(mask)
+            masks.update(proper_submasks(mask))
+        return masks
+
+    def critical_masks(self, zone: Zone) -> tuple[int, ...]:
+        """The subsets at their critical radius in ``zone``, by radius."""
+        return self.masks[zone.lo:zone.hi]
+
+    def slacks(self, r: float, zone: Zone) -> tuple[float, float]:
+        """Twice the smallest slack |r - radius| over all subsets (``r2``)
+        and over the non-critical ones (``r2_prime``), +inf if none, for
+        ``r`` in ``zone``.
+
+        The slack falls toward r and rises beyond it, so the nearest
+        radius on either side holds each minimum: around the first radius
+        at least r for ``r2``, around the critical run for ``r2_prime``.
+        """
+        radii = self.radii
+
+        def least(below: int, above: int) -> float:
+            return 2.0 * min(r - radii[below] if below >= 0 else math.inf,
+                             radii[above] - r if above < len(radii) else math.inf)
+
+        nearest = bisect.bisect_left(radii, r, zone.lo, zone.hi)
+        return least(nearest - 1, nearest), least(zone.lo - 1, zone.hi)
+
+
 @functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
-def _scan(points: tuple[tuple[float, ...], ...], size_cap: int) -> tuple[tuple[int, float], ...]:
-    return tuple(_kernels.subset_meb_radii(points, size_cap))
+def _scan(points: tuple[tuple[float, ...], ...], size_cap: int) -> Scan:
+    return Scan(_kernels.subset_meb_radii(points, size_cap))
 
 
-def subset_radii(config: PointConfig, max_dim: int | None = None) -> tuple[tuple[int, float], ...]:
+def subset_radii(config: PointConfig, max_dim: int | None = None) -> Scan:
     """(mask, critical radius) for every subset of 2..max_dim+1 points.
 
     The scan is cached by value, keyed on the points and the subset size
     cap, so every reader of an equal configuration shares one immutable
-    tuple and the kernel scans it once.
+    tuple, kept with its radius order, and the kernel scans it once.
     """
     return _scan(config.points, _subset_size_cap(len(config), max_dim))
 
 
-class ScanReading(NamedTuple):
-    """What :func:`read_scan` finds."""
-
-    masks: set[int]
-    critical: list[int]
-    r2: float
-    r2_prime: float
-
-
-def read_scan(n_points: int, scan: Sequence[tuple[int, float]], r: float) -> ScanReading:
-    """Read a :func:`subset_radii` scan of ``n_points`` points at radius ``r``.
+def read_scan(scan: Scan, r: float) -> Zone:
+    """The zone of radius ``r`` in a :func:`subset_radii` scan.
 
     A subset spans a simplex when its radius is at most ``r + EPS_GEO`` and
-    is critical when its radius lies within ``EPS_GEO`` of ``r``.  Gives the Cech
-    complex's masks (singletons included, and downward closed explicitly
-    against last-ulp rounding of the scan), the critical masks in scan
-    order, and twice the smallest slack |r - radius| over all subsets
-    (``r2``) and over the non-critical ones (``r2_prime``), +inf if none.
+    is critical when its radius lies within ``EPS_GEO`` of ``r``.  Both
+    predicates are monotone in the radius, so three bisections of the
+    sorted radii find the zone: the spanned prefix, and the critical run
+    as the radii whose offset from r lies in [-EPS_GEO, EPS_GEO].
     """
-    masks = {1 << i for i in range(n_points)}
-    for mask, radius in scan:
-        if radius <= r + EPS_GEO:
-            masks.add(mask)
-            masks.update(proper_submasks(mask))
-    slack = {mask: abs(r - radius) for mask, radius in scan}
-    critical = [mask for mask, s in slack.items() if s <= EPS_GEO]
-    noncritical = [s for s in slack.values() if s > EPS_GEO]
-    return ScanReading(masks, critical, 2.0 * min(slack.values(), default=math.inf),
-                       2.0 * min(noncritical, default=math.inf))
+    radii = scan.radii
+
+    def offset(radius: float) -> float:  # its absolute value is the slack
+        return radius - r
+
+    lo = bisect.bisect_left(radii, -EPS_GEO, key=offset)
+    return Zone(bisect.bisect_right(radii, r + EPS_GEO), lo,
+                bisect.bisect_right(radii, EPS_GEO, lo, key=offset))
 
 
 def cech_complex(x: RanPoint, max_dim: int | None = None) -> SimplicialComplex:
@@ -96,8 +147,8 @@ def cech_complex(x: RanPoint, max_dim: int | None = None) -> SimplicialComplex:
     its enclosing-ball radius is at most ``radius + EPS_GEO``.
     """
     n = len(x.config)
-    reading = read_scan(n, subset_radii(x.config, max_dim), x.radius)
-    return SimplicialComplex.from_masks(n, reading.masks)
+    scan = subset_radii(x.config, max_dim)
+    return SimplicialComplex.from_masks(n, scan.complex_masks(n, read_scan(scan, x.radius)))
 
 
 @dataclass(frozen=True)
@@ -153,7 +204,7 @@ def cech_filtration(config: PointConfig, max_dim: int | None = None) -> Filtrati
     evaluated at the midpoint of its interval.
     """
     scan = subset_radii(config, max_dim)
-    radii = sorted({0.0} | {max(r, 0.0) for _, r in scan})
+    radii = sorted({0.0} | {max(r, 0.0) for r in scan.radii})
     criticals: list[float] = []
     for r in radii:
         if not criticals or r > criticals[-1] + EPS_GEO:
@@ -162,7 +213,8 @@ def cech_filtration(config: PointConfig, max_dim: int | None = None) -> Filtrati
     complexes = []
     for i, c in enumerate(criticals):
         mid = 0.5 * (c + criticals[i + 1]) if i + 1 < len(criticals) else c + 0.5
-        complexes.append(SimplicialComplex.from_masks(n, read_scan(n, scan, mid).masks))
+        masks = scan.complex_masks(n, read_scan(scan, mid))
+        complexes.append(SimplicialComplex.from_masks(n, masks))
     return Filtration(config, tuple(criticals), tuple(complexes))
 
 

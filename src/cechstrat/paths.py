@@ -14,7 +14,7 @@ import bisect
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cech import Filtration, cech_complex
 from .complexes import (
@@ -25,7 +25,7 @@ from .complexes import (
     identity_map,
     is_simplicial,
 )
-from .geometry import DELTA_PT, PointConfig, RanPoint, sup_distance
+from .geometry import _MAX_DIM, DELTA_PT, PointConfig, RanPoint, sup_distance
 from .scposet import dominates
 from .strat import StratumLabel, local_map, stratum_label, tilde_r
 
@@ -40,21 +40,31 @@ _CECH_PATH_TOL = 1e-6
 
 @dataclass(frozen=True)
 class PLPath:
-    """Track bundle: k piecewise-linear maps [0,1] -> R^dim over shared
-    breakpoints, plus a piecewise-linear nonnegative radius.
+    """Track bundle: k piecewise-linear maps [0,1] -> R^dim (1 <= dim <= 16)
+    over shared breakpoints, plus a piecewise-linear nonnegative radius.
 
     Tracks that come within the dedupe tolerance inside a segment must
     remain within it until the segment ends (merges are allowed anywhere,
     splits only at breakpoints), keeping the configuration path and its
     track-to-vertex assignment well defined.
+
+    A run of segments on which no track moves is a still stretch: its
+    configuration and track assignment are built once, at construction,
+    and every evaluation on it shares them; only the radius varies.
     """
 
     dim: int
     breakpoints: tuple[float, ...]
     tracks: tuple[tuple[tuple[float, ...], ...], ...]
     radius: tuple[float, ...]
+    #: per segment, the configuration and track assignment shared along its
+    #: still stretch, or None on a segment where some track moves
+    _still: tuple[tuple[PointConfig, tuple[int, ...]] | None, ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 1 <= self.dim <= _MAX_DIM:
+            raise ValueError(f"dim must be in 1..{_MAX_DIM}, got {self.dim}")
         bp = tuple(float(t) for t in self.breakpoints)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(
@@ -85,24 +95,41 @@ class PLPath:
             raise ValueError("radius needs one value per breakpoint")
         if any(r < 0.0 for r in self.radius):
             raise ValueError("radius must be nonnegative")
-        self._check_merge_persistence()
+        moving = [{seg for seg, (p, q) in enumerate(zip(tr, tr[1:])) if p != q}
+                  for tr in self.tracks]
+        self._check_merge_persistence(moving)
+        moves = set().union(*moving)
+        still: list[tuple[PointConfig, tuple[int, ...]] | None] = []
+        for seg in range(len(bp) - 1):
+            if seg in moves:
+                still.append(None)
+            elif not still or still[-1] is None:
+                # the interpolation formula turns a -0.0 coordinate into +0.0
+                still.append(_dedupe(self.dim, [tuple(c + 0.0 for c in tr[seg])
+                                                for tr in self.tracks]))
+            else:
+                still.append(still[-1])
+        object.__setattr__(self, "_still", tuple(still))
 
-    def _check_merge_persistence(self):
-        """One sweep over each pair's offsets, one offset per breakpoint.
+    def _check_merge_persistence(self, moving: list[set[int]]):
+        """One sweep over each pair's offsets, one offset per breakpoint,
+        on the segments where one of the pair's tracks moves (``moving``
+        holds them per track).
 
         A segment is rejected when both its ends keep the pair farther
         apart than ``DELTA_PT`` but the distance dips within it inside:
         the distance is convex along the segment, so it is least at the
         projection parameter u when u lies in (0, 1).  A segment whose
         offset does not change keeps a constant distance, so its ends
-        decide it.  The first violation in (segment, pair) order is
-        reported.
+        decide it; this covers every segment on which neither track moves.
+        The first violation in (segment, pair) order is reported.
         """
         touches = []
         for i, j in itertools.combinations(range(len(self.tracks)), 2):
-            rel = [tuple(map(operator.sub, p, q))
-                   for p, q in zip(self.tracks[i], self.tracks[j])]
-            for seg, (a, b) in enumerate(zip(rel, rel[1:])):
+            ti, tj = self.tracks[i], self.tracks[j]
+            for seg in sorted(moving[i] | moving[j]):
+                a = tuple(map(operator.sub, ti[seg], tj[seg]))
+                b = tuple(map(operator.sub, ti[seg + 1], tj[seg + 1]))
                 diff = tuple(map(operator.sub, b, a))
                 denom = sum(map(operator.mul, diff, diff))
                 if denom == 0.0 or math.hypot(*a) <= DELTA_PT or math.hypot(*b) <= DELTA_PT:
@@ -140,19 +167,30 @@ class PLPath:
 
 
 def _evaluate_tracks(path: PLPath, t: float) -> tuple[RanPoint, tuple[int, ...]]:
-    """Configuration at time t plus the track -> vertex assignment."""
+    """Configuration at time t plus the track -> vertex assignment.
+
+    On a still stretch both are the ones built with the path; elsewhere
+    the tracks are interpolated and coincident ones merged.
+    """
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"path parameter {t} outside [0, 1]")
     bp = path.breakpoints
     seg = min(bisect.bisect_right(bp, t), len(bp) - 1) - 1
     u = (t - bp[seg]) / (bp[seg + 1] - bp[seg])
-    positions = []
-    for tr in path.tracks:
-        a, b = tr[seg], tr[seg + 1]
-        positions.append(tuple(aa + u * (bb - aa) for aa, bb in zip(a, b)))
     radius = path.radius[seg] + u * (path.radius[seg + 1] - path.radius[seg])
+    shared = path._still[seg]
+    if shared is None:
+        config, assignment = _dedupe(path.dim, [
+            tuple(aa + u * (bb - aa) for aa, bb in zip(tr[seg], tr[seg + 1]))
+            for tr in path.tracks])
+    else:
+        config, assignment = shared
+    return RanPoint(config, max(radius, 0.0)), assignment
 
-    # union-find dedupe of coincident tracks
+
+def _dedupe(dim: int, positions: list[tuple[float, ...]]) -> tuple[PointConfig, tuple[int, ...]]:
+    """Configuration of the track positions, coincident tracks merged by
+    union-find, plus the track -> vertex assignment."""
     parent = list(range(len(positions)))
 
     def find(i):
@@ -176,7 +214,7 @@ def _evaluate_tracks(path: PLPath, t: float) -> tuple[RanPoint, tuple[int, ...]]
             vertex_of_root[root] = len(points)
             points.append(positions[root])
         assignment.append(vertex_of_root[root])
-    return RanPoint(PointConfig(path.dim, tuple(points)), max(radius, 0.0)), tuple(assignment)
+    return PointConfig(dim, tuple(points)), tuple(assignment)
 
 
 def evaluate(path: PLPath, t: float) -> RanPoint:

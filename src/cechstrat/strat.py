@@ -12,6 +12,7 @@ strata by Monte Carlo sampling.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections.abc import Callable, Sequence
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from ._bits import vertices_of
-from .cech import cech_complex, read_scan, subset_radii
+from .cech import Zone, cech_complex, read_scan, subset_radii
 from .complexes import IsoClass, SimplicialComplex, SimplicialMap, canonical_form, is_simplicial
 from .geometry import PointConfig, RanPoint, sup_distance
 
@@ -46,7 +47,8 @@ def r2(config: PointConfig, r: float, max_dim: int | None = None) -> float:
     """
     if len(config) < 2:
         raise ValueError("r2 requires at least two points")
-    return read_scan(len(config), subset_radii(config, max_dim), r).r2
+    scan = subset_radii(config, max_dim)
+    return scan.slacks(r, read_scan(scan, r))[0]
 
 
 def r2_prime(config: PointConfig, r: float, max_dim: int | None = None) -> float:
@@ -56,7 +58,8 @@ def r2_prime(config: PointConfig, r: float, max_dim: int | None = None) -> float
     """
     if len(config) < 2:
         raise ValueError("r2_prime requires at least two points")
-    return read_scan(len(config), subset_radii(config, max_dim), r).r2_prime
+    scan = subset_radii(config, max_dim)
+    return scan.slacks(r, read_scan(scan, r))[1]
 
 
 @dataclass(frozen=True)
@@ -90,9 +93,10 @@ def tilde_r(x: RanPoint, max_dim: int | None = None) -> SafeBall:
     if len(config) == 1:
         rt = 4.0 * r if r > 0.0 else 1.0
         return SafeBall(x, rt, rt / 4.0, "generic")
-    reading = read_scan(len(config), subset_radii(config, max_dim), r)
-    rt = min(r1(config), reading.r2_prime)
-    case: Case = "boundary" if reading.critical else "generic"
+    scan = subset_radii(config, max_dim)
+    zone = read_scan(scan, r)
+    rt = min(r1(config), scan.slacks(r, zone)[1])
+    case: Case = "boundary" if zone.lo < zone.hi else "generic"
     return SafeBall(x, rt, rt / 4.0, case)
 
 
@@ -165,12 +169,29 @@ class StratumLabel:
         }
 
 
+#: labels kept, by configuration, dimension cap and zone; a growth zigzag
+#: labels about 10 zones of its one configuration, while on a moving path
+#: nearly every sampled configuration is new
+_LABEL_CACHE_SIZE = 1024
+
+
 def stratum_label(x: RanPoint, max_dim: int | None = None) -> StratumLabel:
-    """Class of the Cech complex at x plus the degeneracy refinement."""
-    n = len(x.config)
-    reading = read_scan(n, subset_radii(x.config, max_dim), x.radius)
-    cls = canonical_form(SimplicialComplex.from_masks(n, reading.masks))
-    degenerate = sorted(map(vertices_of, reading.critical), key=lambda t: (len(t), t))
+    """Class of the Cech complex at x plus the degeneracy refinement.
+
+    Both depend on the radius only through its zone among the critical
+    radii (:func:`~cechstrat.cech.read_scan`), so the label is built once
+    per zone of a configuration: later radii in the zone cost a reading of
+    the cached scan and a cache hit.
+    """
+    return _zone_label(x.config, max_dim, read_scan(subset_radii(x.config, max_dim), x.radius))
+
+
+@functools.lru_cache(maxsize=_LABEL_CACHE_SIZE)
+def _zone_label(config: PointConfig, max_dim: int | None, zone: Zone) -> StratumLabel:
+    n = len(config)
+    scan = subset_radii(config, max_dim)
+    cls = canonical_form(SimplicialComplex.from_masks(n, scan.complex_masks(n, zone)))
+    degenerate = sorted(map(vertices_of, scan.critical_masks(zone)), key=lambda t: (len(t), t))
     return StratumLabel(cls, bool(degenerate), tuple(degenerate))
 
 

@@ -1,12 +1,20 @@
 import importlib
+import os
 import pkgutil
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 import cechstrat
 from cechstrat import IsoClass, SimplicialComplex, canonical_form, cech, make_complex
+
+# A bare `pytest` in a checkout finds the package through pyproject's
+# `pythonpath`; the interpreters the CLI tests start find it through this.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+if SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 settings.register_profile(
     "ci",
@@ -67,6 +75,14 @@ def package_modules():
     for info in pkgutil.walk_packages(cechstrat.__path__, "cechstrat."):
         if not info.name.endswith("__main__"):
             yield importlib.import_module(info.name)
+
+
+def clear_package_caches():
+    """Empties every cache in the package, as a fresh process would see it."""
+    for module in package_modules():
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
 
 
 class ScanCalls(list):

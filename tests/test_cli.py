@@ -155,6 +155,19 @@ class TestTrack:
         assert code == 2
         assert "radius nan is not finite" in err
 
+    @pytest.mark.parametrize("dim", [0, 17])
+    def test_dim_out_of_range_is_exit_2(self, capsys, tmp_path, dim):
+        path_file = tmp_path / "path.json"
+        path_file.write_text(json.dumps({
+            "dim": dim, "breakpoints": [0.0, 1.0],
+            "tracks": [[[0.0] * dim, [0.0] * dim]], "radius": [0.0, 1.0],
+        }))
+        code, out, err = run_cli(
+            capsys, "track", "--path", str(path_file), "--resolution", "0.01"
+        )
+        assert code == 2 and out == ""
+        assert f"dim must be in 1..16, got {dim}" in err
+
 
 class TestFrontierDemo:
     def test_violated_verdict(self, capsys):

@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 import random
@@ -23,7 +24,7 @@ from cechstrat import (
     zigzag,
 )
 from cechstrat.geometry import DELTA_PT
-from cechstrat.paths import reversed_path
+from cechstrat.paths import _evaluate_tracks, reversed_path
 
 SQRT3 = math.sqrt(3.0)
 
@@ -84,6 +85,66 @@ def random_grid_tracks(rng, dim, k, n_bp):
                 for _ in range(n_bp)
             ))
     return tuple(tracks)
+
+
+def reference_evaluate_tracks(path, t):
+    """Every track interpolated and coincident ones merged at each call:
+    the definition that the still stretches built with a path reproduce."""
+    if not (0.0 <= t <= 1.0):
+        raise ValueError(f"path parameter {t} outside [0, 1]")
+    bp = path.breakpoints
+    seg = min(bisect.bisect_right(bp, t), len(bp) - 1) - 1
+    u = (t - bp[seg]) / (bp[seg + 1] - bp[seg])
+    positions = []
+    for tr in path.tracks:
+        a, b = tr[seg], tr[seg + 1]
+        positions.append(tuple(aa + u * (bb - aa) for aa, bb in zip(a, b)))
+    radius = path.radius[seg] + u * (path.radius[seg + 1] - path.radius[seg])
+    parent = list(range(len(positions)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(positions)):
+        for j in range(i + 1, len(positions)):
+            if math.dist(positions[i], positions[j]) <= DELTA_PT:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    vertex_of_root = {}
+    points = []
+    assignment = []
+    for i in range(len(positions)):
+        root = find(i)
+        if root not in vertex_of_root:
+            vertex_of_root[root] = len(points)
+            points.append(positions[root])
+        assignment.append(vertex_of_root[root])
+    return RanPoint(PointConfig(path.dim, tuple(points)), max(radius, 0.0)), tuple(assignment)
+
+
+def with_still_runs(rng, tracks):
+    """The tracks, each made to stand still on random runs of segments:
+    a still run repeats its first waypoint, at times with its zero
+    coordinates negated, so that still segments start at -0.0."""
+    out = []
+    for tr in tracks:
+        tr = list(tr)
+        for _ in range(rng.randint(0, 2)):
+            start = rng.randrange(len(tr) - 1)
+            for k in range(start + 1, min(len(tr), start + 1 + rng.randint(1, 3))):
+                flip = rng.random() < 0.5
+                tr[k] = tuple(-c if flip and c == 0.0 else c for c in tr[start])
+        out.append(tuple(tr))
+    return tuple(out)
+
+
+def bits(x):
+    """A configuration-radius pair as exact floats, signed zeros told apart."""
+    return x.config.dim, [[c.hex() for c in p] for p in x.config.points], x.radius.hex()
 
 
 def ramp_path():
@@ -203,6 +264,82 @@ class TestPLPathValidation:
             raised += expected is not None
         # the sample exercises both outcomes
         assert 300 < raised < 2700
+
+
+    def test_merge_check_matches_reference_with_still_runs(self):
+        rng = random.Random(2025)
+        raised = 0
+        for _ in range(3000):
+            dim = rng.randint(1, 2)
+            n_bp = rng.randint(2, 6)
+            bp = (0.0,) + tuple(sorted(rng.sample(range(1, 20), n_bp - 2))) + (20,)
+            bp = tuple(t / 20 for t in bp)
+            tracks = with_still_runs(rng, random_grid_tracks(rng, dim, rng.randint(2, 4), n_bp))
+            expected = reference_merge_check(tracks, dim)
+            assert construction_error(dim, bp, tracks, (0.0,) * n_bp) == expected
+            raised += expected is not None
+        assert 300 < raised < 2700
+
+    @pytest.mark.parametrize("dim", [0, 17])
+    def test_dim_out_of_range_rejected(self, dim):
+        with pytest.raises(ValueError, match=f"dim must be in 1..16, got {dim}"):
+            PLPath(dim, (0.0, 1.0), (((0.0,) * dim,) * 2,), (0.0, 0.0))
+        blob = {"dim": dim, "breakpoints": [0.0, 1.0], "tracks": [[[0.0] * dim] * 2],
+                "radius": [0.0, 0.0]}
+        with pytest.raises(ValueError, match=f"dim must be in 1..16, got {dim}"):
+            PLPath.from_json_dict(blob)
+
+
+class TestStillSegments:
+    """A segment no track moves on reads its configuration from the path."""
+
+    def test_matches_reference(self):
+        rng = random.Random(77)
+        paths = 0
+        while paths < 400:
+            dim = rng.randint(1, 2)
+            n_bp = rng.randint(2, 7)
+            bp = (0.0,) + tuple(sorted(rng.sample(range(1, 40), n_bp - 2))) + (40,)
+            bp = tuple(t / 40 for t in bp)
+            tracks = with_still_runs(rng, random_grid_tracks(rng, dim, rng.randint(1, 4), n_bp))
+            radius = tuple(rng.choice((0.0, 0.25, 0.5, rng.uniform(0, 1))) for _ in bp)
+            try:
+                path = PLPath(dim, bp, tracks, radius)
+            except ValueError:
+                continue
+            paths += 1
+            for t in (*bp, *(rng.random() for _ in range(6)), 0.5 * (bp[0] + bp[1])):
+                got, want = _evaluate_tracks(path, t), reference_evaluate_tracks(path, t)
+                assert bits(got[0]) == bits(want[0]) and got[1] == want[1], (path, t)
+
+    def test_negative_zero_waypoints_read_as_positive_zero(self):
+        p = PLPath(2, (0.0, 0.5, 1.0),
+                   (((-0.0, 1.0), (-0.0, 1.0), (0.0, 1.0)), ((1.0, -0.0),) * 3),
+                   (0.1, 0.2, 0.3))
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+            x = evaluate(p, t)
+            assert [[c.hex() for c in q] for q in x.config.points] == \
+                [["0x0.0p+0", "0x1.0000000000000p+0"], ["0x1.0000000000000p+0", "0x0.0p+0"]]
+            assert bits(x) == bits(reference_evaluate_tracks(p, t)[0])
+
+    def test_still_stretch_after_a_merge(self):
+        # track 1 reaches track 0 at t = 0.5, and both stand still from there
+        p = PLPath(1, (0.0, 0.5, 0.75, 1.0),
+                   (((0.0,),) * 4, ((1.0,), (0.0,), (0.0,), (0.0,)), ((3.0,),) * 4),
+                   (0.2, 0.4, 0.4, 0.6))
+        for t in (0.25, 0.5, 0.6, 0.75, 0.9, 1.0):
+            got, want = _evaluate_tracks(p, t), reference_evaluate_tracks(p, t)
+            assert bits(got[0]) == bits(want[0]) and got[1] == want[1]
+        assert _evaluate_tracks(p, 0.6)[1] == (0, 0, 1)
+        # one configuration serves the whole still stretch
+        assert evaluate(p, 0.5).config is evaluate(p, 0.75).config is evaluate(p, 1.0).config
+        assert evaluate(p, 0.25).config is not evaluate(p, 0.3).config
+
+    def test_path_equality_ignores_the_shared_configurations(self):
+        p = cech_path(triangle_config(), 0.5)
+        q = PLPath.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
+        assert p == q and hash(p) == hash(q)
+        assert "_still" not in repr(p)
 
 
 class TestEvaluate:

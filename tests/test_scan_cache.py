@@ -17,6 +17,7 @@ from cechstrat import (
     PLPath,
     PointConfig,
     RanPoint,
+    SimplicialComplex,
     cech_filtration,
     cech_path,
     entrance_map,
@@ -27,7 +28,7 @@ from cechstrat import (
 )
 from cechstrat import _kernels, cech
 
-from conftest import package_modules
+from conftest import clear_package_caches, package_modules
 
 
 def five_points():
@@ -158,6 +159,28 @@ class TestCachedScan:
         assert cech._scan.cache_info().hits > hits
         cech._scan.cache_clear()
         assert render() == warm == cold
+
+
+class TestWorkCount:
+    """A growth zigzag builds its one configuration once and one complex per
+    radius zone, not one per evaluation and label."""
+
+    def test_growth_zigzag_constructions(self, scan_calls, monkeypatch):
+        clear_package_caches()
+        built = {PointConfig: 0, SimplicialComplex: 0}
+        for cls in built:
+            def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                built[_cls] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        z = zigzag(cech_path(five_points(), 0.9), 0.01)
+        assert len(z.times) >= 4
+        assert len(scan_calls) == 1
+        # one configuration per evaluation and one complex per label would
+        # be 1,607 and 1,555 here
+        assert built[PointConfig] <= 50
+        assert built[SimplicialComplex] <= 250
 
 
 def is_functools_cache(node, module) -> bool:

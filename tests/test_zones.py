@@ -1,0 +1,197 @@
+"""Labels read by zone match the labels read from the whole scan.
+
+``read_scan`` places a radius among a configuration's sorted critical
+radii by bisection, and ``stratum_label`` builds one label per zone.  The
+references below read every subset of the scan at each radius, which is
+the definition; every reading must agree with them bit for bit.
+"""
+
+import math
+import random
+
+import pytest
+
+from cechstrat import (
+    Filtration,
+    PointConfig,
+    RanPoint,
+    SimplicialComplex,
+    canonical_form,
+    cech_complex,
+    cech_filtration,
+    r1,
+    r2,
+    r2_prime,
+    stratum_label,
+    tilde_r,
+)
+from cechstrat import _kernels, cech
+from cechstrat._bits import proper_submasks, vertices_of
+from cechstrat.geometry import EPS_GEO
+from cechstrat.strat import SafeBall, StratumLabel
+
+from conftest import clear_package_caches
+
+
+def reference_read_scan(n_points, scan, r):
+    """Masks, critical masks and both slacks, from one pass over the scan."""
+    masks = {1 << i for i in range(n_points)}
+    for mask, radius in scan:
+        if radius <= r + EPS_GEO:
+            masks.add(mask)
+            masks.update(proper_submasks(mask))
+    slack = {mask: abs(r - radius) for mask, radius in scan}
+    critical = [mask for mask, s in slack.items() if s <= EPS_GEO]
+    noncritical = [s for s in slack.values() if s > EPS_GEO]
+    return (masks, critical, 2.0 * min(slack.values(), default=math.inf),
+            2.0 * min(noncritical, default=math.inf))
+
+
+def reference_reading(config, r, max_dim=None):
+    return reference_read_scan(len(config), cech.subset_radii(config, max_dim), r)
+
+
+def reference_stratum_label(x, max_dim=None):
+    masks, critical, _, _ = reference_reading(x.config, x.radius, max_dim)
+    cls = canonical_form(SimplicialComplex.from_masks(len(x.config), masks))
+    degenerate = sorted(map(vertices_of, critical), key=lambda t: (len(t), t))
+    return StratumLabel(cls, bool(degenerate), tuple(degenerate))
+
+
+def reference_tilde_r(x):
+    config, r = x.config, x.radius
+    if len(config) == 1:
+        rt = 4.0 * r if r > 0.0 else 1.0
+        return SafeBall(x, rt, rt / 4.0, "generic")
+    _, critical, _, slack_prime = reference_reading(config, r)
+    rt = min(r1(config), slack_prime)
+    return SafeBall(x, rt, rt / 4.0, "boundary" if critical else "generic")
+
+
+def reference_cech_filtration(config):
+    scan = cech.subset_radii(config)
+    radii = sorted({0.0} | {max(r, 0.0) for _, r in scan})
+    criticals = []
+    for r in radii:
+        if not criticals or r > criticals[-1] + EPS_GEO:
+            criticals.append(r)
+    n = len(config)
+    complexes = []
+    for i, c in enumerate(criticals):
+        mid = 0.5 * (c + criticals[i + 1]) if i + 1 < len(criticals) else c + 0.5
+        complexes.append(SimplicialComplex.from_masks(n, reference_read_scan(n, scan, mid)[0]))
+    return Filtration(config, tuple(criticals), tuple(complexes))
+
+
+def same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def random_tied_config(rng):
+    """2-6 points in 1-3 dimensions on a coarse grid, so that subset radii
+    repeat exactly (equal edges, congruent triangles).  On the finest grid,
+    of step 2^-28 (about 3.7e-9), radii are a few EPS_GEO, fine enough in
+    floating point that a radius and a probe can lie exactly EPS_GEO apart."""
+    while True:
+        dim = rng.randint(1, 3)
+        step = rng.choice((0.25, 0.5, 1.0, 2.0 ** -28))
+        pts = tuple(tuple(step * rng.randint(0, 4) for _ in range(dim))
+                    for _ in range(rng.randint(2, 6)))
+        try:
+            return PointConfig(dim, pts)
+        except ValueError:  # two points on one grid node
+            continue
+
+
+def probe_radii(config):
+    """0, every critical radius c, c +- EPS_GEO, one ulp either side of
+    each of those, and the midpoints between consecutive critical radii."""
+    criticals = sorted({r for _, r in cech.subset_radii(config)})
+    radii = {0.0}
+    for c in criticals:
+        for base in (c - EPS_GEO, c, c + EPS_GEO):
+            radii.update((base, math.nextafter(base, -math.inf), math.nextafter(base, math.inf)))
+    radii.update(0.5 * (a + b) for a, b in zip(criticals, criticals[1:]))
+    return sorted(r for r in radii if r >= 0.0)
+
+
+@pytest.fixture(params=sorted(_kernels.backends))
+def backend(request, monkeypatch):
+    """Runs the test on one kernel backend, every cache empty before and after."""
+    clear_package_caches()
+    monkeypatch.setattr(cech._kernels, "subset_meb_radii",
+                        _kernels.backends[request.param].subset_meb_radii)
+    yield request.param
+    clear_package_caches()
+
+
+def test_scan_keeps_radius_order():
+    rng = random.Random(3)
+    for _ in range(50):
+        scan = cech.subset_radii(random_tied_config(rng))
+        ranked = sorted(scan, key=lambda entry: entry[1])
+        assert scan.masks == tuple(m for m, _ in ranked)
+        assert scan.radii == tuple(r for _, r in ranked)
+
+
+def test_zone_labels_match_reference(backend):
+    rng = random.Random(8)
+    readings = ties = on_the_edge = 0
+    for _ in range(300):
+        config = random_tied_config(rng)
+        scan = cech.subset_radii(config)
+        ties += len(scan.radii) > len(set(scan.radii))
+        max_dim = rng.choice((None, None, 1))
+        for r in probe_radii(config):
+            x = RanPoint(config, r)
+            assert stratum_label(x, max_dim) == reference_stratum_label(x, max_dim), (config, r)
+            readings += 1
+            on_the_edge += any(abs(radius - r) == EPS_GEO for radius in scan.radii)
+    assert ties > 150  # most configurations repeat a radius
+    assert readings > 10_000
+    assert on_the_edge > 20  # the tolerance's closed ends are probed
+
+
+def test_readings_match_reference(backend):
+    rng = random.Random(9)
+    for _ in range(150):
+        config = random_tied_config(rng)
+        for r in probe_radii(config):
+            x = RanPoint(config, r)
+            masks, _, slack, slack_prime = reference_reading(config, r)
+            assert same_float(r2(config, r), slack)
+            assert same_float(r2_prime(config, r), slack_prime)
+            assert tilde_r(x) == reference_tilde_r(x)
+            assert cech_complex(x) == SimplicialComplex.from_masks(len(config), masks)
+        assert cech_filtration(config) == reference_cech_filtration(config)
+
+
+def test_radius_exactly_eps_geo_above_is_critical():
+    # the random probes meet |radius - r| == EPS_GEO only with r below the
+    # radius; a pair radius this small makes c + EPS_GEO exact
+    c = 3.0 * 2.0 ** -32
+    config = PointConfig(1, ((0.0,), (2.0 * c,)))
+    assert cech.subset_radii(config).radii == (c,)
+    r = c + EPS_GEO
+    assert r - c == EPS_GEO
+    x = RanPoint(config, r)
+    assert stratum_label(x) == reference_stratum_label(x)
+    assert stratum_label(x).degenerate_subsets == ((0, 1),)
+    assert not stratum_label(RanPoint(config, math.nextafter(r, 1.0))).degenerate
+
+
+def test_zone_is_the_label_cache_key():
+    # every radius strictly between two neighbouring critical radii shares one label
+    config = PointConfig(2, ((0.0, 0.0), (1.0, 0.0), (0.5, 0.8), (2.0, 0.5)))
+    criticals = sorted({r for _, r in cech.subset_radii(config)})
+    for a, b in zip(criticals, criticals[1:]):
+        labels = {id(stratum_label(RanPoint(config, a + (b - a) * k / 10))) for k in range(1, 10)}
+        assert len(labels) == 1
+
+
+def test_infinite_radius_reads_like_the_reference():
+    config = PointConfig(2, ((0.0, 0.0), (1.0, 0.0), (0.5, 0.8)))
+    x = RanPoint(config, math.inf)
+    assert stratum_label(x) == reference_stratum_label(x)
+    assert same_float(r2(config, math.inf), reference_reading(config, math.inf)[2])
+    assert same_float(r2_prime(config, math.inf), reference_reading(config, math.inf)[3])
