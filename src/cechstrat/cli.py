@@ -152,7 +152,7 @@ def _cmd_stratum(args) -> int:
     ball = strat.tilde_r(x, args.max_dim)
     data = label.to_json_dict()
     data["safe_radius"] = ball.safe_radius
-    data["r_tilde"] = ball.r_tilde if ball.r_tilde != float("inf") else None
+    data["r_tilde"] = ball.r_tilde
     data["case"] = ball.case
     sys.stdout.write(_dump(data))
     return 0

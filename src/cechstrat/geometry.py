@@ -68,7 +68,7 @@ class PointConfig:
 
 @dataclass(frozen=True)
 class RanPoint:
-    """A configuration together with a nonnegative radius."""
+    """A configuration together with a finite nonnegative radius."""
 
     config: PointConfig
     radius: float
@@ -77,6 +77,8 @@ class RanPoint:
         object.__setattr__(self, "radius", float(self.radius))
         if not (self.radius >= 0.0):
             raise ValueError(f"radius must be >= 0, got {self.radius}")
+        if not math.isfinite(self.radius):
+            raise ValueError(f"radius must be finite, got {self.radius}")
 
     def to_json_dict(self) -> dict:
         return {"config": self.config.to_json_dict(), "radius": self.radius}

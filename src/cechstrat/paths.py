@@ -48,9 +48,13 @@ class PLPath:
     splits only at breakpoints), keeping the configuration path and its
     track-to-vertex assignment well defined.
 
-    A run of segments on which no track moves is a still stretch: its
-    configuration and track assignment are built once, at construction,
-    and every evaluation on it shares them; only the radius varies.
+    Construction converts and checks each waypoint in one pass per track
+    and collects in one set the segments where some track moves.  A
+    waypoint that is the same object as the one before it reuses that
+    conversion, so a still track (as ``cech_path`` builds them) is checked
+    once and holds one tuple.  A run of segments where no track moves is a
+    still stretch: its configuration and track assignment are built once
+    and shared by every evaluation on it; only the radius varies.
     """
 
     dim: int
@@ -65,15 +69,9 @@ class PLPath:
     def __post_init__(self):
         if not 1 <= self.dim <= _MAX_DIM:
             raise ValueError(f"dim must be in 1..{_MAX_DIM}, got {self.dim}")
-        bp = tuple(float(t) for t in self.breakpoints)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(
-            self,
-            "tracks",
-            tuple(tuple(tuple(float(c) for c in p) for p in tr) for tr in self.tracks),
-        )
-        object.__setattr__(self, "radius", tuple(float(r) for r in self.radius))
-        for what, values in (("breakpoint", bp), ("radius", self.radius)):
+        bp = tuple(map(float, self.breakpoints))
+        radius = tuple(map(float, self.radius))
+        for what, values in (("breakpoint", bp), ("radius", radius)):
             for v in values:
                 if not math.isfinite(v):
                     raise ValueError(f"{what} {v} is not finite")
@@ -83,22 +81,30 @@ class PLPath:
             raise ValueError("breakpoints must be strictly increasing")
         if not self.tracks:
             raise ValueError("at least one track is required")
+        tracks, moves = [], set()
         for tr in self.tracks:
-            if len(tr) != len(bp):
-                raise ValueError("each track needs one waypoint per breakpoint")
+            waypoints, last = [], None
             for p in tr:
-                if len(p) != self.dim:
-                    raise ValueError(f"waypoint {p} does not have dimension {self.dim}")
-                if not all(map(math.isfinite, p)):
-                    raise ValueError(f"waypoint {p} is not finite")
-        if len(self.radius) != len(bp):
+                if not waypoints or p is not last:
+                    q, last = tuple(map(float, p)), p
+                    if len(q) != self.dim:
+                        raise ValueError(f"waypoint {q} does not have dimension {self.dim}")
+                    if not all(map(math.isfinite, q)):
+                        raise ValueError(f"waypoint {q} is not finite")
+                    if waypoints and q != waypoints[-1]:
+                        moves.add(len(waypoints) - 1)
+                waypoints.append(q)
+            if len(waypoints) != len(bp):
+                raise ValueError("each track needs one waypoint per breakpoint")
+            tracks.append(tuple(waypoints))
+        if len(radius) != len(bp):
             raise ValueError("radius needs one value per breakpoint")
-        if any(r < 0.0 for r in self.radius):
+        if any(r < 0.0 for r in radius):
             raise ValueError("radius must be nonnegative")
-        moving = [{seg for seg, (p, q) in enumerate(zip(tr, tr[1:])) if p != q}
-                  for tr in self.tracks]
-        self._check_merge_persistence(moving)
-        moves = set().union(*moving)
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "tracks", tuple(tracks))
+        object.__setattr__(self, "radius", radius)
+        self._check_merge_persistence(sorted(moves))
         still: list[tuple[PointConfig, tuple[int, ...]] | None] = []
         for seg in range(len(bp) - 1):
             if seg in moves:
@@ -111,23 +117,23 @@ class PLPath:
                 still.append(still[-1])
         object.__setattr__(self, "_still", tuple(still))
 
-    def _check_merge_persistence(self, moving: list[set[int]]):
+    def _check_merge_persistence(self, moving: list[int]):
         """One sweep over each pair's offsets, one offset per breakpoint,
-        on the segments where one of the pair's tracks moves (``moving``
-        holds them per track).
+        on the segments where some track moves (``moving``, in order).
 
         A segment is rejected when both its ends keep the pair farther
         apart than ``DELTA_PT`` but the distance dips within it inside:
         the distance is convex along the segment, so it is least at the
         projection parameter u when u lies in (0, 1).  A segment whose
         offset does not change keeps a constant distance, so its ends
-        decide it; this covers every segment on which neither track moves.
-        The first violation in (segment, pair) order is reported.
+        decide it (``denom == 0.0``); every segment where neither track of
+        the pair moves is one, so one set for all tracks is exact.  The
+        first violation in (segment, pair) order is reported.
         """
         touches = []
         for i, j in itertools.combinations(range(len(self.tracks)), 2):
             ti, tj = self.tracks[i], self.tracks[j]
-            for seg in sorted(moving[i] | moving[j]):
+            for seg in moving:
                 a = tuple(map(operator.sub, ti[seg], tj[seg]))
                 b = tuple(map(operator.sub, ti[seg + 1], tj[seg + 1]))
                 diff = tuple(map(operator.sub, b, a))
@@ -158,12 +164,7 @@ class PLPath:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PLPath":
-        return cls(
-            int(data["dim"]),
-            tuple(data["breakpoints"]),
-            tuple(tuple(tuple(p) for p in tr) for tr in data["tracks"]),
-            tuple(data["radius"]),
-        )
+        return cls(int(data["dim"]), data["breakpoints"], data["tracks"], data["radius"])
 
 
 def _evaluate_tracks(path: PLPath, t: float) -> tuple[RanPoint, tuple[int, ...]]:
@@ -282,7 +283,7 @@ def transitions(path: PLPath, resolution: float,
     than ``resolution * 1e-3`` are merged into one.  Every reported
     transition is real: the labels on its two sides differ.
     """
-    if resolution <= 0.0:
+    if not resolution > 0.0:
         raise ValueError("resolution must be positive")
     cache: dict[float, StratumLabel] = {}
 
@@ -545,10 +546,9 @@ def cech_path(config: PointConfig, t_max: float) -> PLPath:
         h = 2.0 * math.sqrt(_CECH_PATH_TOL) * max(1.0 - (t + h), 1.0 - t_max) ** 1.5
         ts.append(min(t + max(h, 1e-9), t_max))
     radii = [t / (1.0 - t) for t in ts]
-    if ts[-1] < 1.0:
-        ts.append(1.0)
-        radii.append(radii[-1])
-    tracks = tuple(tuple(p for _ in ts) for p in config.points)
+    ts.append(1.0)
+    radii.append(radii[-1])
+    tracks = tuple((p,) * len(ts) for p in config.points)
     return PLPath(config.dim, tuple(ts), tracks, tuple(radii))
 
 

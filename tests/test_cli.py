@@ -116,6 +116,15 @@ class TestStratum:
         assert data["case"] == "boundary"
         assert data["safe_radius"] == pytest.approx(0.25)
 
+    def test_infinite_radius_is_exit_2(self, capsys, tmp_path):
+        # one point: tilde_r would give a safe radius of inf/4, which JSON cannot hold
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({"dim": 1, "points": [[0.0]]}))
+        for verb in ("stratum", "cech"):
+            code, out, err = run_cli(capsys, verb, "--points", str(one), "--radius", "inf")
+            assert (code, out) == (2, "")
+            assert "radius must be finite, got inf" in err
+
 
 class TestTrack:
     def test_zigzag_output(self, capsys, tmp_path):
@@ -154,6 +163,22 @@ class TestTrack:
         )
         assert code == 2
         assert "radius nan is not finite" in err
+
+    def test_nan_resolution_is_exit_2(self, capsys, tmp_path):
+        path_file = tmp_path / "path.json"
+        path_file.write_text(json.dumps({
+            "dim": 1, "breakpoints": [0.0, 1.0],
+            "tracks": [[[0.0], [0.0]], [[1.0], [1.0]]], "radius": [0.0, 1.0],
+        }))
+        code, out, err = run_cli(
+            capsys, "track", "--path", str(path_file), "--resolution", "nan"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: resolution must be positive\n"
+        code, out, _ = run_cli(
+            capsys, "track", "--path", str(path_file), "--resolution", "inf"
+        )
+        assert code == 0 and len(json.loads(out)["times"]) == 1
 
     @pytest.mark.parametrize("dim", [0, 17])
     def test_dim_out_of_range_is_exit_2(self, capsys, tmp_path, dim):

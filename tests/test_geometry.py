@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -107,6 +108,22 @@ class TestPointConfig:
     def test_ranpoint_radius_nonnegative(self):
         with pytest.raises(ValueError):
             RanPoint(config_1d(0.0), -0.1)
+
+    @pytest.mark.parametrize("bad, message", [
+        (math.inf, "radius must be finite, got inf"),
+        (-math.inf, "radius must be >= 0, got -inf"),
+        (math.nan, "radius must be >= 0, got nan"),
+    ])
+    def test_ranpoint_radius_finite(self, bad, message):
+        with pytest.raises(ValueError) as err:
+            RanPoint(config_1d(0.0), bad)
+        assert str(err.value) == message
+
+    def test_ranpoint_json_radius_finite(self):
+        # json.loads reads Infinity, as a file handed to the CLI may carry
+        data = json.loads('{"config": {"dim": 1, "points": [[0.0]]}, "radius": Infinity}')
+        with pytest.raises(ValueError, match="radius must be finite, got inf"):
+            RanPoint.from_json_dict(data)
 
     @pytest.mark.parametrize("dim", [0, 17, 40])
     def test_rejects_dimension_outside_kernel_domain(self, dim):

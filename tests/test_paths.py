@@ -24,7 +24,9 @@ from cechstrat import (
     zigzag,
 )
 from cechstrat.geometry import DELTA_PT
-from cechstrat.paths import _evaluate_tracks, reversed_path
+from cechstrat.paths import _dedupe, _evaluate_tracks, reversed_path
+
+from conftest import clear_package_caches
 
 SQRT3 = math.sqrt(3.0)
 
@@ -57,6 +59,133 @@ def reference_merge_check(tracks, dim):
                         "splits are only allowed at breakpoints"
                     )
     return None
+
+
+def reference_plpath(dim, breakpoints, tracks, radius):
+    """Breakpoints, tracks, radius and still-stretch configurations as the
+    construction that ``PLPath`` replaced made them: every waypoint
+    converted, then checked, then one moving set per track."""
+    if not 1 <= dim <= 16:
+        raise ValueError(f"dim must be in 1..16, got {dim}")
+    bp = tuple(float(t) for t in breakpoints)
+    tracks = tuple(tuple(tuple(float(c) for c in p) for p in tr) for tr in tracks)
+    radius = tuple(float(r) for r in radius)
+    for what, values in (("breakpoint", bp), ("radius", radius)):
+        for v in values:
+            if not math.isfinite(v):
+                raise ValueError(f"{what} {v} is not finite")
+    if len(bp) < 2 or bp[0] != 0.0 or bp[-1] != 1.0:
+        raise ValueError("breakpoints must run from 0.0 to 1.0")
+    if any(a >= b for a, b in zip(bp, bp[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    if not tracks:
+        raise ValueError("at least one track is required")
+    for tr in tracks:
+        if len(tr) != len(bp):
+            raise ValueError("each track needs one waypoint per breakpoint")
+        for p in tr:
+            if len(p) != dim:
+                raise ValueError(f"waypoint {p} does not have dimension {dim}")
+            if not all(map(math.isfinite, p)):
+                raise ValueError(f"waypoint {p} is not finite")
+    if len(radius) != len(bp):
+        raise ValueError("radius needs one value per breakpoint")
+    if any(r < 0.0 for r in radius):
+        raise ValueError("radius must be nonnegative")
+    moving = [{seg for seg, (p, q) in enumerate(zip(tr, tr[1:])) if p != q} for tr in tracks]
+    message = reference_merge_check(tracks, dim)
+    if message is not None:
+        raise ValueError(message)
+    moves = set().union(*moving)
+    still = []
+    for seg in range(len(bp) - 1):
+        if seg in moves:
+            still.append(None)
+        elif not still or still[-1] is None:
+            still.append(_dedupe(dim, [tuple(c + 0.0 for c in tr[seg]) for tr in tracks]))
+        else:
+            still.append(still[-1])
+    return bp, tracks, radius, tuple(still)
+
+
+def exact(value):
+    """Nested floats as hex strings, so that signed zeros differ."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, PointConfig):
+        return value.dim, exact(value.points)
+    if isinstance(value, (tuple, list)):
+        return [exact(v) for v in value]
+    return value
+
+
+def plpath_fields(dim, breakpoints, tracks, radius):
+    p = PLPath(dim, breakpoints, tracks, radius)
+    return p.breakpoints, p.tracks, p.radius, p._still
+
+
+def construction(dim, breakpoints, tracks, radius, build):
+    """What ``build`` makes of the arguments, exactly, or its exception."""
+    try:
+        return exact(build(dim, breakpoints, tracks, radius))
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def mixed_shape_tracks(rng, dim, k, n_bp):
+    """Grid tracks in the shapes ``PLPath`` is handed: tuples or lists, int
+    and -0.0 coordinates, a waypoint repeated as one object or as an equal
+    but distinct one, objects shared between tracks, and still runs
+    between moving segments."""
+    pool, tracks = [], []
+    for _ in range(k):
+        tr = []
+        for _ in range(n_bp):
+            roll = rng.random()
+            if tr and roll < 0.3:
+                tr.append(tr[-1])
+            elif tr and roll < 0.45:
+                tr.append(type(tr[-1])(-c if c == 0 and rng.random() < 0.5 else c
+                                       for c in tr[-1]))
+            elif pool and roll < 0.55:
+                tr.append(rng.choice(pool))
+            else:
+                coords = [rng.choice((rng.randint(-2, 2), rng.randint(-4, 4) * 0.5, -0.0))
+                          for _ in range(dim)]
+                tr.append(tuple(coords) if rng.random() < 0.5 else coords)
+        pool.extend(tr)
+        tracks.append(tuple(tr) if rng.random() < 0.5 else tr)
+    return tuple(tracks) if rng.random() < 0.5 else tracks
+
+
+def single_faults(rng, dim, breakpoints, tracks, radius):
+    """(name, arguments) pairs, each the valid arguments with one fault."""
+    n_bp = len(breakpoints)
+
+    def with_track(i, tr):
+        return dim, breakpoints, [*tracks[:i], tr, *tracks[i + 1:]], radius
+
+    i = rng.randrange(len(tracks))
+    tr = list(tracks[i])
+    wrong = tr[:]
+    wrong[rng.randrange(n_bp)] = (0.5,) * (dim + rng.choice((-1, 1)) if dim > 1 else 2)
+    yield "wrong dimension", with_track(i, wrong)
+    for bad in (math.nan, math.inf, -math.inf):
+        obj = tuple(bad if c == dim - 1 else 0.25 for c in range(dim))
+        for where in (0, n_bp // 2, n_bp - 1):
+            run = tr[:]
+            for k in range(max(0, where - 1), min(n_bp, where + 2)):
+                run[k] = obj
+            yield f"{bad} at waypoint {where}", with_track(i, run)
+    text = tr[:]
+    text[rng.randrange(n_bp)] = ("x",) * dim
+    yield "coordinate that does not convert", with_track(i, text)
+    yield "short track", with_track(i, tr[:-1])
+    yield "radius of the wrong length", (dim, breakpoints, tracks, radius[:-1])
+    yield "radius of the wrong length", (dim, breakpoints, tracks, (*radius, 0.0))
+    negative = list(radius)
+    negative[rng.randrange(n_bp)] = -0.5
+    yield "negative radius", (dim, breakpoints, tracks, negative)
 
 
 def construction_error(dim, breakpoints, tracks, radius):
@@ -290,6 +419,46 @@ class TestPLPathValidation:
             PLPath.from_json_dict(blob)
 
 
+class TestConstruction:
+    """One pass per track builds what the converting construction built."""
+
+    def test_matches_reference(self):
+        rng = random.Random(909)
+        built = faults = 0
+        for _ in range(1500):
+            dim = rng.randint(1, 3)
+            n_bp = rng.randint(2, 7)
+            bp = (0, *(t / 40 for t in sorted(rng.sample(range(1, 40), n_bp - 2))), 1)
+            tracks = mixed_shape_tracks(rng, dim, rng.randint(1, 4), n_bp)
+            radius = [rng.choice((0, 0.25, -0.0, rng.uniform(0, 1))) for _ in bp]
+            want = construction(dim, bp, tracks, radius, reference_plpath)
+            assert construction(dim, bp, tracks, radius, plpath_fields) == want
+            if isinstance(want, tuple):  # the merge check refused the tracks
+                continue
+            built += 1
+            for name, args in single_faults(rng, dim, bp, tracks, radius):
+                want = construction(*args, reference_plpath)
+                assert isinstance(want, tuple), name
+                assert construction(*args, plpath_fields) == want, name
+                faults += 1
+        # the sample exercises both outcomes of the merge check
+        assert 900 < built < 1400 and faults > 15000
+
+    def test_still_track_holds_one_waypoint(self):
+        cfg = PointConfig(2, ((0.0, 0.0), (1.0, 0.1), (0.4, 0.9), (0.2, 0.45), (0.85, 0.7)))
+        p = cech_path(cfg, 0.9)
+        for path in (p, reversed_path(p)):
+            assert len(path.breakpoints) > 2000
+            for tr in path.tracks:
+                assert len(set(map(id, tr))) == 1
+        q = PLPath.from_json_dict(p.to_json_dict())
+        assert q == p and hash(q) == hash(p)
+        clear_package_caches()
+        blob = json.dumps(zigzag(p, 0.01).to_json_dict(), sort_keys=True)
+        clear_package_caches()
+        assert json.dumps(zigzag(q, 0.01).to_json_dict(), sort_keys=True) == blob
+
+
 class TestStillSegments:
     """A segment no track moves on reads its configuration from the path."""
 
@@ -399,6 +568,15 @@ class TestTransitions:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             transitions(ramp_path(), 0.0)
+
+    @pytest.mark.parametrize("build", [transitions, zigzag])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, -0.0])
+    def test_resolution_must_be_positive(self, build, bad):
+        with pytest.raises(ValueError, match="^resolution must be positive$"):
+            build(ramp_path(), bad)
+
+    def test_infinite_resolution_is_one_step(self):
+        assert transitions(ramp_path(), math.inf) == transitions(ramp_path(), 1.0)
 
 
 class TestEntranceMap:

@@ -8,6 +8,7 @@ the definition; every reading must agree with them bit for bit.
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,7 +29,7 @@ from cechstrat import (
 from cechstrat import _kernels, cech
 from cechstrat._bits import proper_submasks, vertices_of
 from cechstrat.geometry import EPS_GEO
-from cechstrat.strat import SafeBall, StratumLabel
+from cechstrat.strat import SafeBall, StratumLabel, _zone_label
 
 from conftest import clear_package_caches
 
@@ -189,9 +190,13 @@ def test_zone_is_the_label_cache_key():
         assert len(labels) == 1
 
 
-def test_infinite_radius_reads_like_the_reference():
+def test_infinite_radius_is_refused_and_its_zone_reads_like_the_reference():
+    # a RanPoint's radius is finite; the scan readings below it still take inf
     config = PointConfig(2, ((0.0, 0.0), (1.0, 0.0), (0.5, 0.8)))
-    x = RanPoint(config, math.inf)
-    assert stratum_label(x) == reference_stratum_label(x)
+    with pytest.raises(ValueError, match="radius must be finite, got inf"):
+        RanPoint(config, math.inf)
+    zone = cech.read_scan(cech.subset_radii(config), math.inf)
+    assert _zone_label(config, None, zone) == \
+        reference_stratum_label(SimpleNamespace(config=config, radius=math.inf))
     assert same_float(r2(config, math.inf), reference_reading(config, math.inf)[2])
     assert same_float(r2_prime(config, math.inf), reference_reading(config, math.inf)[3])
