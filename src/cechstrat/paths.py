@@ -285,21 +285,20 @@ def transitions(path: PLPath, resolution: float,
     """
     if not resolution > 0.0:
         raise ValueError("resolution must be positive")
-    cache: dict[float, StratumLabel] = {}
 
     def label_fn(t: float) -> StratumLabel:
-        if t not in cache:
-            cache[t] = stratum_label(evaluate(path, t), max_dim)
-        return cache[t]
+        return stratum_label(evaluate(path, t), max_dim)
 
     steps = max(1, math.ceil(1.0 / resolution))
-    grid = [k / steps for k in range(steps + 1)]
     target = resolution * 1e-3
     events: list[tuple[float, StratumLabel]] = []
-    for t0, t1 in zip(grid, grid[1:]):
-        l0, l1 = label_fn(t0), label_fn(t1)
+    t0, l0 = 0.0, label_fn(0.0)
+    for k in range(1, steps + 1):
+        t1 = k / steps
+        l1 = label_fn(t1)
         if l0 != l1:
             events.extend(_resolve(label_fn, t0, t1, l0, l1))
+        t0, l0 = t1, l1
 
     # collapse event clusters inside the localization width: equal labels
     # average out; a dominated neighbor absorbs the higher one (stacked
@@ -464,15 +463,10 @@ def zigzag(path: PLPath, resolution: float, max_dim: int | None = None) -> Zigza
             lbl = events[idx][1] if idx < len(events) else events[-1][1]
             interval_classes.append(lbl)
     map_pairs = []
-    for k, (t_star, lbl) in enumerate(events):
-        if mids[k] is None:
-            left = identity_map(cech_complex(evaluate(path, t_star), max_dim))
-        else:
-            left = entrance_map(path, mids[k], t_star, max_dim)
-        if mids[k + 1] is None:
-            right = identity_map(cech_complex(evaluate(path, t_star), max_dim))
-        else:
-            right = entrance_map(path, mids[k + 1], t_star, max_dim)
+    for k, (t_star, _) in enumerate(events):
+        # a zero-width outer interval enters its instant by the identity
+        left, right = (entrance_map(path, t_star if mid is None else mid, t_star, max_dim)
+                       for mid in mids[k:k + 2])
         map_pairs.append((left, right))
     return ZigzagDiagram(
         tuple(times),

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import _kernels
-from ._bits import facet_submasks, mask_of, vertices_of
+from ._bits import facet_submasks, vertices_of
 from .complexes import (
     VERTEX_CAP,
     CapExceeded,
@@ -78,43 +78,32 @@ class PosetUniverse:
         return cls(classes, relation, int(data["n_max"]))
 
 
-def _labeled_complexes(n: int):
-    """Every downward-closed simplex family on exactly n labeled vertices.
+def _labeled_complexes(n: int) -> list[int]:
+    """Every downward-closed simplex family on exactly n labeled vertices,
+    each as one bitset with bit ``m`` set for simplex mask ``m``.
 
-    Simplices of size >= 2 are decided one by one in (size, mask) order;
-    a mask may be included only when all its facets already are, so each
-    family is produced exactly once.
+    Simplices of size >= 2 are taken in (size, mask) order, and each family
+    found so far that holds all facets of a mask is found again with the
+    mask added, so each family comes out exactly once.
     """
-    candidates = sorted(
-        (m for m in range(1 << n) if m.bit_count() >= 2),
-        key=lambda m: (m.bit_count(), m),
-    )
-    singletons = [1 << v for v in range(n)]
-    family: set[int] = set()
-
-    def rec(i: int):
-        if i == len(candidates):
-            yield tuple(singletons) + tuple(sorted(family))
-            return
-        yield from rec(i + 1)
-        m = candidates[i]
-        if all(face.bit_count() < 2 or face in family for face in facet_submasks(m)):
-            family.add(m)
-            yield from rec(i + 1)
-            family.remove(m)
-
-    yield from rec(0)
+    families = [sum(1 << (1 << v) for v in range(n))]
+    for m in sorted((m for m in range(1 << n) if m.bit_count() >= 2),
+                    key=lambda m: (m.bit_count(), m)):
+        faces = sum(1 << face for face in facet_submasks(m))
+        families += [f | 1 << m for f in families if f & faces == faces]
+    return families
 
 
 def _relabellings(n: int) -> list[list[int]]:
-    """Each vertex permutation of 0..n-1 as a table from masks to masks."""
+    """Each vertex permutation of 0..n-1 as a table from a mask to the bit
+    of its image mask."""
     tables = []
     for perm in itertools.permutations(range(n)):
-        table = [0] * (1 << n)
+        image = [0] * (1 << n)
         for m in range(1, 1 << n):
             low = m & -m
-            table[m] = table[m ^ low] | 1 << perm[low.bit_length() - 1]
-        tables.append(table)
+            image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
+        tables.append([1 << i for i in image])
     return tables
 
 
@@ -174,14 +163,13 @@ def enumerate_classes(n_max: int, cap: int = ENUM_CAP) -> PosetUniverse:
     found: list[IsoClass] = []
     for n in range(1, n_max + 1):
         tables = _relabellings(n)
-        # each labeled complex is held as one bitset over its simplex masks
         known: set[int] = set()
-        for masks in _labeled_complexes(n):
-            if mask_of(masks) in known:
+        for family in _labeled_complexes(n):
+            if family in known:
                 continue
-            cls = canonical_form(SimplicialComplex.from_masks(n, masks), cap=cap)
+            cls = canonical_form(SimplicialComplex.from_masks(n, vertices_of(family)), cap=cap)
             found.append(cls)
-            known.update(mask_of(map(t.__getitem__, cls.canonical.masks)) for t in tables)
+            known.update(sum(map(t.__getitem__, cls.canonical.masks)) for t in tables)
     classes = tuple(sorted(found, key=lambda c: (c.n_vertices, c.key)))
 
     size = len(classes)

@@ -73,6 +73,13 @@ class TestCech:
         assert code == 2
         assert "dedupe" in err
 
+    def test_negative_max_dim_is_exit_2(self, capsys, two_points_file):
+        code, out, err = run_cli(
+            capsys, "cech", "--points", two_points_file, "--radius", "0.4", "--max-dim", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: max_dim must be >= 0\n"
+
 
 class TestFiltration:
     def test_round_trip(self, capsys, two_points_file):
@@ -179,6 +186,17 @@ class TestTrack:
             capsys, "track", "--path", str(path_file), "--resolution", "inf"
         )
         assert code == 0 and len(json.loads(out)["times"]) == 1
+
+    def test_no_tracks_is_exit_2(self, capsys, tmp_path):
+        path_file = tmp_path / "path.json"
+        path_file.write_text(json.dumps({
+            "dim": 1, "breakpoints": [0.0, 1.0], "tracks": [], "radius": [0.0, 1.0],
+        }))
+        code, out, err = run_cli(
+            capsys, "track", "--path", str(path_file), "--resolution", "0.01"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: at least one track is required\n"
 
     @pytest.mark.parametrize("dim", [0, 17])
     def test_dim_out_of_range_is_exit_2(self, capsys, tmp_path, dim):

@@ -2,6 +2,7 @@ import bisect
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -578,6 +579,17 @@ class TestTransitions:
     def test_infinite_resolution_is_one_step(self):
         assert transitions(ramp_path(), math.inf) == transitions(ramp_path(), 1.0)
 
+    def test_memory_does_not_grow_with_the_grid(self):
+        # the 10,001 grid times and their labels are walked, not stored
+        transitions(constant_path(), 0.1)
+        tracemalloc.start()
+        try:
+            transitions(constant_path(), 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
 
 class TestEntranceMap:
     def test_constant_label_renaming(self):
@@ -689,6 +701,20 @@ class TestZigzag:
         left, right = z.maps[0]
         assert left.vertex_map == (0, 0)
         assert right.vertex_map == (0,)  # identity at the merged endpoint
+
+    @pytest.mark.parametrize("radius, t_star, side", [((0.5, 1e5), 0.0, 0), ((1e5, 0.5), 1.0, 1)])
+    def test_transition_at_an_end_enters_by_the_identity(self, named_classes, radius, t_star,
+                                                         side):
+        # the edge appears at the critical radius 0.5 itself, so the outer
+        # interval on that side has zero width
+        p = PLPath(1, (0.0, 1.0), (((0.0,), (0.0,)), ((1.0,), (1.0,))), radius)
+        z = zigzag(p, 0.01)
+        assert z.times == (t_star,)
+        outer = z.maps[0][side]
+        assert outer == entrance_map(p, t_star, t_star)
+        assert outer.source == outer.target and outer.vertex_map == (0, 1)
+        assert z.interval_classes[side] == z.transition_classes[0]
+        assert all(lbl.cls.key == named_classes["edge"].key for lbl in z.interval_classes)
 
     def test_start_at_critical_radius(self, named_classes):
         # the degenerate stratum occupies a tolerance-band sliver at t = 0;

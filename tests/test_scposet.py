@@ -20,6 +20,7 @@ from cechstrat import (
     upset,
 )
 from cechstrat import _kernels, complexes, scposet
+from cechstrat._bits import facet_submasks, vertices_of
 
 from conftest import FIG2_MAP_C_TO_D, fig2_complexes, random_complex
 
@@ -32,6 +33,31 @@ ENUM5_SHA256 = "08665fc97ca899b3bd299a51753b75b6689fd5a40da45eeb91fd00d4f0b367eb
 @pytest.fixture(scope="module")
 def universe5():
     return enumerate_classes(5)
+
+
+def _recursive_labeled_complexes(n):
+    """Reference generator: each downward-closed family on exactly n labeled
+    vertices as a sorted mask tuple, by deciding the simplices of size >= 2
+    one at a time in (size, mask) order."""
+    candidates = sorted(
+        (m for m in range(1 << n) if m.bit_count() >= 2),
+        key=lambda m: (m.bit_count(), m),
+    )
+    singletons = [1 << v for v in range(n)]
+    family = set()
+
+    def rec(i):
+        if i == len(candidates):
+            yield tuple(singletons) + tuple(sorted(family))
+            return
+        yield from rec(i + 1)
+        m = candidates[i]
+        if all(face.bit_count() < 2 or face in family for face in facet_submasks(m)):
+            family.add(m)
+            yield from rec(i + 1)
+            family.remove(m)
+
+    yield from rec(0)
 
 
 def _domination_matrix(classes, witness=_kernels.surjection_witness):
@@ -135,13 +161,20 @@ class TestEnumeration:
         u = enumerate_classes(3)
         assert len(u.classes) == 8
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_labeled_complexes_match_recursive_generator(self, n):
+        families = scposet._labeled_complexes(n)
+        assert len(set(families)) == len(families)
+        expected = {sum(1 << m for m in masks) for masks in _recursive_labeled_complexes(n)}
+        assert set(families) == expected
+
     def test_counts_match_orbit_counting(self):
         # independent oracle: orbit counting over labeled complexes on
         # exactly n vertices (number of orbits = average fixed-family count)
         from cechstrat.scposet import _labeled_complexes
 
         for n, expected in [(1, 1), (2, 2), (3, 5), (4, 20)]:
-            families = [frozenset(m) for m in _labeled_complexes(n)]
+            families = [frozenset(vertices_of(f)) for f in _labeled_complexes(n)]
             perms = list(itertools.permutations(range(n)))
             fixed_total = 0
             for perm in perms:
@@ -205,7 +238,7 @@ class TestEnumeration:
         from cechstrat.scposet import _labeled_complexes
 
         # independent orbit count for exactly five vertices
-        families = [frozenset(m) for m in _labeled_complexes(5)]
+        families = [frozenset(vertices_of(f)) for f in _labeled_complexes(5)]
         assert len(families) == 6894
         perms = list(itertools.permutations(range(5)))
         fixed_total = 0
