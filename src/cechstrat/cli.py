@@ -63,8 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="all classes up to a vertex bound, with Hasse diagram")
     p.add_argument("--max-vertices", type=int, required=True)
-    p.add_argument("--cap", type=int, default=scposet.ENUM_CAP,
-                   help="enumeration safety cap")
     p.add_argument("--dot", help="write the Hasse diagram as DOT to this file")
     p.add_argument("--json", dest="json_file", help="write the universe as JSON to this file")
 
@@ -100,14 +98,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int,
                    help=f"seed for the Monte-Carlo sampling (default: {ENV_PREFIX}SEED, else 0)")
     p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--probe-radius", type=float, default=0.05)
     p.add_argument("--refined", action="store_true",
                    help="use degeneracy-refined labels instead of coarse classes")
     return parser
 
 
 def _cmd_enumerate(args) -> int:
-    universe = scposet.enumerate_classes(args.max_vertices, cap=args.cap)
+    universe = scposet.enumerate_classes(args.max_vertices)
     diagram = scposet.hasse(universe)
     sys.stdout.write(f"classes: {len(universe.classes)}\n")
     sys.stdout.write(f"cover_edges: {len(diagram.cover_edges)}\n")
@@ -181,8 +178,7 @@ def _cmd_frontier_demo(args) -> int:
     label_b = strat.stratum_label(RanPoint(config, 0.6))
     report = strat.frontier_check(
         family, label_a, label_b,
-        n_samples=args.samples, probe_radius=args.probe_radius,
-        refined=args.refined,
+        n_samples=args.samples, refined=args.refined,
         seed=_env_default("SEED", 0, int) if args.seed is None else args.seed,
     )
     sys.stdout.write(_dump(report.to_json_dict()))

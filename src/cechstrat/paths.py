@@ -232,11 +232,10 @@ def _lower_label(a: StratumLabel, b: StratumLabel):
         if b.degenerate and not a.degenerate:
             return b
         return a
-    a_over_b = dominates(a.cls.canonical, b.cls.canonical) is not None
-    b_over_a = dominates(b.cls.canonical, a.cls.canonical) is not None
-    if a_over_b and not b_over_a:
+    # distinct classes never dominate each other both ways: see as_filtration
+    if dominates(a.cls.canonical, b.cls.canonical) is not None:
         return b
-    if b_over_a and not a_over_b:
+    if dominates(b.cls.canonical, a.cls.canonical) is not None:
         return a
     return None
 
@@ -281,10 +280,15 @@ def transitions(path: PLPath, resolution: float,
     change down to a bracket of ``_BRACKET_FLOOR``, so that the instant
     lands inside the tolerance band of a degenerate label.  Events closer
     than ``resolution * 1e-3`` are merged into one.  Every reported
-    transition is real: the labels on its two sides differ.
+    transition is real: the labels on its two sides differ.  A resolution
+    below ``_BRACKET_FLOOR`` is refused: a grid step finer than the final
+    bracket cannot localise a transition any better.
     """
     if not resolution > 0.0:
         raise ValueError("resolution must be positive")
+    if resolution < _BRACKET_FLOOR:
+        raise ValueError(f"resolution must be at least {_BRACKET_FLOOR}, "
+                         "the width of the bisection's final bracket")
 
     def label_fn(t: float) -> StratumLabel:
         return stratum_label(evaluate(path, t), max_dim)
@@ -491,33 +495,25 @@ def as_filtration(z: ZigzagDiagram) -> ChainFiltration | None:
     count (no merges) and the classes are pairwise comparable; the chain
     runs from the most dominant class downward with vertex-bijective
     witnesses.  Returns None otherwise.
+
+    With equal vertex counts a witness is a vertex bijection, so it is
+    injective on simplices: a class dominates only classes with strictly
+    more simplices, and a witness between equal counts would be an
+    isomorphism.  So the chain, if there is one, is the distinct classes
+    by simplex count, and one witness per consecutive pair proves it; the
+    other pairs follow by transitivity.
     """
-    labels = [z.interval_classes[0]]
-    for k in range(len(z.times)):
-        labels.append(z.transition_classes[k])
-        labels.append(z.interval_classes[k + 1])
-    classes = {lbl.cls.key: lbl.cls for lbl in labels}
-    counts = {cls.n_vertices for cls in classes.values()}
-    if len(counts) != 1:
+    classes = {lbl.cls.key: lbl.cls for lbl in z.interval_classes + z.transition_classes}
+    if len({cls.n_vertices for cls in classes.values()}) != 1:
         return None
-    distinct = list(classes.values())
-    order: dict[tuple[bytes, bytes], bool] = {}
-    for a in distinct:
-        for b in distinct:
-            if a.key != b.key:
-                order[(a.key, b.key)] = dominates(a.canonical, b.canonical) is not None
-    for a in distinct:
-        for b in distinct:
-            if a.key != b.key and not order[(a.key, b.key)] and not order[(b.key, a.key)]:
-                return None
-    distinct.sort(key=lambda c: sum(order[(c.key, other.key)] for other in distinct if other.key != c.key), reverse=True)
+    chain = sorted(classes.values(), key=lambda c: len(c.canonical.masks))
     maps = []
-    for hi, lo in zip(distinct, distinct[1:]):
+    for hi, lo in zip(chain, chain[1:]):
         witness = dominates(hi.canonical, lo.canonical)
-        if witness is None or len(set(witness.vertex_map)) != lo.n_vertices:
+        if witness is None:
             return None
         maps.append(witness)
-    return ChainFiltration(tuple(distinct), tuple(maps))
+    return ChainFiltration(tuple(chain), tuple(maps))
 
 
 def cech_path(config: PointConfig, t_max: float) -> PLPath:

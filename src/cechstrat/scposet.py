@@ -26,16 +26,16 @@ from .complexes import (
 ENUM_CAP = 5
 
 
-def dominates(c: SimplicialComplex, c_prime: SimplicialComplex,
-              cap: int = VERTEX_CAP) -> SimplicialMap | None:
+def dominates(c: SimplicialComplex, c_prime: SimplicialComplex) -> SimplicialMap | None:
     """Witnessing vertex-surjective simplicial map ``c -> c_prime``, if any.
 
     Deterministic: returns the first witness found by backtracking over
-    vertex assignments in ascending order.
+    vertex assignments in ascending order.  Refuses complexes of more than
+    ``VERTEX_CAP`` vertices.
     """
-    if c.n_vertices > cap or c_prime.n_vertices > cap:
+    if c.n_vertices > VERTEX_CAP or c_prime.n_vertices > VERTEX_CAP:
         raise CapExceeded(
-            f"domination search capped at {cap} vertices, "
+            f"domination search capped at {VERTEX_CAP} vertices, "
             f"got {c.n_vertices} and {c_prime.n_vertices}"
         )
     witness = _kernels.surjection_witness(
@@ -137,8 +137,9 @@ def _bijection_excluded(fa: tuple[int, ...], fb: tuple[int, ...]) -> bool:
     return fa == fb or any(x > y for x, y in zip(fa, fb))
 
 
-def enumerate_classes(n_max: int, cap: int = ENUM_CAP) -> PosetUniverse:
-    """Every isomorphism class on 1..n_max vertices with the full relation.
+def enumerate_classes(n_max: int) -> PosetUniverse:
+    """Every isomorphism class on 1..n_max vertices with the full relation;
+    ``n_max`` is at most ``ENUM_CAP``.
 
     Classes: the labeled complexes of each vertex count are visited in
     turn, and one that is not yet a known relabeling gets its canonical
@@ -158,8 +159,8 @@ def enumerate_classes(n_max: int, cap: int = ENUM_CAP) -> PosetUniverse:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > cap:
-        raise CapExceeded(f"enumeration capped at {cap} vertices, got n_max={n_max}")
+    if n_max > ENUM_CAP:
+        raise CapExceeded(f"enumeration capped at {ENUM_CAP} vertices, got n_max={n_max}")
     found: list[IsoClass] = []
     for n in range(1, n_max + 1):
         tables = _relabellings(n)
@@ -167,7 +168,7 @@ def enumerate_classes(n_max: int, cap: int = ENUM_CAP) -> PosetUniverse:
         for family in _labeled_complexes(n):
             if family in known:
                 continue
-            cls = canonical_form(SimplicialComplex.from_masks(n, vertices_of(family)), cap=cap)
+            cls = canonical_form(SimplicialComplex.from_masks(n, vertices_of(family)))
             found.append(cls)
             known.update(sum(map(t.__getitem__, cls.canonical.masks)) for t in tables)
     classes = tuple(sorted(found, key=lambda c: (c.n_vertices, c.key)))
@@ -194,7 +195,7 @@ def enumerate_classes(n_max: int, cap: int = ENUM_CAP) -> PosetUniverse:
                   or le[a] & nle[b] or ge[b] & nge[a]):
                 above = False
             else:
-                above = dominates(ca.canonical, cb.canonical, cap=cap) is not None
+                above = dominates(ca.canonical, cb.canonical) is not None
             if above:
                 ge[a] |= 1 << b
                 le[b] |= 1 << a

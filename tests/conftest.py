@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import cechstrat
-from cechstrat import IsoClass, SimplicialComplex, canonical_form, cech, make_complex
+from cechstrat import IsoClass, PLPath, SimplicialComplex, canonical_form, cech, make_complex
 
 # A bare `pytest` in a checkout finds the package through pyproject's
 # `pythonpath`; the interpreters the CLI tests start find it through this.
@@ -68,6 +68,18 @@ def random_complex(rng: random.Random, n_max: int = 5) -> SimplicialComplex:
         if mask.bit_count() >= 2 and rng.random() < 1.8 / mask.bit_count() ** 2:
             generators.append([v for v in range(n) if mask >> v & 1])
     return make_complex(n, generators)
+
+
+def random_moving_path(rng):
+    """2-4 tracks and a radius, each piecewise linear over 2-4 breakpoints."""
+    while True:
+        bps = [0.0] + sorted(rng.uniform(0.05, 0.95) for _ in range(rng.randint(0, 2))) + [1.0]
+        tracks = tuple(tuple((rng.uniform(0, 1), rng.uniform(0, 1)) for _ in bps)
+                       for _ in range(rng.randint(2, 4)))
+        try:
+            return PLPath(2, tuple(bps), tracks, tuple(rng.uniform(0.05, 0.5) for _ in bps))
+        except ValueError:  # tracks touch inside a segment
+            continue
 
 
 def package_modules():

@@ -182,6 +182,11 @@ class TestTrack:
         )
         assert (code, out) == (2, "")
         assert err == "error: resolution must be positive\n"
+        code, out, err = run_cli(
+            capsys, "track", "--path", str(path_file), "--resolution", "5e-324"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: resolution must be at least 1e-13, ")
         code, out, _ = run_cli(
             capsys, "track", "--path", str(path_file), "--resolution", "inf"
         )
@@ -238,7 +243,8 @@ class TestOptions:
                 main([verb, "--help"])
             assert exc.value.code == 0
             text = capsys.readouterr().out
-            assert "--eps-geo" not in text
+            for flag in ("--eps-geo", "--cap", "--probe-radius"):
+                assert flag not in text, (verb, flag)
             assert ("--seed" in text) == (verb == "frontier-demo"), verb
 
     def test_seed_variable_is_read_by_frontier_demo_only(self, capsys, monkeypatch,
@@ -259,7 +265,8 @@ class TestOptions:
         monkeypatch.setenv("CECHSTRAT_SEED", "abc")
         code, out, _ = run_cli(capsys, "frontier-demo", "--samples", "50", "--seed", "4")
         assert code in (0, 3)
-        assert json.loads(out)["params"]["seed"] == 4
+        params = json.loads(out)["params"]
+        assert params["seed"] == 4 and params["probe_radius"] == 0.05
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import json
 import math
 import random
@@ -27,7 +28,7 @@ from cechstrat import (
 from cechstrat.geometry import DELTA_PT
 from cechstrat.paths import _dedupe, _evaluate_tracks, reversed_path
 
-from conftest import clear_package_caches
+from conftest import clear_package_caches, random_moving_path
 
 SQRT3 = math.sqrt(3.0)
 
@@ -293,6 +294,31 @@ def constant_path():
 
 def triangle_config():
     return PointConfig(2, ((0.0, 0.0), (1.0, 0.0), (0.5, SQRT3 / 2)))
+
+
+def classes_in_time_order(z):
+    """The distinct classes of a zigzag, each where it first appears."""
+    labels = (z.interval_classes[0],
+              *itertools.chain.from_iterable(zip(z.transition_classes, z.interval_classes[1:])))
+    return list({lbl.cls.key: lbl.cls for lbl in labels}.values())
+
+
+def reference_as_filtration(z):
+    """``as_filtration``'s contract taken pair by pair: the distinct classes
+    of the zigzag, all on one vertex count and pairwise comparable, ordered
+    by how many others each dominates, with the first witness between
+    neighbours; None otherwise."""
+    classes = classes_in_time_order(z)
+    if len({c.n_vertices for c in classes}) != 1:
+        return None
+    above = {(a.key, b.key): dominates(a.canonical, b.canonical) is not None
+             for a, b in itertools.permutations(classes, 2)}
+    if any(not above[a.key, b.key] and not above[b.key, a.key]
+           for a, b in itertools.combinations(classes, 2)):
+        return None
+    chain = sorted(classes, key=lambda c: sum(above[c.key, o.key] for o in classes if o is not c),
+                   reverse=True)
+    return chain, [dominates(hi.canonical, lo.canonical) for hi, lo in zip(chain, chain[1:])]
 
 
 class TestPLPathValidation:
@@ -571,6 +597,17 @@ class TestTransitions:
             transitions(ramp_path(), 0.0)
 
     @pytest.mark.parametrize("build", [transitions, zigzag])
+    @pytest.mark.parametrize("fine", [5e-324, 9.9e-14])
+    def test_resolution_below_the_bracket_floor_is_refused(self, build, fine, monkeypatch):
+        # refused before any label is made; 1/5e-324 would overflow a float
+        def no_label(*args):
+            raise AssertionError("a label was made")
+
+        monkeypatch.setattr("cechstrat.paths.stratum_label", no_label)
+        with pytest.raises(ValueError, match="^resolution must be at least 1e-13, "):
+            build(ramp_path(), fine)
+
+    @pytest.mark.parametrize("build", [transitions, zigzag])
     @pytest.mark.parametrize("bad", [math.nan, -math.inf, -0.0])
     def test_resolution_must_be_positive(self, build, bad):
         with pytest.raises(ValueError, match="^resolution must be positive$"):
@@ -843,6 +880,36 @@ class TestAsFiltration:
             named_classes["two_points"].key,
             named_classes["edge"].key,
         ]
+
+    def test_reversed_growth_path_reads_as_the_same_chain(self):
+        # the shrinking path meets the filled triangle first and the
+        # discrete one last, so its classes first appear against the chain
+        path = cech_path(triangle_config(), 0.9)
+        forward = as_filtration(zigzag(path, 0.01))
+        backward = as_filtration(zigzag(reversed_path(path), 0.01))
+        assert backward is not None
+        assert [c.key for c in backward.classes] == [c.key for c in forward.classes]
+        assert len(backward.classes) == 3
+
+    def test_matches_the_pairwise_definition_on_moving_paths(self):
+        rng = random.Random(11)
+        tally = {"chain": 0, "reordered": 0, "none": 0}
+        for _ in range(40):
+            try:
+                z = zigzag(random_moving_path(rng), 0.01)
+            except ValueError:  # the transition grid missed a stratum
+                continue
+            got, expected = as_filtration(z), reference_as_filtration(z)
+            if expected is None:
+                assert got is None
+                tally["none"] += 1
+                continue
+            assert got is not None
+            assert list(got.classes) == expected[0]
+            assert list(got.maps) == expected[1]
+            tally["chain"] += 1
+            tally["reordered"] += classes_in_time_order(z) != list(got.classes)
+        assert tally["chain"] >= 30 and tally["reordered"] >= 10 and tally["none"] >= 1
 
 
 class TestCechPath:

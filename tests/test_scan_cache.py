@@ -28,7 +28,7 @@ from cechstrat import (
 )
 from cechstrat import _kernels, cech
 
-from conftest import clear_package_caches, package_modules
+from conftest import clear_package_caches, package_modules, random_moving_path
 
 
 def five_points():
@@ -43,18 +43,6 @@ def flyby_path():
         (((0.0, 0.0), (0.0, 0.0)), ((0.6, 0.0), (0.6, 0.0)), ((1.2, 2.0), (1.2, -2.0))),
         (0.35, 0.35),
     )
-
-
-def random_moving_path(rng):
-    """2-4 tracks and a radius, each piecewise linear over 2-4 breakpoints."""
-    while True:
-        bps = [0.0] + sorted(rng.uniform(0.05, 0.95) for _ in range(rng.randint(0, 2))) + [1.0]
-        tracks = tuple(tuple((rng.uniform(0, 1), rng.uniform(0, 1)) for _ in bps)
-                       for _ in range(rng.randint(2, 4)))
-        try:
-            return PLPath(2, tuple(bps), tracks, tuple(rng.uniform(0.05, 0.5) for _ in bps))
-        except ValueError:  # tracks touch inside a segment
-            continue
 
 
 def assert_no_rescan(calls):

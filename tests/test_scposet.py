@@ -60,6 +60,19 @@ def _recursive_labeled_complexes(n):
     yield from rec(0)
 
 
+def orbit_count(n):
+    """Classes on exactly n vertices by orbit counting, independent of the
+    enumeration's own relabelling tables: the number of orbits is the
+    average, over vertex permutations, of the labelled families they fix."""
+    families = [frozenset(vertices_of(f)) for f in scposet._labeled_complexes(n)]
+    perms = list(itertools.permutations(range(n)))
+    fixed_total = 0
+    for perm in perms:
+        image = {m: sum(1 << perm[v] for v in range(n) if m >> v & 1) for m in range(1, 1 << n)}
+        fixed_total += sum(frozenset(map(image.__getitem__, fam)) == fam for fam in families)
+    return fixed_total / len(perms)
+
+
 def _domination_matrix(classes, witness=_kernels.surjection_witness):
     """``a >= b`` for every ordered pair, each by its own witness search."""
     return [[witness(a.n_vertices, b.n_vertices, a.canonical.masks, b.canonical.masks)
@@ -169,27 +182,8 @@ class TestEnumeration:
         assert set(families) == expected
 
     def test_counts_match_orbit_counting(self):
-        # independent oracle: orbit counting over labeled complexes on
-        # exactly n vertices (number of orbits = average fixed-family count)
-        from cechstrat.scposet import _labeled_complexes
-
         for n, expected in [(1, 1), (2, 2), (3, 5), (4, 20)]:
-            families = [frozenset(vertices_of(f)) for f in _labeled_complexes(n)]
-            perms = list(itertools.permutations(range(n)))
-            fixed_total = 0
-            for perm in perms:
-                def remap(mask):
-                    out = 0
-                    for v in range(n):
-                        if mask >> v & 1:
-                            out |= 1 << perm[v]
-                    return out
-
-                fixed_total += sum(
-                    1 for fam in families if frozenset(map(remap, fam)) == fam
-                )
-            orbits = fixed_total / len(perms)
-            assert orbits == expected
+            assert orbit_count(n) == expected
         assert len(enumerate_classes(4).classes) == 1 + 2 + 5 + 20
 
     def test_relation_is_reflexive_antisymmetric_transitive(self):
@@ -230,30 +224,9 @@ class TestEnumeration:
         strict = np.array(u.relation, dtype=bool) & ~np.eye(n, dtype=bool)
         assert (reach == strict).all()
 
-    @pytest.mark.skipif(
-        __import__("cechstrat").KERNEL_BACKEND != "compiled",
-        reason="the five-vertex orbit count takes about 11 s of plain Python",
-    )
     def test_five_vertex_orbit_count(self):
-        from cechstrat.scposet import _labeled_complexes
-
-        # independent orbit count for exactly five vertices
-        families = [frozenset(vertices_of(f)) for f in _labeled_complexes(5)]
-        assert len(families) == 6894
-        perms = list(itertools.permutations(range(5)))
-        fixed_total = 0
-        for perm in perms:
-            def remap(mask):
-                out = 0
-                for v in range(5):
-                    if mask >> v & 1:
-                        out |= 1 << perm[v]
-                return out
-
-            fixed_total += sum(
-                1 for fam in families if frozenset(map(remap, fam)) == fam
-            )
-        assert fixed_total / len(perms) == 180
+        assert len(scposet._labeled_complexes(5)) == 6894
+        assert orbit_count(5) == 180
 
     def test_five_vertex_output_bytes(self, universe5):
         text = (export_dot(hasse(universe5))
