@@ -66,6 +66,15 @@ class PointConfig:
         return cls(int(data["dim"]), tuple(tuple(p) for p in data["points"]))
 
 
+def _check_radius(r: float) -> float:
+    """``r`` as a float; raises unless ``r >= 0`` (so +inf passes and NaN
+    does not)."""
+    r = float(r)
+    if not r >= 0.0:
+        raise ValueError(f"radius must be >= 0, got {r}")
+    return r
+
+
 @dataclass(frozen=True)
 class RanPoint:
     """A configuration together with a finite nonnegative radius."""
@@ -74,9 +83,7 @@ class RanPoint:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "radius", float(self.radius))
-        if not (self.radius >= 0.0):
-            raise ValueError(f"radius must be >= 0, got {self.radius}")
+        object.__setattr__(self, "radius", _check_radius(self.radius))
         if not math.isfinite(self.radius):
             raise ValueError(f"radius must be finite, got {self.radius}")
 
@@ -163,9 +170,7 @@ def cech_radius(p: PointConfig, r: float) -> float:
     set, zero when they meet in a degenerate intersection, negative when
     the intersection is empty.
     """
-    if r < 0.0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    return r - meb(p).radius
+    return _check_radius(r) - meb(p).radius
 
 
 def cech_radius_set_distance(p: PointConfig, r: float) -> float:
@@ -178,6 +183,4 @@ def cech_radius_set_distance(p: PointConfig, r: float) -> float:
     reading is the default because it keeps the sign characterization of
     :func:`cech_radius` valid.
     """
-    if r < 0.0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    return r - set_distance(p, meb(p))
+    return _check_radius(r) - set_distance(p, meb(p))

@@ -25,16 +25,16 @@ from .complexes import (
     identity_map,
     is_simplicial,
 )
-from .geometry import _MAX_DIM, DELTA_PT, PointConfig, RanPoint, sup_distance
+from .geometry import _MAX_DIM, DELTA_PT, PointConfig, RanPoint
 from .scposet import dominates
-from .strat import StratumLabel, local_map, stratum_label, tilde_r
+from .strat import StratumLabel, local_map, stratum_label
 
 _BRACKET_FLOOR = 1e-13
 
 #: evenly spaced label checks that ``entrance_map`` makes on its stretch
 _CONSTANCY_SAMPLES = 32
 
-#: largest radius interpolation error of ``cech_path`` before ``t_max``
+#: radius interpolation error of ``cech_path`` on each full step before ``t_max``
 _CECH_PATH_TOL = 1e-6
 
 
@@ -363,9 +363,11 @@ def entrance_map(path: PLPath, t_from: float, t_to: float,
     Requires the refined label to be constant on the half-open stretch
     [t_from, t_to), spot-checked at ``_CONSTANCY_SAMPLES`` evenly spaced
     times; the label may drop at t_to.
-    Built as a track renaming along the constant stretch composed with the
-    snap map on a terminal stretch inside the safe ball of the endpoint.
-    Works in either time direction.
+    Built as the track renaming from t_from to tau composed with
+    :func:`~cechstrat.strat.local_map` from x(tau) onto x(t_to), where tau
+    is the first of t_to - (t_to - t_from)/2^k, k = 1, 2, ..., that lies
+    inside the safe ball of x(t_to) (``local_map`` raises ``ValueError``
+    until then).  Works in either time direction.
     """
     if not (0.0 <= t_from <= 1.0 and 0.0 <= t_to <= 1.0):
         raise ValueError("path parameters must lie in [0, 1]")
@@ -380,28 +382,21 @@ def entrance_map(path: PLPath, t_from: float, t_to: float,
             raise ValueError(
                 f"label is not constant on [{t_from}, {t_to}): changes near t={t}"
             )
-    l_to = stratum_label(evaluate(path, t_to), max_dim)
-    if l_to == l_from:
-        return _renaming_map(path, t_from, t_to, max_dim)
-
     end = evaluate(path, t_to)
-    ball = tilde_r(end, max_dim)
-    tau = None
     h = t_to - t_from
     for _ in range(80):
         h *= 0.5
-        cand = t_to - h
-        if cand == t_to:
+        tau = t_to - h
+        if tau == t_to:
             break
-        if sup_distance(evaluate(path, cand), end) < ball.safe_radius:
-            tau = cand
-            break
-    if tau is None:
-        raise ValueError(
-            "terminal stretch cannot fit inside the safe ball at the requested resolution"
-        )
-    renaming = _renaming_map(path, t_from, tau, max_dim)
-    return compose(renaming, local_map(evaluate(path, tau), end, max_dim))
+        try:
+            snap = local_map(evaluate(path, tau), end, max_dim)
+        except ValueError:  # x(tau) is not inside the safe ball yet
+            continue
+        return compose(_renaming_map(path, t_from, tau, max_dim), snap)
+    raise ValueError(
+        "terminal stretch cannot fit inside the safe ball at the requested resolution"
+    )
 
 
 @dataclass(frozen=True)
@@ -519,22 +514,21 @@ def as_filtration(z: ZigzagDiagram) -> ChainFiltration | None:
 def cech_path(config: PointConfig, t_max: float) -> PLPath:
     """Stationary-configuration path whose radius grows like t/(1-t).
 
-    The radius is a piecewise-linear approximation with interpolation
-    error at most ``_CECH_PATH_TOL`` (1e-6) up to time ``t_max`` (< 1) and
-    is held constant afterwards, so the label sequence up to ``t_max``
-    matches the filtration of the configuration below radius
-    ``t_max/(1-t_max)``.
+    With u = (1-t)^(-1/2) the radius is u^2 - 1, and its chord between u_a
+    and u_b lies above it by at most (u_b - u_a)^2, reached at
+    u = sqrt(u_a * u_b).  The breakpoints sit at u = 1 + k*sqrt(tol)
+    (tol = ``_CECH_PATH_TOL``, 1e-6) below ``t_max`` (< 1), then at
+    ``t_max``: the interpolation error is exactly tol on every full step
+    and less on the last one.  The radius is held after ``t_max``, so the
+    label sequence up to ``t_max`` matches the filtration of the
+    configuration below radius ``t_max/(1-t_max)``.
     """
     if not (0.0 < t_max < 1.0):
         raise ValueError("t_max must lie strictly between 0 and 1")
-    ts = [0.0]
-    while ts[-1] < t_max:
-        t = ts[-1]
-        # within [t, t+h]: curvature of t/(1-t) is 2/(1-t)^3, interp error
-        # is at most curvature * h^2 / 8 evaluated at the far end
-        h = 2.0 * math.sqrt(_CECH_PATH_TOL) * (1.0 - t) ** 1.5
-        h = 2.0 * math.sqrt(_CECH_PATH_TOL) * max(1.0 - (t + h), 1.0 - t_max) ** 1.5
-        ts.append(min(t + max(h, 1e-9), t_max))
+    step = math.sqrt(_CECH_PATH_TOL)
+    steps = math.ceil(((1.0 - t_max) ** -0.5 - 1.0) / step) + 1
+    ts = [t for t in (1.0 - (1.0 + k * step) ** -2 for k in range(steps)) if t < t_max]
+    ts.append(t_max)
     radii = [t / (1.0 - t) for t in ts]
     ts.append(1.0)
     radii.append(radii[-1])

@@ -22,7 +22,7 @@ from typing import Literal
 from ._bits import vertices_of
 from .cech import Zone, cech_complex, read_scan, subset_radii
 from .complexes import IsoClass, SimplicialComplex, SimplicialMap, canonical_form, is_simplicial
-from .geometry import PointConfig, RanPoint, sup_distance
+from .geometry import PointConfig, RanPoint, _check_radius, sup_distance
 
 Case = Literal["generic", "boundary"]
 
@@ -47,6 +47,7 @@ def r2(config: PointConfig, r: float, max_dim: int | None = None) -> float:
     """
     if len(config) < 2:
         raise ValueError("r2 requires at least two points")
+    r = _check_radius(r)
     scan = subset_radii(config, max_dim)
     return scan.slacks(r, read_scan(scan, r))[0]
 
@@ -58,6 +59,7 @@ def r2_prime(config: PointConfig, r: float, max_dim: int | None = None) -> float
     """
     if len(config) < 2:
         raise ValueError("r2_prime requires at least two points")
+    r = _check_radius(r)
     scan = subset_radii(config, max_dim)
     return scan.slacks(r, read_scan(scan, r))[1]
 
@@ -269,7 +271,7 @@ def _label_matches(label: StratumLabel, ref: StratumLabel, refined: bool) -> boo
 
 
 def _probe_near(family: ParametricFamily, theta: tuple[float, ...], center: RanPoint,
-                radius: float, rng: random.Random, max_dim) -> list[StratumLabel]:
+                radius: float, rng: random.Random) -> list[StratumLabel]:
     """Labels of family points sampled within the sup-ball around ``center``."""
     out = []
     for _ in range(_PROBES_PER_LEVEL):
@@ -279,7 +281,7 @@ def _probe_near(family: ParametricFamily, theta: tuple[float, ...], center: RanP
         except ValueError:
             continue
         if sup_distance(y, center) < radius:
-            out.append(stratum_label(y, max_dim))
+            out.append(stratum_label(y))
     return out
 
 
@@ -291,7 +293,6 @@ def frontier_check(
     probe_radius: float = 0.05,
     refined: bool = False,
     seed: int = 0,
-    max_dim: int | None = None,
 ) -> FrontierReport:
     """Monte-Carlo check of the frontier condition for a stratum pair.
 
@@ -338,7 +339,7 @@ def frontier_check(
             point = family.realize(theta)
         except ValueError:
             continue
-        samples.append((theta, point, stratum_label(point, max_dim)))
+        samples.append((theta, point, stratum_label(point)))
     a_hits = [s for s in samples if _label_matches(s[2], label_a, refined)]
     b_hits = [s for s in samples if _label_matches(s[2], label_b, refined)]
     if not a_hits or not b_hits:
@@ -358,7 +359,7 @@ def frontier_check(
             point = family.realize(theta)
         except ValueError:
             continue
-        if _label_matches(stratum_label(point, max_dim), label_b, refined):
+        if _label_matches(stratum_label(point), label_b, refined):
             candidates.append((theta, point))
     for theta, point, _ in b_hits[:40]:
         candidates.append((theta, point))
@@ -370,7 +371,7 @@ def frontier_check(
             rho = probe_radius * (4.0 ** (-k))
             found = any(
                 _label_matches(lbl, label_a, refined)
-                for lbl in _probe_near(family, theta, z, rho, rng, max_dim)
+                for lbl in _probe_near(family, theta, z, rho, rng)
             )
             if not found:
                 ok = False
@@ -381,7 +382,7 @@ def frontier_check(
 
     interior_witness = None
     for theta, z, _ in b_hits:
-        labels = _probe_near(family, theta, z, probe_radius, rng, max_dim)
+        labels = _probe_near(family, theta, z, probe_radius, rng)
         if len(labels) < _PROBES_PER_LEVEL // 2:
             continue
         if not any(_label_matches(lbl, label_a, refined) for lbl in labels):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -26,7 +27,7 @@ from cechstrat import (
     zigzag,
 )
 from cechstrat.geometry import DELTA_PT
-from cechstrat.paths import _dedupe, _evaluate_tracks, reversed_path
+from cechstrat.paths import _CECH_PATH_TOL, _dedupe, _evaluate_tracks, reversed_path
 
 from conftest import clear_package_caches, random_moving_path
 
@@ -694,7 +695,7 @@ class TestZigzag:
                               (0.3919152606639159, 0.023123830219864083),
                               (0.7729798597694224, 0.38282264820311507),
                               (0.2247346192298202, 0.7185251345569895)))
-        assert zigzag(cech_path(cfg, 0.9), 0.01).times[1] == 0.1699868717245408
+        assert zigzag(cech_path(cfg, 0.9), 0.01).times[1] == 0.16998671226418083
 
     def test_triangle_growth_two_transitions(self, named_classes):
         z = zigzag(cech_path(triangle_config(), 0.9), 0.01)
@@ -912,7 +913,44 @@ class TestAsFiltration:
         assert tally["chain"] >= 30 and tally["reordered"] >= 10 and tally["none"] >= 1
 
 
+def on_u_grid(k: int) -> float:
+    """Time of a growth path's k-th breakpoint, computed as ``cech_path`` does."""
+    return 1.0 - (1.0 + k * math.sqrt(_CECH_PATH_TOL)) ** -2
+
+
+def chord_error(t_a, r_a, t_b, r_b) -> Fraction:
+    """Exact height of the radius chord over t/(1-t) at u* = sqrt(u_a * u_b),
+    u = (1-t)^(-1/2), where the chord is highest above the curve.
+
+    The float time of u* is off by a rounding error, but the height is
+    stationary there, so that error does not show in the result.
+    """
+    t_star = 1.0 - math.sqrt((1.0 - t_a) * (1.0 - t_b))
+    ta, tb, ra, rb, ts = map(Fraction, (t_a, t_b, r_a, r_b, t_star))
+    return ra + (ts - ta) / (tb - ta) * (rb - ra) - ts / (1 - ts)
+
+
+#: three times on the u-grid, and one ulp to either side of each
+GRID_T_MAX = [t for k in (1, 500, 2162)
+              for t in (math.nextafter(on_u_grid(k), 0.0), on_u_grid(k),
+                        math.nextafter(on_u_grid(k), 1.0))]
+
+
 class TestCechPath:
+    @pytest.mark.parametrize("t_max", [1e-6, 0.1, 0.5, 0.9, 0.99] + GRID_T_MAX)
+    def test_chord_error_is_the_tolerance_on_every_full_step(self, t_max):
+        p = cech_path(PointConfig(1, ((0.0,), (1.0,))), t_max)
+        bp, radius = p.breakpoints, p.radius
+        assert all(a < b for a, b in zip(bp, bp[1:]))
+        assert bp[-2:] == (t_max, 1.0)
+        assert radius[-2] == radius[-1] == t_max / (1.0 - t_max)
+        # the last segment holds the radius; the one before it ends at t_max
+        for seg in range(len(bp) - 2):
+            error = chord_error(bp[seg], radius[seg], bp[seg + 1], radius[seg + 1])
+            assert error <= _CECH_PATH_TOL * (1 + 1e-8)
+            if seg < len(bp) - 3:
+                assert error >= _CECH_PATH_TOL * (1 - 1e-8)
+
     def test_radius_endpoint(self):
         p = cech_path(PointConfig(1, ((0.0,), (1.0,))), 0.5)
         assert evaluate(p, 1.0).radius == pytest.approx(1.0)

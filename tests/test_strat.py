@@ -9,6 +9,8 @@ from cechstrat import (
     RanPoint,
     canonical_form,
     cech_complex,
+    cech_radius,
+    cech_radius_set_distance,
     dominates,
     frontier_check,
     is_simplicial,
@@ -108,6 +110,15 @@ class TestSeparationRadii:
         for _ in range(40):
             x = random_ranpoint(rng)
             assert r2_prime(x.config, x.radius) == pytest.approx(r2(x.config, x.radius))
+
+
+@pytest.mark.parametrize("radius", [-1.0, math.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("fn", [r2, r2_prime, cech_radius, cech_radius_set_distance],
+                         ids=lambda fn: fn.__name__)
+def test_radius_below_zero_or_nan_is_refused(fn, radius):
+    # the same rule and message as a RanPoint's; +inf stays readable
+    with pytest.raises(ValueError, match=r"radius must be >= 0, got (-1\.0|nan)"):
+        fn(triangle(), radius)
 
 
 class TestTildeR:
