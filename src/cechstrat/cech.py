@@ -36,8 +36,9 @@ def _subset_size_cap(n_points: int, max_dim: int | None) -> int:
     return min(n_points, max_dim + 1)
 
 
-#: scans kept, by configuration; a growth path needs one, an entrance map on a
-#: moving path 33 (its 31 samples and both ends).  An uncapped scan (at most
+#: scans kept, by configuration; a still stretch needs one whatever it does,
+#: an entrance map where tracks move 33 (its 31 samples and both ends, read
+#: so that the start is still cached for the renaming).  An uncapped scan (at most
 #: 8 points) holds 247 entries, about 33 kB with its radius order, so 32 of
 #: them take about 1 MB; the largest scan (16 points, max_dim 15) holds
 #: 65,519 entries, about 8.6 MB, so 32 of those take about 277 MB.
@@ -138,6 +139,13 @@ def read_scan(scan: Scan, r: float) -> Zone:
     lo = bisect.bisect_left(radii, -EPS_GEO, key=offset)
     return Zone(bisect.bisect_right(radii, r + EPS_GEO), lo,
                 bisect.bisect_right(radii, EPS_GEO, lo, key=offset))
+
+
+def zone_edges(scan: Scan) -> list[float]:
+    """The radii at which the zone of a radius in ``scan`` can change,
+    ascending: a subset becomes spanned and critical at its radius minus
+    ``EPS_GEO`` and stops being critical at its radius plus ``EPS_GEO``."""
+    return sorted([r - EPS_GEO for r in scan.radii] + [r + EPS_GEO for r in scan.radii])
 
 
 def cech_complex(x: RanPoint, max_dim: int | None = None) -> SimplicialComplex:

@@ -87,7 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track", help="zigzag along a path")
     p.add_argument("--path", required=True, help="path JSON file")
-    p.add_argument("--resolution", type=float, required=True)
+    p.add_argument("--resolution", type=float, required=True,
+                   help="largest grid step where points move; stretches where no "
+                        "point moves are solved exactly and ignore it")
     p.add_argument("--out", help="write the zigzag JSON here instead of stdout")
     p.add_argument("--max-dim", type=int, default=None)
     p.add_argument("--as-filtration", action="store_true",

@@ -3,7 +3,13 @@
 A path is a bundle of labeled tracks over shared breakpoints plus a
 piecewise-linear radius.  Tracks may merge (and must then stay merged to
 the end of the segment), so the induced configuration path is well
-defined.  Transition instants are located by scanning and bisection; each
+defined.  On a still stretch, where no track moves, the label is a
+function of the radius alone and changes only where the radius meets the
+tolerance band of a radius of the configuration's one scan, so its
+transitions are found exactly, one division per crossing, whatever the
+resolution: a passage through a band is one instant, at the time the
+radius meets the critical radius.  Where tracks move, transitions are
+located on a grid of steps at most the resolution and by bisection.  Each
 instant gets entrance maps from both neighboring intervals, assembling a
 zigzag of vertex-surjective simplicial maps.
 """
@@ -16,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .cech import Filtration, cech_complex
+from .cech import Filtration, cech_complex, read_scan, subset_radii, zone_edges
 from .complexes import (
     IsoClass,
     SimplicialComplex,
@@ -27,12 +33,20 @@ from .complexes import (
 )
 from .geometry import _MAX_DIM, DELTA_PT, PointConfig, RanPoint
 from .scposet import dominates
-from .strat import StratumLabel, local_map, stratum_label
+from .strat import StratumLabel, local_map, stratum_label, tilde_r
 
 _BRACKET_FLOOR = 1e-13
 
-#: evenly spaced label checks that ``entrance_map`` makes on its stretch
+#: evenly spaced label checks that ``entrance_map`` makes where tracks move
 _CONSTANCY_SAMPLES = 32
+
+_INCOMPARABLE = ("transition between incomparable labels: the instant label "
+                 "dominates neither side")
+
+#: on a still stretch, zone edge crossings closer in time than this, with
+#: the radius inside a tolerance band between them, are one instant; a
+#: radius that changes by at least 2e-4 per unit time passes a band in less
+_INSTANT_WIDTH = 1e-5
 
 #: radius interpolation error of ``cech_path`` on each full step before ``t_max``
 _CECH_PATH_TOL = 1e-6
@@ -51,10 +65,15 @@ class PLPath:
     Construction converts and checks each waypoint in one pass per track
     and collects in one set the segments where some track moves.  A
     waypoint that is the same object as the one before it reuses that
-    conversion, so a still track (as ``cech_path`` builds them) is checked
+    conversion, and a track whose waypoints are all one object (as
+    ``cech_path`` builds them) is recognised in one identity pass, checked
     once and holds one tuple.  A run of segments where no track moves is a
-    still stretch: its configuration and track assignment are built once
-    and shared by every evaluation on it; only the radius varies.
+    still stretch: its configuration and track assignment are built once,
+    from the gaps between moving segments, and shared by every evaluation
+    on it; only the radius varies.  The breakpoints where the radius changes
+    between rising, falling and holding are found once as well, so that
+    the extremes of the radius over any stretch of time lie at its ends or
+    at those breakpoints.
     """
 
     dim: int
@@ -65,6 +84,11 @@ class PLPath:
     #: still stretch, or None on a segment where some track moves
     _still: tuple[tuple[PointConfig, tuple[int, ...]] | None, ...] = field(
         init=False, repr=False, compare=False)
+    #: (first, last) breakpoint indices of each still stretch, in order
+    _stretches: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    #: interior breakpoint indices where the radius changes between rising,
+    #: falling and holding, ascending
+    _bends: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.dim <= _MAX_DIM:
@@ -72,50 +96,64 @@ class PLPath:
         bp = tuple(map(float, self.breakpoints))
         radius = tuple(map(float, self.radius))
         for what, values in (("breakpoint", bp), ("radius", radius)):
-            for v in values:
-                if not math.isfinite(v):
-                    raise ValueError(f"{what} {v} is not finite")
+            if not all(map(math.isfinite, values)):
+                v = next(v for v in values if not math.isfinite(v))
+                raise ValueError(f"{what} {v} is not finite")
         if len(bp) < 2 or bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must run from 0.0 to 1.0")
-        if any(a >= b for a, b in zip(bp, bp[1:])):
+        if not all(map(operator.lt, bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if not self.tracks:
             raise ValueError("at least one track is required")
+
+        def waypoint(p) -> tuple[float, ...]:
+            q = tuple(map(float, p))
+            if len(q) != self.dim:
+                raise ValueError(f"waypoint {q} does not have dimension {self.dim}")
+            if not all(map(math.isfinite, q)):
+                raise ValueError(f"waypoint {q} is not finite")
+            return q
+
         tracks, moves = [], set()
-        for tr in self.tracks:
-            waypoints, last = [], None
-            for p in tr:
-                if not waypoints or p is not last:
-                    q, last = tuple(map(float, p)), p
-                    if len(q) != self.dim:
-                        raise ValueError(f"waypoint {q} does not have dimension {self.dim}")
-                    if not all(map(math.isfinite, q)):
-                        raise ValueError(f"waypoint {q} is not finite")
-                    if waypoints and q != waypoints[-1]:
-                        moves.add(len(waypoints) - 1)
-                waypoints.append(q)
+        for tr in map(tuple, self.tracks):
+            if tr and all(map(operator.is_, tr, itertools.repeat(tr[0]))):
+                waypoints = (waypoint(tr[0]),) * len(tr)
+            else:
+                waypoints, last = [], None
+                for p in tr:
+                    if not waypoints or p is not last:
+                        q, last = waypoint(p), p
+                        if waypoints and q != waypoints[-1]:
+                            moves.add(len(waypoints) - 1)
+                    waypoints.append(q)
             if len(waypoints) != len(bp):
                 raise ValueError("each track needs one waypoint per breakpoint")
             tracks.append(tuple(waypoints))
         if len(radius) != len(bp):
             raise ValueError("radius needs one value per breakpoint")
-        if any(r < 0.0 for r in radius):
+        if min(radius) < 0.0:
             raise ValueError("radius must be nonnegative")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "tracks", tuple(tracks))
         object.__setattr__(self, "radius", radius)
-        self._check_merge_persistence(sorted(moves))
-        still: list[tuple[PointConfig, tuple[int, ...]] | None] = []
-        for seg in range(len(bp) - 1):
-            if seg in moves:
-                still.append(None)
-            elif not still or still[-1] is None:
+        moving = sorted(moves)
+        self._check_merge_persistence(moving)
+        # the gaps between moving segments are the still stretches
+        n_seg = len(bp) - 1
+        still: list[tuple[PointConfig, tuple[int, ...]] | None] = [None] * n_seg
+        stretches, first = [], 0
+        for seg in (*moving, n_seg):
+            if seg > first:
                 # the interpolation formula turns a -0.0 coordinate into +0.0
-                still.append(_dedupe(self.dim, [tuple(c + 0.0 for c in tr[seg])
-                                                for tr in self.tracks]))
-            else:
-                still.append(still[-1])
+                shared = _dedupe(self.dim, [tuple(c + 0.0 for c in tr[first]) for tr in tracks])
+                still[first:seg] = itertools.repeat(shared, seg - first)
+                stretches.append((first, seg))
+            first = seg + 1
         object.__setattr__(self, "_still", tuple(still))
+        object.__setattr__(self, "_stretches", tuple(stretches))
+        rises = bytes(map(operator.lt, radius, radius[1:]))
+        falls = bytes(map(operator.gt, radius, radius[1:]))
+        object.__setattr__(self, "_bends", tuple(sorted({*_switches(rises), *_switches(falls)})))
 
     def _check_merge_persistence(self, moving: list[int]):
         """One sweep over each pair's offsets, one offset per breakpoint,
@@ -218,6 +256,14 @@ def _dedupe(dim: int, positions: list[tuple[float, ...]]) -> tuple[PointConfig, 
     return PointConfig(dim, tuple(points)), tuple(assignment)
 
 
+def _switches(flags: bytes) -> list[int]:
+    """Positions k >= 1 where ``flags[k]`` differs from ``flags[k - 1]``."""
+    out, k = [], 0
+    while (k := flags.find(b"\0" if flags[k] else b"\1", k)) > 0:
+        out.append(k)
+    return out
+
+
 def evaluate(path: PLPath, t: float) -> RanPoint:
     """Configuration-radius pair at time t, coincident tracks merged."""
     return _evaluate_tracks(path, t)[0]
@@ -263,10 +309,7 @@ def _resolve(label_fn, lo, hi, l_lo, l_hi):
             )
     low = _lower_label(l_lo, l_hi)
     if low is None:
-        raise ValueError(
-            "transition between incomparable labels: the instant label "
-            "dominates neither side"
-        )
+        raise ValueError(_INCOMPARABLE)
     return [(lo, l_lo) if low is l_lo else (hi, l_hi)]
 
 
@@ -275,10 +318,12 @@ def transitions(path: PLPath, resolution: float,
     """Instants where the refined stratum label changes, with the label at
     each instant.
 
-    Scans at steps of at most ``resolution`` (label excursions narrower
-    than a step between equal labels can be missed), then bisects each
-    change down to a bracket of ``_BRACKET_FLOOR``, so that the instant
-    lands inside the tolerance band of a degenerate label.  Events closer
+    On a still stretch the instants are exact and the resolution plays no
+    part (see :func:`_still_events`).  Where tracks move, labels are taken
+    at steps of at most ``resolution`` (label excursions narrower than a
+    step between equal labels can be missed there), then each change is
+    bisected down to a bracket of ``_BRACKET_FLOOR``, so that the instant
+    lands inside the tolerance band of a degenerate label; events closer
     than ``resolution * 1e-3`` are merged into one.  Every reported
     transition is real: the labels on its two sides differ.  A resolution
     below ``_BRACKET_FLOOR`` is refused: a grid step finer than the final
@@ -289,16 +334,40 @@ def transitions(path: PLPath, resolution: float,
     if resolution < _BRACKET_FLOOR:
         raise ValueError(f"resolution must be at least {_BRACKET_FLOOR}, "
                          "the width of the bisection's final bracket")
+    steps = max(1, math.ceil(1.0 / resolution))
+    bp = path.breakpoints
+    end = len(bp) - 1
+    events: list[tuple[float, StratumLabel]] = []
+    moving_from = 0
+    for first, last in (*path._stretches, (end, end)):
+        if first > moving_from:
+            events.extend(_grid_events(path, bp[moving_from], bp[first], steps,
+                                       resolution * 1e-3, max_dim))
+        if last > first:
+            events.extend(_still_events(path, first, last, max_dim))
+        moving_from = last
+    return events
+
+
+def _grid_events(path: PLPath, t_start: float, t_end: float, steps: int, target: float,
+                 max_dim) -> list[tuple[float, StratumLabel]]:
+    """Transitions in [t_start, t_end] from labels at t_start, the times
+    k/steps between and t_end, each change bisected, clusters merged."""
 
     def label_fn(t: float) -> StratumLabel:
         return stratum_label(evaluate(path, t), max_dim)
 
-    steps = max(1, math.ceil(1.0 / resolution))
-    target = resolution * 1e-3
+    def grid():
+        k = math.floor(t_start * steps) + 1
+        while (t := k / steps) < t_end:
+            if t > t_start:
+                yield t
+            k += 1
+        yield t_end
+
     events: list[tuple[float, StratumLabel]] = []
-    t0, l0 = 0.0, label_fn(0.0)
-    for k in range(1, steps + 1):
-        t1 = k / steps
+    t0, l0 = t_start, label_fn(t_start)
+    for t1 in grid():
         l1 = label_fn(t1)
         if l0 != l1:
             events.extend(_resolve(label_fn, t0, t1, l0, l1))
@@ -325,6 +394,151 @@ def transitions(path: PLPath, resolution: float,
                     continue
         merged.append((t, lbl))
     return merged
+
+
+def _crossings(path: PLPath, first: int, last: int, values) -> list[float]:
+    """Times, ascending, at which the radius meets each of the sorted
+    ``values`` on the still stretch over breakpoints first..last.
+
+    The stretch splits at its bends into runs where the radius rises,
+    falls or holds; a rising or falling run meets the values between its
+    end radii in order, each on the segment found by bisection, at a time
+    found by one division.  A value met where two runs join is met twice.
+    """
+    bp, radius = path.breakpoints, path.radius
+    cuts = (first, *_inner_bends(path, first, last), last)
+    times = []
+    for a, b in zip(cuts, cuts[1:]):
+        ra, rb = radius[a], radius[b]
+        low, high = min(ra, rb), max(ra, rb)
+        met = values[bisect.bisect_left(values, low):bisect.bisect_right(values, high)]
+        if ra < rb:
+            for value in met:
+                j = bisect.bisect_left(radius, value, a, b + 1)
+                times.append(_meets(bp, radius, j, value))
+        elif ra > rb:
+            for value in reversed(met):
+                j = bisect.bisect_left(radius, -value, a, b + 1, key=operator.neg)
+                times.append(_meets(bp, radius, j, value))
+    return times
+
+
+def _inner_bends(path: PLPath, first: int, last: int) -> tuple[int, ...]:
+    """The bends strictly between breakpoints first and last."""
+    bends = path._bends
+    return bends[bisect.bisect_right(bends, first):bisect.bisect_left(bends, last)]
+
+
+def _meets(bp, radius, j: int, value: float) -> float:
+    """The time at which the radius meets ``value`` on the segment ending
+    at breakpoint j, or at breakpoint j itself."""
+    if radius[j] == value:
+        return bp[j]
+    u = (value - radius[j - 1]) / (radius[j] - radius[j - 1])
+    return min(bp[j - 1] + u * (bp[j] - bp[j - 1]), bp[j])
+
+
+def _still_events(path: PLPath, first: int, last: int,
+                  max_dim) -> list[tuple[float, StratumLabel]]:
+    """Exact transitions of the still stretch over breakpoints first..last.
+
+    The label is a function of the zone of the radius in the stretch's one
+    scan, and every part of the zone is monotone in the radius, so the
+    label can change only where the radius meets a zone edge
+    (:func:`~cechstrat.cech.zone_edges`).  Crossings less than
+    ``_INSTANT_WIDTH`` apart with the radius inside a tolerance band
+    between them, such as the way in and out of the band of a radius the
+    path passes, make one instant, which takes in a stretch end that near;
+    a longer stay inside a band is an interval between two instants.
+
+    Only the instants and one time between each two are labelled.  An
+    instant lies where the radius meets a scan radius, turns or the
+    stretch ends, at the one of these with the lowest label; a lone
+    crossing into or out of a longer stay has none, and its instant is
+    the first time past it on the side of the lower label, found by
+    bisection on the zone.  Each instant is compared with both sides by
+    :func:`_lower_label`: it carries the lower label, incomparable
+    neighbours are an error, and an instant whose sides carry its own
+    label is no transition.
+    """
+    bp = path.breakpoints
+    scan = subset_radii(path._still[first][0], max_dim)
+
+    def zone(t: float):
+        return read_scan(scan, evaluate(path, t).radius)
+
+    def joined(u: float, v: float) -> bool:
+        """Whether u <= v, two crossings or a crossing and a stretch end,
+        are one instant: at most ``_INSTANT_WIDTH`` apart with the radius
+        inside a tolerance band between them (the zone is constant there),
+        or too close for an interval (see :func:`zigzag`)."""
+        if v - u <= 2.0 * _BRACKET_FLOOR:
+            return True
+        if v - u > _INSTANT_WIDTH:
+            return False
+        z = zone(0.5 * (u + v))
+        return z.lo < z.hi
+
+    spans: list[list[float]] = []
+    for t in _crossings(path, first, last, zone_edges(scan)):
+        if spans and joined(spans[-1][1], t):
+            spans[-1][1] = t
+        else:
+            spans.append([t, t])
+    if spans and joined(bp[first], spans[0][0]):
+        spans[0][0] = bp[first]
+    if spans and joined(spans[-1][1], bp[last]):
+        spans[-1][1] = bp[last]
+    # where an instant may lie: the roots, the bends and the stretch ends
+    marks = sorted((*_crossings(path, first, last, scan.radii), bp[first], bp[last],
+                    *(bp[k] for k in _inner_bends(path, first, last))))
+    bounds = (bp[first], *(x for span in spans for x in span), bp[last])
+    sides = [stratum_label(evaluate(path, 0.5 * (u + v)), max_dim)
+             if v - u > 2.0 * _BRACKET_FLOOR else None
+             for u, v in zip(bounds[::2], bounds[1::2])]
+    events = []
+    for k, (lo, hi) in enumerate(spans):
+        candidates = {}  # one mark per zone
+        for t in marks[bisect.bisect_left(marks, lo):bisect.bisect_right(marks, hi)]:
+            candidates.setdefault(zone(t), t)
+        if not candidates:
+            # a lone crossing, with an interval on each side (a span at a
+            # stretch end holds the end): step past it to the lower side
+            low = _lower_label(sides[k], sides[k + 1])
+            if low is None:
+                raise ValueError(_INCOMPARABLE)
+            far = 0.5 * (bounds[2 * k] + lo) if low is sides[k] else 0.5 * (hi + bounds[2 * k + 3])
+            candidates[zone(far)] = _step_past(zone, lo, far)
+        t_star = low = None
+        # a tie of classes keeps the first: the most critical subsets go first
+        for _, t in sorted(candidates.items(), key=lambda item: item[0].lo - item[0].hi):
+            label = stratum_label(evaluate(path, t), max_dim)
+            lower = label if low is None else _lower_label(low, label)
+            if lower is None:
+                raise ValueError(_INCOMPARABLE)
+            if lower is label:
+                t_star, low = t, label
+        if sides[k] is not None:
+            low = _lower_label(sides[k], low)
+        if low is not None and sides[k + 1] is not None:
+            low = _lower_label(low, sides[k + 1])
+        if low is None:
+            raise ValueError(_INCOMPARABLE)
+        if any(side is not None and side != low for side in sides[k:k + 2]):
+            events.append((t_star, low))
+    return events
+
+
+def _step_past(zone, near: float, far: float) -> float:
+    """The time nearest ``near`` whose zone is the zone at ``far``, by
+    bisection between the two."""
+    target = zone(far)
+    while near < (mid := 0.5 * (near + far)) < far or far < mid < near:
+        if zone(mid) == target:
+            far = mid
+        else:
+            near = mid
+    return far
 
 
 def _renaming_map(path: PLPath, t_from: float, t_to: float, max_dim) -> SimplicialMap:
@@ -356,47 +570,98 @@ def _renaming_map(path: PLPath, t_from: float, t_to: float, max_dim) -> Simplici
     return m
 
 
+def _still_bends(path: PLPath, t_from: float, t_to: float) -> tuple[int, ...] | None:
+    """The bends strictly between t_from and t_to when both lie on one
+    still stretch, else None."""
+    lo, hi = min(t_from, t_to), max(t_from, t_to)
+    bp = path.breakpoints
+    i, j = bisect.bisect_right(bp, lo), bisect.bisect_left(bp, hi)
+    shared = path._still[i - 1]
+    if shared is None or path._still[j - 1] is not shared:
+        return None
+    return _inner_bends(path, i - 1, j)
+
+
 def entrance_map(path: PLPath, t_from: float, t_to: float,
                  max_dim: int | None = None) -> SimplicialMap:
     """Simplicial map induced by traversing the path from t_from to t_to.
 
-    Requires the refined label to be constant on the half-open stretch
-    [t_from, t_to), spot-checked at ``_CONSTANCY_SAMPLES`` evenly spaced
-    times; the label may drop at t_to.
     Built as the track renaming from t_from to tau composed with
     :func:`~cechstrat.strat.local_map` from x(tau) onto x(t_to), where tau
     is the first of t_to - (t_to - t_from)/2^k, k = 1, 2, ..., that lies
     inside the safe ball of x(t_to) (``local_map`` raises ``ValueError``
     until then).  Works in either time direction.
+
+    Requires the refined label to be constant from t_from on; the label may
+    drop at t_to.  On a still stretch this is certified exactly: the label
+    is a function of the radius, monotone between bends, so the labels at
+    the least and the greatest radius on [t_from, tau] must be the label
+    at t_from, or differ from it only inside the tolerance band of the
+    subsets critical at t_to (see :func:`_approaches`); tau is also taken
+    past every bend whose radius lies outside the safe ball, so that the
+    path from tau to t_to stays inside it.  Where tracks move, the label is
+    spot-checked at ``_CONSTANCY_SAMPLES`` evenly spaced times of
+    [t_from, t_to).
     """
     if not (0.0 <= t_from <= 1.0 and 0.0 <= t_to <= 1.0):
         raise ValueError("path parameters must lie in [0, 1]")
     if t_from == t_to:
         return identity_map(cech_complex(evaluate(path, t_from), max_dim))
-    samples = [t_from + (t_to - t_from) * k / _CONSTANCY_SAMPLES
-               for k in range(1, _CONSTANCY_SAMPLES)]
+    bends = _still_bends(path, t_from, t_to)
+    samples = [] if bends is not None else [t_from + (t_to - t_from) * k / _CONSTANCY_SAMPLES
+                                            for k in range(1, _CONSTANCY_SAMPLES)]
     labels = [stratum_label(evaluate(path, t), max_dim) for t in samples]
-    l_from = stratum_label(evaluate(path, t_from), max_dim)
+    # read after the samples, so that its scan is still cached for the renaming
+    x_from = evaluate(path, t_from)
+    l_from = stratum_label(x_from, max_dim)
     for t, label in zip(samples, labels):
         if label != l_from:
-            raise ValueError(
-                f"label is not constant on [{t_from}, {t_to}): changes near t={t}"
-            )
+            raise _not_constant(t_from, t_to, t)
     end = evaluate(path, t_to)
+    safe = tilde_r(end, max_dim).safe_radius if bends else math.inf
+    bp, radius = path.breakpoints, path.radius
     h = t_to - t_from
     for _ in range(80):
         h *= 0.5
         tau = t_to - h
         if tau == t_to:
             break
+        if any(abs(bp[k] - t_to) < abs(h) and abs(radius[k] - end.radius) >= safe
+               for k in bends or ()):
+            continue  # the path leaves the safe ball between tau and t_to
+        x_tau = evaluate(path, tau)
         try:
-            snap = local_map(evaluate(path, tau), end, max_dim)
+            snap = local_map(x_tau, end, max_dim)
         except ValueError:  # x(tau) is not inside the safe ball yet
             continue
+        if bends is not None:
+            # with the radius at t_from, these hold the least and the
+            # greatest radius on [t_from, tau]
+            seen = [(x_tau.radius, tau)] + [(radius[k], bp[k]) for k in bends
+                                            if abs(bp[k] - t_from) < abs(tau - t_from)]
+            for r, t in dict.fromkeys((min(seen), max(seen))):
+                if r != x_from.radius and stratum_label(evaluate(path, t), max_dim) != l_from \
+                        and not _approaches(x_from, r, end, max_dim):
+                    raise _not_constant(t_from, t_to, t)
         return compose(_renaming_map(path, t_from, tau, max_dim), snap)
     raise ValueError(
         "terminal stretch cannot fit inside the safe ball at the requested resolution"
     )
+
+
+def _approaches(start: RanPoint, r: float, end: RanPoint, max_dim) -> bool:
+    """Whether radius ``r`` of the still configuration differs from the
+    start only by subsets critical at the end, and loses no simplex: the
+    tolerance band of the instant the path enters, not a stratum of its
+    own."""
+    scan = subset_radii(start.config, max_dim)
+    a, b, window = read_scan(scan, start.radius), read_scan(scan, r), read_scan(scan, end.radius)
+    return b.spanned >= a.spanned and all(
+        window.lo <= min(i, j) and max(i, j) <= window.hi for i, j in zip(a, b) if i != j)
+
+
+def _not_constant(t_from: float, t_to: float, t: float) -> ValueError:
+    return ValueError(f"label is not constant on [{t_from}, {t_to}): changes near t={t}")
 
 
 @dataclass(frozen=True)

@@ -246,4 +246,4 @@ class TestOneTolerance:
             if isinstance(node, ast.FunctionDef):
                 if any(isinstance(n, ast.Name) and n.id == "EPS_GEO" for n in ast.walk(node)):
                     readers.add(node.name)
-        assert readers == {"read_scan", "cech_filtration"}
+        assert readers == {"read_scan", "cech_filtration", "zone_edges"}

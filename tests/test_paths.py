@@ -26,7 +26,7 @@ from cechstrat import (
     transitions,
     zigzag,
 )
-from cechstrat.geometry import DELTA_PT
+from cechstrat.geometry import DELTA_PT, EPS_GEO
 from cechstrat.paths import _CECH_PATH_TOL, _dedupe, _evaluate_tracks, reversed_path
 
 from conftest import clear_package_caches, random_moving_path
@@ -291,6 +291,19 @@ def merge_path():
 
 def constant_path():
     return PLPath(1, (0.0, 1.0), (((0.0,), (0.0,)), ((1.0,), (1.0,))), (0.2, 0.2))
+
+
+def creeping_path():
+    """Two points on the line whose second track moves by one ulp, radius 0.2."""
+    return PLPath(1, (0.0, 1.0), (((0.0,), (0.0,)), ((1.0,), (math.nextafter(1.0, 2.0),))),
+                  (0.2, 0.2))
+
+
+def narrow_excursion_path():
+    """Two fixed points whose radius rises past the edge's 0.5 and falls
+    back within a stretch of 0.004, narrower than a grid step of 0.01."""
+    return PLPath(1, (0.0, 0.503, 0.505, 0.507, 1.0), (((0.0,),) * 5, ((1.0,),) * 5),
+                  (0.3, 0.3, 0.7, 0.3, 0.3))
 
 
 def triangle_config():
@@ -618,11 +631,16 @@ class TestTransitions:
         assert transitions(ramp_path(), math.inf) == transitions(ramp_path(), 1.0)
 
     def test_memory_does_not_grow_with_the_grid(self):
-        # the 10,001 grid times and their labels are walked, not stored
-        transitions(constant_path(), 0.1)
+        # the 10,001 grid times and their labels are walked, not stored; the
+        # second track creeps by one ulp, so the path moves (a still path
+        # has no grid) but takes only two configurations, whose scans and
+        # labels stay cached
+        p = creeping_path()
+        assert p._stretches == ()
+        transitions(p, 0.1)
         tracemalloc.start()
         try:
-            transitions(constant_path(), 1e-4)
+            assert transitions(p, 1e-4) == []
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -689,13 +707,13 @@ class TestZigzag:
         assert right.source.simplex_set == right.target.simplex_set
 
     def test_growth_times_are_the_same_on_every_backend(self):
-        # radii bit-equal across backends give equal transition times; pure
-        # used to end this bisection at 0.16998687172457716
+        # radii bit-equal across backends give equal transition times: the
+        # instant is where the radius meets the scan radius, one division
         cfg = PointConfig(2, ((0.7748417797458663, 0.1685230873018202),
                               (0.3919152606639159, 0.023123830219864083),
                               (0.7729798597694224, 0.38282264820311507),
                               (0.2247346192298202, 0.7185251345569895)))
-        assert zigzag(cech_path(cfg, 0.9), 0.01).times[1] == 0.16998671226418083
+        assert zigzag(cech_path(cfg, 0.9), 0.01).times[1] == 0.16998671226415643
 
     def test_triangle_growth_two_transitions(self, named_classes):
         z = zigzag(cech_path(triangle_config(), 0.9), 0.01)
@@ -787,6 +805,118 @@ class TestZigzag:
             named_classes["two_points"].key,
             named_classes["edge"].key,
         ]
+
+
+def reference_still_instants(path):
+    """(time, critical radius) where the radius polyline of a still path
+    crosses each distinct critical radius of its configuration, in time
+    order: the definition the exact transitions reproduce."""
+    criticals = cech_filtration(evaluate(path, 0.0).config).critical_radii[1:]
+    bp, radius = path.breakpoints, path.radius
+    out = []
+    for seg in range(len(bp) - 1):
+        ra, rb = radius[seg], radius[seg + 1]
+        crossed = sorted((rho for rho in criticals if min(ra, rb) < rho < max(ra, rb)),
+                         reverse=rb < ra)
+        out += [(bp[seg] + (rho - ra) / (rb - ra) * (bp[seg + 1] - bp[seg]), rho)
+                for rho in crossed]
+    return out
+
+
+class TestStillStretches:
+    """Where no track moves, the instants come from the one scan and the
+    radius polyline, whatever the resolution."""
+
+    def test_narrow_excursion_is_found(self, named_classes):
+        p = narrow_excursion_path()
+        events = transitions(p, 0.01)
+        assert [round(t, 9) for t, _ in events] == [0.504, 0.506]
+        assert all(lbl.cls.key == named_classes["edge"].key and lbl.degenerate
+                   for _, lbl in events)
+        with pytest.raises(ValueError, match="not constant"):
+            entrance_map(p, 0.0, 1.0)
+        z = zigzag(p, 0.01)
+        assert [lbl.cls.key for lbl in z.interval_classes] == [
+            named_classes[k].key for k in ("two_points", "edge", "two_points")]
+
+    @pytest.mark.parametrize("radius", [
+        # grazes the edge's band without reaching 0.5
+        (0.3, 0.5 - 5e-10, 0.3),
+        # turns at the critical radius itself
+        (0.3, 0.5, 0.3),
+    ])
+    def test_a_turn_inside_a_band_is_one_instant(self, named_classes, radius):
+        p = PLPath(1, (0.0, 0.5, 1.0), (((0.0,),) * 3, ((1.0,),) * 3), radius)
+        for path in (p, reversed_path(p)):
+            z = zigzag(path, 0.5)
+            assert z.times == (0.5,)
+            assert [lbl.cls.key for lbl in z.interval_classes] == [named_classes["two_points"].key] * 2
+            assert z.transition_classes[0].cls.key == named_classes["edge"].key
+            assert z.transition_classes[0].degenerate
+
+    @pytest.mark.parametrize("peak", [1.5e-9, 2e-9])
+    def test_a_peak_just_past_a_band_is_a_short_interval(self, named_classes, peak):
+        # the radius leaves the band of 0.5 for a few 1e-9 of time: an
+        # entrance map from there starts inside the band of its instant
+        p = PLPath(1, (0.0, 0.5, 1.0), (((0.0,),) * 3, ((1.0,),) * 3), (0.3, 0.5 + peak, 0.3))
+        for path in (p, reversed_path(p)):
+            z = zigzag(path, 0.01)
+            assert z.times == pytest.approx((0.5 - peak * 2.5, 0.5 + peak * 2.5), abs=1e-15)
+            assert [(lbl.cls.key, lbl.degenerate) for lbl in z.interval_classes] == [
+                (named_classes[k].key, False) for k in ("two_points", "edge", "two_points")]
+            assert all(lbl.cls.key == named_classes["edge"].key and lbl.degenerate
+                       for lbl in z.transition_classes)
+
+    @pytest.mark.parametrize("radius", [
+        # holds on the critical radius
+        (0.3, 0.5, 0.5, 0.7),
+        # crosses 0.5 three times without leaving its band
+        (0.3, 0.5 + 5e-10, 0.5 - 5e-10, 0.7),
+    ])
+    def test_a_stay_inside_a_band_is_an_interval(self, named_classes, radius):
+        p = PLPath(1, (0.0, 0.25, 0.75, 1.0), (((0.0,),) * 4, ((1.0,),) * 4), radius)
+        for path, classes in ((p, ("two_points", "edge", "edge")),
+                              (reversed_path(p), ("edge", "edge", "two_points"))):
+            z = zigzag(path, 0.01)
+            assert z.times == pytest.approx((0.25, 0.75), abs=1e-8)
+            assert [(lbl.cls.key, lbl.degenerate) for lbl in z.interval_classes] == [
+                (named_classes[classes[0]].key, False), (named_classes["edge"].key, True),
+                (named_classes[classes[2]].key, False)]
+            assert all(lbl.degenerate for lbl in z.transition_classes)
+
+    def test_instants_match_the_radius_polyline(self):
+        rng = random.Random(31)
+        instants = 0
+        for _ in range(40):
+            while True:
+                try:
+                    cfg = PointConfig(2, tuple((rng.uniform(0, 1), rng.uniform(0, 1))
+                                               for _ in range(rng.randint(2, 5))))
+                    break
+                except ValueError:
+                    continue
+            n_bp = rng.randint(3, 8)
+            bp = (0.0, *sorted(rng.uniform(0.01, 0.99) for _ in range(n_bp - 2)), 1.0)
+            radius = tuple(rng.uniform(0.0, 0.8) for _ in bp)
+            forward = PLPath(2, bp, tuple((q,) * n_bp for q in cfg.points), radius)
+            criticals = cech_filtration(cfg).critical_radii[1:]
+            for path in (forward, reversed_path(forward)):
+                expected = reference_still_instants(path)
+                z = zigzag(path, 0.01)
+                assert len(z.times) == len(expected)
+                instants += len(expected)
+                for t, (t_ref, rho) in zip(z.times, expected):
+                    assert abs(evaluate(path, t).radius - rho) <= EPS_GEO
+                    assert t == pytest.approx(t_ref, abs=1e-9)
+                bounds = [0.0, *(t for t, _ in expected), 1.0]
+                for (a, b), lbl in zip(zip(bounds, bounds[1:]), z.interval_classes):
+                    # the interval's label, wherever the radius is clear of
+                    # every critical radius
+                    for t in (a + u * (b - a) for u in (0.001, 0.25, 0.5, 0.75, 0.999)):
+                        x = evaluate(path, t)
+                        if all(abs(x.radius - rho) > 1e-8 for rho in criticals):
+                            assert stratum_label(x) == lbl
+        assert instants > 100
 
 
 class TestMovingTracks:
