@@ -1,11 +1,14 @@
 """Pure-Python kernels.
 
-Operation-for-operation mirror of the compiled extension
-(``cechstrat._kernels._ckernels``); one of the two is selected at import
-time by ``cechstrat._kernels``.  Keep the two implementations in lockstep:
-same processing order, same deterministic shuffle, same tolerances and the
-same floating-point operations in the same order, so results agree across
-backends bit for bit.
+The same four operations as the compiled extension
+(``cechstrat._kernels._ckernels``), with the same results and the same
+input limits and messages; one of the two is selected at import time by
+``cechstrat._kernels``.  The enclosing-ball kernels mirror the compiled
+ones operation for operation: same processing order, same deterministic
+shuffle, same tolerances and the same floating-point operations in the
+same order, so radii agree across backends bit for bit.  The canonical
+labeling and the surjection search return the compiled kernels' exact
+results by pruned searches instead of their exhaustive ones.
 """
 
 from __future__ import annotations
@@ -179,32 +182,116 @@ def subset_meb_radii(points, max_size: int) -> list[tuple[int, float]]:
     return out
 
 
-def _remap(mask: int, perm) -> int:
+#: input limits shared with the compiled kernels' fixed buffers
+_MAX_CANONICAL_VERTICES = 10
+_MAX_CANONICAL_SIMPLICES = 256
+_MAX_MAP_VERTICES = 16
+_MAX_MAP_SIMPLICES = 1024
+
+
+def _twin_predecessors(n: int, present: int) -> list[int]:
+    """For each vertex v, the greatest u < v whose swap with v maps the
+    mask set ``present`` (bit m set for mask m) onto itself, or -1.
+
+    Such twins form classes (the product of two such swaps through a
+    shared vertex is a third), so v is tested against one member of each
+    class found so far.  For u < v the swap moves the masks holding u but
+    not v up by 2^v - 2^u, onto the masks holding v but not u.
+    """
+    full = (1 << (1 << n)) - 1
+    prev = [-1] * n
+    # per class: the masks holding its first member, their count, that
+    # member and the last one
+    classes: list[list[int]] = []
+    for v in range(n):
+        # the masks holding v: blocks of 2^v set bits every 2^(v+1)
+        held = present & full // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v))
+        count = held.bit_count()
+        for cls in classes:
+            first, first_count, u, last = cls
+            if first_count == count and (first & ~held) << ((1 << v) - (1 << u)) == held & ~first:
+                prev[v] = last
+                cls[3] = v
+                break
+        else:
+            classes.append([held, count, v, v])
+    return prev
+
+
+def _image(img, mask: int) -> int:
+    """The image of ``mask`` from the vertex images ``img[1 << v]``."""
     out = 0
-    v = 0
     while mask:
-        if mask & 1:
-            out |= 1 << perm[v]
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out |= img[low]
+        mask ^= low
     return out
 
 
 def canonical_masks(n: int, masks) -> tuple[int, ...]:
     """Lexicographically least relabeling of a simplex mask set.
 
-    Minimizes the sorted tuple of remapped masks over all n! vertex
-    relabelings; the result is a complete isomorphism invariant.
+    The least, over all n! vertex relabelings, of the sorted tuple of
+    remapped masks; a complete isomorphism invariant.  Labels are given
+    one at a time: the masks below 2^(k+1) are exactly those on labels
+    0..k, so the vertices given labels 0..k fix a prefix of the sorted
+    tuple.  Every level keeps only the partial labelings whose prefix is
+    least, a proper prefix ranking after its extensions (the tuples have
+    equal length, and the next mask of the shorter one is larger), and
+    branches only on the least unlabeled vertex of each twin class (its
+    twins would give the same tuples).  So the least leaf is the least
+    relabeling without trying them all.
     """
+    if not 0 <= n <= _MAX_CANONICAL_VERTICES:
+        raise ValueError(
+            f"canonical labeling limited to {_MAX_CANONICAL_VERTICES} vertices, got {n}")
     ms = sorted({int(m) for m in masks})
+    if len(ms) > _MAX_CANONICAL_SIMPLICES:
+        raise ValueError("too many simplices for canonical labeling buffer")
     if ms and (ms[0] <= 0 or ms[-1] >= (1 << n)):
         raise ValueError("mask out of range for vertex count")
-    best: list[int] | None = None
-    for perm in itertools.permutations(range(n)):
-        cand = sorted(_remap(m, perm) for m in ms)
-        if best is None or cand < best:
-            best = cand
-    return tuple(best) if best is not None else ()
+    if not ms:
+        return ()
+    present = set(ms)
+    # per vertex v: each mask holding v, its face without v, and whether a
+    # partial labeling keeps that face's image (a mask, a vertex or empty)
+    faces: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
+    for m in ms:
+        for v in range(n):
+            if m >> v & 1:
+                face = m ^ 1 << v
+                faces[v].append((m, face, face in present or face & (face - 1) == 0))
+    twin = _twin_predecessors(n, sum(1 << m for m in ms))
+    end = [1 << n]
+    prefix: list[int] = []
+    # a partial labeling: the labeled vertices and the images of the masks
+    # and vertices among them
+    nodes = [(0, {0: 0})]
+    for k in range(n):
+        bit = 1 << k
+        best = None
+        kept = []
+        for labeled, img in nodes:
+            for v in range(n):
+                if labeled >> v & 1 or twin[v] >= 0 and not labeled >> twin[v] & 1:
+                    continue
+                key = sorted([(img[face] if known else _image(img, face)) | bit
+                              for _, face, known in faces[v] if not face & ~labeled])
+                key += end
+                if best is None or key < best:
+                    best, kept = key, [(labeled, img, v)]
+                elif key == best:
+                    kept.append((labeled, img, v))
+        prefix += best[:-1]
+        nodes = []
+        for labeled, img, v in kept:
+            img = dict(img)
+            img[1 << v] = bit
+            for m, face, known in faces[v]:
+                if not face & ~labeled:
+                    img[m] = (img[face] if known else _image(img, face)) | bit
+            nodes.append((labeled | 1 << v, img))
+    return tuple(prefix)
 
 
 def surjection_witness(n_src: int, n_tgt: int, src_masks, tgt_masks):
@@ -212,48 +299,75 @@ def surjection_witness(n_src: int, n_tgt: int, src_masks, tgt_masks):
 
     Backtracks over vertex assignments in ascending order, pruning on
     (a) partial simplex images that leave the target simplex set and
-    (b) too few unassigned sources left to cover the remaining targets.
+    (b) too few unassigned sources left to cover the remaining targets,
+    so the witness is the least such map in that order.  Two more prunes
+    keep it: for source twins u < v (their swap maps the source simplices
+    onto themselves) the least map has f(u) <= f(v), and for target twins
+    w' < w it takes w' before w.  A simplex's image is its face's image
+    without its greatest vertex, stored when that face was checked, plus
+    one bit.
     """
+    if not (0 <= n_src <= _MAX_MAP_VERTICES and 0 <= n_tgt <= _MAX_MAP_VERTICES):
+        raise ValueError(f"map search limited to {_MAX_MAP_VERTICES} vertices")
     if n_src < n_tgt:
         return None
     if n_tgt == 0:
         return () if n_src == 0 else None
-    tgt_set = frozenset(int(m) for m in tgt_masks)
-    by_last: list[list[int]] = [[] for _ in range(n_src)]
-    for m in src_masks:
-        m = int(m)
-        if m.bit_count() >= 2:
-            by_last[m.bit_length() - 1].append(m)
-    for row in by_last:
-        row.sort()
+    tgt = [False] * (1 << n_tgt)
+    tgt_bits = 0
+    for x in tgt_masks:
+        m = int(x)
+        if not 0 < m < 1 << n_tgt:
+            raise ValueError("target mask out of range")
+        tgt[m] = True
+        tgt_bits |= 1 << m
+    simplices = set()
+    count = 0
+    for x in src_masks:
+        m = int(x)
+        if not 0 < m < 1 << n_src:
+            raise ValueError("source mask out of range")
+        if m & (m - 1):
+            simplices.add(m)
+            count += 1
+    if count > _MAX_MAP_SIMPLICES:
+        raise ValueError("too many source simplices")
+    # per greatest vertex: each simplex with its face without that vertex,
+    # or with 0 where that face (not a simplex, nor a vertex) has no stored image
+    checks: list[list[tuple[int, int]]] = [[] for _ in range(n_src)]
+    for m in simplices:
+        top = m.bit_length() - 1
+        face = m ^ 1 << top
+        checks[top].append((m, face if face in simplices or not face & (face - 1) else 0))
+    src_twin = _twin_predecessors(n_src, sum(1 << m for m in simplices))
+    tgt_twin = _twin_predecessors(n_tgt, tgt_bits)
     assign = [0] * n_src
+    img = [0] * (1 << n_src)
 
     def rec(v: int, covered: int, n_covered: int) -> bool:
         if v == n_src:
             return n_covered == n_tgt
-        if n_src - v < n_tgt - n_covered:
+        spare = n_src - v - (n_tgt - n_covered)
+        if spare < 0:
             return False
-        for w in range(n_tgt):
-            assign[v] = w
-            ok = True
-            for m in by_last[v]:
-                img = 0
-                mm = m
-                while mm:
-                    u = (mm & -mm).bit_length() - 1
-                    img |= 1 << assign[u]
-                    mm &= mm - 1
-                if img not in tgt_set:
-                    ok = False
-                    break
-            if not ok:
-                continue
+        u = src_twin[v]
+        for w in range(assign[u] if u >= 0 else 0, n_tgt):
             bit = 1 << w
-            if covered & bit:
-                if rec(v + 1, covered, n_covered):
-                    return True
+            p = tgt_twin[w]
+            if p >= 0 and not covered >> p & 1 or not spare and covered & bit:
+                continue
+            img[1 << v] = bit
+            for m, face in checks[v]:
+                im = img[face] | bit if face else _image(img, m)
+                if not tgt[im]:
+                    break
+                img[m] = im
             else:
-                if rec(v + 1, covered | bit, n_covered + 1):
+                assign[v] = w
+                if covered & bit:
+                    if rec(v + 1, covered, n_covered):
+                        return True
+                elif rec(v + 1, covered | bit, n_covered + 1):
                     return True
         return False
 

@@ -50,9 +50,8 @@ class Zone(NamedTuple):
     finds it.  The Cech complex and the critical subsets, hence the stratum
     label, depend on the radius only through its zone."""
 
-    #: subsets with radius at most r + EPS_GEO: a prefix of the radius order
-    spanned: int
-    #: subsets with radius within EPS_GEO of r: the run [lo, hi) of the radius order
+    #: subsets with radius within EPS_GEO of r: the run [lo, hi) of the
+    #: radius order; all before ``hi`` (radius - r at most EPS_GEO) span
     lo: int
     hi: int
 
@@ -79,7 +78,7 @@ class Scan(tuple):
         subsets and their faces (closed downward explicitly against
         last-ulp rounding of the scan)."""
         masks = {1 << i for i in range(n_points)}
-        for mask in self.masks[:zone.spanned]:
+        for mask in self.masks[:zone.hi]:
             masks.add(mask)
             masks.update(proper_submasks(mask))
         return masks
@@ -125,11 +124,12 @@ def subset_radii(config: PointConfig, max_dim: int | None = None) -> Scan:
 def read_scan(scan: Scan, r: float) -> Zone:
     """The zone of radius ``r`` in a :func:`subset_radii` scan.
 
-    A subset spans a simplex when its radius is at most ``r + EPS_GEO`` and
-    is critical when its radius lies within ``EPS_GEO`` of ``r``.  Both
-    predicates are monotone in the radius, so three bisections of the
-    sorted radii find the zone: the spanned prefix, and the critical run
-    as the radii whose offset from r lies in [-EPS_GEO, EPS_GEO].
+    A subset is critical when its radius's offset from ``r`` lies in
+    [-EPS_GEO, EPS_GEO], and spans a simplex when that offset is at most
+    EPS_GEO.  The offset is monotone in the radius, so two bisections of
+    the sorted radii find the critical run [lo, hi), and the spanned
+    subsets are the prefix before ``hi``.  Reading both from the one
+    offset keeps them from disagreeing by a rounding of ``r + EPS_GEO``.
     """
     radii = scan.radii
 
@@ -137,8 +137,7 @@ def read_scan(scan: Scan, r: float) -> Zone:
         return radius - r
 
     lo = bisect.bisect_left(radii, -EPS_GEO, key=offset)
-    return Zone(bisect.bisect_right(radii, r + EPS_GEO), lo,
-                bisect.bisect_right(radii, EPS_GEO, lo, key=offset))
+    return Zone(lo, bisect.bisect_right(radii, EPS_GEO, lo, key=offset))
 
 
 def zone_edges(scan: Scan) -> list[float]:
@@ -152,7 +151,7 @@ def cech_complex(x: RanPoint, max_dim: int | None = None) -> SimplicialComplex:
     """Cech complex of a configuration at its radius.
 
     Vertex i is the i-th configuration point; a subset is a simplex when
-    its enclosing-ball radius is at most ``radius + EPS_GEO``.
+    its enclosing-ball radius exceeds ``radius`` by at most ``EPS_GEO``.
     """
     n = len(x.config)
     scan = subset_radii(x.config, max_dim)

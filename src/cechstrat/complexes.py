@@ -3,9 +3,9 @@
 Vertices are dense integers ``0..n-1``; a complex stores its full simplex
 set (downward closed, every vertex present as a singleton) as integer
 bitmasks, bit ``v`` standing for vertex ``v``.  Vertex tuples are derived
-from the masks on demand, for JSON and display.  Canonical forms are
-computed by exhaustive relabeling under a configurable vertex cap, giving
-keys that agree exactly on isomorphism classes.
+from the masks on demand, for JSON and display.  A canonical form is the
+least relabeling of the masks, found by a pruned search under a
+configurable vertex cap, so keys agree exactly on isomorphism classes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ VERTEX_CAP = 8
 
 
 class CapExceeded(ValueError):
-    """Vertex count exceeds the configured brute-force cap."""
+    """Vertex count exceeds the configured cap."""
 
 
 @dataclass(frozen=True, init=False)
@@ -211,8 +211,10 @@ def _iso_class(n: int, canon: tuple[int, ...]) -> IsoClass:
 def canonical_form(c: SimplicialComplex, cap: int = VERTEX_CAP) -> IsoClass:
     """Canonical representative and key under vertex relabeling.
 
-    Brute force over all relabelings; complexes above ``cap`` vertices are
-    rejected rather than silently taking factorial time.
+    The representative is the relabeling whose sorted masks are
+    lexicographically least: the pure kernel finds it by a pruned search,
+    the compiled one by trying all n! relabelings.  Complexes above ``cap``
+    vertices are rejected rather than silently taking factorial time.
     """
     if c.n_vertices > cap:
         raise CapExceeded(f"canonical form needs {c.n_vertices} vertices > cap {cap}")

@@ -50,6 +50,9 @@ _INSTANT_WIDTH = 1e-5
 
 #: radius interpolation error of ``cech_path`` on each full step before ``t_max``
 _CECH_PATH_TOL = 1e-6
+#: the largest ``t_max`` of a growth path; its breakpoint count grows like
+#: 10^3 (1 - t_max)^(-1/2), to 99,002 here (9,002 at 0.99)
+_CECH_PATH_T_MAX = 1.0 - 1e-4
 
 
 @dataclass(frozen=True)
@@ -656,7 +659,7 @@ def _approaches(start: RanPoint, r: float, end: RanPoint, max_dim) -> bool:
     own."""
     scan = subset_radii(start.config, max_dim)
     a, b, window = read_scan(scan, start.radius), read_scan(scan, r), read_scan(scan, end.radius)
-    return b.spanned >= a.spanned and all(
+    return b.hi >= a.hi and all(
         window.lo <= min(i, j) and max(i, j) <= window.hi for i, j in zip(a, b) if i != j)
 
 
@@ -782,14 +785,16 @@ def cech_path(config: PointConfig, t_max: float) -> PLPath:
     With u = (1-t)^(-1/2) the radius is u^2 - 1, and its chord between u_a
     and u_b lies above it by at most (u_b - u_a)^2, reached at
     u = sqrt(u_a * u_b).  The breakpoints sit at u = 1 + k*sqrt(tol)
-    (tol = ``_CECH_PATH_TOL``, 1e-6) below ``t_max`` (< 1), then at
+    (tol = ``_CECH_PATH_TOL``, 1e-6) below ``t_max``, then at
     ``t_max``: the interpolation error is exactly tol on every full step
     and less on the last one.  The radius is held after ``t_max``, so the
     label sequence up to ``t_max`` matches the filtration of the
-    configuration below radius ``t_max/(1-t_max)``.
+    configuration below radius ``t_max/(1-t_max)``.  ``t_max`` is at most
+    ``_CECH_PATH_T_MAX`` (1 - 1e-4, a radius of 9,999): toward 1 the
+    breakpoints grow without bound, and neighbouring ones round to one float.
     """
-    if not (0.0 < t_max < 1.0):
-        raise ValueError("t_max must lie strictly between 0 and 1")
+    if not (0.0 < t_max <= _CECH_PATH_T_MAX):
+        raise ValueError(f"t_max must lie in (0, {_CECH_PATH_T_MAX}], got {t_max}")
     step = math.sqrt(_CECH_PATH_TOL)
     steps = math.ceil(((1.0 - t_max) ** -0.5 - 1.0) / step) + 1
     ts = [t for t in (1.0 - (1.0 + k * step) ** -2 for k in range(steps)) if t < t_max]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -20,24 +21,24 @@ def random_points(rng, n=None, d=None):
     return [tuple(rng.uniform(-2, 2) for _ in range(d)) for _ in range(n)]
 
 
-def random_masks(rng, n):
-    fam = {1 << v for v in range(n)}
-    for m in range(1, 1 << n):
-        if m.bit_count() >= 2 and rng.random() < 0.5:
-            fam.add(m)
-    changed = True
-    while changed:
-        changed = False
-        for m in list(fam):
-            mm = m
-            while mm:
-                low = mm & -mm
-                face = m ^ low
-                if face and face not in fam:
-                    fam.add(face)
-                    changed = True
-                mm ^= low
-    return sorted(fam)
+def closure(n, generators):
+    """The vertices of 0..n-1 and every nonempty face of the generators."""
+    masks = {1 << v for v in range(n)}
+    for g in generators:
+        face = g
+        while face:
+            masks.add(face)
+            face = face - 1 & g
+    return sorted(masks)
+
+
+def random_masks(rng, n, density=0.5, closed=True):
+    """Masks of two or more vertices, each drawn with ``density``: closed
+    into a complex, or as drawn with about 70% of the vertices added."""
+    masks = [m for m in range(1, 1 << n) if m.bit_count() >= 2 and rng.random() < density]
+    if closed:
+        return closure(n, masks)
+    return [m for m in range(1, 1 << n) if m.bit_count() == 1 and rng.random() < 0.7] + masks
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -89,6 +90,187 @@ class TestEachBackend:
         w = backend.surjection_witness(2, 2, masks, masks)
         assert w is not None
         assert sorted(w) == [0, 1]
+
+
+# Reference kernels: the definitions, by exhaustive search, kept here so
+# that each backend is checked against results it did not compute.
+
+def reference_canonical_masks(n, masks):
+    """The least sorted relabelling of ``masks`` over all n! permutations."""
+    best = None
+    for perm in itertools.permutations(range(n)):
+        # the image of a mask from two half tables, by vertices 0..3 and 4..7
+        halves = []
+        for first in (0, 4):
+            table = [0]
+            for v in range(first, min(first + 4, n)):
+                table += [image | 1 << perm[v] for image in table]
+            halves.append(table)
+        low, high = halves
+        cand = sorted([low[m & 15] | high[m >> 4] for m in masks])
+        if best is None or cand < best:
+            best = cand
+    return tuple(best)
+
+
+def reference_surjection_witness(n_src, n_tgt, src_masks, tgt_masks):
+    """The first vertex-surjective map, in ascending order of the image
+    tuple, that sends every source mask of two or more vertices onto a
+    target mask; plain backtracking, pruned only where a partial image
+    leaves the target or the targets left cannot all be covered."""
+    if n_src < n_tgt:
+        return None
+    if n_tgt == 0:
+        return () if n_src == 0 else None
+    tgt = set(tgt_masks)
+    by_top = [[m for m in src_masks if m.bit_count() >= 2 and m.bit_length() == v + 1]
+              for v in range(n_src)]
+    assign = [0] * n_src
+
+    def image(m):
+        return sum({1 << assign[v] for v in range(n_src) if m >> v & 1})
+
+    def rec(v, covered):
+        if v == n_src:
+            return len(covered) == n_tgt
+        if n_src - v < n_tgt - len(covered):
+            return False
+        for w in range(n_tgt):
+            assign[v] = w
+            if all(image(m) in tgt for m in by_top[v]) and rec(v + 1, covered | {w}):
+                return True
+        return False
+
+    return tuple(assign) if rec(0, frozenset()) else None
+
+
+def labelled_families(n):
+    """Every downward-closed mask set on n labelled vertices that holds
+    every vertex: 1, 2, 9, 114 and 6,894 of them for n = 1..5."""
+    families = [frozenset(1 << v for v in range(n))]
+    for m in sorted((m for m in range(1 << n) if m.bit_count() >= 2),
+                    key=lambda m: (m.bit_count(), m)):
+        facets = [m ^ 1 << v for v in range(n) if m >> v & 1]
+        families += [f | {m} for f in families if all(face in f for face in facets)]
+    return families
+
+
+def relabel(masks, perm):
+    return sorted(sum(1 << perm[v] for v in range(len(perm)) if m >> v & 1) for m in masks)
+
+
+SYMMETRIC_8 = {
+    "discrete": closure(8, []),
+    "full": closure(8, [0xFF]),
+    "cycle": closure(8, [1 << v | 1 << (v + 1) % 8 for v in range(8)]),
+    "four_edges": closure(8, [0x03, 0x0C, 0x30, 0xC0]),
+    "two_tetrahedra": closure(8, [0x0F, 0xF0]),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestAgainstReference:
+    def test_canonical_every_family_up_to_five_vertices(self, backend):
+        for n, count in zip(range(1, 6), (1, 2, 9, 114, 6894)):
+            families = labelled_families(n)
+            assert len(families) == count
+            perms = list(itertools.permutations(range(n)))
+            expected = {}
+            for family in families:
+                if family not in expected:
+                    orbit = {frozenset(relabel(family, p)) for p in perms}
+                    least = reference_canonical_masks(n, sorted(family))
+                    expected.update(dict.fromkeys(orbit, least))
+                assert backend.canonical_masks(n, sorted(family)) == expected[family]
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_8))
+    def test_canonical_symmetric_eight_vertices(self, backend, name):
+        masks = SYMMETRIC_8[name]
+        rng = random.Random(name)
+        perm = list(range(8))
+        rng.shuffle(perm)
+        least = reference_canonical_masks(8, masks)
+        assert backend.canonical_masks(8, masks) == least
+        assert backend.canonical_masks(8, relabel(masks, perm)) == least
+
+    def test_canonical_seeded_six_to_eight_vertices(self, backend):
+        rng = random.Random(8)
+        for n in (6, 6, 6, 7, 7, 8):
+            masks = random_masks(rng, n, rng.choice([0.05, 0.2, 0.5]))
+            assert backend.canonical_masks(n, masks) == reference_canonical_masks(n, masks)
+
+    def test_canonical_seeded_loose_mask_sets(self, backend):
+        # not downward closed: a mask's faces need not be masks
+        rng = random.Random(10)
+        for n in (3, 4, 4, 5, 5, 5, 6, 6):
+            masks = random_masks(rng, n, rng.choice([0.05, 0.2, 0.5]), closed=False) or [1]
+            assert backend.canonical_masks(n, masks) == reference_canonical_masks(n, masks)
+
+    def test_witness_every_class_pair_up_to_four_vertices(self, backend):
+        from cechstrat import enumerate_classes
+
+        classes = [(c.n_vertices, c.canonical.masks) for c in enumerate_classes(4).classes]
+        assert len(classes) == 28
+        for n_src, src in classes:
+            for n_tgt, tgt in classes:
+                assert backend.surjection_witness(n_src, n_tgt, src, tgt) == \
+                    reference_surjection_witness(n_src, n_tgt, src, tgt)
+
+    def test_witness_seeded_pairs_with_loose_sources(self, backend):
+        rng = random.Random(9)
+        found = 0
+        for _ in range(300):
+            n_src = rng.randint(2, 7)
+            n_tgt = rng.randint(1, min(n_src, 5))
+            closed = rng.random() < 0.3
+            src = random_masks(rng, n_src, rng.choice([0.05, 0.2, 0.5]), closed)
+            closed = rng.random() < 0.7
+            tgt = random_masks(rng, n_tgt, rng.choice([0.05, 0.2, 0.5]), closed) or [1]
+            witness = backend.surjection_witness(n_src, n_tgt, src, tgt)
+            assert witness == reference_surjection_witness(n_src, n_tgt, src, tgt)
+            found += witness is not None
+        assert 30 < found < 270
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestInputDomain:
+    """Both backends refuse the same inputs, with the same messages."""
+
+    @pytest.mark.parametrize("args, message", [
+        ((2, 2, [1, 2, 3, 8], [1, 2, 3]), "source mask out of range"),
+        ((2, 1, [0, 1, 2], [1]), "source mask out of range"),
+        ((2, 2, [1, 2, 3], [1, 2, 7]), "target mask out of range"),
+        ((2, 2, [1, 2, 3, 4], [1, 2, 0]), "target mask out of range"),
+        ((17, 1, [1], [1]), "map search limited to 16 vertices"),
+        ((2, 17, [1], [1]), "map search limited to 16 vertices"),
+        ((-1, 0, [], []), "map search limited to 16 vertices"),
+        ((2, 1, [3] * 1025, [1]), "too many source simplices"),
+    ])
+    def test_surjection_refuses(self, backend, args, message):
+        with pytest.raises(ValueError, match=message):
+            backend.surjection_witness(*args)
+
+    def test_surjection_limits_are_inclusive(self, backend):
+        assert backend.surjection_witness(2, 1, [3] * 1024, [1]) == (0, 0)
+        assert backend.surjection_witness(16, 1, [1 << 15], [1]) == (0,) * 16
+
+    def test_canonical_refuses_negative_vertex_count(self, backend):
+        with pytest.raises(ValueError, match="canonical labeling limited to 10 vertices, got -1"):
+            backend.canonical_masks(-1, [])
+
+    @pytest.mark.parametrize("args, message", [
+        ((11, [1]), "canonical labeling limited to 10 vertices, got 11"),
+        ((9, range(1, 258)), "too many simplices"),
+        ((2, [1, 2, 4]), "mask out of range for vertex count"),
+        ((2, [0, 1]), "mask out of range for vertex count"),
+    ])
+    def test_canonical_refuses(self, backend, args, message):
+        with pytest.raises(ValueError, match=message):
+            backend.canonical_masks(*args)
+
+    def test_canonical_vertex_limit_is_inclusive(self, backend):
+        assert backend.canonical_masks(10, [1 << v for v in range(10)]) == \
+            tuple(1 << v for v in range(10))
 
 
 @needs_compiled

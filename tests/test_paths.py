@@ -27,7 +27,13 @@ from cechstrat import (
     zigzag,
 )
 from cechstrat.geometry import DELTA_PT, EPS_GEO
-from cechstrat.paths import _CECH_PATH_TOL, _dedupe, _evaluate_tracks, reversed_path
+from cechstrat.paths import (
+    _CECH_PATH_T_MAX,
+    _CECH_PATH_TOL,
+    _dedupe,
+    _evaluate_tracks,
+    reversed_path,
+)
 
 from conftest import clear_package_caches, random_moving_path
 
@@ -918,6 +924,26 @@ class TestStillStretches:
                             assert stratum_label(x) == lbl
         assert instants > 100
 
+    def test_a_radius_an_ulp_off_a_band_edge_reads_one_zone(self, named_classes):
+        # the equilateral triangle's edges have radii 0.5 and, rounded, one
+        # ulp below; as the radius falls past their bands, "spanned" and
+        # "critical" must change at the same radius or the label is not
+        # constant between the instants
+        tri = PointConfig(2, ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)))
+        p = PLPath(2, (0.0, 1.0), tuple((q, q) for q in tri.points), (0.500000002, 0.499999997))
+        z = zigzag(p, 0.01)
+        assert [(lbl.cls.key, lbl.degenerate) for lbl in z.interval_classes] == [
+            (named_classes["cycle3"].key, False), (named_classes["cycle3"].key, True),
+            (named_classes["discrete3"].key, False)]
+        # radii wandering within a few EPS_GEO of the edge radii and the circumradius
+        rng = random.Random(5)
+        for _ in range(100):
+            edge = rng.choice([0.5, 0.49999999999999994, 1 / math.sqrt(3)])
+            n_bp = rng.randint(2, 4)
+            bp = (0.0, *sorted(rng.uniform(0.01, 0.99) for _ in range(n_bp - 2)), 1.0)
+            radius = tuple(edge + rng.uniform(-4e-9, 4e-9) for _ in bp)
+            zigzag(PLPath(2, bp, tuple((q,) * n_bp for q in tri.points), radius), 0.01)
+
 
 class TestMovingTracks:
     def test_approaching_points_in_plane(self, named_classes):
@@ -1127,6 +1153,23 @@ class TestCechPath:
     def test_t_max_validation(self):
         with pytest.raises(ValueError):
             cech_path(triangle_config(), 1.0)
+
+    @pytest.mark.parametrize("t_max", [math.nextafter(_CECH_PATH_T_MAX, 1.0), 1.0 - 1e-6,
+                                       1.0 - 1e-12, math.nextafter(1.0, 0.0), math.nan])
+    def test_t_max_near_one_is_refused_before_building(self, t_max):
+        # 1 - 1e-6 would build 999,002 breakpoints, 1 - 1e-12 about 10^9
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="t_max must lie in"):
+                cech_path(triangle_config(), t_max)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
+    def test_t_max_bound_is_accepted(self):
+        p = cech_path(PointConfig(1, ((0.0,), (1.0,))), _CECH_PATH_T_MAX)
+        assert len(p.breakpoints) == 99_002
+        assert p.breakpoints[-2:] == (_CECH_PATH_T_MAX, 1.0)
 
 
 class TestJsonRoundTrips:

@@ -35,10 +35,13 @@ from conftest import clear_package_caches
 
 
 def reference_read_scan(n_points, scan, r):
-    """Masks, critical masks and both slacks, from one pass over the scan."""
+    """Masks, critical masks and both slacks, from one pass over the scan.
+
+    A subset spans when its radius exceeds r by at most EPS_GEO, the same
+    offset that makes it critical, so the two readings agree at every ulp."""
     masks = {1 << i for i in range(n_points)}
     for mask, radius in scan:
-        if radius <= r + EPS_GEO:
+        if radius - r <= EPS_GEO:
             masks.add(mask)
             masks.update(proper_submasks(mask))
     slack = {mask: abs(r - radius) for mask, radius in scan}
@@ -179,6 +182,19 @@ def test_radius_exactly_eps_geo_above_is_critical():
     assert stratum_label(x) == reference_stratum_label(x)
     assert stratum_label(x).degenerate_subsets == ((0, 1),)
     assert not stratum_label(RanPoint(config, math.nextafter(r, 1.0))).degenerate
+
+
+def test_spanned_and_critical_read_one_offset():
+    # two edge radii of the equilateral triangle round to 0.49999999999999994;
+    # at this r they lie just over EPS_GEO above it, although r + EPS_GEO
+    # rounds up to them: neither critical nor spanned
+    config = PointConfig(2, ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)))
+    scan = cech.subset_radii(config)
+    r = 0.4999999989999999
+    assert scan.radii[:2] == (0.49999999999999994,) * 2
+    assert scan.radii[0] - r > EPS_GEO
+    assert tuple(cech.read_scan(scan, r)) == (0, 0)
+    assert cech_complex(RanPoint(config, r)).masks == (1, 2, 4)
 
 
 def test_zone_is_the_label_cache_key():
