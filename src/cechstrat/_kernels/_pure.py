@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NoReturn
 
 _MASK64 = (1 << 64) - 1
 _SHUFFLE_SEED = 0x9E3779B97F4A7C15
@@ -189,6 +190,18 @@ _MAX_MAP_VERTICES = 16
 _MAX_MAP_SIMPLICES = 1024
 
 
+def _refuse_mask(m: int, message: str) -> NoReturn:
+    """Raise what the compiled kernels raise for the out-of-range mask
+    ``m``: they convert it to a C int, through a C long (64 bits on LP64
+    platforms), before the range check, so a mask that fits neither
+    overflows first."""
+    if not -1 << 63 <= m < 1 << 63:
+        raise OverflowError("Python int too large to convert to C long")
+    if not -1 << 31 <= m < 1 << 31:
+        raise OverflowError("value too large to convert to int")
+    raise ValueError(message)
+
+
 def _twin_predecessors(n: int, present: int) -> list[int]:
     """For each vertex v, the greatest u < v whose swap with v maps the
     mask set ``present`` (bit m set for mask m) onto itself, or -1.
@@ -249,7 +262,9 @@ def canonical_masks(n: int, masks) -> tuple[int, ...]:
     if len(ms) > _MAX_CANONICAL_SIMPLICES:
         raise ValueError("too many simplices for canonical labeling buffer")
     if ms and (ms[0] <= 0 or ms[-1] >= (1 << n)):
-        raise ValueError("mask out of range for vertex count")
+        # the compiled kernel checks the masks in ascending order
+        _refuse_mask(next(m for m in ms if not 0 < m < 1 << n),
+                     "mask out of range for vertex count")
     if not ms:
         return ()
     present = set(ms)
@@ -318,7 +333,7 @@ def surjection_witness(n_src: int, n_tgt: int, src_masks, tgt_masks):
     for x in tgt_masks:
         m = int(x)
         if not 0 < m < 1 << n_tgt:
-            raise ValueError("target mask out of range")
+            _refuse_mask(m, "target mask out of range")
         tgt[m] = True
         tgt_bits |= 1 << m
     simplices = set()
@@ -326,7 +341,7 @@ def surjection_witness(n_src: int, n_tgt: int, src_masks, tgt_masks):
     for x in src_masks:
         m = int(x)
         if not 0 < m < 1 << n_src:
-            raise ValueError("source mask out of range")
+            _refuse_mask(m, "source mask out of range")
         if m & (m - 1):
             simplices.add(m)
             count += 1

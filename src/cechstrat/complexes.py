@@ -203,9 +203,13 @@ def _canonical_cached(n: int, masks: tuple[int, ...]) -> IsoClass:
 
 @functools.lru_cache(maxsize=65536)
 def _iso_class(n: int, canon: tuple[int, ...]) -> IsoClass:
-    """The class held by canonical masks, built once per class."""
+    """The class held by canonical masks, built once per class.  Its
+    representative is marked canonical, so its own canonical form needs no
+    search."""
     key = bytes([n]) + b"".join(m.to_bytes(2, "big") for m in canon)
-    return IsoClass(SimplicialComplex.from_masks(n, canon), key)
+    rep = SimplicialComplex.from_masks(n, canon)
+    object.__setattr__(rep, "_canonical", True)
+    return IsoClass(rep, key)
 
 
 def canonical_form(c: SimplicialComplex, cap: int = VERTEX_CAP) -> IsoClass:
@@ -218,6 +222,8 @@ def canonical_form(c: SimplicialComplex, cap: int = VERTEX_CAP) -> IsoClass:
     """
     if c.n_vertices > cap:
         raise CapExceeded(f"canonical form needs {c.n_vertices} vertices > cap {cap}")
+    if c.__dict__.get("_canonical"):
+        return _iso_class(c.n_vertices, c.masks)
     return _canonical_cached(c.n_vertices, c.masks)
 
 

@@ -281,7 +281,8 @@ def _lower_label(a: StratumLabel, b: StratumLabel):
         if b.degenerate and not a.degenerate:
             return b
         return a
-    # distinct classes never dominate each other both ways: see as_filtration
+    # distinct classes never dominate each other both ways: by the rules in
+    # dominates, that takes equal vertex and simplex counts, so an isomorphism
     if dominates(a.cls.canonical, b.cls.canonical) is not None:
         return b
     if dominates(b.cls.canonical, a.cls.canonical) is not None:

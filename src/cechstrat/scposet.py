@@ -9,6 +9,7 @@ queries, and Hasse diagrams with DOT export.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -31,19 +32,26 @@ def dominates(c: SimplicialComplex, c_prime: SimplicialComplex) -> SimplicialMap
 
     Deterministic: returns the first witness found by backtracking over
     vertex assignments in ascending order.  Refuses complexes of more than
-    ``VERTEX_CAP`` vertices.
+    ``VERTEX_CAP`` vertices.  Returns None without a search when
+
+    - ``c`` has fewer vertices than ``c_prime``, or fewer connected components;
+    - as many vertices (a map would be a bijection, so injective on
+      simplices), and some simplex count above ``c_prime``'s, or all of
+      them equal and the two not isomorphic.
     """
     if c.n_vertices > VERTEX_CAP or c_prime.n_vertices > VERTEX_CAP:
-        raise CapExceeded(
-            f"domination search capped at {VERTEX_CAP} vertices, "
-            f"got {c.n_vertices} and {c_prime.n_vertices}"
-        )
-    witness = _kernels.surjection_witness(
-        c.n_vertices, c_prime.n_vertices, c.masks, c_prime.masks
-    )
-    if witness is None:
+        raise CapExceeded(f"domination search capped at {VERTEX_CAP} vertices, "
+                          f"got {c.n_vertices} and {c_prime.n_vertices}")
+    if c.n_vertices < c_prime.n_vertices or _component_count(c) < _component_count(c_prime):
         return None
-    return SimplicialMap(c, c_prime, witness)
+    if c.n_vertices == c_prime.n_vertices:
+        fa, fb = _f_vector(c), _f_vector(c_prime)
+        # equal f-vectors exclude only a different class: decide by the keys
+        if _bijection_excluded(fa, fb) and (
+                fa != fb or canonical_form(c).key != canonical_form(c_prime).key):
+            return None
+    witness = _kernels.surjection_witness(c.n_vertices, c_prime.n_vertices, c.masks, c_prime.masks)
+    return None if witness is None else SimplicialMap(c, c_prime, witness)
 
 
 @dataclass(frozen=True)
@@ -107,9 +115,10 @@ def _relabellings(n: int) -> list[list[int]]:
     return tables
 
 
+@functools.lru_cache(maxsize=4096)
 def _component_count(c: SimplicialComplex) -> int:
     """Connected components of ``c``, which no vertex-surjective simplicial
-    map out of ``c`` can increase."""
+    map out of ``c`` can increase; computed once per complex."""
     parts: list[int] = []
     for m in c.masks:
         merged, rest = m, []
@@ -122,8 +131,9 @@ def _component_count(c: SimplicialComplex) -> int:
     return len(parts)
 
 
+@functools.lru_cache(maxsize=4096)
 def _f_vector(c: SimplicialComplex) -> tuple[int, ...]:
-    """Simplex counts by size 1..n_vertices."""
+    """Simplex counts by size 1..n_vertices, computed once per complex."""
     counts = [0] * c.n_vertices
     for m in c.masks:
         counts[m.bit_count() - 1] += 1
@@ -147,15 +157,13 @@ def enumerate_classes(n_max: int) -> PosetUniverse:
     So the canonical labeling runs once per class.
 
     Relation: the pairs (a, b) are decided with ``a`` ascending and ``b``
-    descending in class order, each by a sound rule where one applies,
-    from the class invariants and the answers already known:
+    descending in class order, by transitivity from the answers already
+    known where it applies:
 
-    - fewer vertices than ``b``, or fewer connected components: no;
-    - as many vertices, and some simplex count above ``b``'s or all of
-      them equal: no (the map would be a simplicial bijection);
     - some c with a >= c >= b: yes;
     - some c with c >= a but not c >= b, or b >= c but not a >= c: no;
-    - otherwise a witness search by :func:`dominates`.
+    - otherwise by :func:`dominates`, whose invariants decide most of the
+      rest without a witness search.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -174,8 +182,6 @@ def enumerate_classes(n_max: int) -> PosetUniverse:
     classes = tuple(sorted(found, key=lambda c: (c.n_vertices, c.key)))
 
     size = len(classes)
-    components = [_component_count(c.canonical) for c in classes]
-    f_vectors = [_f_vector(c.canonical) for c in classes]
     # known facts as bitsets: ge[a] holds each b with a >= b, le[b] each
     # a with a >= b; nge and nle the same for "not >="
     ge = [1 << a for a in range(size)]
@@ -184,18 +190,12 @@ def enumerate_classes(n_max: int) -> PosetUniverse:
     nle = [0] * size
     for a, ca in enumerate(classes):
         for b in reversed(range(size)):
-            if a == b:
-                continue
-            cb = classes[b]
             if ge[a] & le[b]:
                 above = True
-            elif (ca.n_vertices < cb.n_vertices or components[a] < components[b]
-                  or (ca.n_vertices == cb.n_vertices
-                      and _bijection_excluded(f_vectors[a], f_vectors[b]))
-                  or le[a] & nle[b] or ge[b] & nge[a]):
+            elif le[a] & nle[b] or ge[b] & nge[a]:
                 above = False
             else:
-                above = dominates(ca.canonical, cb.canonical) is not None
+                above = dominates(ca.canonical, classes[b].canonical) is not None
             if above:
                 ge[a] |= 1 << b
                 le[b] |= 1 << a

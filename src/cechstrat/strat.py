@@ -23,6 +23,7 @@ from ._bits import vertices_of
 from .cech import Zone, cech_complex, read_scan, subset_radii
 from .complexes import IsoClass, SimplicialComplex, SimplicialMap, canonical_form, is_simplicial
 from .geometry import PointConfig, RanPoint, _check_radius, sup_distance
+from .scposet import dominates
 
 Case = Literal["generic", "boundary"]
 
@@ -322,8 +323,6 @@ def frontier_check(
 
     if _label_matches(label_a, label_b, refined):
         return report("satisfied-at-budget", note="identical labels: condition is trivial")
-
-    from .scposet import dominates  # local import: scposet builds on complexes only
 
     if label_a.cls.key != label_b.cls.key:
         if dominates(label_a.cls.canonical, label_b.cls.canonical) is None:

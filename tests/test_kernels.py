@@ -232,6 +232,11 @@ class TestAgainstReference:
         assert 30 < found < 270
 
 
+def _refusal(message):
+    """The error type a refusal with ``message`` has on both backends."""
+    return OverflowError if "too large to convert" in message else ValueError
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestInputDomain:
     """Both backends refuse the same inputs, with the same messages."""
@@ -245,9 +250,17 @@ class TestInputDomain:
         ((2, 17, [1], [1]), "map search limited to 16 vertices"),
         ((-1, 0, [], []), "map search limited to 16 vertices"),
         ((2, 1, [3] * 1025, [1]), "too many source simplices"),
+        # beyond a C int the compiled conversion overflows before the range
+        # check, targets first, and past a C long with its own message
+        ((2, 2, [1 << 40], [1]), "value too large to convert to int"),
+        ((2, 2, [1], [1, -(1 << 31) - 1]), "value too large to convert to int"),
+        ((2, 2, [1, 1 << 31], [1]), "value too large to convert to int"),
+        ((2, 2, [1 << 40], [5]), "target mask out of range"),
+        ((2, 2, [1, -1 << 31], [1]), "source mask out of range"),
+        ((2, 2, [-1 << 70], [1, 2]), "Python int too large to convert to C long"),
     ])
     def test_surjection_refuses(self, backend, args, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(_refusal(message), match=message):
             backend.surjection_witness(*args)
 
     def test_surjection_limits_are_inclusive(self, backend):
@@ -263,9 +276,16 @@ class TestInputDomain:
         ((9, range(1, 258)), "too many simplices"),
         ((2, [1, 2, 4]), "mask out of range for vertex count"),
         ((2, [0, 1]), "mask out of range for vertex count"),
+        # the compiled kernel converts the sorted masks to C ints one by one
+        ((3, [1 << 40]), "value too large to convert to int"),
+        ((3, [1, 1 << 31]), "value too large to convert to int"),
+        ((3, [-1 << 40, 1]), "value too large to convert to int"),
+        ((2, [1, 2, 5, 1 << 40]), "mask out of range for vertex count"),
+        ((3, [-1 << 31, 1 << 40]), "mask out of range for vertex count"),
+        ((3, [1 << 70]), "Python int too large to convert to C long"),
     ])
     def test_canonical_refuses(self, backend, args, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(_refusal(message), match=message):
             backend.canonical_masks(*args)
 
     def test_canonical_vertex_limit_is_inclusive(self, backend):

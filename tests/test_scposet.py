@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import itertools
 import json
 import random
@@ -9,6 +11,7 @@ from cechstrat import (
     CapExceeded,
     HasseDiagram,
     PosetUniverse,
+    SimplicialComplex,
     canonical_form,
     compose,
     dominates,
@@ -22,7 +25,7 @@ from cechstrat import (
 from cechstrat import _kernels, complexes, scposet
 from cechstrat._bits import facet_submasks, vertices_of
 
-from conftest import FIG2_MAP_C_TO_D, fig2_complexes, random_complex
+from conftest import FIG2_MAP_C_TO_D, fig2_complexes, package_modules, random_complex
 
 #: sha256 of the DOT Hasse diagram followed by the universe JSON (as
 #: ``cechstrat enumerate --max-vertices 5`` writes them), as an all-pairs
@@ -79,6 +82,28 @@ def _domination_matrix(classes, witness=_kernels.surjection_witness):
               is not None for b in classes] for a in classes]
 
 
+def relabelled(c, rng):
+    """``c`` under a random vertex permutation."""
+    perm = list(range(c.n_vertices))
+    rng.shuffle(perm)
+    return SimplicialComplex.from_masks(
+        c.n_vertices, [sum(1 << perm[v] for v in vertices_of(m)) for m in c.masks])
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Arguments of every witness search the kernels run during the test."""
+    calls = []
+    witness = _kernels.surjection_witness
+
+    def counting(*args):
+        calls.append(args)
+        return witness(*args)
+
+    monkeypatch.setattr(_kernels, "surjection_witness", counting)
+    return calls
+
+
 class TestDominates:
     def test_six_vertex_collapse_witness_exists(self):
         c, d, _ = fig2_complexes()
@@ -111,6 +136,50 @@ class TestDominates:
         big = make_complex(9, [])
         with pytest.raises(CapExceeded):
             dominates(big, big)
+
+    def test_invariants_exclude_without_a_search(self, named, searches):
+        path4 = make_complex(4, [{0, 1}, {1, 2}, {2, 3}])
+        star4 = make_complex(4, [{0, 1}, {0, 2}, {0, 3}])
+        excluded = [
+            (named["edge"], named["discrete3"]),      # fewer vertices
+            (named["path3"], named["two_points"]),    # fewer components
+            (named["filled3"], named["cycle3"]),      # a simplex count above
+            (path4, star4),                           # equal f-vectors, not isomorphic
+        ]
+        for a, b in excluded:
+            assert dominates(a, b) is None
+        assert searches == []
+
+    def test_first_witness_of_the_kernel_on_relabelled_classes(self):
+        rng = random.Random(23)
+        classes = [relabelled(c.canonical, rng) for c in enumerate_classes(4).classes]
+        pairs = list(itertools.product(classes, repeat=2))
+        pairs += [(c, relabelled(c, rng)) for c in classes]
+        for a, b in pairs:
+            got = dominates(a, b)
+            assert (got and got.vertex_map) == _kernels.surjection_witness(
+                a.n_vertices, b.n_vertices, a.masks, b.masks)
+
+    def test_only_dominates_searches_for_witnesses(self):
+        """No caller in the package reaches the kernel past the invariant rules."""
+        callers = set()
+        for module in package_modules():
+            try:
+                tree = ast.parse(inspect.getsource(module))
+            except (OSError, TypeError):
+                continue
+            calls = {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     and getattr(node.func, "attr", getattr(node.func, "id", None))
+                     == "surjection_witness"}
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    inside = calls & set(ast.walk(fn))
+                    if inside:
+                        callers.add(f"{module.__name__}.{fn.name}")
+                        calls -= inside
+            if calls:  # at module level
+                callers.add(module.__name__)
+        assert callers == {"cechstrat.scposet.dominates"}
 
     def test_exhaustive_agreement_on_small_pairs(self):
         # oracle: brute force over all vertex maps
@@ -241,25 +310,20 @@ class TestEnumeration:
             expected = _domination_matrix(u.classes, witness)
             assert [list(row) for row in u.relation] == expected, n_max
 
-    def test_one_labelling_per_class_and_few_searches(self, monkeypatch):
+    def test_one_labelling_per_class_and_few_searches(self, monkeypatch, searches):
         complexes._canonical_cached.cache_clear()
         complexes._iso_class.cache_clear()
-        calls = {"canonical_masks": 0, "dominates": 0}
-        canonical_masks, dominates_ = _kernels.canonical_masks, scposet.dominates
+        calls = {"canonical_masks": 0}
+        canonical_masks = _kernels.canonical_masks
 
         def counting_canonical(*args):
             calls["canonical_masks"] += 1
             return canonical_masks(*args)
 
-        def counting_dominates(*args, **kwargs):
-            calls["dominates"] += 1
-            return dominates_(*args, **kwargs)
-
         monkeypatch.setattr(_kernels, "canonical_masks", counting_canonical)
-        monkeypatch.setattr(scposet, "dominates", counting_dominates)
         u = enumerate_classes(5)
         assert calls["canonical_masks"] == len(u.classes) == 208
-        assert calls["dominates"] <= 2600
+        assert len(searches) <= 2600
 
 
 class TestEnumerationRules:
