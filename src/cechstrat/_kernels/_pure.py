@@ -168,6 +168,7 @@ def subset_meb_radii(points, max_size: int) -> list[tuple[int, float]]:
     Returns ``(mask, radius)`` pairs ordered by (subset size, lexicographic
     vertex order); masks index into the input order.
     """
+    _c_int(max_size)  # the compiled kernel converts its int arguments first
     pts = [tuple(float(c) for c in p) for p in points]
     n = len(pts)
     if n > MAX_SUBSET_VERTICES:
@@ -190,15 +191,21 @@ _MAX_MAP_VERTICES = 16
 _MAX_MAP_SIMPLICES = 1024
 
 
+def _c_int(x: int) -> None:
+    """Refuse ``x`` as the compiled kernels refuse an ``int`` argument or
+    mask: they convert it to a C int through a C long (64 bits on LP64
+    platforms), so a value that fits neither overflows."""
+    if not -1 << 63 <= x < 1 << 63:
+        raise OverflowError("Python int too large to convert to C long")
+    if not -1 << 31 <= x < 1 << 31:
+        raise OverflowError("value too large to convert to int")
+
+
 def _refuse_mask(m: int, message: str) -> NoReturn:
     """Raise what the compiled kernels raise for the out-of-range mask
-    ``m``: they convert it to a C int, through a C long (64 bits on LP64
-    platforms), before the range check, so a mask that fits neither
-    overflows first."""
-    if not -1 << 63 <= m < 1 << 63:
-        raise OverflowError("Python int too large to convert to C long")
-    if not -1 << 31 <= m < 1 << 31:
-        raise OverflowError("value too large to convert to int")
+    ``m``: its conversion to a C int comes before the range check, so a
+    mask that does not fit overflows first."""
+    _c_int(m)
     raise ValueError(message)
 
 
@@ -255,6 +262,7 @@ def canonical_masks(n: int, masks) -> tuple[int, ...]:
     twins would give the same tuples).  So the least leaf is the least
     relabeling without trying them all.
     """
+    _c_int(n)  # the compiled kernel converts its int arguments first
     if not 0 <= n <= _MAX_CANONICAL_VERTICES:
         raise ValueError(
             f"canonical labeling limited to {_MAX_CANONICAL_VERTICES} vertices, got {n}")
@@ -322,6 +330,8 @@ def surjection_witness(n_src: int, n_tgt: int, src_masks, tgt_masks):
     without its greatest vertex, stored when that face was checked, plus
     one bit.
     """
+    for n in (n_src, n_tgt):  # the compiled kernel converts its int arguments first
+        _c_int(n)
     if not (0 <= n_src <= _MAX_MAP_VERTICES and 0 <= n_tgt <= _MAX_MAP_VERTICES):
         raise ValueError(f"map search limited to {_MAX_MAP_VERTICES} vertices")
     if n_src < n_tgt:

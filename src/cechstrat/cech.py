@@ -44,6 +44,14 @@ def _subset_size_cap(n_points: int, max_dim: int | None) -> int:
 #: 65,519 entries, about 8.6 MB, so 32 of those take about 277 MB.
 _SCAN_CACHE_SIZE = 32
 
+#: complexes kept, by configuration, dimension cap and zone; a growth zigzag
+#: touches at most 29 zones of its one configuration (median 7, perfbench
+#: growth seeds 1-3, both directions).  A complex holds its masks in a
+#: sorted tuple and a frozenset: a 5-point one (at most 31 masks) takes
+#: about 2 kB, so 64 of them about 0.1 MB; the largest (16 points, max_dim
+#: 15) holds 65,535 masks, about 4.7 MB, so 64 of those take about 300 MB.
+_COMPLEX_CACHE_SIZE = 64
+
 
 class Zone(NamedTuple):
     """Where a radius sits among a scan's sorted radii, as :func:`read_scan`
@@ -152,10 +160,18 @@ def cech_complex(x: RanPoint, max_dim: int | None = None) -> SimplicialComplex:
 
     Vertex i is the i-th configuration point; a subset is a simplex when
     its enclosing-ball radius exceeds ``radius`` by at most ``EPS_GEO``.
+    The complex depends on the radius only through its zone
+    (:func:`read_scan`), so it is built and validated once per zone of a
+    configuration: every radius in the zone gets the same object.
     """
-    n = len(x.config)
-    scan = subset_radii(x.config, max_dim)
-    return SimplicialComplex.from_masks(n, scan.complex_masks(n, read_scan(scan, x.radius)))
+    return zone_complex(x.config, max_dim, read_scan(subset_radii(x.config, max_dim), x.radius))
+
+
+@functools.lru_cache(maxsize=_COMPLEX_CACHE_SIZE)
+def zone_complex(config: PointConfig, max_dim: int | None, zone: Zone) -> SimplicialComplex:
+    """The Cech complex of ``config`` at every radius in ``zone``."""
+    n = len(config)
+    return SimplicialComplex.from_masks(n, subset_radii(config, max_dim).complex_masks(n, zone))
 
 
 @dataclass(frozen=True)
@@ -216,12 +232,10 @@ def cech_filtration(config: PointConfig, max_dim: int | None = None) -> Filtrati
     for r in radii:
         if not criticals or r > criticals[-1] + EPS_GEO:
             criticals.append(r)
-    n = len(config)
     complexes = []
     for i, c in enumerate(criticals):
         mid = 0.5 * (c + criticals[i + 1]) if i + 1 < len(criticals) else c + 0.5
-        masks = scan.complex_masks(n, read_scan(scan, mid))
-        complexes.append(SimplicialComplex.from_masks(n, masks))
+        complexes.append(zone_complex(config, max_dim, read_scan(scan, mid)))
     return Filtration(config, tuple(criticals), tuple(complexes))
 
 

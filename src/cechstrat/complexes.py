@@ -158,9 +158,25 @@ class SimplicialMap:
 
 
 def is_simplicial(m: SimplicialMap) -> bool:
-    """True iff every source simplex maps onto a target simplex."""
+    """True iff every source simplex maps onto a target simplex.
+
+    Under an identity vertex map that is the inclusion of the simplex
+    sets.  Otherwise the source masks are read in ascending order, so the
+    face of a simplex without its lowest vertex comes before it: the
+    simplex's image is that face's image plus one vertex, and the check
+    stops at the first image missing from the target.
+    """
     vm, present = m.vertex_map, m.target._present
-    return all(mask_of(vm[v] for v in vertices_of(s)) in present for s in m.source.masks)
+    if vm == tuple(range(len(vm))):
+        return m.source._present <= present
+    bits = [1 << w for w in vm]
+    image = {0: 0}
+    for s in m.source.masks:
+        low = s & -s
+        image[s] = img = image[s ^ low] | bits[low.bit_length() - 1]
+        if img not in present:
+            return False
+    return True
 
 
 def identity_map(c: SimplicialComplex) -> SimplicialMap:

@@ -119,8 +119,13 @@ def _directed(p: PointConfig, q: PointConfig) -> float:
 
 
 def hausdorff(p: PointConfig, q: PointConfig) -> float:
-    """Hausdorff distance: the larger of the two directed max-min distances."""
+    """Hausdorff distance: the larger of the two directed max-min distances.
+
+    Exactly 0.0 for equal points, as ``math.dist(a, a)`` is.
+    """
     _check_dims(p, q)
+    if p.points == q.points:
+        return 0.0
     return max(_directed(p, q), _directed(q, p))
 
 

@@ -798,7 +798,9 @@ def cech_path(config: PointConfig, t_max: float) -> PLPath:
         raise ValueError(f"t_max must lie in (0, {_CECH_PATH_T_MAX}], got {t_max}")
     step = math.sqrt(_CECH_PATH_TOL)
     steps = math.ceil(((1.0 - t_max) ** -0.5 - 1.0) / step) + 1
-    ts = [t for t in (1.0 - (1.0 + k * step) ** -2 for k in range(steps)) if t < t_max]
+    ts = [1.0 - (1.0 + k * step) ** -2 for k in range(steps)]
+    while ts[-1] >= t_max:  # the times ascend, so only a tail reaches t_max
+        ts.pop()
     ts.append(t_max)
     radii = [t / (1.0 - t) for t in ts]
     ts.append(1.0)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from ._bits import vertices_of
-from .cech import Zone, cech_complex, read_scan, subset_radii
-from .complexes import IsoClass, SimplicialComplex, SimplicialMap, canonical_form, is_simplicial
+from .cech import Zone, cech_complex, read_scan, subset_radii, zone_complex
+from .complexes import IsoClass, SimplicialMap, canonical_form, is_simplicial
 from .geometry import PointConfig, RanPoint, _check_radius, sup_distance
 from .scposet import dominates
 
@@ -191,10 +191,12 @@ def stratum_label(x: RanPoint, max_dim: int | None = None) -> StratumLabel:
 
 @functools.lru_cache(maxsize=_LABEL_CACHE_SIZE)
 def _zone_label(config: PointConfig, max_dim: int | None, zone: Zone) -> StratumLabel:
-    n = len(config)
-    scan = subset_radii(config, max_dim)
-    cls = canonical_form(SimplicialComplex.from_masks(n, scan.complex_masks(n, zone)))
-    degenerate = sorted(map(vertices_of, scan.critical_masks(zone)), key=lambda t: (len(t), t))
+    """The label of every radius in ``zone``: the class of the zone's one
+    Cech complex (:func:`~cechstrat.cech.zone_complex`, shared with
+    :func:`~cechstrat.cech.cech_complex`) and the zone's critical subsets."""
+    cls = canonical_form(zone_complex(config, max_dim, zone))
+    critical = subset_radii(config, max_dim).critical_masks(zone)
+    degenerate = sorted(map(vertices_of, critical), key=lambda t: (len(t), t))
     return StratumLabel(cls, bool(degenerate), tuple(degenerate))
 
 

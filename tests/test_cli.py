@@ -1,10 +1,18 @@
+import hashlib
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+from cechstrat import PointConfig, cech_filtration, cech_path
 from cechstrat.cli import main
+from cechstrat.paths import reversed_path
+
+#: sha256 of the ``track --as-filtration`` output of the growth paths of
+#: ``growth_configs()``, each forward then reversed, concatenated
+GROWTH_TRACK_SHA256 = "dad6dbf7d6c58d7120f9ed8b98c427e8a4075e98d1f217d71c7a9d23130fffa4"
 
 
 @pytest.fixture
@@ -284,6 +292,39 @@ class TestDeterminism:
 
         restored = Filtration.from_json_dict(json.loads(out))
         assert restored.critical_radii == (0.0, 0.5)
+
+
+def growth_configs(seed=6066, count=5):
+    """The criterion-6 generator: 2-5 points in the unit square whose
+    critical radii are at least 1e-3 apart."""
+    rng, configs = random.Random(seed), []
+    while len(configs) < count:
+        pts = tuple((rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(rng.randint(2, 5)))
+        try:
+            cfg = PointConfig(2, pts)
+        except ValueError:
+            continue
+        radii = cech_filtration(cfg).critical_radii
+        if all(b - a >= 1e-3 for a, b in zip(radii, radii[1:])):
+            configs.append(cfg)
+    return configs
+
+
+class TestGrowthGolden:
+    def test_track_output_bytes(self, capsys, tmp_path):
+        # pins every output byte of growth-path zigzags, both directions
+        path_file = tmp_path / "path.json"
+        digest = hashlib.sha256()
+        for cfg in growth_configs():
+            forward = cech_path(cfg, 0.9)
+            for path in (forward, reversed_path(forward)):
+                path_file.write_text(json.dumps(path.to_json_dict()))
+                code, out, _ = run_cli(capsys, "track", "--path", str(path_file),
+                                       "--resolution", "0.01", "--as-filtration")
+                assert code == 0
+                assert json.loads(out)["filtration"] is not None
+                digest.update(out.encode())
+        assert digest.hexdigest() == GROWTH_TRACK_SHA256
 
 
 class TestSubprocessEntry:

@@ -17,8 +17,20 @@ from cechstrat import (
     is_simplicial,
     make_complex,
 )
+from cechstrat._bits import mask_of, vertices_of
 
 from conftest import FIG2_MAP_C_TO_D, fig2_complexes, random_complex
+
+
+def reference_is_simplicial(m):
+    """The definition: every source simplex's image is a target simplex."""
+    vm, present = m.vertex_map, m.target._present
+    return all(mask_of(vm[v] for v in vertices_of(s)) in present for s in m.source.masks)
+
+
+def without(c, mask):
+    """``c`` without a maximal simplex ``mask``."""
+    return SimplicialComplex.from_masks(c.n_vertices, set(c.masks) - {mask})
 
 
 class TestMakeComplex:
@@ -93,6 +105,72 @@ class TestIsSimplicial:
     def test_six_vertex_collapse_example(self):
         c, d, _ = fig2_complexes()
         assert is_simplicial(SimplicialMap(c, d, FIG2_MAP_C_TO_D))
+
+    def test_random_maps_match_the_definition(self):
+        rng = random.Random(29)
+        seen = {True: 0, False: 0}
+        for _ in range(600):
+            source, target = random_complex(rng, 6), random_complex(rng, 6)
+            vm = tuple(rng.randrange(target.n_vertices) for _ in range(source.n_vertices))
+            m = SimplicialMap(source, target, vm)
+            expected = reference_is_simplicial(m)
+            assert is_simplicial(m) == expected
+            seen[expected] += 1
+        assert min(seen.values()) >= 100
+
+    def test_identity_maps_match_the_definition(self):
+        rng = random.Random(31)
+        seen = {"nested": 0, "not nested": 0}
+        for _ in range(300):
+            source = random_complex(rng, 6)
+            n = rng.randint(source.n_vertices, 7)
+            generators = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(3)]
+            if rng.random() < 0.5:  # a target holding the source
+                generators += source.simplices
+            target = make_complex(n, generators)
+            m = SimplicialMap(source, target, tuple(range(source.n_vertices)))
+            expected = reference_is_simplicial(m)
+            assert is_simplicial(m) == expected
+            assert expected == (set(source.masks) <= set(target.masks))
+            seen["nested" if expected else "not nested"] += 1
+        assert min(seen.values()) >= 50
+
+    def test_relabellings_match_the_definition(self):
+        # a relabelling onto a relabelled copy, some simplices dropped: not
+        # an inclusion of the masks unless the relabelling is the identity
+        rng = random.Random(43)
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            source = random_complex(rng, 6)
+            n = source.n_vertices
+            perm = tuple(rng.sample(range(n), n))
+            kept = [s for s in source.simplices if len(s) < 2 or rng.random() < 0.8]
+            m = SimplicialMap(source, make_complex(n, [[perm[v] for v in s] for s in kept]), perm)
+            expected = reference_is_simplicial(m)
+            assert is_simplicial(m) == expected
+            seen[expected] += 1
+        assert min(seen.values()) >= 50
+
+    def test_fails_only_on_the_top_simplex(self):
+        rng = random.Random(37)
+        for n in range(2, 8):
+            full = make_complex(n, [range(n)])
+            top = (1 << n) - 1
+            for target_n in (n, n + 1):
+                # the target holds every proper face of the image of the top
+                vm = tuple(rng.sample(range(target_n), n))
+                target = without(make_complex(target_n, [vm]), mask_of(vm))
+                for m in (SimplicialMap(full, target, vm),
+                          SimplicialMap(full, without(full, top), tuple(range(n)))):
+                    assert not is_simplicial(m) and not reference_is_simplicial(m)
+                    assert is_simplicial(SimplicialMap(without(full, top), m.target, m.vertex_map))
+
+    def test_complex_without_vertices(self):
+        empty = SimplicialComplex(0)
+        for target in (empty, make_complex(2, [{0, 1}])):
+            m = SimplicialMap(empty, target, ())
+            assert is_simplicial(m) and reference_is_simplicial(m)
+            assert is_simplicial(identity_map(target))
 
     def test_vertex_map_must_be_total(self):
         edge = make_complex(2, [{0, 1}])

@@ -20,6 +20,7 @@ from cechstrat import (
     stratum_label,
     sup_distance,
 )
+from cechstrat.geometry import _directed
 
 SQRT3 = math.sqrt(3.0)
 
@@ -142,6 +143,16 @@ class TestHausdorff:
     def test_identical_configs(self):
         p = config_1d(0.0, 1.0)
         assert hausdorff(p, p) == 0.0
+
+    def test_equal_points_are_positive_zero_apart(self):
+        rng = random.Random(41)
+        for _ in range(50):
+            pts = [(rng.uniform(-1, 1), rng.choice((0.0, -0.0))) for _ in range(rng.randint(1, 5))]
+            a = config_2d(pts)
+            for b in (config_2d(pts), config_2d([(x, -y) for x, y in pts]), config_2d(pts[::-1])):
+                d = hausdorff(a, b)
+                assert d == max(_directed(a, b), _directed(b, a)) == 0.0
+                assert math.copysign(1.0, d) == 1.0
 
     def test_singleton_against_pair(self):
         assert hausdorff(config_1d(0.0), config_1d(0.0, 1.0)) == pytest.approx(1.0)

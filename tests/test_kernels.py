@@ -258,6 +258,13 @@ class TestInputDomain:
         ((2, 2, [1 << 40], [5]), "target mask out of range"),
         ((2, 2, [1, -1 << 31], [1]), "source mask out of range"),
         ((2, 2, [-1 << 70], [1, 2]), "Python int too large to convert to C long"),
+        # the vertex counts are converted at the call, both before any check
+        ((1 << 40, 2, [1], [1]), "value too large to convert to int"),
+        ((2, 1 << 40, [1], [1]), "value too large to convert to int"),
+        ((17, -1 << 40, [1], [1]), "value too large to convert to int"),
+        ((1 << 70, 1 << 40, [1], [1]), "Python int too large to convert to C long"),
+        ((2, 1 << 70, [1 << 40], [1]), "Python int too large to convert to C long"),
+        ((-1 << 31, 1, [], []), "map search limited to 16 vertices"),
     ])
     def test_surjection_refuses(self, backend, args, message):
         with pytest.raises(_refusal(message), match=message):
@@ -283,10 +290,33 @@ class TestInputDomain:
         ((2, [1, 2, 5, 1 << 40]), "mask out of range for vertex count"),
         ((3, [-1 << 31, 1 << 40]), "mask out of range for vertex count"),
         ((3, [1 << 70]), "Python int too large to convert to C long"),
+        # the vertex count is converted at the call, before any mask
+        ((1 << 40, [1]), "value too large to convert to int"),
+        ((-1 << 40, [1 << 70]), "value too large to convert to int"),
+        ((1 << 31, []), "value too large to convert to int"),
+        ((1 << 70, [1]), "Python int too large to convert to C long"),
+        ((-1 << 31, [1]), "canonical labeling limited to 10 vertices, got -2147483648"),
     ])
     def test_canonical_refuses(self, backend, args, message):
         with pytest.raises(_refusal(message), match=message):
             backend.canonical_masks(*args)
+
+    @pytest.mark.parametrize("args, message", [
+        ((((0.0,), (1.0,)), 1 << 40), "value too large to convert to int"),
+        ((((0.0,), (1.0,)), -1 << 31 << 1), "value too large to convert to int"),
+        ((((0.0,), (1.0,)), -1 << 70), "Python int too large to convert to C long"),
+        # the size cap is converted at the call, before the points are read
+        (([(0.0,)] * 70, 1 << 40), "value too large to convert to int"),
+        (([(0.0,), ("x",)], 1 << 63), "Python int too large to convert to C long"),
+    ])
+    def test_scan_refuses(self, backend, args, message):
+        with pytest.raises(_refusal(message), match=message):
+            backend.subset_meb_radii(*args)
+
+    def test_scan_takes_any_c_int_size_cap(self, backend):
+        points = ((0.0,), (1.0,))
+        assert backend.subset_meb_radii(points, (1 << 31) - 1) == [(3, 0.5)]
+        assert backend.subset_meb_radii(points, -1 << 31) == []
 
     def test_canonical_vertex_limit_is_inclusive(self, backend):
         assert backend.canonical_masks(10, [1 << v for v in range(10)]) == \

@@ -1107,6 +1107,14 @@ class TestCechPath:
             if seg < len(bp) - 3:
                 assert error >= _CECH_PATH_TOL * (1 - 1e-8)
 
+    @pytest.mark.parametrize("t_max", [1e-6, 0.1, 0.5, 0.9, 0.99, _CECH_PATH_T_MAX] + GRID_T_MAX)
+    def test_breakpoints_are_the_grid_times_below_t_max(self, t_max):
+        step = math.sqrt(_CECH_PATH_TOL)
+        grid = (1.0 - (1.0 + k * step) ** -2 for k in itertools.count())
+        expected = list(itertools.takewhile(lambda t: t < t_max, grid)) + [t_max, 1.0]
+        p = cech_path(PointConfig(1, ((0.0,), (1.0,))), t_max)
+        assert list(map(float.hex, p.breakpoints)) == list(map(float.hex, expected))
+
     def test_radius_endpoint(self):
         p = cech_path(PointConfig(1, ((0.0,), (1.0,))), 0.5)
         assert evaluate(p, 1.0).radius == pytest.approx(1.0)

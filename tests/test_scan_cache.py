@@ -18,6 +18,8 @@ from cechstrat import (
     PointConfig,
     RanPoint,
     SimplicialComplex,
+    canonical_form,
+    cech_complex,
     cech_filtration,
     cech_path,
     entrance_map,
@@ -26,7 +28,7 @@ from cechstrat import (
     transitions,
     zigzag,
 )
-from cechstrat import _kernels, cech
+from cechstrat import _kernels, cech, complexes
 
 from conftest import clear_package_caches, package_modules, random_moving_path
 
@@ -169,6 +171,58 @@ class TestWorkCount:
         # be 1,607 and 1,555 here
         assert built[PointConfig] <= 50
         assert built[SimplicialComplex] <= 250
+
+
+class TestOneComplexPerZone:
+    """A configuration's Cech complex is built once per zone of the radius,
+    and shared by ``cech_complex``, ``stratum_label`` and ``cech_filtration``."""
+
+    def test_radii_in_one_zone_share_one_complex(self):
+        clear_package_caches()
+        cfg = five_points()
+        scan = cech.subset_radii(cfg)
+        radii = sorted(set(scan.radii))
+        probes = [0.0] + [0.5 * (a + b) for a, b in zip(radii, radii[1:])] + radii
+        seen = {}
+        for r in probes:
+            for offset in (0.0, 1e-12):  # well inside EPS_GEO: the same zone
+                zone = cech.read_scan(scan, r + offset)
+                c = cech_complex(RanPoint(cfg, r + offset))
+                assert seen.setdefault(zone, c) is c
+                assert c == SimplicialComplex.from_masks(5, scan.complex_masks(5, zone))
+        assert len(seen) == len({id(c) for c in seen.values()}) >= 20
+        assert cech.zone_complex.cache_info().misses == len(seen)
+
+    def test_stratum_label_fills_the_complex_cache(self):
+        clear_package_caches()
+        x = RanPoint(five_points(), 0.3)
+        label = stratum_label(x)
+        assert cech.zone_complex.cache_info().currsize == 1
+        c = cech_complex(x)
+        assert cech.zone_complex.cache_info()[:2] == (1, 1)  # hits, misses
+        assert canonical_form(c) == label.cls
+
+    def test_filtration_shares_the_complexes(self):
+        clear_package_caches()
+        cfg = five_points()
+        filt = cech_filtration(cfg)
+        for i, r in enumerate(filt.critical_radii[1:]):
+            assert cech_complex(RanPoint(cfg, r - 1e-6)) is filt.complexes[i]
+
+    def test_growth_zigzag_builds_only_zone_complexes_and_classes(self, monkeypatch):
+        clear_package_caches()
+        built = []
+        init = SimplicialComplex.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimplicialComplex, "__init__", counting)
+        z = zigzag(cech_path(five_points(), 0.9), 0.01)
+        zones = cech.zone_complex.cache_info()
+        assert len(z.times) >= 4 and zones.hits > zones.misses
+        assert len(built) == zones.misses + complexes._iso_class.cache_info().misses
 
 
 def is_functools_cache(node, module) -> bool:
