@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 from . import _kernels
 from ._bits import proper_submasks
+from ._kernels._pure import MAX_SUBSET_VERTICES
 from .complexes import SimplicialComplex
 from .geometry import EPS_GEO, PointConfig, RanPoint
 
@@ -25,10 +26,13 @@ UNCAPPED_POINTS = 8
 
 
 def _subset_size_cap(n_points: int, max_dim: int | None) -> int:
+    if n_points > MAX_SUBSET_VERTICES:  # refused here, so both backends say the same
+        raise ValueError(f"subset scan limited to {MAX_SUBSET_VERTICES} points, got {n_points}")
     if max_dim is None:
         if n_points > UNCAPPED_POINTS:
             raise ValueError(
-                f"configurations with more than {UNCAPPED_POINTS} points require max_dim"
+                f"configurations with more than {UNCAPPED_POINTS} points require max_dim; "
+                f"labels, safe balls, maps and paths take at most {UNCAPPED_POINTS} points"
             )
         return n_points
     if max_dim < 0:
@@ -44,19 +48,20 @@ def _subset_size_cap(n_points: int, max_dim: int | None) -> int:
 #: 65,519 entries, about 8.6 MB, so 32 of those take about 277 MB.
 _SCAN_CACHE_SIZE = 32
 
-#: complexes kept, by configuration, dimension cap and zone; a growth zigzag
-#: touches at most 29 zones of its one configuration (median 7, perfbench
-#: growth seeds 1-3, both directions).  A complex holds its masks in a
-#: sorted tuple and a frozenset: a 5-point one (at most 31 masks) takes
-#: about 2 kB, so 64 of them about 0.1 MB; the largest (16 points, max_dim
-#: 15) holds 65,535 masks, about 4.7 MB, so 64 of those take about 300 MB.
+#: complexes kept, by configuration, dimension cap and spanned prefix; a
+#: growth zigzag touches at most 29 zones of its one configuration (median
+#: 7, perfbench growth seeds 1-3, both directions), hence at most as many
+#: prefixes.  A complex holds its masks in a sorted tuple and a frozenset:
+#: a 5-point one (at most 31 masks) takes about 2 kB, so 64 of them about
+#: 0.1 MB; the largest (16 points, max_dim 15) holds 65,535 masks, about
+#: 4.7 MB, so 64 of those take about 300 MB.
 _COMPLEX_CACHE_SIZE = 64
 
 
 class Zone(NamedTuple):
     """Where a radius sits among a scan's sorted radii, as :func:`read_scan`
-    finds it.  The Cech complex and the critical subsets, hence the stratum
-    label, depend on the radius only through its zone."""
+    finds it.  The critical subsets, hence the stratum label, depend on the
+    radius only through its zone, and the Cech complex only through ``hi``."""
 
     #: subsets with radius within EPS_GEO of r: the run [lo, hi) of the
     #: radius order; all before ``hi`` (radius - r at most EPS_GEO) span
@@ -81,12 +86,13 @@ class Scan(tuple):
         scan.masks, scan.radii = tuple(zip(*ranked)) or ((), ())
         return scan
 
-    def complex_masks(self, n_points: int, zone: Zone) -> set[int]:
-        """The Cech complex's masks in ``zone``: the singletons, the spanned
-        subsets and their faces (closed downward explicitly against
-        last-ulp rounding of the scan)."""
+    def complex_masks(self, n_points: int, hi: int) -> set[int]:
+        """The Cech complex's masks where the first ``hi`` subsets by radius
+        span (a zone's ``hi``): the singletons, those subsets and their
+        faces (closed downward explicitly against last-ulp rounding of the
+        scan)."""
         masks = {1 << i for i in range(n_points)}
-        for mask in self.masks[:zone.hi]:
+        for mask in self.masks[:hi]:
             masks.add(mask)
             masks.update(proper_submasks(mask))
         return masks
@@ -122,7 +128,9 @@ def _scan(points: tuple[tuple[float, ...], ...], size_cap: int) -> Scan:
 def subset_radii(config: PointConfig, max_dim: int | None = None) -> Scan:
     """(mask, critical radius) for every subset of 2..max_dim+1 points.
 
-    The scan is cached by value, keyed on the points and the subset size
+    More than 16 points are refused, on either kernel backend with the same
+    message, and more than ``UNCAPPED_POINTS`` without ``max_dim``.  The
+    scan is cached by value, keyed on the points and the subset size
     cap, so every reader of an equal configuration shares one immutable
     tuple, kept with its radius order, and the kernel scans it once.
     """
@@ -160,18 +168,23 @@ def cech_complex(x: RanPoint, max_dim: int | None = None) -> SimplicialComplex:
 
     Vertex i is the i-th configuration point; a subset is a simplex when
     its enclosing-ball radius exceeds ``radius`` by at most ``EPS_GEO``.
-    The complex depends on the radius only through its zone
-    (:func:`read_scan`), so it is built and validated once per zone of a
-    configuration: every radius in the zone gets the same object.
+    ``max_dim`` caps the simplex dimension; it is required above
+    ``UNCAPPED_POINTS`` points.  The complex depends on the radius only
+    through the spanned prefix of its zone (:func:`read_scan`), so it is
+    built and validated once per prefix of a configuration: every radius
+    spanning the same subsets gets the same object.
     """
-    return zone_complex(x.config, max_dim, read_scan(subset_radii(x.config, max_dim), x.radius))
+    scan = subset_radii(x.config, max_dim)
+    return zone_complex(x.config, max_dim, read_scan(scan, x.radius).hi)
 
 
 @functools.lru_cache(maxsize=_COMPLEX_CACHE_SIZE)
-def zone_complex(config: PointConfig, max_dim: int | None, zone: Zone) -> SimplicialComplex:
-    """The Cech complex of ``config`` at every radius in ``zone``."""
+def zone_complex(config: PointConfig, max_dim: int | None, hi: int) -> SimplicialComplex:
+    """The Cech complex of ``config`` where the first ``hi`` subsets of its
+    scan by radius span: at every radius of a zone ending at ``hi``, the
+    critical zone (lo, hi) and the zone (hi, hi) after it alike."""
     n = len(config)
-    return SimplicialComplex.from_masks(n, subset_radii(config, max_dim).complex_masks(n, zone))
+    return SimplicialComplex.from_masks(n, subset_radii(config, max_dim).complex_masks(n, hi))
 
 
 @dataclass(frozen=True)
@@ -235,7 +248,7 @@ def cech_filtration(config: PointConfig, max_dim: int | None = None) -> Filtrati
     complexes = []
     for i, c in enumerate(criticals):
         mid = 0.5 * (c + criticals[i + 1]) if i + 1 < len(criticals) else c + 0.5
-        complexes.append(zone_complex(config, max_dim, read_scan(scan, mid)))
+        complexes.append(zone_complex(config, max_dim, read_scan(scan, mid).hi))
     return Filtration(config, tuple(criticals), tuple(complexes))
 
 

@@ -83,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="stratum label and safe ball of a configuration-radius pair")
     p.add_argument("--points", required=True)
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--max-dim", type=int, default=None)
 
     p = sub.add_parser("track", help="zigzag along a path")
     p.add_argument("--path", required=True, help="path JSON file")
@@ -91,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="largest grid step where points move; stretches where no "
                         "point moves are solved exactly and ignore it")
     p.add_argument("--out", help="write the zigzag JSON here instead of stdout")
-    p.add_argument("--max-dim", type=int, default=None)
     p.add_argument("--as-filtration", action="store_true",
                    help="also attempt to read the zigzag as a filtration")
 
@@ -147,8 +145,8 @@ def _cmd_dominates(args) -> int:
 def _cmd_stratum(args) -> int:
     config = PointConfig.from_json_dict(_load_json(args.points))
     x = RanPoint(config, args.radius)
-    label = strat.stratum_label(x, args.max_dim)
-    ball = strat.tilde_r(x, args.max_dim)
+    label = strat.stratum_label(x)
+    ball = strat.tilde_r(x)
     data = label.to_json_dict()
     data["safe_radius"] = ball.safe_radius
     data["r_tilde"] = ball.r_tilde
@@ -159,7 +157,7 @@ def _cmd_stratum(args) -> int:
 
 def _cmd_track(args) -> int:
     path = paths.PLPath.from_json_dict(_load_json(args.path))
-    diagram = paths.zigzag(path, args.resolution, args.max_dim)
+    diagram = paths.zigzag(path, args.resolution)
     data = diagram.to_json_dict()
     if args.as_filtration:
         chain = paths.as_filtration(diagram)

@@ -317,8 +317,7 @@ def _resolve(label_fn, lo, hi, l_lo, l_hi):
     return [(lo, l_lo) if low is l_lo else (hi, l_hi)]
 
 
-def transitions(path: PLPath, resolution: float,
-                max_dim: int | None = None) -> list[tuple[float, StratumLabel]]:
+def transitions(path: PLPath, resolution: float) -> list[tuple[float, StratumLabel]]:
     """Instants where the refined stratum label changes, with the label at
     each instant.
 
@@ -345,21 +344,20 @@ def transitions(path: PLPath, resolution: float,
     moving_from = 0
     for first, last in (*path._stretches, (end, end)):
         if first > moving_from:
-            events.extend(_grid_events(path, bp[moving_from], bp[first], steps,
-                                       resolution * 1e-3, max_dim))
+            events.extend(_grid_events(path, bp[moving_from], bp[first], steps, resolution * 1e-3))
         if last > first:
-            events.extend(_still_events(path, first, last, max_dim))
+            events.extend(_still_events(path, first, last))
         moving_from = last
     return events
 
 
-def _grid_events(path: PLPath, t_start: float, t_end: float, steps: int, target: float,
-                 max_dim) -> list[tuple[float, StratumLabel]]:
+def _grid_events(path: PLPath, t_start: float, t_end: float, steps: int,
+                 target: float) -> list[tuple[float, StratumLabel]]:
     """Transitions in [t_start, t_end] from labels at t_start, the times
     k/steps between and t_end, each change bisected, clusters merged."""
 
     def label_fn(t: float) -> StratumLabel:
-        return stratum_label(evaluate(path, t), max_dim)
+        return stratum_label(evaluate(path, t))
 
     def grid():
         k = math.floor(t_start * steps) + 1
@@ -442,8 +440,7 @@ def _meets(bp, radius, j: int, value: float) -> float:
     return min(bp[j - 1] + u * (bp[j] - bp[j - 1]), bp[j])
 
 
-def _still_events(path: PLPath, first: int, last: int,
-                  max_dim) -> list[tuple[float, StratumLabel]]:
+def _still_events(path: PLPath, first: int, last: int) -> list[tuple[float, StratumLabel]]:
     """Exact transitions of the still stretch over breakpoints first..last.
 
     The label is a function of the zone of the radius in the stretch's one
@@ -466,7 +463,7 @@ def _still_events(path: PLPath, first: int, last: int,
     label is no transition.
     """
     bp = path.breakpoints
-    scan = subset_radii(path._still[first][0], max_dim)
+    scan = subset_radii(path._still[first][0])
 
     def zone(t: float):
         return read_scan(scan, evaluate(path, t).radius)
@@ -497,7 +494,7 @@ def _still_events(path: PLPath, first: int, last: int,
     marks = sorted((*_crossings(path, first, last, scan.radii), bp[first], bp[last],
                     *(bp[k] for k in _inner_bends(path, first, last))))
     bounds = (bp[first], *(x for span in spans for x in span), bp[last])
-    sides = [stratum_label(evaluate(path, 0.5 * (u + v)), max_dim)
+    sides = [stratum_label(evaluate(path, 0.5 * (u + v)))
              if v - u > 2.0 * _BRACKET_FLOOR else None
              for u, v in zip(bounds[::2], bounds[1::2])]
     events = []
@@ -516,7 +513,7 @@ def _still_events(path: PLPath, first: int, last: int,
         t_star = low = None
         # a tie of classes keeps the first: the most critical subsets go first
         for _, t in sorted(candidates.items(), key=lambda item: item[0].lo - item[0].hi):
-            label = stratum_label(evaluate(path, t), max_dim)
+            label = stratum_label(evaluate(path, t))
             lower = label if low is None else _lower_label(low, label)
             if lower is None:
                 raise ValueError(_INCOMPARABLE)
@@ -545,7 +542,7 @@ def _step_past(zone, near: float, far: float) -> float:
     return far
 
 
-def _renaming_map(path: PLPath, t_from: float, t_to: float, max_dim) -> SimplicialMap:
+def _renaming_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
     """Vertex renaming induced by following the tracks along a stretch with
     constant label."""
     rp_a, asn_a = _evaluate_tracks(path, t_from)
@@ -563,8 +560,8 @@ def _renaming_map(path: PLPath, t_from: float, t_to: float, max_dim) -> Simplici
     if any(v is None for v in vmap):
         raise ValueError("some vertex lost all its tracks; label constancy violated")
     m = SimplicialMap(
-        cech_complex(rp_a, max_dim),
-        cech_complex(rp_b, max_dim),
+        cech_complex(rp_a),
+        cech_complex(rp_b),
         tuple(vmap),  # type: ignore[arg-type]
     )
     if not m.is_vertex_surjective():
@@ -586,8 +583,7 @@ def _still_bends(path: PLPath, t_from: float, t_to: float) -> tuple[int, ...] | 
     return _inner_bends(path, i - 1, j)
 
 
-def entrance_map(path: PLPath, t_from: float, t_to: float,
-                 max_dim: int | None = None) -> SimplicialMap:
+def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
     """Simplicial map induced by traversing the path from t_from to t_to.
 
     Built as the track renaming from t_from to tau composed with
@@ -610,19 +606,19 @@ def entrance_map(path: PLPath, t_from: float, t_to: float,
     if not (0.0 <= t_from <= 1.0 and 0.0 <= t_to <= 1.0):
         raise ValueError("path parameters must lie in [0, 1]")
     if t_from == t_to:
-        return identity_map(cech_complex(evaluate(path, t_from), max_dim))
+        return identity_map(cech_complex(evaluate(path, t_from)))
     bends = _still_bends(path, t_from, t_to)
     samples = [] if bends is not None else [t_from + (t_to - t_from) * k / _CONSTANCY_SAMPLES
                                             for k in range(1, _CONSTANCY_SAMPLES)]
-    labels = [stratum_label(evaluate(path, t), max_dim) for t in samples]
+    labels = [stratum_label(evaluate(path, t)) for t in samples]
     # read after the samples, so that its scan is still cached for the renaming
     x_from = evaluate(path, t_from)
-    l_from = stratum_label(x_from, max_dim)
+    l_from = stratum_label(x_from)
     for t, label in zip(samples, labels):
         if label != l_from:
             raise _not_constant(t_from, t_to, t)
     end = evaluate(path, t_to)
-    safe = tilde_r(end, max_dim).safe_radius if bends else math.inf
+    safe = tilde_r(end).safe_radius if bends else math.inf
     bp, radius = path.breakpoints, path.radius
     h = t_to - t_from
     for _ in range(80):
@@ -635,7 +631,7 @@ def entrance_map(path: PLPath, t_from: float, t_to: float,
             continue  # the path leaves the safe ball between tau and t_to
         x_tau = evaluate(path, tau)
         try:
-            snap = local_map(x_tau, end, max_dim)
+            snap = local_map(x_tau, end)
         except ValueError:  # x(tau) is not inside the safe ball yet
             continue
         if bends is not None:
@@ -644,21 +640,21 @@ def entrance_map(path: PLPath, t_from: float, t_to: float,
             seen = [(x_tau.radius, tau)] + [(radius[k], bp[k]) for k in bends
                                             if abs(bp[k] - t_from) < abs(tau - t_from)]
             for r, t in dict.fromkeys((min(seen), max(seen))):
-                if r != x_from.radius and stratum_label(evaluate(path, t), max_dim) != l_from \
-                        and not _approaches(x_from, r, end, max_dim):
+                if r != x_from.radius and stratum_label(evaluate(path, t)) != l_from \
+                        and not _approaches(x_from, r, end):
                     raise _not_constant(t_from, t_to, t)
-        return compose(_renaming_map(path, t_from, tau, max_dim), snap)
+        return compose(_renaming_map(path, t_from, tau), snap)
     raise ValueError(
         "terminal stretch cannot fit inside the safe ball at the requested resolution"
     )
 
 
-def _approaches(start: RanPoint, r: float, end: RanPoint, max_dim) -> bool:
+def _approaches(start: RanPoint, r: float, end: RanPoint) -> bool:
     """Whether radius ``r`` of the still configuration differs from the
     start only by subsets critical at the end, and loses no simplex: the
     tolerance band of the instant the path enters, not a stratum of its
     own."""
-    scan = subset_radii(start.config, max_dim)
+    scan = subset_radii(start.config)
     a, b, window = read_scan(scan, start.radius), read_scan(scan, r), read_scan(scan, end.radius)
     return b.hi >= a.hi and all(
         window.lo <= min(i, j) and max(i, j) <= window.hi for i, j in zip(a, b) if i != j)
@@ -706,7 +702,7 @@ class ZigzagDiagram:
         }
 
 
-def zigzag(path: PLPath, resolution: float, max_dim: int | None = None) -> ZigzagDiagram:
+def zigzag(path: PLPath, resolution: float) -> ZigzagDiagram:
     """Zigzag of simplicial maps along a path.
 
     Interval classes are sampled at interval midpoints; each transition
@@ -714,7 +710,7 @@ def zigzag(path: PLPath, resolution: float, max_dim: int | None = None) -> Zigza
     endpoint of the path degenerates its outer interval to the instant
     itself (identity map).
     """
-    events = transitions(path, resolution, max_dim)
+    events = transitions(path, resolution)
     times = [t for t, _ in events]
     bounds = [0.0] + times + [1.0]
     interval_classes: list[StratumLabel] = []
@@ -723,7 +719,7 @@ def zigzag(path: PLPath, resolution: float, max_dim: int | None = None) -> Zigza
         if b - a > 2.0 * _BRACKET_FLOOR:
             mid = 0.5 * (a + b)
             mids.append(mid)
-            interval_classes.append(stratum_label(evaluate(path, mid), max_dim))
+            interval_classes.append(stratum_label(evaluate(path, mid)))
         else:
             mids.append(None)
             # zero-width outer interval: the instant is the whole interval
@@ -733,7 +729,7 @@ def zigzag(path: PLPath, resolution: float, max_dim: int | None = None) -> Zigza
     map_pairs = []
     for k, (t_star, _) in enumerate(events):
         # a zero-width outer interval enters its instant by the identity
-        left, right = (entrance_map(path, t_star if mid is None else mid, t_star, max_dim)
+        left, right = (entrance_map(path, t_star if mid is None else mid, t_star)
                        for mid in mids[k:k + 2])
         map_pairs.append((left, right))
     return ZigzagDiagram(

@@ -40,7 +40,7 @@ def r1(config: PointConfig) -> float:
     )
 
 
-def r2(config: PointConfig, r: float, max_dim: int | None = None) -> float:
+def r2(config: PointConfig, r: float) -> float:
     """Twice the smallest absolute radius slack over multi-point subsets.
 
     Perturbations smaller than half this value cannot create or destroy a
@@ -49,11 +49,11 @@ def r2(config: PointConfig, r: float, max_dim: int | None = None) -> float:
     if len(config) < 2:
         raise ValueError("r2 requires at least two points")
     r = _check_radius(r)
-    scan = subset_radii(config, max_dim)
+    scan = subset_radii(config)
     return scan.slacks(r, read_scan(scan, r))[0]
 
 
-def r2_prime(config: PointConfig, r: float, max_dim: int | None = None) -> float:
+def r2_prime(config: PointConfig, r: float) -> float:
     """Like :func:`r2` but ignoring subsets already at their critical radius.
 
     +inf when every multi-point subset is critical (empty minimum).
@@ -61,7 +61,7 @@ def r2_prime(config: PointConfig, r: float, max_dim: int | None = None) -> float
     if len(config) < 2:
         raise ValueError("r2_prime requires at least two points")
     r = _check_radius(r)
-    scan = subset_radii(config, max_dim)
+    scan = subset_radii(config)
     return scan.slacks(r, read_scan(scan, r))[1]
 
 
@@ -73,17 +73,18 @@ class SafeBall:
 
     center: RanPoint
     r_tilde: float
-    safe_radius: float
     case: Case
 
     def __post_init__(self):
         if not (self.safe_radius > 0.0):
             raise ValueError("safe radius must be positive")
-        if abs(self.safe_radius - self.r_tilde / 4.0) > 1e-15 * max(1.0, self.r_tilde):
-            raise ValueError("safe_radius must equal r_tilde / 4")
+
+    @property
+    def safe_radius(self) -> float:
+        return self.r_tilde / 4.0
 
 
-def tilde_r(x: RanPoint, max_dim: int | None = None) -> SafeBall:
+def tilde_r(x: RanPoint) -> SafeBall:
     """Separation radius of a configuration-radius pair.
 
     The smaller of the pairwise gap and :func:`r2_prime`, the simplex slack
@@ -95,15 +96,15 @@ def tilde_r(x: RanPoint, max_dim: int | None = None) -> SafeBall:
     config, r = x.config, x.radius
     if len(config) == 1:
         rt = 4.0 * r if r > 0.0 else 1.0
-        return SafeBall(x, rt, rt / 4.0, "generic")
-    scan = subset_radii(config, max_dim)
+        return SafeBall(x, rt, "generic")
+    scan = subset_radii(config)
     zone = read_scan(scan, r)
     rt = min(r1(config), scan.slacks(r, zone)[1])
     case: Case = "boundary" if zone.lo < zone.hi else "generic"
-    return SafeBall(x, rt, rt / 4.0, case)
+    return SafeBall(x, rt, case)
 
 
-def local_map(source: RanPoint, target: RanPoint, max_dim: int | None = None) -> SimplicialMap:
+def local_map(source: RanPoint, target: RanPoint) -> SimplicialMap:
     """Vertex-surjective simplicial map from the source complex onto the
     target complex, defined whenever the source lies strictly inside the
     target's safe ball.
@@ -112,7 +113,7 @@ def local_map(source: RanPoint, target: RanPoint, max_dim: int | None = None) ->
     radius ``r_tilde/4`` around the target points and is mapped there.
     Raises when the points are too far apart (the caller must subdivide).
     """
-    ball = tilde_r(target, max_dim)
+    ball = tilde_r(target)
     dist = sup_distance(source, target)
     if not (dist < ball.safe_radius):
         raise ValueError(
@@ -130,8 +131,8 @@ def local_map(source: RanPoint, target: RanPoint, max_dim: int | None = None) ->
             )
         vertex_map.append(hits[0])
     m = SimplicialMap(
-        cech_complex(source, max_dim),
-        cech_complex(target, max_dim),
+        cech_complex(source),
+        cech_complex(target),
         tuple(vertex_map),
     )
     if not is_simplicial(m):
@@ -151,12 +152,11 @@ class StratumLabel:
     """
 
     cls: IsoClass
-    degenerate: bool
     degenerate_subsets: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.degenerate != bool(self.degenerate_subsets):
-            raise ValueError("degenerate flag must match degenerate_subsets")
+    @property
+    def degenerate(self) -> bool:
+        return bool(self.degenerate_subsets)
 
     @property
     def whole_config_degenerate(self) -> bool:
@@ -172,13 +172,13 @@ class StratumLabel:
         }
 
 
-#: labels kept, by configuration, dimension cap and zone; a growth zigzag
-#: labels about 10 zones of its one configuration, while on a moving path
-#: nearly every sampled configuration is new
+#: labels kept, by configuration and zone; a growth zigzag labels about 10
+#: zones of its one configuration, while on a moving path nearly every
+#: sampled configuration is new
 _LABEL_CACHE_SIZE = 1024
 
 
-def stratum_label(x: RanPoint, max_dim: int | None = None) -> StratumLabel:
+def stratum_label(x: RanPoint) -> StratumLabel:
     """Class of the Cech complex at x plus the degeneracy refinement.
 
     Both depend on the radius only through its zone among the critical
@@ -186,18 +186,20 @@ def stratum_label(x: RanPoint, max_dim: int | None = None) -> StratumLabel:
     per zone of a configuration: later radii in the zone cost a reading of
     the cached scan and a cache hit.
     """
-    return _zone_label(x.config, max_dim, read_scan(subset_radii(x.config, max_dim), x.radius))
+    return _zone_label(x.config, read_scan(subset_radii(x.config), x.radius))
 
 
 @functools.lru_cache(maxsize=_LABEL_CACHE_SIZE)
-def _zone_label(config: PointConfig, max_dim: int | None, zone: Zone) -> StratumLabel:
-    """The label of every radius in ``zone``: the class of the zone's one
-    Cech complex (:func:`~cechstrat.cech.zone_complex`, shared with
-    :func:`~cechstrat.cech.cech_complex`) and the zone's critical subsets."""
-    cls = canonical_form(zone_complex(config, max_dim, zone))
-    critical = subset_radii(config, max_dim).critical_masks(zone)
+def _zone_label(config: PointConfig, zone: Zone) -> StratumLabel:
+    """The label of every radius in ``zone``: the class of the full Cech
+    complex of the zone's spanned prefix ``hi``
+    (:func:`~cechstrat.cech.zone_complex`, shared with
+    :func:`~cechstrat.cech.cech_complex`) and the zone's critical subsets,
+    which also read ``lo``: one label per zone, one complex per prefix."""
+    cls = canonical_form(zone_complex(config, None, zone.hi))
+    critical = subset_radii(config).critical_masks(zone)
     degenerate = sorted(map(vertices_of, critical), key=lambda t: (len(t), t))
-    return StratumLabel(cls, bool(degenerate), tuple(degenerate))
+    return StratumLabel(cls, tuple(degenerate))
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from cechstrat import (
     is_simplicial,
     meb,
 )
-from cechstrat import cech
+from cechstrat import _kernels, cech
 
 from conftest import package_modules
 
@@ -90,6 +90,16 @@ class TestCechComplex:
             cech_complex(RanPoint(config_2d(pts), 1.0))
         c = cech_complex(RanPoint(config_2d(pts), 1.0), max_dim=2)
         assert c.n_vertices == 9
+
+    @pytest.mark.parametrize("backend", sorted(_kernels.backends))
+    def test_more_than_16_points_are_refused_alike(self, backend, monkeypatch):
+        # the compiled scan alone would say "limited to 64 points" above 64
+        monkeypatch.setattr(cech._kernels, "subset_meb_radii",
+                            _kernels.backends[backend].subset_meb_radii)
+        for n in (17, 65):
+            x = RanPoint(config_2d([(float(i), 0.0) for i in range(n)]), 0.1)
+            with pytest.raises(ValueError, match=f"^subset scan limited to 16 points, got {n}$"):
+                cech_complex(x, max_dim=1)
 
     def test_radius_monotonicity(self):
         rng = random.Random(61)

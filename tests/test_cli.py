@@ -88,6 +88,15 @@ class TestCech:
         assert (code, out) == (2, "")
         assert err == "error: max_dim must be >= 0\n"
 
+    def test_more_than_16_points_is_exit_2(self, capsys, tmp_path):
+        many = tmp_path / "many.json"
+        many.write_text(json.dumps({"dim": 1, "points": [[float(i)] for i in range(65)]}))
+        code, out, err = run_cli(
+            capsys, "cech", "--points", str(many), "--radius", "0.1", "--max-dim", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: subset scan limited to 16 points, got 65\n"
+
 
 class TestFiltration:
     def test_round_trip(self, capsys, two_points_file):
@@ -254,6 +263,23 @@ class TestOptions:
             for flag in ("--eps-geo", "--cap", "--probe-radius"):
                 assert flag not in text, (verb, flag)
             assert ("--seed" in text) == (verb == "frontier-demo"), verb
+
+    def test_only_cech_and_filtration_take_max_dim(self, capsys, two_points_file, tmp_path):
+        for verb in self.VERBS:
+            with pytest.raises(SystemExit):
+                main([verb, "--help"])
+            assert ("--max-dim" in capsys.readouterr().out) == (verb in ("cech", "filtration"))
+        path_file = tmp_path / "path.json"
+        path_file.write_text(json.dumps({"dim": 1, "breakpoints": [0.0, 1.0],
+                                         "tracks": [[[0.0], [0.0]], [[1.0], [1.0]]],
+                                         "radius": [0.0, 1.0]}))
+        for argv in (["stratum", "--points", two_points_file, "--radius", "0.4"],
+                     ["track", "--path", str(path_file), "--resolution", "0.01"]):
+            assert run_cli(capsys, *argv)[0] == 0
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--max-dim", "1"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --max-dim 1" in capsys.readouterr().err
 
     def test_seed_variable_is_read_by_frontier_demo_only(self, capsys, monkeypatch,
                                                          two_points_file):

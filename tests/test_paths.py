@@ -1,4 +1,5 @@
 import bisect
+import gc
 import itertools
 import json
 import math
@@ -643,14 +644,26 @@ class TestTransitions:
         # labels stay cached
         p = creeping_path()
         assert p._stretches == ()
-        transitions(p, 0.1)
+
+        def walk_peak(resolution):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert transitions(p, resolution) == []
+            return tracemalloc.get_traced_memory()[1] - before
+
+        # CPython keeps up to 2,000 freed tuples of each small size for
+        # reuse, and a full collection empties those lists; the first walk
+        # (4,001 steps) refills them under tracing, so that the two measured
+        # walks read only what a walk itself holds, whatever ran before
+        gc.collect()
         tracemalloc.start()
         try:
-            assert transitions(p, 1e-4) == []
-            peak = tracemalloc.get_traced_memory()[1]
+            walk_peak(2.5e-4)
+            coarse, fine = walk_peak(1e-3), walk_peak(1e-4)
         finally:
             tracemalloc.stop()
-        assert peak < 100_000
+        assert fine < 100_000
+        assert fine - coarse < 8 * 9_000  # less than one pointer per extra step
 
 
 class TestEntranceMap:

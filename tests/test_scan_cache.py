@@ -22,6 +22,7 @@ from cechstrat import (
     cech_complex,
     cech_filtration,
     cech_path,
+    dominates,
     entrance_map,
     local_map,
     stratum_label,
@@ -174,8 +175,9 @@ class TestWorkCount:
 
 
 class TestOneComplexPerZone:
-    """A configuration's Cech complex is built once per zone of the radius,
-    and shared by ``cech_complex``, ``stratum_label`` and ``cech_filtration``."""
+    """A configuration's Cech complex is built once per spanned prefix of
+    the radius's zone (its ``hi``), and shared by ``cech_complex``,
+    ``stratum_label`` and ``cech_filtration``."""
 
     def test_radii_in_one_zone_share_one_complex(self):
         clear_package_caches()
@@ -183,14 +185,16 @@ class TestOneComplexPerZone:
         scan = cech.subset_radii(cfg)
         radii = sorted(set(scan.radii))
         probes = [0.0] + [0.5 * (a + b) for a, b in zip(radii, radii[1:])] + radii
-        seen = {}
+        seen, zones = {}, set()
         for r in probes:
             for offset in (0.0, 1e-12):  # well inside EPS_GEO: the same zone
                 zone = cech.read_scan(scan, r + offset)
+                zones.add(zone)
                 c = cech_complex(RanPoint(cfg, r + offset))
-                assert seen.setdefault(zone, c) is c
-                assert c == SimplicialComplex.from_masks(5, scan.complex_masks(5, zone))
-        assert len(seen) == len({id(c) for c in seen.values()}) >= 20
+                assert seen.setdefault(zone.hi, c) is c
+                assert c == SimplicialComplex.from_masks(5, scan.complex_masks(5, zone.hi))
+        # a critical zone (lo, hi) and the zone (hi, hi) after it share one
+        assert len(zones) > len(seen) == len({id(c) for c in seen.values()}) >= 12
         assert cech.zone_complex.cache_info().misses == len(seen)
 
     def test_stratum_label_fills_the_complex_cache(self):
@@ -241,6 +245,7 @@ class TestCacheGuard:
     which is how a fresh process, and a per-operation reset, sees it."""
 
     def test_every_cache_is_a_bounded_module_level_lru_cache(self):
+        clear_package_caches()  # filled below by what this test runs, not by earlier tests
         found = {}
         for module in package_modules():
             try:
@@ -266,10 +271,12 @@ class TestCacheGuard:
                        and getattr(value, "__module__", None) == module.__name__}
             assert visible == {k for k in found if k.rsplit(".", 1)[0] == module.__name__}
         assert "cechstrat.cech._scan" in found
-        stratum_label(RanPoint(five_points(), 0.3))
+        label = stratum_label(RanPoint(five_points(), 0.3))
+        dominates(label.cls.canonical, label.cls.canonical)
         for name, cached in found.items():
             info = cached.cache_info()
             assert isinstance(info.maxsize, int) and info.maxsize > 0, name
-            assert info.currsize > 0, f"{name} was not filled by labelling a configuration"
+            assert info.currsize > 0, \
+                f"{name} was not filled by labelling a configuration and comparing its class"
             cached.cache_clear()
             assert cached.cache_info().currsize == 0, name

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import random
@@ -23,8 +24,24 @@ from cechstrat import (
     tilde_r,
     two_point_line_family,
 )
+from cechstrat import paths, strat
 
 SQRT3 = math.sqrt(3.0)
+
+
+def test_no_dimension_cap_above_the_cech_layer():
+    # labels, safe balls, maps and paths read the full Cech complex of at
+    # most 8 points; only the Cech layer reads larger configurations
+    checked = set()
+    for module in (strat, paths):
+        for name, value in vars(module).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(value) or inspect.isclass(value):
+                assert "max_dim" not in inspect.signature(value).parameters, name
+                checked.add(name)
+    assert {"r2", "r2_prime", "tilde_r", "local_map", "stratum_label", "transitions",
+            "entrance_map", "zigzag"} <= checked
 
 
 def config_1d(*xs):

@@ -55,21 +55,21 @@ def reference_reading(config, r, max_dim=None):
     return reference_read_scan(len(config), cech.subset_radii(config, max_dim), r)
 
 
-def reference_stratum_label(x, max_dim=None):
-    masks, critical, _, _ = reference_reading(x.config, x.radius, max_dim)
+def reference_stratum_label(x):
+    masks, critical, _, _ = reference_reading(x.config, x.radius)
     cls = canonical_form(SimplicialComplex.from_masks(len(x.config), masks))
     degenerate = sorted(map(vertices_of, critical), key=lambda t: (len(t), t))
-    return StratumLabel(cls, bool(degenerate), tuple(degenerate))
+    return StratumLabel(cls, tuple(degenerate))
 
 
 def reference_tilde_r(x):
     config, r = x.config, x.radius
     if len(config) == 1:
         rt = 4.0 * r if r > 0.0 else 1.0
-        return SafeBall(x, rt, rt / 4.0, "generic")
+        return SafeBall(x, rt, "generic")
     _, critical, _, slack_prime = reference_reading(config, r)
     rt = min(r1(config), slack_prime)
-    return SafeBall(x, rt, rt / 4.0, "boundary" if critical else "generic")
+    return SafeBall(x, rt, "boundary" if critical else "generic")
 
 
 def reference_cech_filtration(config):
@@ -148,7 +148,14 @@ def test_zone_labels_match_reference(backend):
         max_dim = rng.choice((None, None, 1))
         for r in probe_radii(config):
             x = RanPoint(config, r)
-            assert stratum_label(x, max_dim) == reference_stratum_label(x, max_dim), (config, r)
+            if max_dim is None:
+                assert stratum_label(x) == reference_stratum_label(x), (config, r)
+            else:  # a capped complex is read from the Cech layer only
+                masks, critical, _, _ = reference_reading(config, r, max_dim)
+                capped = cech.subset_radii(config, max_dim)
+                assert cech_complex(x, max_dim).masks == tuple(sorted(masks)), (config, r)
+                assert sorted(capped.critical_masks(cech.read_scan(capped, r))) == \
+                    sorted(critical), (config, r)
             readings += 1
             on_the_edge += any(abs(radius - r) == EPS_GEO for radius in scan.radii)
     assert ties > 150  # most configurations repeat a radius
@@ -212,7 +219,7 @@ def test_infinite_radius_is_refused_and_its_zone_reads_like_the_reference():
     with pytest.raises(ValueError, match="radius must be finite, got inf"):
         RanPoint(config, math.inf)
     zone = cech.read_scan(cech.subset_radii(config), math.inf)
-    assert _zone_label(config, None, zone) == \
+    assert _zone_label(config, zone) == \
         reference_stratum_label(SimpleNamespace(config=config, radius=math.inf))
     assert same_float(r2(config, math.inf), reference_reading(config, math.inf)[2])
     assert same_float(r2_prime(config, math.inf), reference_reading(config, math.inf)[3])
