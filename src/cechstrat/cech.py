@@ -12,6 +12,7 @@ import bisect
 import functools
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,7 +20,7 @@ from . import _kernels
 from ._bits import proper_submasks
 from ._kernels._pure import MAX_SUBSET_VERTICES
 from .complexes import SimplicialComplex
-from .geometry import EPS_GEO, PointConfig, RanPoint
+from .geometry import EPS_GEO, PointConfig, RanPoint, _check_radius
 
 #: above this many points a dimension cap becomes mandatory (2^n subsets)
 UNCAPPED_POINTS = 8
@@ -40,22 +41,17 @@ def _subset_size_cap(n_points: int, max_dim: int | None) -> int:
     return min(n_points, max_dim + 1)
 
 
-#: scans kept, by configuration; a still stretch needs one whatever it does,
-#: an entrance map where tracks move 33 (its 31 samples and both ends, read
-#: so that the start is still cached for the renaming).  An uncapped scan (at most
-#: 8 points) holds 247 entries, about 33 kB with its radius order, so 32 of
-#: them take about 1 MB; the largest scan (16 points, max_dim 15) holds
-#: 65,519 entries, about 8.6 MB, so 32 of those take about 277 MB.
+#: scans kept, by configuration, each with the complexes and labels read
+#: from it; a still stretch needs one whatever it does, an entrance map
+#: where tracks move 33 (its 31 samples and both ends, read so that the
+#: start is still cached for the renaming).  An uncapped scan (at most 8
+#: points) holds 247 entries, about 33 kB with its radius order, and at
+#: most 248 prefix complexes and 2 * 247 + 1 zone labels, about 1.6 MB
+#: with all of them built, so 32 of them take about 52 MB; a perfbench
+#: growth zigzag (seed 1) builds at most 15 and 29 of them.  The largest
+#: scan (16 points, max_dim 15) holds 65,519 entries, about 8.6 MB, so 32
+#: of those take about 277 MB, plus every complex read from them.
 _SCAN_CACHE_SIZE = 32
-
-#: complexes kept, by configuration, dimension cap and spanned prefix; a
-#: growth zigzag touches at most 29 zones of its one configuration (median
-#: 7, perfbench growth seeds 1-3, both directions), hence at most as many
-#: prefixes.  A complex holds its masks in a sorted tuple and a frozenset:
-#: a 5-point one (at most 31 masks) takes about 2 kB, so 64 of them about
-#: 0.1 MB; the largest (16 points, max_dim 15) holds 65,535 masks, about
-#: 4.7 MB, so 64 of those take about 300 MB.
-_COMPLEX_CACHE_SIZE = 64
 
 
 class Zone(NamedTuple):
@@ -70,28 +66,49 @@ class Zone(NamedTuple):
 
 
 class Scan(tuple):
-    """(mask, critical radius) for every scanned subset, in kernel order.
+    """(mask, critical radius) for every scanned subset of ``n_points``
+    points, in kernel order.
 
     ``masks`` and ``radii`` list the same subsets by ascending radius (ties
     in kernel order), so that :func:`read_scan` can place a radius among
-    them by bisection.
+    them by bisection.  The scan is the one cache entry of its
+    configuration: it keeps the Cech complex of each spanned prefix
+    (:meth:`complex`) and, in ``labels``, the stratum label of each zone
+    (filled by :func:`cechstrat.strat.stratum_label`), and both go when
+    the scan leaves the cache.
     """
 
     masks: tuple[int, ...]
     radii: tuple[float, ...]
+    n_points: int
+    labels: dict
 
-    def __new__(cls, entries):
+    def __new__(cls, entries, n_points: int):
         scan = super().__new__(cls, entries)
         ranked = sorted(scan, key=operator.itemgetter(1))
         scan.masks, scan.radii = tuple(zip(*ranked)) or ((), ())
+        scan.n_points = n_points
+        scan.labels = {}
+        scan._complexes = {}
         return scan
 
-    def complex_masks(self, n_points: int, hi: int) -> set[int]:
+    def complex(self, hi: int) -> SimplicialComplex:
+        """The Cech complex where the first ``hi`` subsets by radius span,
+        built and validated once: every radius whose zone ends at ``hi``,
+        the critical zone (lo, hi) and the zone (hi, hi) after it alike,
+        gets the same object."""
+        c = self._complexes.get(hi)
+        if c is None:
+            c = self._complexes[hi] = SimplicialComplex.from_masks(self.n_points,
+                                                                   self.complex_masks(hi))
+        return c
+
+    def complex_masks(self, hi: int) -> set[int]:
         """The Cech complex's masks where the first ``hi`` subsets by radius
         span (a zone's ``hi``): the singletons, those subsets and their
         faces (closed downward explicitly against last-ulp rounding of the
         scan)."""
-        masks = {1 << i for i in range(n_points)}
+        masks = {1 << i for i in range(self.n_points)}
         for mask in self.masks[:hi]:
             masks.add(mask)
             masks.update(proper_submasks(mask))
@@ -122,7 +139,7 @@ class Scan(tuple):
 
 @functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
 def _scan(points: tuple[tuple[float, ...], ...], size_cap: int) -> Scan:
-    return Scan(_kernels.subset_meb_radii(points, size_cap))
+    return Scan(_kernels.subset_meb_radii(points, size_cap), len(points))
 
 
 def subset_radii(config: PointConfig, max_dim: int | None = None) -> Scan:
@@ -132,9 +149,22 @@ def subset_radii(config: PointConfig, max_dim: int | None = None) -> Scan:
     message, and more than ``UNCAPPED_POINTS`` without ``max_dim``.  The
     scan is cached by value, keyed on the points and the subset size
     cap, so every reader of an equal configuration shares one immutable
-    tuple, kept with its radius order, and the kernel scans it once.
+    tuple, kept with its radius order, complexes and labels, and the
+    kernel scans it once.
     """
     return _scan(config.points, _subset_size_cap(len(config), max_dim))
+
+
+def _read_radii(radii: Sequence[float], r: float) -> Zone:
+    """The zone of radius ``r`` among ascending ``radii``: the run [lo, hi)
+    whose offset from ``r`` lies in [-EPS_GEO, EPS_GEO], everything before
+    ``hi`` having offset at most EPS_GEO."""
+
+    def offset(radius: float) -> float:  # its absolute value is the slack
+        return radius - r
+
+    lo = bisect.bisect_left(radii, -EPS_GEO, key=offset)
+    return Zone(lo, bisect.bisect_right(radii, EPS_GEO, lo, key=offset))
 
 
 def read_scan(scan: Scan, r: float) -> Zone:
@@ -145,15 +175,10 @@ def read_scan(scan: Scan, r: float) -> Zone:
     EPS_GEO.  The offset is monotone in the radius, so two bisections of
     the sorted radii find the critical run [lo, hi), and the spanned
     subsets are the prefix before ``hi``.  Reading both from the one
-    offset keeps them from disagreeing by a rounding of ``r + EPS_GEO``.
+    offset keeps them from disagreeing by a rounding of ``r + EPS_GEO``;
+    :meth:`Filtration.complex_at` reads its stages by the same rule.
     """
-    radii = scan.radii
-
-    def offset(radius: float) -> float:  # its absolute value is the slack
-        return radius - r
-
-    lo = bisect.bisect_left(radii, -EPS_GEO, key=offset)
-    return Zone(lo, bisect.bisect_right(radii, EPS_GEO, lo, key=offset))
+    return _read_radii(scan.radii, r)
 
 
 def zone_edges(scan: Scan) -> list[float]:
@@ -170,21 +195,12 @@ def cech_complex(x: RanPoint, max_dim: int | None = None) -> SimplicialComplex:
     its enclosing-ball radius exceeds ``radius`` by at most ``EPS_GEO``.
     ``max_dim`` caps the simplex dimension; it is required above
     ``UNCAPPED_POINTS`` points.  The complex depends on the radius only
-    through the spanned prefix of its zone (:func:`read_scan`), so it is
-    built and validated once per prefix of a configuration: every radius
-    spanning the same subsets gets the same object.
+    through the spanned prefix of its zone (:func:`read_scan`), so the
+    cached scan builds and validates it once per prefix (:meth:`Scan.complex`):
+    every radius spanning the same subsets gets the same object.
     """
     scan = subset_radii(x.config, max_dim)
-    return zone_complex(x.config, max_dim, read_scan(scan, x.radius).hi)
-
-
-@functools.lru_cache(maxsize=_COMPLEX_CACHE_SIZE)
-def zone_complex(config: PointConfig, max_dim: int | None, hi: int) -> SimplicialComplex:
-    """The Cech complex of ``config`` where the first ``hi`` subsets of its
-    scan by radius span: at every radius of a zone ending at ``hi``, the
-    critical zone (lo, hi) and the zone (hi, hi) after it alike."""
-    n = len(config)
-    return SimplicialComplex.from_masks(n, subset_radii(config, max_dim).complex_masks(n, hi))
+    return scan.complex(read_scan(scan, x.radius).hi)
 
 
 @dataclass(frozen=True)
@@ -193,7 +209,7 @@ class Filtration:
 
     ``critical_radii[i]`` opens the half-open interval on which
     ``complexes[i]`` is the Cech complex (closed on the left: a simplex is
-    present at exactly its critical radius).
+    present at exactly its critical radius).  The first stage opens at 0.
     """
 
     config: PointConfig
@@ -203,18 +219,19 @@ class Filtration:
     def __post_init__(self):
         if len(self.critical_radii) != len(self.complexes):
             raise ValueError("one complex per critical radius required")
+        radii = self.critical_radii
+        if not radii or radii[0] != 0.0 or not all(map(operator.lt, radii, radii[1:])):
+            raise ValueError("critical radii must rise strictly from 0")
         for a, b in zip(self.complexes, self.complexes[1:]):
             if not set(a.masks) <= set(b.masks):
                 raise ValueError("filtration complexes must be nested")
 
     def complex_at(self, r: float) -> SimplicialComplex:
-        idx = 0
-        for i, c in enumerate(self.critical_radii):
-            if c <= r:
-                idx = i
-            else:
-                break
-        return self.complexes[idx]
+        """The stored complex at radius ``r >= 0``: that of the last stage
+        whose critical radius exceeds ``r`` by at most EPS_GEO, the rule by
+        which :func:`read_scan` spans a subset, so that the stage agrees
+        with :func:`cech_complex` inside the tolerance band too."""
+        return self.complexes[_read_radii(self.critical_radii, _check_radius(r)).hi - 1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -235,20 +252,21 @@ class Filtration:
 def cech_filtration(config: PointConfig, max_dim: int | None = None) -> Filtration:
     """All Cech complexes of a configuration, indexed by critical radius.
 
-    Critical radii are the distinct subset enclosing-ball radii (0 included
-    for the vertices), deduplicated within ``EPS_GEO``; each stored complex is
-    evaluated at the midpoint of its interval.
+    The first stage opens at 0, and each later one at the first subset
+    radius that the previous stage's opening radius does not span
+    (:func:`read_scan`), so radii within ``EPS_GEO`` of a stage's opening
+    fall in that stage.  Each stored complex is the Cech complex at the
+    midpoint of its interval, shared with :func:`cech_complex` through the
+    cached scan.
     """
     scan = subset_radii(config, max_dim)
-    radii = sorted({0.0} | {max(r, 0.0) for r in scan.radii})
-    criticals: list[float] = []
-    for r in radii:
-        if not criticals or r > criticals[-1] + EPS_GEO:
-            criticals.append(r)
+    criticals = [0.0]
+    while (hi := read_scan(scan, criticals[-1]).hi) < len(scan.radii):
+        criticals.append(scan.radii[hi])
     complexes = []
     for i, c in enumerate(criticals):
         mid = 0.5 * (c + criticals[i + 1]) if i + 1 < len(criticals) else c + 0.5
-        complexes.append(zone_complex(config, max_dim, read_scan(scan, mid).hi))
+        complexes.append(scan.complex(read_scan(scan, mid).hi))
     return Filtration(config, tuple(criticals), tuple(complexes))
 
 

@@ -14,7 +14,7 @@ import functools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from . import _kernels
+from . import _json, _kernels
 from ._bits import facet_submasks, mask_of, proper_submasks, vertices_of
 
 VERTEX_CAP = 8
@@ -92,10 +92,12 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplicialComplex":
-        n = int(data["n_vertices"])
-        if n < 1:
+        fmt = "complex JSON"
+        n, simplices = _json.fields(data, fmt, "n_vertices", "simplices")
+        if _json.integer(n, fmt, '"n_vertices"') < 1:
             raise ValueError("complex JSON requires n_vertices >= 1")
-        return make_complex(n, data["simplices"])
+        return make_complex(n, [_json.integers(s, fmt, "a simplex")
+                                for s in _json.array(simplices, fmt, '"simplices"')])
 
 
 def make_complex(n_vertices: int, generators: Iterable[Iterable[int]]) -> SimplicialComplex:
@@ -107,13 +109,13 @@ def make_complex(n_vertices: int, generators: Iterable[Iterable[int]]) -> Simpli
         raise ValueError("a point configuration is nonempty: n_vertices must be >= 1")
     masks = {1 << v for v in range(n_vertices)}
     for gen in generators:
-        m = mask_of(set(int(v) for v in gen))
-        if m == 0:
-            continue
-        if m >= (1 << n_vertices) or m < 0:
-            raise ValueError(f"generator {sorted(set(gen))} has a vertex outside 0..{n_vertices - 1}")
-        masks.add(m)
-        masks.update(proper_submasks(m))
+        vs = {int(v) for v in gen}
+        if not vs.issubset(range(n_vertices)):
+            raise ValueError(f"generator {sorted(vs)} has a vertex outside 0..{n_vertices - 1}")
+        if vs:
+            m = mask_of(vs)
+            masks.add(m)
+            masks.update(proper_submasks(m))
     return SimplicialComplex.from_masks(n_vertices, masks)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import _kernels
+from . import _json, _kernels
 
 #: absolute tolerance for geometric comparisons (ball membership, zero slack)
 EPS_GEO = 1e-9
@@ -63,7 +63,11 @@ class PointConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PointConfig":
-        return cls(int(data["dim"]), tuple(tuple(p) for p in data["points"]))
+        fmt = "point-configuration JSON"
+        dim, points = _json.fields(data, fmt, "dim", "points")
+        return cls(_json.integer(dim, fmt, '"dim"'),
+                   tuple(tuple(_json.numbers(p, fmt, "a point"))
+                         for p in _json.array(points, fmt, '"points"')))
 
 
 def _check_radius(r: float) -> float:

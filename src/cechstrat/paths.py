@@ -22,6 +22,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
+from . import _json
 from .cech import Filtration, cech_complex, read_scan, subset_radii, zone_edges
 from .complexes import (
     IsoClass,
@@ -205,7 +206,14 @@ class PLPath:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PLPath":
-        return cls(int(data["dim"]), data["breakpoints"], data["tracks"], data["radius"])
+        fmt = "path JSON"
+        dim, breakpoints, tracks, radius = _json.fields(
+            data, fmt, "dim", "breakpoints", "tracks", "radius")
+        for track in _json.array(tracks, fmt, '"tracks"'):
+            for waypoint in _json.array(track, fmt, "a track"):
+                _json.numbers(waypoint, fmt, "a waypoint")
+        return cls(_json.integer(dim, fmt, '"dim"'), _json.numbers(breakpoints, fmt, '"breakpoints"'),
+                   tracks, _json.numbers(radius, fmt, '"radius"'))
 
 
 def _evaluate_tracks(path: PLPath, t: float) -> tuple[RanPoint, tuple[int, ...]]:

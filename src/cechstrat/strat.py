@@ -12,7 +12,6 @@ strata by Monte Carlo sampling.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from collections.abc import Callable, Sequence
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from ._bits import vertices_of
-from .cech import Zone, cech_complex, read_scan, subset_radii, zone_complex
+from .cech import Scan, Zone, cech_complex, read_scan, subset_radii
 from .complexes import IsoClass, SimplicialMap, canonical_form, is_simplicial
 from .geometry import PointConfig, RanPoint, _check_radius, sup_distance
 from .scposet import dominates
@@ -172,34 +171,30 @@ class StratumLabel:
         }
 
 
-#: labels kept, by configuration and zone; a growth zigzag labels about 10
-#: zones of its one configuration, while on a moving path nearly every
-#: sampled configuration is new
-_LABEL_CACHE_SIZE = 1024
-
-
 def stratum_label(x: RanPoint) -> StratumLabel:
     """Class of the Cech complex at x plus the degeneracy refinement.
 
     Both depend on the radius only through its zone among the critical
     radii (:func:`~cechstrat.cech.read_scan`), so the label is built once
-    per zone of a configuration: later radii in the zone cost a reading of
-    the cached scan and a cache hit.
+    per zone and kept on the configuration's cached scan: later radii in
+    the zone cost a reading of the scan and a dictionary lookup.
     """
-    return _zone_label(x.config, read_scan(subset_radii(x.config), x.radius))
+    scan = subset_radii(x.config)
+    return _zone_label(scan, read_scan(scan, x.radius))
 
 
-@functools.lru_cache(maxsize=_LABEL_CACHE_SIZE)
-def _zone_label(config: PointConfig, zone: Zone) -> StratumLabel:
-    """The label of every radius in ``zone``: the class of the full Cech
-    complex of the zone's spanned prefix ``hi``
-    (:func:`~cechstrat.cech.zone_complex`, shared with
+def _zone_label(scan: Scan, zone: Zone) -> StratumLabel:
+    """The label of every radius in ``zone`` of an uncapped ``scan``: the
+    class of the Cech complex of the zone's spanned prefix ``hi``
+    (:meth:`~cechstrat.cech.Scan.complex`, shared with
     :func:`~cechstrat.cech.cech_complex`) and the zone's critical subsets,
     which also read ``lo``: one label per zone, one complex per prefix."""
-    cls = canonical_form(zone_complex(config, None, zone.hi))
-    critical = subset_radii(config).critical_masks(zone)
-    degenerate = sorted(map(vertices_of, critical), key=lambda t: (len(t), t))
-    return StratumLabel(cls, tuple(degenerate))
+    label = scan.labels.get(zone)
+    if label is None:
+        degenerate = sorted(map(vertices_of, scan.critical_masks(zone)), key=lambda t: (len(t), t))
+        label = scan.labels[zone] = StratumLabel(canonical_form(scan.complex(zone.hi)),
+                                                 tuple(degenerate))
+    return label
 
 
 # --------------------------------------------------------------------------
@@ -307,8 +302,10 @@ def frontier_check(
     whose probe ball contains no stratum-a point.  Both found means the
     closure of stratum a meets stratum b without containing it: verdict
     "violated".  Sampling that cannot populate the strata at all yields
-    "inconclusive" rather than a pass.
+    "inconclusive" rather than a pass; ``n_samples`` must be at least 1.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = random.Random(seed)
     params = {
         "n_samples": n_samples,

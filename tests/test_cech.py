@@ -199,6 +199,36 @@ class TestCechFiltration:
         assert f.complex_at(0.5) == f.complexes[1]
         assert f.complex_at(2.0) == f.complexes[1]
 
+    def test_complex_at_reads_like_cech_complex(self):
+        # within EPS_GEO below the edge's radius the edge already spans
+        cfg = pair_1d()
+        f = cech_filtration(cfg)
+        for r in (0.0, 0.2, 0.4999999985, 0.4999999995, 0.49999999999999994, 0.5, 0.7, 2.0):
+            assert f.complex_at(r) is cech_complex(RanPoint(cfg, r)), r
+        assert len(f.complex_at(0.4999999995).simplices) == 3
+        assert f.complex_at(math.inf) is f.complexes[-1]
+
+    def test_complex_at_reads_every_stage_like_cech_complex(self):
+        rng = random.Random(83)
+        for _ in range(10):
+            pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(rng.randint(2, 5))]
+            cfg = config_2d(pts)
+            f = cech_filtration(cfg)
+            for c in f.critical_radii[1:]:
+                for r in (c - 2e-9, c - 5e-10, c, c + 5e-10):
+                    assert f.complex_at(r) is cech_complex(RanPoint(cfg, r)), (pts, r)
+
+    @pytest.mark.parametrize("r", [-1.0, -1e-300, math.nan, -math.inf])
+    def test_complex_at_refuses_a_bad_radius(self, r):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            cech_filtration(pair_1d()).complex_at(r)
+
+    def test_critical_radii_must_rise_from_zero(self):
+        f = cech_filtration(pair_1d())
+        for radii in ((0.5, 1.0), (0.0, 0.0), (0.0, -0.5), ()):
+            with pytest.raises(ValueError):
+                Filtration(f.config, radii, f.complexes[:len(radii)])
+
     def test_classes_descend_along_filtration(self):
         f = cech_filtration(triangle())
         classes = [canonical_form(c) for c in f.complexes]
@@ -256,4 +286,4 @@ class TestOneTolerance:
             if isinstance(node, ast.FunctionDef):
                 if any(isinstance(n, ast.Name) and n.id == "EPS_GEO" for n in ast.walk(node)):
                     readers.add(node.name)
-        assert readers == {"read_scan", "cech_filtration", "zone_edges"}
+        assert readers == {"_read_radii", "zone_edges"}

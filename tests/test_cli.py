@@ -234,6 +234,111 @@ class TestTrack:
         assert f"dim must be in 1..16, got {dim}" in err
 
 
+#: one valid document per input format, each with the command that reads it
+PATH_DOC = {"dim": 1, "breakpoints": [0.0, 1.0],
+            "tracks": [[[0.0], [0.0]], [[1.0], [1.0]]], "radius": [0.0, 1.0]}
+COMPLEX_DOC = {"n_vertices": 2, "simplices": [[0, 1]]}
+POINTS_DOC = {"dim": 1, "points": [[0.0], [1.0]]}
+
+
+def run_reader(capsys, tmp_path, verb, document):
+    """Runs ``verb`` on ``document`` as its one JSON input (both inputs of
+    ``dominates``); returns the exit code, stdout and stderr."""
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(document))
+    argv = {
+        "cech": ("--points", str(f), "--radius", "0.1"),
+        "filtration": ("--points", str(f)),
+        "stratum": ("--points", str(f), "--radius", "0.1"),
+        "dominates": ("--a", str(f), "--b", str(f)),
+        "track": ("--path", str(f), "--resolution", "0.01"),
+    }[verb]
+    return run_cli(capsys, verb, *argv)
+
+
+#: (command, format named in the message, a valid document, its fields)
+READERS = [
+    ("cech", "point-configuration JSON", POINTS_DOC, ("dim", "points")),
+    ("filtration", "point-configuration JSON", POINTS_DOC, ("dim", "points")),
+    ("stratum", "point-configuration JSON", POINTS_DOC, ("dim", "points")),
+    ("dominates", "complex JSON", COMPLEX_DOC, ("n_vertices", "simplices")),
+    ("track", "path JSON", PATH_DOC, ("dim", "breakpoints", "tracks", "radius")),
+]
+
+
+class TestMalformedDocuments:
+    """A JSON document of the wrong shape or with a mistyped field is a
+    validation error (exit 2, nothing on stdout) naming its format and the
+    field, never a traceback or a silent coercion."""
+
+    @pytest.mark.parametrize("verb,fmt,doc,fields", READERS)
+    def test_valid_document_is_read(self, capsys, tmp_path, verb, fmt, doc, fields):
+        code, out, err = run_reader(capsys, tmp_path, verb, doc)
+        assert (code, err) == (0, "") and out
+
+    @pytest.mark.parametrize("verb,fmt,doc,fields", READERS)
+    @pytest.mark.parametrize("document", [[1, 2], "text", 3])
+    def test_non_object_is_exit_2(self, capsys, tmp_path, verb, fmt, doc, fields, document):
+        code, out, err = run_reader(capsys, tmp_path, verb, document)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {fmt} must be an object") and err.endswith("\n")
+
+    @pytest.mark.parametrize("verb,fmt,doc,fields", READERS)
+    def test_missing_field_is_exit_2(self, capsys, tmp_path, verb, fmt, doc, fields):
+        code, out, err = run_reader(capsys, tmp_path, verb, {})
+        assert (code, out) == (2, "")
+        assert err == f"error: {fmt} is missing the field {fields[0]!r}\n"
+        for field in fields:
+            partial = {k: v for k, v in doc.items() if k != field}
+            code, out, err = run_reader(capsys, tmp_path, verb, partial)
+            assert (code, out) == (2, "")
+            assert err == f"error: {fmt} is missing the field {field!r}\n"
+
+    @pytest.mark.parametrize("verb,field,value,message", [
+        ("cech", "dim", 1.5, '"dim" must be an integer, got 1.5'),
+        ("cech", "dim", True, '"dim" must be an integer, got True'),
+        ("cech", "dim", "1", "\"dim\" must be an integer, got '1'"),
+        ("cech", "points", {"0": [0.0]}, '"points" must be an array'),
+        ("cech", "points", [["0"], [1.0]], "a point must be an array of numbers, got ['0']"),
+        ("cech", "points", [[0.0], 1.0], "a point must be an array of numbers, got 1.0"),
+        ("cech", "points", [[False], [1.0]], "a point must be an array of numbers, got [False]"),
+        ("filtration", "points", [[0.0], [None]], "a point must be an array of numbers, got [None]"),
+        ("stratum", "dim", 1.0, '"dim" must be an integer, got 1.0'),
+        ("dominates", "n_vertices", 2.9, '"n_vertices" must be an integer, got 2.9'),
+        ("dominates", "n_vertices", True, '"n_vertices" must be an integer, got True'),
+        ("dominates", "simplices", [[0, 1.7]], "a simplex must be an array of integers, got [0, 1.7]"),
+        ("dominates", "simplices", [[0, True]], "a simplex must be an array of integers, got [0, True]"),
+        ("dominates", "simplices", [["0", 1]], "a simplex must be an array of integers, got ['0', 1]"),
+        ("dominates", "simplices", [0, 1], "a simplex must be an array of integers, got 0"),
+        ("dominates", "simplices", "01", '"simplices" must be an array'),
+        ("track", "dim", 1.5, '"dim" must be an integer, got 1.5'),
+        ("track", "breakpoints", ["0", 1.0], "\"breakpoints\" must be an array of numbers, got ['0', 1.0]"),
+        ("track", "radius", [0.0, "0.1"], "\"radius\" must be an array of numbers, got [0.0, '0.1']"),
+        ("track", "tracks", {"a": 1}, '"tracks" must be an array'),
+        ("track", "tracks", [[[0.0], ["1"]]], "a waypoint must be an array of numbers, got ['1']"),
+        ("track", "tracks", [[0.0, 1.0]], "a waypoint must be an array of numbers, got 0.0"),
+        ("track", "tracks", [0.0], "a track must be an array"),
+    ])
+    def test_mistyped_field_is_exit_2(self, capsys, tmp_path, verb, field, value, message):
+        fmt, doc = next((fmt, doc) for v, fmt, doc, _ in READERS if v == verb)
+        code, out, err = run_reader(capsys, tmp_path, verb, {**doc, field: value})
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {fmt}: {message}"), err
+
+    def test_negative_vertex_is_out_of_range(self, capsys, tmp_path):
+        code, out, err = run_reader(capsys, tmp_path, "dominates",
+                                    {"n_vertices": 2, "simplices": [[-1, 0]]})
+        assert (code, out) == (2, "")
+        assert err == "error: generator [-1, 0] has a vertex outside 0..1\n"
+
+    def test_integral_numbers_are_coordinates(self, capsys, tmp_path):
+        # a JSON integer is a number: 1 and 1.0 read alike as coordinates and radii
+        floats = run_reader(capsys, tmp_path, "track", PATH_DOC)
+        ints = run_reader(capsys, tmp_path, "track", {
+            "dim": 1, "breakpoints": [0, 1], "tracks": [[[0], [0]], [[1], [1]]], "radius": [0, 1]})
+        assert ints == floats and ints[0] == 0
+
+
 class TestFrontierDemo:
     def test_violated_verdict(self, capsys):
         code, out, _ = run_cli(capsys, "frontier-demo", "--samples", "800", "--seed", "3")
@@ -248,6 +353,12 @@ class TestFrontierDemo:
         )
         assert code == 0
         assert json.loads(out)["verdict"] == "satisfied-at-budget"
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_no_samples_is_exit_2(self, capsys, samples):
+        code, out, err = run_cli(capsys, "frontier-demo", "--samples", samples)
+        assert (code, out) == (2, "")
+        assert err == f"error: n_samples must be >= 1, got {samples}\n"
 
 
 class TestOptions:

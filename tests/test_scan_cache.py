@@ -176,11 +176,12 @@ class TestWorkCount:
 
 class TestOneComplexPerZone:
     """A configuration's Cech complex is built once per spanned prefix of
-    the radius's zone (its ``hi``), and shared by ``cech_complex``,
-    ``stratum_label`` and ``cech_filtration``."""
+    the radius's zone (its ``hi``), kept on the cached scan and shared by
+    ``cech_complex``, ``stratum_label`` and ``cech_filtration``."""
 
-    def test_radii_in_one_zone_share_one_complex(self):
+    def test_radii_in_one_zone_share_one_complex(self, monkeypatch):
         clear_package_caches()
+        built = count_complexes(monkeypatch)
         cfg = five_points()
         scan = cech.subset_radii(cfg)
         radii = sorted(set(scan.radii))
@@ -192,18 +193,22 @@ class TestOneComplexPerZone:
                 zones.add(zone)
                 c = cech_complex(RanPoint(cfg, r + offset))
                 assert seen.setdefault(zone.hi, c) is c
-                assert c == SimplicialComplex.from_masks(5, scan.complex_masks(5, zone.hi))
+                assert c is scan.complex(zone.hi)
         # a critical zone (lo, hi) and the zone (hi, hi) after it share one
         assert len(zones) > len(seen) == len({id(c) for c in seen.values()}) >= 12
-        assert cech.zone_complex.cache_info().misses == len(seen)
+        assert len(built) == len(seen)
+        for hi, c in seen.items():
+            assert c == SimplicialComplex.from_masks(5, scan.complex_masks(hi))
 
-    def test_stratum_label_fills_the_complex_cache(self):
+    def test_stratum_label_fills_the_complex_cache(self, monkeypatch):
         clear_package_caches()
+        built = count_complexes(monkeypatch)
         x = RanPoint(five_points(), 0.3)
         label = stratum_label(x)
-        assert cech.zone_complex.cache_info().currsize == 1
+        assert len(built) == 1 + complexes._iso_class.cache_info().misses
         c = cech_complex(x)
-        assert cech.zone_complex.cache_info()[:2] == (1, 1)  # hits, misses
+        assert len(built) == 1 + complexes._iso_class.cache_info().misses
+        assert c is built[0]
         assert canonical_form(c) == label.cls
 
     def test_filtration_shares_the_complexes(self):
@@ -215,18 +220,36 @@ class TestOneComplexPerZone:
 
     def test_growth_zigzag_builds_only_zone_complexes_and_classes(self, monkeypatch):
         clear_package_caches()
-        built = []
-        init = SimplicialComplex.__init__
+        built = count_complexes(monkeypatch)
+        cfg = five_points()
+        z = zigzag(cech_path(cfg, 0.9), 0.01)
+        scan = cech.subset_radii(cfg)
+        prefixes = {id(scan.complex(zone.hi)) for zone in scan.labels}
+        assert len(z.times) >= 4 and len(scan.labels) > len(prefixes)
+        assert len(built) == len(prefixes) + complexes._iso_class.cache_info().misses
+        assert prefixes <= {id(c) for c in built}
 
-        def counting(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
+    def test_complexes_and_labels_leave_with_their_scan(self):
+        clear_package_caches()
+        x = RanPoint(five_points(), 0.3)
+        label, c = stratum_label(x), cech_complex(x)
+        assert stratum_label(x) is label and cech_complex(x) is c
+        cech._scan.cache_clear()
+        assert stratum_label(x) is not label and cech_complex(x) is not c
+        assert stratum_label(x) == label and cech_complex(x) == c
 
-        monkeypatch.setattr(SimplicialComplex, "__init__", counting)
-        z = zigzag(cech_path(five_points(), 0.9), 0.01)
-        zones = cech.zone_complex.cache_info()
-        assert len(z.times) >= 4 and zones.hits > zones.misses
-        assert len(built) == zones.misses + complexes._iso_class.cache_info().misses
+
+def count_complexes(monkeypatch) -> list:
+    """Every ``SimplicialComplex`` built from here on, in order."""
+    built = []
+    init = SimplicialComplex.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counting)
+    return built
 
 
 def is_functools_cache(node, module) -> bool:
@@ -238,6 +261,25 @@ def is_functools_cache(node, module) -> bool:
     if isinstance(node, ast.Name):
         return getattr(module, node.id, None) in (functools.lru_cache, functools.cache)
     return False
+
+
+def test_only_the_scan_cache_is_keyed_on_a_configuration():
+    # a configuration's complexes and labels live on its cached scan (keyed
+    # on the points), so that emptying the scan cache empties them too
+    keyed = set()
+    for module in package_modules():
+        try:
+            tree = ast.parse(inspect.getsource(module))
+        except (OSError, TypeError):  # compiled extension: no Python source
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                    any(is_functools_cache(dec, module) for dec in node.decorator_list):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                annotations = {ast.unparse(a.annotation) for a in args if a.annotation}
+                if any(name in text for text in annotations for name in ("PointConfig", "RanPoint")):
+                    keyed.add(f"{module.__name__}.{node.name}")
+    assert keyed <= {"cechstrat.cech._scan"}
 
 
 class TestCacheGuard:

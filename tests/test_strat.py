@@ -364,6 +364,14 @@ class TestFrontierCheck:
         assert report.verdict == "satisfied-at-budget"
         assert report.boundary_witness is None
 
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_no_samples_is_refused(self, n_samples):
+        # even for a pair decided without sampling: the budget is checked first
+        family = two_point_line_family()
+        lbl = stratum_label(RanPoint(config_1d(0.0, 1.0), 0.4))
+        with pytest.raises(ValueError, match=f"n_samples must be >= 1, got {n_samples}"):
+            frontier_check(family, lbl, lbl, n_samples=n_samples)
+
     def test_incomparable_pair_is_vacuous(self, named_classes):
         family = two_point_line_family()
         cfg = config_1d(0.0, 1.0)

@@ -177,6 +177,60 @@ def test_readings_match_reference(backend):
         assert cech_filtration(config) == reference_cech_filtration(config)
 
 
+def merged_criticals(config):
+    """The critical radii by the merge that preceded reading them through
+    ``read_scan``: 0 and the distinct subset radii, each kept when it
+    exceeds the last kept one plus EPS_GEO."""
+    criticals = []
+    for r in sorted({0.0} | {max(r, 0.0) for _, r in cech.subset_radii(config)}):
+        if not criticals or r > criticals[-1] + EPS_GEO:
+            criticals.append(r)
+    return tuple(criticals)
+
+
+def near_tied_config(rng):
+    """A grid-tied configuration moved by up to 2e-9 per coordinate, so that
+    tied radii split by about EPS_GEO."""
+    while True:
+        config = random_tied_config(rng)
+        try:
+            return PointConfig(config.dim, tuple(tuple(c + rng.uniform(-2e-9, 2e-9) for c in p)
+                                                 for p in config.points))
+        except ValueError:
+            continue
+
+
+def tiny_config(rng):
+    """2-6 random points at a scale of 1e-9 to 1e-7, where every radius is
+    a few EPS_GEO."""
+    while True:
+        scale = 10.0 ** rng.uniform(-9, -7)
+        try:
+            return PointConfig(2, tuple((scale * rng.random(), scale * rng.random())
+                                        for _ in range(rng.randint(2, 6))))
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: PointConfig(2, tuple((rng.random(), rng.random()) for _ in range(rng.randint(1, 6)))),
+    random_tied_config,
+    near_tied_config,
+    tiny_config,
+], ids=["random", "grid-tied", "near-tied", "tiny-scale"])
+def test_filtration_stages_open_where_the_merge_put_them(draw):
+    rng = random.Random(12)
+    merged = 0
+    for _ in range(250):
+        config = draw(rng)
+        criticals = cech_filtration(config).critical_radii
+        assert criticals == merged_criticals(config), config
+        merged += len(criticals) < len({0.0, *cech.subset_radii(config).radii})
+    # some draws put distinct radii in one stage (at random, an obtuse
+    # triangle's radius and its longest edge's, a few ulps apart)
+    assert merged > 0
+
+
 def test_radius_exactly_eps_geo_above_is_critical():
     # the random probes meet |radius - r| == EPS_GEO only with r below the
     # radius; a pair radius this small makes c + EPS_GEO exact
@@ -219,7 +273,7 @@ def test_infinite_radius_is_refused_and_its_zone_reads_like_the_reference():
     with pytest.raises(ValueError, match="radius must be finite, got inf"):
         RanPoint(config, math.inf)
     zone = cech.read_scan(cech.subset_radii(config), math.inf)
-    assert _zone_label(config, zone) == \
+    assert _zone_label(cech.subset_radii(config), zone) == \
         reference_stratum_label(SimpleNamespace(config=config, radius=math.inf))
     assert same_float(r2(config, math.inf), reference_reading(config, math.inf)[2])
     assert same_float(r2_prime(config, math.inf), reference_reading(config, math.inf)[3])
