@@ -34,6 +34,12 @@ def integer(value, fmt: str, what: str) -> int:
     return value
 
 
+def number(value, fmt: str, what: str) -> float:
+    if not _is_number(value):
+        raise ValueError(f"{fmt}: {what} must be a number, got {value!r}")
+    return value
+
+
 def array(value, fmt: str, what: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{fmt}: {what} must be an array, got {value!r}")
@@ -49,4 +55,10 @@ def integers(value, fmt: str, what: str) -> list[int]:
 def numbers(value, fmt: str, what: str) -> list[float]:
     if not (isinstance(value, list) and all(map(_is_number, value))):
         raise ValueError(f"{fmt}: {what} must be an array of numbers, got {value!r}")
+    return value
+
+
+def booleans(value, fmt: str, what: str) -> list[bool]:
+    if not (isinstance(value, list) and all(type(x) is bool for x in value)):
+        raise ValueError(f"{fmt}: {what} must be an array of booleans, got {value!r}")
     return value

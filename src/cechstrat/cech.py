@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import _kernels
+from . import _json, _kernels
 from ._bits import proper_submasks
 from ._kernels._pure import MAX_SUBSET_VERTICES
 from .complexes import SimplicialComplex
@@ -99,8 +99,7 @@ class Scan(tuple):
         gets the same object."""
         c = self._complexes.get(hi)
         if c is None:
-            c = self._complexes[hi] = SimplicialComplex.from_masks(self.n_points,
-                                                                   self.complex_masks(hi))
+            c = self._complexes[hi] = SimplicialComplex(self.n_points, self.complex_masks(hi))
         return c
 
     def complex_masks(self, hi: int) -> set[int]:
@@ -222,6 +221,10 @@ class Filtration:
         radii = self.critical_radii
         if not radii or radii[0] != 0.0 or not all(map(operator.lt, radii, radii[1:])):
             raise ValueError("critical radii must rise strictly from 0")
+        for c in self.complexes:
+            if c.n_vertices != len(self.config):
+                raise ValueError(f"a complex has {c.n_vertices} vertices for "
+                                 f"{len(self.config)} points")
         for a, b in zip(self.complexes, self.complexes[1:]):
             if not set(a.masks) <= set(b.masks):
                 raise ValueError("filtration complexes must be nested")
@@ -242,10 +245,12 @@ class Filtration:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Filtration":
+        fmt = "filtration JSON"
+        points, radii, complexes = _json.fields(data, fmt, "points", "critical_radii", "complexes")
         return cls(
-            PointConfig.from_json_dict(data["points"]),
-            tuple(float(r) for r in data["critical_radii"]),
-            tuple(SimplicialComplex.from_json_dict(c) for c in data["complexes"]),
+            PointConfig.from_json_dict(points),
+            tuple(map(float, _json.numbers(radii, fmt, '"critical_radii"'))),
+            tuple(map(SimplicialComplex.from_json_dict, _json.array(complexes, fmt, '"complexes"'))),
         )
 
 

@@ -4,8 +4,8 @@ Vertices are dense integers ``0..n-1``; a complex stores its full simplex
 set (downward closed, every vertex present as a singleton) as integer
 bitmasks, bit ``v`` standing for vertex ``v``.  Vertex tuples are derived
 from the masks on demand, for JSON and display.  A canonical form is the
-least relabeling of the masks, found by a pruned search under a
-configurable vertex cap, so keys agree exactly on isomorphism classes.
+least relabeling of the masks, found by a pruned search under a fixed
+vertex cap, so keys agree exactly on isomorphism classes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ VERTEX_CAP = 8
 
 
 class CapExceeded(ValueError):
-    """Vertex count exceeds the configured cap."""
+    """Vertex count exceeds a search's cap."""
 
 
 @dataclass(frozen=True, init=False)
@@ -30,24 +30,20 @@ class SimplicialComplex:
 
     ``masks`` holds every simplex (not just facets) as a vertex bitmask, in
     ascending order; ``simplices`` derives sorted vertex tuples from them,
-    ordered by dimension then vertex order.  Simplices are given as vertex
-    tuples and/or ``masks``; construction checks that every vertex is in
-    range, every singleton present and the set downward closed.
+    ordered by dimension then vertex order.  Construction checks that every
+    mask is in range, every singleton present and the set downward closed;
+    :func:`make_complex` builds a complex from vertex tuples.  The order
+    invariants ``n_components`` and ``f_vector`` are computed once per
+    complex, on first use.
     """
 
     n_vertices: int
     masks: tuple[int, ...]
 
-    def __init__(self, n_vertices: int, simplices: Iterable[Iterable[int]] = (), *,
-                 masks: Iterable[int] = ()):
+    def __init__(self, n_vertices: int, masks: Iterable[int] = ()):
         if n_vertices < 0:
             raise ValueError("n_vertices must be nonnegative")
         present = set(masks)
-        for s in simplices:
-            vs = {int(v) for v in s}
-            if not vs.issubset(range(n_vertices)):
-                raise ValueError(f"simplex {sorted(vs)} has a vertex outside 0..{n_vertices - 1}")
-            present.add(mask_of(vs))
         for v in range(n_vertices):
             if 1 << v not in present:
                 raise ValueError(f"vertex {v} is missing its singleton simplex")
@@ -62,10 +58,6 @@ class SimplicialComplex:
         object.__setattr__(self, "masks", tuple(sorted(present)))
         object.__setattr__(self, "_present", frozenset(present))
 
-    @classmethod
-    def from_masks(cls, n_vertices: int, masks: Iterable[int]) -> "SimplicialComplex":
-        return cls(n_vertices, masks=masks)
-
     @functools.cached_property
     def simplices(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(map(vertices_of, self.masks), key=lambda t: (len(t), t)))
@@ -73,6 +65,23 @@ class SimplicialComplex:
     @functools.cached_property
     def simplex_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.simplices)
+
+    @functools.cached_property
+    def n_components(self) -> int:
+        """Connected components, which no vertex-surjective simplicial map
+        out of the complex can increase."""
+        parts: list[int] = []  # disjoint vertex sets, so a sum of them is their union
+        for m in self.masks:
+            parts = [p for p in parts if not p & m] + [m | sum(p for p in parts if p & m)]
+        return len(parts)
+
+    @functools.cached_property
+    def f_vector(self) -> tuple[int, ...]:
+        """Simplex counts by size 1..n_vertices."""
+        counts = [0] * self.n_vertices
+        for m in self.masks:
+            counts[m.bit_count() - 1] += 1
+        return tuple(counts)
 
     @property
     def dim(self) -> int:
@@ -116,7 +125,7 @@ def make_complex(n_vertices: int, generators: Iterable[Iterable[int]]) -> Simpli
             m = mask_of(vs)
             masks.add(m)
             masks.update(proper_submasks(m))
-    return SimplicialComplex.from_masks(n_vertices, masks)
+    return SimplicialComplex(n_vertices, masks)
 
 
 @dataclass(frozen=True)
@@ -152,11 +161,10 @@ class SimplicialMap:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplicialMap":
-        return cls(
-            SimplicialComplex.from_json_dict(data["source"]),
-            SimplicialComplex.from_json_dict(data["target"]),
-            tuple(data["vertex_map"]),
-        )
+        fmt = "simplicial-map JSON"
+        source, target, vertex_map = _json.fields(data, fmt, "source", "target", "vertex_map")
+        return cls(SimplicialComplex.from_json_dict(source), SimplicialComplex.from_json_dict(target),
+                   tuple(_json.integers(vertex_map, fmt, '"vertex_map"')))
 
 
 def is_simplicial(m: SimplicialMap) -> bool:
@@ -225,27 +233,28 @@ def _iso_class(n: int, canon: tuple[int, ...]) -> IsoClass:
     representative is marked canonical, so its own canonical form needs no
     search."""
     key = bytes([n]) + b"".join(m.to_bytes(2, "big") for m in canon)
-    rep = SimplicialComplex.from_masks(n, canon)
+    rep = SimplicialComplex(n, canon)
     object.__setattr__(rep, "_canonical", True)
     return IsoClass(rep, key)
 
 
-def canonical_form(c: SimplicialComplex, cap: int = VERTEX_CAP) -> IsoClass:
+def canonical_form(c: SimplicialComplex) -> IsoClass:
     """Canonical representative and key under vertex relabeling.
 
     The representative is the relabeling whose sorted masks are
     lexicographically least: the pure kernel finds it by a pruned search,
-    the compiled one by trying all n! relabelings.  Complexes above ``cap``
-    vertices are rejected rather than silently taking factorial time.
+    the compiled one by trying all n! relabelings.  Complexes above
+    ``VERTEX_CAP`` vertices are rejected rather than silently taking
+    factorial time.
     """
-    if c.n_vertices > cap:
-        raise CapExceeded(f"canonical form needs {c.n_vertices} vertices > cap {cap}")
+    if c.n_vertices > VERTEX_CAP:
+        raise CapExceeded(f"canonical form needs {c.n_vertices} vertices > cap {VERTEX_CAP}")
     if c.__dict__.get("_canonical"):
         return _iso_class(c.n_vertices, c.masks)
     return _canonical_cached(c.n_vertices, c.masks)
 
 
-def are_isomorphic(a: SimplicialComplex, b: SimplicialComplex, cap: int = VERTEX_CAP) -> bool:
+def are_isomorphic(a: SimplicialComplex, b: SimplicialComplex) -> bool:
     if a.n_vertices != b.n_vertices:
         return False
-    return canonical_form(a, cap).key == canonical_form(b, cap).key
+    return canonical_form(a).key == canonical_form(b).key

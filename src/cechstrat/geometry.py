@@ -96,7 +96,9 @@ class RanPoint:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RanPoint":
-        return cls(PointConfig.from_json_dict(data["config"]), float(data["radius"]))
+        fmt = "Ran-point JSON"
+        config, radius = _json.fields(data, fmt, "config", "radius")
+        return cls(PointConfig.from_json_dict(config), _json.number(radius, fmt, '"radius"'))
 
 
 @dataclass(frozen=True)

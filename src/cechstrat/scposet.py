@@ -13,7 +13,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from . import _kernels
+from . import _json, _kernels
 from ._bits import facet_submasks, vertices_of
 from .complexes import (
     VERTEX_CAP,
@@ -32,7 +32,8 @@ def dominates(c: SimplicialComplex, c_prime: SimplicialComplex) -> SimplicialMap
 
     Deterministic: returns the first witness found by backtracking over
     vertex assignments in ascending order.  Refuses complexes of more than
-    ``VERTEX_CAP`` vertices.  Returns None without a search when
+    ``VERTEX_CAP`` vertices.  Returns None without a search when, by the
+    invariants each complex computes once (``n_components``, ``f_vector``),
 
     - ``c`` has fewer vertices than ``c_prime``, or fewer connected components;
     - as many vertices (a map would be a bijection, so injective on
@@ -42,10 +43,10 @@ def dominates(c: SimplicialComplex, c_prime: SimplicialComplex) -> SimplicialMap
     if c.n_vertices > VERTEX_CAP or c_prime.n_vertices > VERTEX_CAP:
         raise CapExceeded(f"domination search capped at {VERTEX_CAP} vertices, "
                           f"got {c.n_vertices} and {c_prime.n_vertices}")
-    if c.n_vertices < c_prime.n_vertices or _component_count(c) < _component_count(c_prime):
+    if c.n_vertices < c_prime.n_vertices or c.n_components < c_prime.n_components:
         return None
     if c.n_vertices == c_prime.n_vertices:
-        fa, fb = _f_vector(c), _f_vector(c_prime)
+        fa, fb = c.f_vector, c_prime.f_vector
         # equal f-vectors exclude only a different class: decide by the keys
         if _bijection_excluded(fa, fb) and (
                 fa != fb or canonical_form(c).key != canonical_form(c_prime).key):
@@ -58,11 +59,24 @@ def dominates(c: SimplicialComplex, c_prime: SimplicialComplex) -> SimplicialMap
 class PosetUniverse:
     """All isomorphism classes with at most ``n_max`` vertices plus the
     full domination relation between them (reflexive, antisymmetric,
-    transitive)."""
+    transitive), stored as bitset rows: bit ``b`` of ``ge[a]`` is set when
+    class ``a`` dominates class ``b``.  ``relation`` reads the rows as a
+    matrix of bools, as the JSON form writes them."""
 
     classes: tuple[IsoClass, ...]
-    relation: tuple[tuple[bool, ...], ...]
+    ge: tuple[int, ...]
     n_max: int
+
+    def __post_init__(self):
+        size = len(self.classes)
+        if len(self.ge) != size or not all(0 <= row < 1 << size for row in self.ge):
+            raise ValueError(f"the relation needs one bitset row per class, each within "
+                             f"the {size} classes; got {len(self.ge)} rows")
+
+    @functools.cached_property
+    def relation(self) -> tuple[tuple[bool, ...], ...]:
+        size = len(self.classes)
+        return tuple(tuple(bool(row >> b & 1) for b in range(size)) for row in self.ge)
 
     def index_of(self, cls: IsoClass) -> int:
         for i, c in enumerate(self.classes):
@@ -79,11 +93,16 @@ class PosetUniverse:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PosetUniverse":
-        classes = tuple(
-            canonical_form(SimplicialComplex.from_json_dict(c)) for c in data["classes"]
-        )
-        relation = tuple(tuple(bool(x) for x in row) for row in data["relation"])
-        return cls(classes, relation, int(data["n_max"]))
+        fmt = "universe JSON"
+        n_max, classes, relation = _json.fields(data, fmt, "n_max", "classes", "relation")
+        classes = tuple(canonical_form(SimplicialComplex.from_json_dict(c))
+                        for c in _json.array(classes, fmt, '"classes"'))
+        ge = []
+        for row in _json.array(relation, fmt, '"relation"'):
+            if len(_json.booleans(row, fmt, "a relation row")) != len(classes):
+                raise ValueError(f"{fmt}: a relation row needs {len(classes)} entries, got {row!r}")
+            ge.append(sum(1 << b for b, above in enumerate(row) if above))
+        return cls(classes, tuple(ge), _json.integer(n_max, fmt, '"n_max"'))
 
 
 def _labeled_complexes(n: int) -> list[int]:
@@ -113,31 +132,6 @@ def _relabellings(n: int) -> list[list[int]]:
             image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
         tables.append([1 << i for i in image])
     return tables
-
-
-@functools.lru_cache(maxsize=4096)
-def _component_count(c: SimplicialComplex) -> int:
-    """Connected components of ``c``, which no vertex-surjective simplicial
-    map out of ``c`` can increase; computed once per complex."""
-    parts: list[int] = []
-    for m in c.masks:
-        merged, rest = m, []
-        for p in parts:
-            if p & m:
-                merged |= p
-            else:
-                rest.append(p)
-        parts = rest + [merged]
-    return len(parts)
-
-
-@functools.lru_cache(maxsize=4096)
-def _f_vector(c: SimplicialComplex) -> tuple[int, ...]:
-    """Simplex counts by size 1..n_vertices, computed once per complex."""
-    counts = [0] * c.n_vertices
-    for m in c.masks:
-        counts[m.bit_count() - 1] += 1
-    return tuple(counts)
 
 
 def _bijection_excluded(fa: tuple[int, ...], fb: tuple[int, ...]) -> bool:
@@ -176,7 +170,7 @@ def enumerate_classes(n_max: int) -> PosetUniverse:
         for family in _labeled_complexes(n):
             if family in known:
                 continue
-            cls = canonical_form(SimplicialComplex.from_masks(n, vertices_of(family)))
+            cls = canonical_form(SimplicialComplex(n, vertices_of(family)))
             found.append(cls)
             known.update(sum(map(t.__getitem__, cls.canonical.masks)) for t in tables)
     classes = tuple(sorted(found, key=lambda c: (c.n_vertices, c.key)))
@@ -202,18 +196,13 @@ def enumerate_classes(n_max: int) -> PosetUniverse:
             else:
                 nge[a] |= 1 << b
                 nle[b] |= 1 << a
-    relation = tuple(tuple(bool(ge[a] >> b & 1) for b in range(size)) for a in range(size))
-    return PosetUniverse(classes, relation, n_max)
+    return PosetUniverse(classes, tuple(ge), n_max)
 
 
 def upset(cls: IsoClass, universe: PosetUniverse) -> tuple[IsoClass, ...]:
     """All classes of the universe dominating ``cls`` (including itself)."""
     j = universe.index_of(cls)
-    return tuple(
-        universe.classes[i]
-        for i in range(len(universe.classes))
-        if universe.relation[i][j]
-    )
+    return tuple(c for c, row in zip(universe.classes, universe.ge) if row >> j & 1)
 
 
 @dataclass(frozen=True)
@@ -228,9 +217,10 @@ class HasseDiagram:
 
 
 def hasse(universe: PosetUniverse) -> HasseDiagram:
-    # row i as a bitset of the classes strictly below class i
-    strict = [sum(1 << j for j, below in enumerate(row) if below and j != i)
-              for i, row in enumerate(universe.relation)]
+    """Cover edges read from the universe's bitset rows: ``b`` is covered
+    by ``a`` when it is strictly below ``a`` and below no class strictly
+    below ``a``."""
+    strict = [row & ~(1 << i) for i, row in enumerate(universe.ge)]
     edges = []
     for i, row in enumerate(strict):
         covers = row

@@ -18,6 +18,7 @@ from cechstrat import (
     cech_filtration,
     dominates,
     is_simplicial,
+    make_complex,
     meb,
 )
 from cechstrat import _kernels, cech
@@ -242,6 +243,33 @@ class TestCechFiltration:
         assert restored.critical_radii == f.critical_radii
         assert restored.complexes == f.complexes
         assert restored.config == f.config
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("critical_radii", ["0", "0.5"], '"critical_radii" must be an array of numbers'),
+        ("critical_radii", [0.0, True], '"critical_radii" must be an array of numbers'),
+        ("critical_radii", 0.5, '"critical_radii" must be an array of numbers'),
+        ("complexes", {"0": 1}, '"complexes" must be an array'),
+    ])
+    def test_json_reader_refuses_mistyped_fields(self, field, value, message):
+        data = {**cech_filtration(pair_1d()).to_json_dict(), field: value}
+        with pytest.raises(ValueError, match=f"filtration JSON: {message}"):
+            Filtration.from_json_dict(data)
+
+    def test_json_reader_refuses_a_missing_field(self):
+        data = cech_filtration(pair_1d()).to_json_dict()
+        del data["complexes"]
+        with pytest.raises(ValueError, match="filtration JSON is missing the field 'complexes'"):
+            Filtration.from_json_dict(data)
+
+    def test_complexes_must_have_one_vertex_per_point(self):
+        f = cech_filtration(pair_1d())
+        triangle3 = make_complex(3, [{0, 1, 2}])
+        with pytest.raises(ValueError, match="3 vertices for 2 points"):
+            Filtration(f.config, (0.0,), (triangle3,))
+        data = {**f.to_json_dict(), "critical_radii": [0.0],
+                "complexes": [triangle3.to_json_dict()]}
+        with pytest.raises(ValueError, match="3 vertices for 2 points"):
+            Filtration.from_json_dict(data)
 
 
 #: settings no caller varied, now constants of the modules that use them

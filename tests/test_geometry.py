@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,19 @@ class TestPointConfig:
         data = json.loads('{"config": {"dim": 1, "points": [[0.0]]}, "radius": Infinity}')
         with pytest.raises(ValueError, match="radius must be finite, got inf"):
             RanPoint.from_json_dict(data)
+
+    @pytest.mark.parametrize("radius", ["0.25", None, True, [0.25]])
+    def test_ranpoint_json_radius_is_a_number(self, radius):
+        data = {"config": {"dim": 1, "points": [[0.0]]}, "radius": radius}
+        with pytest.raises(ValueError, match=f'Ran-point JSON: "radius" must be a number, '
+                                             f'got {re.escape(repr(radius))}'):
+            RanPoint.from_json_dict(data)
+
+    def test_ranpoint_json_round_trip(self):
+        x = RanPoint(config_1d(0.0, 1.0), 0.25)
+        assert RanPoint.from_json_dict(json.loads(json.dumps(x.to_json_dict()))) == x
+        with pytest.raises(ValueError, match="Ran-point JSON is missing the field 'radius'"):
+            RanPoint.from_json_dict({"config": x.config.to_json_dict()})
 
     @pytest.mark.parametrize("dim", [0, 17, 40])
     def test_rejects_dimension_outside_kernel_domain(self, dim):

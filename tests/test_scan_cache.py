@@ -198,7 +198,7 @@ class TestOneComplexPerZone:
         assert len(zones) > len(seen) == len({id(c) for c in seen.values()}) >= 12
         assert len(built) == len(seen)
         for hi, c in seen.items():
-            assert c == SimplicialComplex.from_masks(5, scan.complex_masks(hi))
+            assert c == SimplicialComplex(5, scan.complex_masks(hi))
 
     def test_stratum_label_fills_the_complex_cache(self, monkeypatch):
         clear_package_caches()
@@ -280,6 +280,25 @@ def test_only_the_scan_cache_is_keyed_on_a_configuration():
                 if any(name in text for text in annotations for name in ("PointConfig", "RanPoint")):
                     keyed.add(f"{module.__name__}.{node.name}")
     assert keyed <= {"cechstrat.cech._scan"}
+
+
+def test_no_cache_is_keyed_on_a_complex():
+    # a complex's order invariants are properties cached on the complex, so
+    # no lookup hashes it
+    keyed = set()
+    for module in package_modules():
+        try:
+            tree = ast.parse(inspect.getsource(module))
+        except (OSError, TypeError):  # compiled extension: no Python source
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                    any(is_functools_cache(dec, module) for dec in node.decorator_list):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if any(a.annotation and "SimplicialComplex" in ast.unparse(a.annotation)
+                       for a in args):
+                    keyed.add(f"{module.__name__}.{node.name}")
+    assert keyed == set()
 
 
 class TestCacheGuard:

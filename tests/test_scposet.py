@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -86,7 +87,7 @@ def relabelled(c, rng):
     """``c`` under a random vertex permutation."""
     perm = list(range(c.n_vertices))
     rng.shuffle(perm)
-    return SimplicialComplex.from_masks(
+    return SimplicialComplex(
         c.n_vertices, [sum(1 << perm[v] for v in vertices_of(m)) for m in c.masks])
 
 
@@ -337,7 +338,7 @@ class TestEnumerationRules:
 
     def test_components_never_increase(self, four):
         classes, ge = four
-        count = [scposet._component_count(c.canonical) for c in classes]
+        count = [c.canonical.n_components for c in classes]
         fired = 0
         for a, b in itertools.product(range(len(classes)), repeat=2):
             if count[a] < count[b]:
@@ -346,13 +347,13 @@ class TestEnumerationRules:
         assert fired
 
     def test_component_count(self, named):
-        counts = {name: scposet._component_count(c) for name, c in named.items()}
+        counts = {name: c.n_components for name, c in named.items()}
         assert counts == {"point": 1, "two_points": 2, "edge": 1, "discrete3": 3,
                           "edge_plus_point": 2, "path3": 1, "cycle3": 1, "filled3": 1}
 
     def test_f_vectors_of_a_bijection(self, four):
         classes, ge = four
-        f = [scposet._f_vector(c.canonical) for c in classes]
+        f = [c.canonical.f_vector for c in classes]
         larger = equal = 0
         for a, b in itertools.product(range(len(classes)), repeat=2):
             if a == b or classes[a].n_vertices != classes[b].n_vertices:
@@ -501,3 +502,61 @@ class TestUniverseJson:
         assert restored.n_max == u.n_max
         assert [c.key for c in restored.classes] == [c.key for c in u.classes]
         assert restored.relation == u.relation
+
+    @pytest.mark.parametrize("n_max", range(1, 5))
+    def test_hasse_and_upsets_survive_the_round_trip(self, n_max):
+        u = enumerate_classes(n_max)
+        restored = PosetUniverse.from_json_dict(json.loads(json.dumps(u.to_json_dict())))
+        assert restored.ge == u.ge
+        assert hasse(restored) == hasse(u)
+        for cls in u.classes:
+            assert upset(cls, restored) == upset(cls, u)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_max", 2.7, '"n_max" must be an integer, got 2.7'),
+        ("n_max", True, '"n_max" must be an integer, got True'),
+        ("classes", {"0": 1}, '"classes" must be an array'),
+        ("relation", "1", '"relation" must be an array'),
+        ("relation", [[1]], "a relation row must be an array of booleans, got [1]"),
+        ("relation", [[True, "no", 0]], "a relation row must be an array of booleans"),
+        ("relation", [[True, False, False]], "a relation row needs 1 entries, got [True, False, False]"),
+        ("relation", [[]], "a relation row needs 1 entries, got []"),
+    ])
+    def test_reader_refuses_mistyped_fields(self, field, value, message):
+        data = {**enumerate_classes(1).to_json_dict(), field: value}
+        with pytest.raises(ValueError) as err:
+            PosetUniverse.from_json_dict(data)
+        assert str(err.value).startswith(f"universe JSON: {message}")
+
+    def test_reader_refuses_a_row_count_other_than_the_class_count(self):
+        data = enumerate_classes(2).to_json_dict()
+        for rows in (data["relation"][:2], data["relation"] + [[True, True, True]]):
+            with pytest.raises(ValueError, match="one bitset row per class"):
+                PosetUniverse.from_json_dict({**data, "relation": rows})
+
+
+class TestBitsetRows:
+    """The universe holds the relation as bitset rows, which enumeration
+    fills and the Hasse diagram and upsets read; only ``relation`` builds
+    the matrix of bools."""
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(PosetUniverse)] == ["classes", "ge", "n_max"]
+
+    def test_rows_are_the_relation(self):
+        u = enumerate_classes(3)
+        assert all(type(row) is int for row in u.ge)
+        assert u.relation == tuple(tuple(bool(row >> b & 1) for b in range(len(u.classes)))
+                                   for row in u.ge)
+
+    def test_no_matrix_built_by_enumeration_hasse_or_upset(self):
+        u = enumerate_classes(4)
+        hasse(u)
+        upset(u.classes[0], u)
+        assert "relation" not in vars(u)
+
+    def test_rows_are_checked(self):
+        classes = enumerate_classes(2).classes
+        for ge in ((0b001, 0b011), (0b001, 0b011, 0b111, 0b0), (0b001, 0b011, 0b1101), (-1, 0, 0)):
+            with pytest.raises(ValueError, match="one bitset row per class"):
+                PosetUniverse(classes, ge, 2)

@@ -57,7 +57,7 @@ def reference_reading(config, r, max_dim=None):
 
 def reference_stratum_label(x):
     masks, critical, _, _ = reference_reading(x.config, x.radius)
-    cls = canonical_form(SimplicialComplex.from_masks(len(x.config), masks))
+    cls = canonical_form(SimplicialComplex(len(x.config), masks))
     degenerate = sorted(map(vertices_of, critical), key=lambda t: (len(t), t))
     return StratumLabel(cls, tuple(degenerate))
 
@@ -83,7 +83,7 @@ def reference_cech_filtration(config):
     complexes = []
     for i, c in enumerate(criticals):
         mid = 0.5 * (c + criticals[i + 1]) if i + 1 < len(criticals) else c + 0.5
-        complexes.append(SimplicialComplex.from_masks(n, reference_read_scan(n, scan, mid)[0]))
+        complexes.append(SimplicialComplex(n, reference_read_scan(n, scan, mid)[0]))
     return Filtration(config, tuple(criticals), tuple(complexes))
 
 
@@ -173,7 +173,7 @@ def test_readings_match_reference(backend):
             assert same_float(r2(config, r), slack)
             assert same_float(r2_prime(config, r), slack_prime)
             assert tilde_r(x) == reference_tilde_r(x)
-            assert cech_complex(x) == SimplicialComplex.from_masks(len(config), masks)
+            assert cech_complex(x) == SimplicialComplex(len(config), masks)
         assert cech_filtration(config) == reference_cech_filtration(config)
 
 
