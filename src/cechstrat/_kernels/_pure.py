@@ -17,6 +17,8 @@ import itertools
 import math
 from typing import NoReturn
 
+from .._bits import holding
+
 _MASK64 = (1 << 64) - 1
 _SHUFFLE_SEED = 0x9E3779B97F4A7C15
 _MULT = 0x2545F4914F6CDD1D
@@ -218,14 +220,12 @@ def _twin_predecessors(n: int, present: int) -> list[int]:
     class found so far.  For u < v the swap moves the masks holding u but
     not v up by 2^v - 2^u, onto the masks holding v but not u.
     """
-    full = (1 << (1 << n)) - 1
     prev = [-1] * n
     # per class: the masks holding its first member, their count, that
     # member and the last one
     classes: list[list[int]] = []
     for v in range(n):
-        # the masks holding v: blocks of 2^v set bits every 2^(v+1)
-        held = present & full // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v))
+        held = present & holding(n, v)
         count = held.bit_count()
         for cls in classes:
             first, first_count, u, last = cls

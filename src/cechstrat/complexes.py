@@ -11,11 +11,12 @@ vertex cap, so keys agree exactly on isomorphism classes.
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import _json, _kernels
-from ._bits import facet_submasks, mask_of, proper_submasks, vertices_of
+from ._bits import facet_submasks, family_of, holding, mask_of, proper_submasks, vertices_of
 
 VERTEX_CAP = 8
 
@@ -88,12 +89,23 @@ class SimplicialComplex:
         return max((m.bit_count() for m in self.masks), default=0) - 1
 
     def facets(self) -> tuple[tuple[int, ...], ...]:
-        """Maximal simplices, in (dimension, vertex order)."""
-        present = self._present
-        maximal = (
-            vertices_of(m) for m in self.masks
-            if not any(m | 1 << v in present for v in range(self.n_vertices) if not m >> v & 1)
-        )
+        """Maximal simplices, in (dimension, vertex order).
+
+        Read off the family bitset F: ``(F & holding(v)) >> 2^v`` marks
+        each simplex without vertex v that is a face of one with v, so the
+        facets are the bits of F marked for no v.
+        """
+        n = self.n_vertices
+        family = family_of(n, self.masks)
+        grows = 0
+        for v in range(n):
+            grows |= (family & holding(n, v)) >> (1 << v)
+        bits = format(family & ~grows, "b")[::-1]
+        maximal = []
+        m = bits.find("1")
+        while m >= 0:
+            maximal.append(vertices_of(m))
+            m = bits.find("1", m + 1)
         return tuple(sorted(maximal, key=lambda t: (len(t), t)))
 
     def to_json_dict(self) -> dict:
@@ -134,7 +146,8 @@ class SimplicialMap:
 
     Simpliciality (every simplex image is a simplex) is the defining
     property checked by :func:`is_simplicial`; the constructor validates
-    only totality and range so that candidate maps can be tested.
+    only that the images are integers, total and in range, so that
+    candidate maps can be tested.
     """
 
     source: SimplicialComplex
@@ -142,7 +155,10 @@ class SimplicialMap:
     vertex_map: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertex_map", tuple(int(v) for v in self.vertex_map))
+        try:
+            object.__setattr__(self, "vertex_map", tuple(map(operator.index, self.vertex_map)))
+        except TypeError:
+            raise ValueError(f"vertex images must be integers, got {self.vertex_map!r}") from None
         if len(self.vertex_map) != self.source.n_vertices:
             raise ValueError("vertex_map must assign every source vertex")
         for w in self.vertex_map:

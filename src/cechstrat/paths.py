@@ -23,10 +23,9 @@ import operator
 from dataclasses import dataclass, field
 
 from . import _json
-from .cech import Filtration, cech_complex, read_scan, subset_radii, zone_edges
+from .cech import cech_complex, read_scan, subset_radii, zone_edges
 from .complexes import (
     IsoClass,
-    SimplicialComplex,
     SimplicialMap,
     compose,
     identity_map,

@@ -10,11 +10,10 @@ queries, and Hasse diagrams with DOT export.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 from . import _json, _kernels
-from ._bits import facet_submasks, vertices_of
+from ._bits import facet_submasks, holding, set_bits, vertices_of
 from .complexes import (
     VERTEX_CAP,
     CapExceeded,
@@ -75,8 +74,8 @@ class PosetUniverse:
 
     @functools.cached_property
     def relation(self) -> tuple[tuple[bool, ...], ...]:
-        size = len(self.classes)
-        return tuple(tuple(bool(row >> b & 1) for b in range(size)) for row in self.ge)
+        digits = f"0{len(self.classes)}b"
+        return tuple(tuple(map("1".__eq__, format(row, digits)[::-1])) for row in self.ge)
 
     def index_of(self, cls: IsoClass) -> int:
         for i, c in enumerate(self.classes):
@@ -93,16 +92,34 @@ class PosetUniverse:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PosetUniverse":
+        """The universe a JSON form describes, refused unless each class has
+        at most ``n_max`` vertices and the relation is a partial order."""
         fmt = "universe JSON"
         n_max, classes, relation = _json.fields(data, fmt, "n_max", "classes", "relation")
+        n_max = _json.integer(n_max, fmt, '"n_max"')
         classes = tuple(canonical_form(SimplicialComplex.from_json_dict(c))
                         for c in _json.array(classes, fmt, '"classes"'))
+        for c in classes:
+            if c.n_vertices > n_max:
+                raise ValueError(f"{fmt}: a class has {c.n_vertices} vertices, "
+                                 f"above n_max = {n_max}")
         ge = []
         for row in _json.array(relation, fmt, '"relation"'):
             if len(_json.booleans(row, fmt, "a relation row")) != len(classes):
                 raise ValueError(f"{fmt}: a relation row needs {len(classes)} entries, got {row!r}")
             ge.append(sum(1 << b for b, above in enumerate(row) if above))
-        return cls(classes, tuple(ge), _json.integer(n_max, fmt, '"n_max"'))
+        universe = cls(classes, tuple(ge), n_max)  # one row per class, in range
+        for a, row in enumerate(ge):
+            if not row >> a & 1:
+                raise ValueError(f"{fmt}: the relation is not reflexive at class {a}")
+            for b in set_bits(row & ~(1 << a)):
+                if ge[b] >> a & 1:
+                    raise ValueError(f"{fmt}: the relation is not antisymmetric: "
+                                     f"classes {a} and {b} are above each other")
+                if ge[b] & ~row:
+                    raise ValueError(f"{fmt}: the relation is not transitive: class {a} "
+                                     f"is above class {b} but not above all it is above")
+        return universe
 
 
 def _labeled_complexes(n: int) -> list[int]:
@@ -121,17 +138,40 @@ def _labeled_complexes(n: int) -> list[int]:
     return families
 
 
-def _relabellings(n: int) -> list[list[int]]:
-    """Each vertex permutation of 0..n-1 as a table from a mask to the bit
-    of its image mask."""
-    tables = []
-    for perm in itertools.permutations(range(n)):
-        image = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            low = m & -m
-            image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
-        tables.append([1 << i for i in image])
-    return tables
+def _plain_changes(n: int) -> list[tuple[int, int]]:
+    """The n! - 1 swaps of adjacent vertices in plain-changes order
+    (Steinhaus-Johnson-Trotter): applied in turn to a family bitset, they
+    reach each of its relabellings once.
+
+    The swap of u and u + 1 is given as ``(a, 2^u)``: it moves the masks in
+    ``a``, those holding u but not u + 1, up by 2^u, and the masks they
+    land on down by as much.
+    """
+    order: list[int] = []
+    for k in range(2, n + 1):
+        # item k - 1 sweeps down across the other k - 1 and back up, with one
+        # swap of their own order between two sweeps; while it is at the
+        # bottom, the others sit one place higher
+        sweeps = (range(k - 2, -1, -1), range(k - 1))
+        longer: list[int] = []
+        for i, u in enumerate(order):
+            longer += sweeps[i % 2]
+            longer.append(u + 1 - i % 2)
+        order = longer + list(sweeps[len(order) % 2])
+    swaps = [(holding(n, u) & ~holding(n, u + 1), 1 << u) for u in range(n - 1)]
+    return [swaps[u] for u in order]
+
+
+def _orbit(family: int, swaps: list[tuple[int, int]]) -> list[int]:
+    """``family`` followed by its image after each of ``swaps`` in turn.
+    Each is a delta swap: ``t`` marks the masks in ``a`` whose bit differs
+    from the bit ``d`` places above, and both bits of each pair flip."""
+    orbit = [family]
+    for a, d in swaps:
+        t = (family ^ family >> d) & a
+        family ^= t | t << d
+        orbit.append(family)
+    return orbit
 
 
 def _bijection_excluded(fa: tuple[int, ...], fb: tuple[int, ...]) -> bool:
@@ -146,9 +186,11 @@ def enumerate_classes(n_max: int) -> PosetUniverse:
     ``n_max`` is at most ``ENUM_CAP``.
 
     Classes: the labeled complexes of each vertex count are visited in
-    turn, and one that is not yet a known relabeling gets its canonical
-    form, whose n! relabelings (its whole orbit) are then marked known.
-    So the canonical labeling runs once per class.
+    turn as family bitsets, and one that is not yet a known relabeling
+    gets its canonical form.  Its whole orbit is then marked known, walked
+    on the bitset by the n! - 1 adjacent vertex swaps of plain-changes
+    order, a few word operations each.  So the canonical labeling runs
+    once per class.
 
     Relation: the pairs (a, b) are decided with ``a`` ascending and ``b``
     descending in class order, by transitivity from the answers already
@@ -165,14 +207,12 @@ def enumerate_classes(n_max: int) -> PosetUniverse:
         raise CapExceeded(f"enumeration capped at {ENUM_CAP} vertices, got n_max={n_max}")
     found: list[IsoClass] = []
     for n in range(1, n_max + 1):
-        tables = _relabellings(n)
+        swaps = _plain_changes(n)
         known: set[int] = set()
         for family in _labeled_complexes(n):
-            if family in known:
-                continue
-            cls = canonical_form(SimplicialComplex(n, vertices_of(family)))
-            found.append(cls)
-            known.update(sum(map(t.__getitem__, cls.canonical.masks)) for t in tables)
+            if family not in known:
+                found.append(canonical_form(SimplicialComplex(n, vertices_of(family))))
+                known.update(_orbit(family, swaps))
     classes = tuple(sorted(found, key=lambda c: (c.n_vertices, c.key)))
 
     size = len(classes)
@@ -223,10 +263,14 @@ def hasse(universe: PosetUniverse) -> HasseDiagram:
     strict = [row & ~(1 << i) for i, row in enumerate(universe.ge)]
     edges = []
     for i, row in enumerate(strict):
-        covers = row
-        for j in vertices_of(row):
-            covers &= ~strict[j]
-        edges += ((i, j) for j in vertices_of(covers))
+        # walk the set bits of the row, skipping each class already found
+        # below another: by transitivity, all below it is then known too
+        covers = rest = row
+        while rest:
+            low = rest & -rest
+            covers &= ~strict[low.bit_length() - 1]
+            rest = (rest ^ low) & covers
+        edges += ((i, j) for j in set_bits(covers))
     return HasseDiagram(universe.classes, tuple(edges))
 
 

@@ -97,6 +97,28 @@ class TestMakeComplex:
         assert not hasattr(SimplicialComplex, "from_masks")
 
 
+def reference_facets(c):
+    """The simplices in no larger simplex, by the definition."""
+    maximal = [m for m in c.masks if not any(m != o and m & o == m for o in c.masks)]
+    return tuple(sorted(map(vertices_of, maximal), key=lambda t: (len(t), t)))
+
+
+class TestFacets:
+    def test_random_complexes_of_one_to_eight_vertices(self):
+        rng = random.Random(31)
+        for n_max in range(1, 9):
+            for _ in range(25):
+                c = random_complex(rng, n_max)
+                assert c.facets() == reference_facets(c)
+
+    def test_full_simplex_on_sixteen_vertices(self):
+        full = SimplicialComplex(16, range(1, 1 << 16))
+        assert full.facets() == (tuple(range(16)),)
+
+    def test_complex_without_vertices(self):
+        assert SimplicialComplex(0).facets() == ()
+
+
 class TestIsSimplicial:
     def test_identity_on_edge(self):
         edge = make_complex(2, [{0, 1}])
@@ -186,6 +208,18 @@ class TestIsSimplicial:
             SimplicialMap(edge, edge, (0,))
         with pytest.raises(ValueError):
             SimplicialMap(edge, edge, (0, 5))
+
+    @pytest.mark.parametrize("vertex_map", [(0.9, "1"), (0, 1.0), ("0", "1"), (0, None)])
+    def test_vertex_images_must_be_integers(self, vertex_map):
+        edge = make_complex(2, [{0, 1}])
+        with pytest.raises(ValueError, match="vertex images must be integers"):
+            SimplicialMap(edge, edge, vertex_map)
+
+    def test_numpy_integer_images_are_kept_as_ints(self):
+        np = pytest.importorskip("numpy")
+        edge = make_complex(2, [{0, 1}])
+        m = SimplicialMap(edge, edge, tuple(np.arange(2, dtype=np.int64)[::-1]))
+        assert m.vertex_map == (1, 0) and all(type(w) is int for w in m.vertex_map)
 
 
 class TestCompose:

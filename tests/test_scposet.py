@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -533,6 +534,62 @@ class TestUniverseJson:
         for rows in (data["relation"][:2], data["relation"] + [[True, True, True]]):
             with pytest.raises(ValueError, match="one bitset row per class"):
                 PosetUniverse.from_json_dict({**data, "relation": rows})
+
+
+    def test_reader_refuses_classes_above_n_max(self):
+        data = {**enumerate_classes(3).to_json_dict(), "n_max": 1}
+        with pytest.raises(ValueError, match="universe JSON: a class has 2 vertices, above n_max = 1"):
+            PosetUniverse.from_json_dict(data)
+
+    def test_reader_refuses_an_all_true_relation(self):
+        data = enumerate_classes(3).to_json_dict()
+        data["relation"] = [[True] * 8 for _ in range(8)]
+        with pytest.raises(ValueError, match="universe JSON: the relation is not antisymmetric"):
+            PosetUniverse.from_json_dict(data)
+
+    @pytest.mark.parametrize("a, b, message", [
+        (0, 0, "not reflexive at class 0"),  # the point not above itself
+        (2, 1, "not antisymmetric: classes 1 and 2"),  # the edge above two points, and below
+        (3, 0, "not transitive: class 3 is above class 1"),  # a 3-vertex class not above the point
+    ])
+    def test_reader_refuses_each_broken_axiom(self, a, b, message):
+        data = enumerate_classes(3).to_json_dict()
+        data["relation"][a][b] = not data["relation"][a][b]
+        with pytest.raises(ValueError, match=f"universe JSON: the relation is {message}"):
+            PosetUniverse.from_json_dict(data)
+
+
+class TestOrbitWalk:
+    """Each new class marks its orbit by walking the plain-changes swaps on
+    its family bitset."""
+
+    @staticmethod
+    def relabellings(n, family):
+        masks = vertices_of(family)
+        return {sum(1 << sum(1 << perm[v] for v in vertices_of(m)) for m in masks)
+                for perm in itertools.permutations(range(n))}
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_every_labelled_complex_up_to_four_vertices(self, n):
+        swaps = scposet._plain_changes(n)
+        for family in scposet._labeled_complexes(n):
+            assert set(scposet._orbit(family, swaps)) == self.relabellings(n, family)
+
+    def test_a_sample_on_five_vertices(self):
+        swaps = scposet._plain_changes(5)
+        for family in random.Random(37).sample(scposet._labeled_complexes(5), 60):
+            assert set(scposet._orbit(family, swaps)) == self.relabellings(5, family)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_swaps_reach_each_permutation_once(self, n):
+        swaps = scposet._plain_changes(n)
+        order = list(range(n))
+        seen = {tuple(order)}
+        for _, d in swaps:
+            u = d.bit_length() - 1
+            order[u], order[u + 1] = order[u + 1], order[u]
+            seen.add(tuple(order))
+        assert len(seen) == len(swaps) + 1 == math.factorial(n)
 
 
 class TestBitsetRows:
