@@ -8,16 +8,20 @@ ones operation for operation: same processing order, same deterministic
 shuffle, same tolerances and the same floating-point operations in the
 same order, so radii agree across backends bit for bit.  The canonical
 labeling and the surjection search return the compiled kernels' exact
-results by pruned searches instead of their exhaustive ones.
+results by pruned searches instead of their exhaustive ones.  The
+surjection search reads a plan per complex and role, target or source,
+built once and kept by value in a bounded cache, so an enumeration that
+searches the same complexes thousands of times builds each plan once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import NoReturn
 
-from .._bits import holding
+from .._bits import family_of, holding
 
 _MASK64 = (1 << 64) - 1
 _SHUFFLE_SEED = 0x9E3779B97F4A7C15
@@ -170,7 +174,7 @@ def subset_meb_radii(points, max_size: int) -> list[tuple[int, float]]:
     Returns ``(mask, radius)`` pairs ordered by (subset size, lexicographic
     vertex order); masks index into the input order.
     """
-    _c_int(max_size)  # the compiled kernel converts its int arguments first
+    max_size = _c_int(max_size)  # the compiled kernel converts its int arguments first
     pts = [tuple(float(c) for c in p) for p in points]
     n = len(pts)
     if n > MAX_SUBSET_VERTICES:
@@ -193,14 +197,20 @@ _MAX_MAP_VERTICES = 16
 _MAX_MAP_SIMPLICES = 1024
 
 
-def _c_int(x: int) -> None:
-    """Refuse ``x`` as the compiled kernels refuse an ``int`` argument or
-    mask: they convert it to a C int through a C long (64 bits on LP64
-    platforms), so a value that fits neither overflows."""
+def _c_int(x) -> int:
+    """``x`` as the compiled kernels take an ``int`` argument or mask: an
+    object that is not an int goes through its ``__int__`` (2.9 is 2, a
+    string or None is refused), and the int to a C int through a C long
+    (64 bits on LP64 platforms), so a value that fits neither overflows."""
+    if not isinstance(x, int):
+        if getattr(type(x), "__int__", None) is None:
+            raise TypeError("an integer is required")
+        x = int(x)
     if not -1 << 63 <= x < 1 << 63:
         raise OverflowError("Python int too large to convert to C long")
     if not -1 << 31 <= x < 1 << 31:
         raise OverflowError("value too large to convert to int")
+    return x
 
 
 def _refuse_mask(m: int, message: str) -> NoReturn:
@@ -262,7 +272,7 @@ def canonical_masks(n: int, masks) -> tuple[int, ...]:
     twins would give the same tuples).  So the least leaf is the least
     relabeling without trying them all.
     """
-    _c_int(n)  # the compiled kernel converts its int arguments first
+    n = _c_int(n)  # the compiled kernel converts its int arguments first
     if not 0 <= n <= _MAX_CANONICAL_VERTICES:
         raise ValueError(
             f"canonical labeling limited to {_MAX_CANONICAL_VERTICES} vertices, got {n}")
@@ -284,7 +294,7 @@ def canonical_masks(n: int, masks) -> tuple[int, ...]:
             if m >> v & 1:
                 face = m ^ 1 << v
                 faces[v].append((m, face, face in present or face & (face - 1) == 0))
-    twin = _twin_predecessors(n, sum(1 << m for m in ms))
+    twin = _twin_predecessors(n, family_of(n, ms))
     end = [1 << n]
     prefix: list[int] = []
     # a partial labeling: the labeled vertices and the images of the masks
@@ -317,6 +327,68 @@ def canonical_masks(n: int, masks) -> tuple[int, ...]:
     return tuple(prefix)
 
 
+#: search plans kept per complex and role, keyed on the vertex count and the
+#: masks as passed; ``enumerate_classes(5)`` searches 208 complexes, each in
+#: both roles.  At the kernel's limits (16 vertices, 1,024 source simplices)
+#: a target plan, mostly its 64 kB table, and a source plan, mostly its
+#: checks, take about 67 and 69 kB (``tracemalloc``), and a key of 1,040
+#: masks 37 kB more, so 256 of each take about 54 MB.  A target has no
+#: simplex limit: the key of all 65,535 masks on 16 vertices is 2.4 MB.
+_PLAN_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _target_plan(n: int, masks: tuple) -> tuple[bytes, tuple[int, ...]]:
+    """The target half of a search plan: byte m set for each target mask
+    m, and each target vertex's twin predecessor."""
+    table = bytearray(1 << n)
+    ms = []
+    for x in masks:
+        m = int(x)
+        if not 0 < m < 1 << n:
+            _refuse_mask(m, "target mask out of range")
+        table[m] = 1
+        ms.append(m)
+    return bytes(table), tuple(_twin_predecessors(n, family_of(n, ms)))
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _source_plan(n: int, masks: tuple) -> tuple[tuple[tuple[tuple[int, int], ...], ...],
+                                                tuple[int, ...]]:
+    """The source half of a search plan: per greatest vertex, each simplex
+    with its face without that vertex, or with 0 where that face (not a
+    simplex, nor a vertex) has no stored image; and each source vertex's
+    twin predecessor."""
+    simplices = set()
+    count = 0
+    for x in masks:
+        m = int(x)
+        if not 0 < m < 1 << n:
+            _refuse_mask(m, "source mask out of range")
+        if m & (m - 1):
+            simplices.add(m)
+            count += 1
+    if count > _MAX_MAP_SIMPLICES:
+        raise ValueError("too many source simplices")
+    checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for m in simplices:
+        top = m.bit_length() - 1
+        face = m ^ 1 << top
+        checks[top].append((m, face if face in simplices or not face & (face - 1) else 0))
+    return tuple(map(tuple, checks)), tuple(_twin_predecessors(n, family_of(n, simplices)))
+
+
+def _plan(build, n: int, masks):
+    """``build(n, masks)`` through its cache; masks that cannot be hashed
+    (a 0-d array, say) build a plan that is not kept."""
+    key = tuple(masks)
+    try:
+        return build(n, key)
+    except TypeError:
+        pass
+    return build.__wrapped__(n, key)  # any other TypeError raises again
+
+
 def surjection_witness(n_src: int, n_tgt: int, src_masks, tgt_masks):
     """First vertex-surjective simplicial vertex map found, or None.
 
@@ -328,44 +400,22 @@ def surjection_witness(n_src: int, n_tgt: int, src_masks, tgt_masks):
     onto themselves) the least map has f(u) <= f(v), and for target twins
     w' < w it takes w' before w.  A simplex's image is its face's image
     without its greatest vertex, stored when that face was checked, plus
-    one bit.
+    one bit.  The tables the search reads, a membership table and twins
+    for the target and per-vertex checks and twins for the source, are
+    the two halves of its plan: each is built, and its masks checked,
+    once per complex and role (``_target_plan``, ``_source_plan``), and
+    kept until the package's caches are emptied.  A refused input is not
+    kept, so it is refused again on every call, targets before sources.
     """
-    for n in (n_src, n_tgt):  # the compiled kernel converts its int arguments first
-        _c_int(n)
+    n_src, n_tgt = _c_int(n_src), _c_int(n_tgt)  # the compiled kernel converts its int arguments first
     if not (0 <= n_src <= _MAX_MAP_VERTICES and 0 <= n_tgt <= _MAX_MAP_VERTICES):
         raise ValueError(f"map search limited to {_MAX_MAP_VERTICES} vertices")
     if n_src < n_tgt:
         return None
     if n_tgt == 0:
         return () if n_src == 0 else None
-    tgt = [False] * (1 << n_tgt)
-    tgt_bits = 0
-    for x in tgt_masks:
-        m = int(x)
-        if not 0 < m < 1 << n_tgt:
-            _refuse_mask(m, "target mask out of range")
-        tgt[m] = True
-        tgt_bits |= 1 << m
-    simplices = set()
-    count = 0
-    for x in src_masks:
-        m = int(x)
-        if not 0 < m < 1 << n_src:
-            _refuse_mask(m, "source mask out of range")
-        if m & (m - 1):
-            simplices.add(m)
-            count += 1
-    if count > _MAX_MAP_SIMPLICES:
-        raise ValueError("too many source simplices")
-    # per greatest vertex: each simplex with its face without that vertex,
-    # or with 0 where that face (not a simplex, nor a vertex) has no stored image
-    checks: list[list[tuple[int, int]]] = [[] for _ in range(n_src)]
-    for m in simplices:
-        top = m.bit_length() - 1
-        face = m ^ 1 << top
-        checks[top].append((m, face if face in simplices or not face & (face - 1) else 0))
-    src_twin = _twin_predecessors(n_src, sum(1 << m for m in simplices))
-    tgt_twin = _twin_predecessors(n_tgt, tgt_bits)
+    tgt, tgt_twin = _plan(_target_plan, n_tgt, tgt_masks)
+    checks, src_twin = _plan(_source_plan, n_src, src_masks)
     assign = [0] * n_src
     img = [0] * (1 << n_src)
 

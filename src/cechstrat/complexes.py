@@ -140,6 +140,14 @@ def make_complex(n_vertices: int, generators: Iterable[Iterable[int]]) -> Simpli
     return SimplicialComplex(n_vertices, masks)
 
 
+def _vertex_image(w) -> int:
+    """``w`` as an int, as ``operator.index`` reads it, but not a bool,
+    which is an int to Python and not a vertex to the JSON reader."""
+    if isinstance(w, bool):
+        raise TypeError("a bool is not a vertex")
+    return operator.index(w)
+
+
 @dataclass(frozen=True)
 class SimplicialMap:
     """Total vertex map between two complexes.
@@ -156,7 +164,7 @@ class SimplicialMap:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "vertex_map", tuple(map(operator.index, self.vertex_map)))
+            object.__setattr__(self, "vertex_map", tuple(map(_vertex_image, self.vertex_map)))
         except TypeError:
             raise ValueError(f"vertex images must be integers, got {self.vertex_map!r}") from None
         if len(self.vertex_map) != self.source.n_vertices:

@@ -209,7 +209,8 @@ class TestIsSimplicial:
         with pytest.raises(ValueError):
             SimplicialMap(edge, edge, (0, 5))
 
-    @pytest.mark.parametrize("vertex_map", [(0.9, "1"), (0, 1.0), ("0", "1"), (0, None)])
+    @pytest.mark.parametrize("vertex_map", [(0.9, "1"), (0, 1.0), ("0", "1"), (0, None),
+                                            (0, True), (False, 1)])
     def test_vertex_images_must_be_integers(self, vertex_map):
         edge = make_complex(2, [{0, 1}])
         with pytest.raises(ValueError, match="vertex images must be integers"):

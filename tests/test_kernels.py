@@ -2,6 +2,8 @@ import itertools
 import math
 import random
 import re
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -232,6 +234,18 @@ class TestAgainstReference:
         assert 30 < found < 270
 
 
+class IndexOnly:
+    """An integer to ``operator.index`` but without ``__int__``."""
+
+    def __index__(self):
+        return 2
+
+
+class IntGivesFloat:
+    def __int__(self):
+        return 2.5
+
+
 def _refusal(message):
     """The error type a refusal with ``message`` has on both backends."""
     return OverflowError if "too large to convert" in message else ValueError
@@ -321,6 +335,100 @@ class TestInputDomain:
     def test_canonical_vertex_limit_is_inclusive(self, backend):
         assert backend.canonical_masks(10, [1 << v for v in range(10)]) == \
             tuple(1 << v for v in range(10))
+
+    @pytest.mark.parametrize("n", [2.9, Fraction(5, 2), Decimal("2.5"), 2.0])
+    def test_int_arguments_go_through_int(self, backend, n):
+        # a vertex count or size cap is converted as the compiled kernels
+        # convert an int argument: through ``__int__``, truncating
+        points = ((0.0,), (1.0,), (3.0,))
+        assert backend.canonical_masks(n, [1, 2, 3]) == (1, 2, 3)
+        assert backend.surjection_witness(n, 2, [1, 2, 3], [1, 2, 3]) == (0, 1)
+        assert backend.surjection_witness(2, n, [1, 2, 3], [1, 2, 3]) == (0, 1)
+        assert backend.subset_meb_radii(points, n) == backend.subset_meb_radii(points, 2)
+
+    @pytest.mark.parametrize("n, message", [
+        (None, "an integer is required"),
+        ("2", "an integer is required"),
+        (IndexOnly(), "an integer is required"),
+        (IntGivesFloat(), r"__int__ returned non-int \(type float\)"),
+    ])
+    def test_int_arguments_refuse_what_has_no_int(self, backend, n, message):
+        calls = [
+            lambda: backend.canonical_masks(n, [1]),
+            lambda: backend.surjection_witness(n, 1, [1], [1]),
+            # both vertex counts are converted before the range check
+            lambda: backend.surjection_witness(17, n, [1], [1]),
+            lambda: backend.subset_meb_radii(((0.0,), (1.0,)), n),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match=message):
+                call()
+
+
+class TestSearchPlans:
+    """The pure map search keeps each complex's plan by value, per role."""
+
+    @pytest.fixture(autouse=True)
+    def empty_plans(self):
+        _pure._target_plan.cache_clear()
+        _pure._source_plan.cache_clear()
+        yield
+        _pure._target_plan.cache_clear()
+        _pure._source_plan.cache_clear()
+
+    def test_masks_in_any_form_give_the_reference_witness(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            n_src = rng.randint(2, 6)
+            n_tgt = rng.randint(1, n_src)
+            src = random_masks(rng, n_src, rng.choice([0.2, 0.5]), rng.random() < 0.5)
+            tgt = random_masks(rng, n_tgt, rng.choice([0.2, 0.5])) or [1]
+            expected = reference_surjection_witness(n_src, n_tgt, src, tgt)
+            forms = [(src, tgt), (tuple(src), tuple(tgt)), (src + src[::-1], tgt * 2),
+                     (iter(src), iter(tgt))]
+            for s, t in forms:
+                assert _pure.surjection_witness(n_src, n_tgt, s, t) == expected
+
+    def test_one_plan_per_complex_and_role(self):
+        tri = closure(3, [0b111])
+        for n_tgt, tgt in ((3, tri), (2, [1, 2, 3]), (3, tri), (2, (1, 2, 3))):
+            _pure.surjection_witness(3, n_tgt, tuple(tri), tgt)
+        assert _pure._source_plan.cache_info().currsize == 1
+        assert _pure._target_plan.cache_info().currsize == 2
+        assert _pure._source_plan.cache_info().hits == 3
+
+    @pytest.mark.parametrize("args, message", [
+        ((2, 2, [1, 2, 3], [1, 2, 7]), "target mask out of range"),
+        ((2, 2, [1, 2, 8], [1, 2, 3]), "source mask out of range"),
+        ((2, 1, [3] * 1025, [1]), "too many source simplices"),
+        ((2, 2, [1, 2, 3], [1, 1 << 40]), "value too large to convert to int"),
+    ])
+    def test_a_refused_input_is_refused_on_every_call(self, args, message):
+        for _ in range(3):
+            with pytest.raises(_refusal(message), match=message):
+                _pure.surjection_witness(*args)
+        assert _pure.surjection_witness(2, 2, [1, 2, 3], [1, 2, 3]) == (0, 1)
+
+    def test_targets_are_refused_before_sources_with_plans_cached(self):
+        assert _pure.surjection_witness(2, 2, [1, 2, 3], [1, 2, 3]) == (0, 1)
+        # the source plan is kept, the target refused
+        with pytest.raises(ValueError, match="target mask out of range"):
+            _pure.surjection_witness(2, 2, [1, 2, 3], [1, 2, 7])
+        # the target plan is kept, the source refused
+        with pytest.raises(ValueError, match="source mask out of range"):
+            _pure.surjection_witness(2, 2, [1, 2, 8], [1, 2, 3])
+        # both refused, neither kept: the target first
+        with pytest.raises(ValueError, match="target mask out of range"):
+            _pure.surjection_witness(2, 2, [1, 2, 8], [1, 2, 7])
+
+    def test_unhashable_masks_are_searched_without_a_plan_kept(self):
+        np = pytest.importorskip("numpy")
+        src = [np.array(m) for m in (1, 2, 4, 3, 6)]
+        tgt = [np.array(m) for m in (1, 2, 3)]
+        assert _pure.surjection_witness(3, 2, src, tgt) == \
+            reference_surjection_witness(3, 2, [1, 2, 4, 3, 6], [1, 2, 3])
+        assert _pure._target_plan.cache_info().currsize == 0
+        assert _pure._source_plan.cache_info().currsize == 0
 
 
 @needs_compiled
