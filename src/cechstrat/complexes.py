@@ -246,12 +246,21 @@ class IsoClass:
         return {"complex": self.canonical.to_json_dict(), "key": self.key_hex}
 
 
-@functools.lru_cache(maxsize=65536)
+#: classes kept, by the masks as passed and by canonical masks; each of the
+#: two caches below holds one entry per complex.  ``enumerate_classes(5)``
+#: fills 208 entries of each, and a perfbench growth zigzag (seed 1) at most
+#: 15.  The largest entry, the full simplex on 8 vertices (255 masks), takes
+#: about 18 kB across both caches with its key (``tracemalloc``), so 1,024
+#: of them take about 18 MB.
+_CANON_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_CANON_CACHE_SIZE)
 def _canonical_cached(n: int, masks: tuple[int, ...]) -> IsoClass:
     return _iso_class(n, _kernels.canonical_masks(n, masks))
 
 
-@functools.lru_cache(maxsize=65536)
+@functools.lru_cache(maxsize=_CANON_CACHE_SIZE)
 def _iso_class(n: int, canon: tuple[int, ...]) -> IsoClass:
     """The class held by canonical masks, built once per class.  Its
     representative is marked canonical, so its own canonical form needs no

@@ -11,7 +11,11 @@ resolution: a passage through a band is one instant, at the time the
 radius meets the critical radius.  Where tracks move, transitions are
 located on a grid of steps at most the resolution and by bisection.  Each
 instant gets entrance maps from both neighboring intervals, assembling a
-zigzag of vertex-surjective simplicial maps.
+zigzag of vertex-surjective simplicial maps.  An entrance map is certified,
+then stepped: the label is checked once on the whole interval up to the
+instant, then the tracks are followed to a time inside the instant's safe
+ball and one local map snaps them onto it.  The step halves toward the
+instant and stops, refusing the map, where a halving no longer moves.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .complexes import (
     identity_map,
     is_simplicial,
 )
-from .geometry import _MAX_DIM, DELTA_PT, PointConfig, RanPoint
+from .geometry import _MAX_DIM, DELTA_PT, PointConfig, RanPoint, sup_distance
 from .scposet import dominates
 from .strat import StratumLabel, local_map, stratum_label, tilde_r
 
@@ -593,67 +597,54 @@ def _still_bends(path: PLPath, t_from: float, t_to: float) -> tuple[int, ...] | 
 def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
     """Simplicial map induced by traversing the path from t_from to t_to.
 
-    Built as the track renaming from t_from to tau composed with
-    :func:`~cechstrat.strat.local_map` from x(tau) onto x(t_to), where tau
-    is the first of t_to - (t_to - t_from)/2^k, k = 1, 2, ..., that lies
-    inside the safe ball of x(t_to) (``local_map`` raises ``ValueError``
-    until then).  Works in either time direction.
+    Certify, then step.  The refined label must be constant on [t_from,
+    t_to); it may drop at t_to.  On a still stretch this is certified
+    exactly: the label is a function of the radius, monotone between bends,
+    so the labels at the least and the greatest radius among t_to and the
+    bends strictly between t_from and t_to must be the label at t_from, or
+    differ from it only inside the tolerance band of the subsets critical
+    at t_to (see :func:`_approaches`).  Where tracks move, the label is
+    spot-checked at ``_CONSTANCY_SAMPLES`` evenly spaced times of [t_from,
+    t_to).
 
-    Requires the refined label to be constant from t_from on; the label may
-    drop at t_to.  On a still stretch this is certified exactly: the label
-    is a function of the radius, monotone between bends, so the labels at
-    the least and the greatest radius on [t_from, tau] must be the label
-    at t_from, or differ from it only inside the tolerance band of the
-    subsets critical at t_to (see :func:`_approaches`); tau is also taken
-    past every bend whose radius lies outside the safe ball, so that the
-    path from tau to t_to stays inside it.  Where tracks move, the label is
-    spot-checked at ``_CONSTANCY_SAMPLES`` evenly spaced times of
-    [t_from, t_to).
+    The step is the track renaming from t_from to tau composed with
+    :func:`~cechstrat.strat.local_map` from x(tau) onto x(t_to): tau starts
+    at the midpoint and moves halfway to t_to until x(tau) lies strictly
+    inside the safe ball of x(t_to).  Where the next tau would equal t_to
+    or round back onto tau, no time is left to try and the map is refused.
+    Works in either time direction.
     """
     if not (0.0 <= t_from <= 1.0 and 0.0 <= t_to <= 1.0):
         raise ValueError("path parameters must lie in [0, 1]")
     if t_from == t_to:
         return identity_map(cech_complex(evaluate(path, t_from)))
+    x_from, end = evaluate(path, t_from), evaluate(path, t_to)
     bends = _still_bends(path, t_from, t_to)
-    samples = [] if bends is not None else [t_from + (t_to - t_from) * k / _CONSTANCY_SAMPLES
-                                            for k in range(1, _CONSTANCY_SAMPLES)]
-    labels = [stratum_label(evaluate(path, t)) for t in samples]
-    # read after the samples, so that its scan is still cached for the renaming
-    x_from = evaluate(path, t_from)
+    if bends is None:
+        checks = [t_from + (t_to - t_from) * k / _CONSTANCY_SAMPLES
+                  for k in range(1, _CONSTANCY_SAMPLES)]
+    else:
+        # with the radius at t_from, these hold the least and the greatest
+        # radius on [t_from, t_to]
+        seen = [(end.radius, t_to), *((path.radius[k], path.breakpoints[k]) for k in bends)]
+        checks = [t for r, t in dict.fromkeys((min(seen), max(seen)))
+                  if r != x_from.radius and not _approaches(x_from, r, end)]
+    labels = [stratum_label(evaluate(path, t)) for t in checks]
+    # labelled after the checks, so that its scan is still cached for the renaming
     l_from = stratum_label(x_from)
-    for t, label in zip(samples, labels):
+    for t, label in zip(checks, labels):
         if label != l_from:
-            raise _not_constant(t_from, t_to, t)
-    end = evaluate(path, t_to)
-    safe = tilde_r(end).safe_radius if bends else math.inf
-    bp, radius = path.breakpoints, path.radius
-    h = t_to - t_from
-    for _ in range(80):
-        h *= 0.5
-        tau = t_to - h
-        if tau == t_to:
-            break
-        if any(abs(bp[k] - t_to) < abs(h) and abs(radius[k] - end.radius) >= safe
-               for k in bends or ()):
-            continue  # the path leaves the safe ball between tau and t_to
+            raise ValueError(f"label is not constant on [{t_from}, {t_to}): changes near t={t}")
+    safe = tilde_r(end).safe_radius
+    tau = t_from
+    while True:
+        tau, last = 0.5 * (tau + t_to), tau
+        if tau == last or tau == t_to:
+            raise ValueError(f"no time between t={last} and t={t_to} lies inside the safe "
+                             f"ball of x(t={t_to})")
         x_tau = evaluate(path, tau)
-        try:
-            snap = local_map(x_tau, end)
-        except ValueError:  # x(tau) is not inside the safe ball yet
-            continue
-        if bends is not None:
-            # with the radius at t_from, these hold the least and the
-            # greatest radius on [t_from, tau]
-            seen = [(x_tau.radius, tau)] + [(radius[k], bp[k]) for k in bends
-                                            if abs(bp[k] - t_from) < abs(tau - t_from)]
-            for r, t in dict.fromkeys((min(seen), max(seen))):
-                if r != x_from.radius and stratum_label(evaluate(path, t)) != l_from \
-                        and not _approaches(x_from, r, end):
-                    raise _not_constant(t_from, t_to, t)
-        return compose(_renaming_map(path, t_from, tau), snap)
-    raise ValueError(
-        "terminal stretch cannot fit inside the safe ball at the requested resolution"
-    )
+        if sup_distance(x_tau, end) < safe:
+            return compose(_renaming_map(path, t_from, tau), local_map(x_tau, end))
 
 
 def _approaches(start: RanPoint, r: float, end: RanPoint) -> bool:
@@ -665,10 +656,6 @@ def _approaches(start: RanPoint, r: float, end: RanPoint) -> bool:
     a, b, window = read_scan(scan, start.radius), read_scan(scan, r), read_scan(scan, end.radius)
     return b.hi >= a.hi and all(
         window.lo <= min(i, j) and max(i, j) <= window.hi for i, j in zip(a, b) if i != j)
-
-
-def _not_constant(t_from: float, t_to: float, t: float) -> ValueError:
-    return ValueError(f"label is not constant on [{t_from}, {t_to}): changes near t={t}")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import cechstrat
-from cechstrat import IsoClass, PLPath, SimplicialComplex, canonical_form, cech, make_complex
+from cechstrat import (
+    IsoClass, PLPath, SimplicialComplex, _kernels, canonical_form, cech, make_complex,
+)
 
 # A bare `pytest` in a checkout finds the package through pyproject's
 # `pythonpath`; the interpreters the CLI tests start find it through this.
@@ -120,3 +122,10 @@ def scan_calls(monkeypatch):
 
     monkeypatch.setattr(cech._kernels, "subset_meb_radii", counting)
     return calls
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Names the kernel backend the tests ran on: the compiled-only kernel
+    tests skip without the extension, so the counts differ by backend."""
+    terminalreporter.write_line(f"cechstrat kernels: {_kernels.BACKEND} "
+                                f"(importable: {', '.join(sorted(_kernels.backends))})")

@@ -1,5 +1,6 @@
 import bisect
 import gc
+import hashlib
 import itertools
 import json
 import math
@@ -22,17 +23,26 @@ from cechstrat import (
     dominates,
     entrance_map,
     evaluate,
+    identity_map,
     is_simplicial,
+    local_map,
     stratum_label,
+    tilde_r,
     transitions,
     zigzag,
 )
+from cechstrat import paths
+from cechstrat.cech import cech_complex
 from cechstrat.geometry import DELTA_PT, EPS_GEO
 from cechstrat.paths import (
     _CECH_PATH_T_MAX,
     _CECH_PATH_TOL,
+    _CONSTANCY_SAMPLES,
+    _approaches,
     _dedupe,
     _evaluate_tracks,
+    _renaming_map,
+    _still_bends,
     reversed_path,
 )
 
@@ -313,6 +323,26 @@ def narrow_excursion_path():
                   (0.3, 0.3, 0.7, 0.3, 0.3))
 
 
+def inner_excursion_path():
+    """Two fixed points whose radius dips below the edge's band at t = 0.9
+    and comes back over it by t = 0.95, before falling onto 0.5 at t = 1."""
+    return PLPath(1, (0.0, 0.9, 0.95, 1.0), (((0.0,),) * 4, ((1.0,),) * 4),
+                  (0.7, 0.5 - 1e-8, 0.5 + 1e-6, 0.5))
+
+
+#: sha256 of the zigzag JSON (resolution 0.01, keys sorted) of
+#: ``inner_excursion_path()`` and of its reversal
+INNER_EXCURSION_ZIGZAG_SHA256 = [
+    "b2c6050fb6348037b08093d173d03d4b2029c9756bf550ad308a67f065d2a0a0",
+    "23329a695731279484be312abc835fde36b54e85b20c6fba5c46342f0829cd05",
+]
+
+
+def zigzag_sha256(path):
+    z = zigzag(path, 0.01)
+    return hashlib.sha256(json.dumps(z.to_json_dict(), sort_keys=True).encode()).hexdigest()
+
+
 def triangle_config():
     return PointConfig(2, ((0.0, 0.0), (1.0, 0.0), (0.5, SQRT3 / 2)))
 
@@ -340,6 +370,77 @@ def reference_as_filtration(z):
     chain = sorted(classes, key=lambda c: sum(above[c.key, o.key] for o in classes if o is not c),
                    reverse=True)
     return chain, [dominates(hi.canonical, lo.canonical) for hi, lo in zip(chain, chain[1:])]
+
+
+def reference_entrance_map(path, t_from, t_to):
+    """The halving search that ``entrance_map`` replaced: tau runs through
+    t_to - (t_to - t_from)/2^k, skipping bends outside the safe ball, until
+    ``local_map`` takes x(tau); a still stretch is certified on [t_from,
+    tau] only."""
+    if not (0.0 <= t_from <= 1.0 and 0.0 <= t_to <= 1.0):
+        raise ValueError("path parameters must lie in [0, 1]")
+    if t_from == t_to:
+        return identity_map(cech_complex(evaluate(path, t_from)))
+    bends = _still_bends(path, t_from, t_to)
+    samples = [] if bends is not None else [t_from + (t_to - t_from) * k / _CONSTANCY_SAMPLES
+                                            for k in range(1, _CONSTANCY_SAMPLES)]
+    labels = [stratum_label(evaluate(path, t)) for t in samples]
+    x_from = evaluate(path, t_from)
+    l_from = stratum_label(x_from)
+    for t, label in zip(samples, labels):
+        if label != l_from:
+            raise ValueError(f"label is not constant on [{t_from}, {t_to}): changes near t={t}")
+    end = evaluate(path, t_to)
+    safe = tilde_r(end).safe_radius if bends else math.inf
+    bp, radius = path.breakpoints, path.radius
+    h = t_to - t_from
+    for _ in range(80):
+        h *= 0.5
+        tau = t_to - h
+        if tau == t_to:
+            break
+        if any(abs(bp[k] - t_to) < abs(h) and abs(radius[k] - end.radius) >= safe
+               for k in bends or ()):
+            continue
+        x_tau = evaluate(path, tau)
+        try:
+            snap = local_map(x_tau, end)
+        except ValueError:
+            continue
+        if bends is not None:
+            seen = [(x_tau.radius, tau)] + [(radius[k], bp[k]) for k in bends
+                                            if abs(bp[k] - t_from) < abs(tau - t_from)]
+            for r, t in dict.fromkeys((min(seen), max(seen))):
+                if r != x_from.radius and stratum_label(evaluate(path, t)) != l_from \
+                        and not _approaches(x_from, r, end):
+                    raise ValueError(
+                        f"label is not constant on [{t_from}, {t_to}): changes near t={t}")
+        return compose(_renaming_map(path, t_from, tau), snap)
+    raise ValueError("terminal stretch cannot fit inside the safe ball")
+
+
+def map_or_refusal(build, path, t_from, t_to):
+    """The map ``build`` returns, or the message it raises with the time
+    it names cut off."""
+    try:
+        return build(path, t_from, t_to)
+    except ValueError as err:
+        return str(err).split(" near t=")[0]
+
+
+def random_still_path(rng):
+    """2-5 fixed points in the plane under a random radius polyline."""
+    while True:
+        try:
+            cfg = PointConfig(2, tuple((rng.uniform(0, 1), rng.uniform(0, 1))
+                                       for _ in range(rng.randint(2, 5))))
+            break
+        except ValueError:
+            continue
+    n_bp = rng.randint(2, 6)
+    bp = (0.0, *sorted(rng.uniform(0.01, 0.99) for _ in range(n_bp - 2)), 1.0)
+    return PLPath(2, bp, tuple((q,) * n_bp for q in cfg.points),
+                  tuple(rng.uniform(0.0, 0.8) for _ in bp))
 
 
 class TestPLPathValidation:
@@ -702,6 +803,87 @@ class TestEntranceMap:
         m = entrance_map(p, 0.75, 0.5)  # backwards into the instant
         assert canonical_form(m.source).key == named_classes["edge"].key
         assert canonical_form(m.target).key == named_classes["edge"].key
+
+    def test_an_excursion_inside_the_safe_ball_is_not_constant(self):
+        # the pair is critical at t = 1, so the safe ball there reaches
+        # back to t = 0.5, past both bends of the dip below its band
+        p = inner_excursion_path()
+        assert [round(t, 6) for t, _ in transitions(p, 0.01)] == [
+            0.9, 0.900446, 0.900545, 0.99995]
+        for path, t_from, t_to, near in ((p, 0.0, 1.0, 0.9), (reversed_path(p), 1.0, 0.0, 0.1)):
+            with pytest.raises(ValueError, match="not constant") as err:
+                entrance_map(path, t_from, t_to)
+            assert float(str(err.value).split("near t=")[1]) == pytest.approx(near)
+        # the zigzag enters each instant from its neighbouring intervals
+        # only, and those maps exist
+        assert [zigzag_sha256(path) for path in (p, reversed_path(p))] == \
+            INNER_EXCURSION_ZIGZAG_SHA256
+
+    def test_one_local_map_per_map(self, monkeypatch):
+        spans, snaps = [], []
+
+        def counted_entrance_map(path, t_from, t_to):
+            spans.append((t_from, t_to))
+            return entrance_map(path, t_from, t_to)
+
+        def counted_local_map(source, target):
+            snaps.append(target)
+            return local_map(source, target)
+
+        monkeypatch.setattr(paths, "entrance_map", counted_entrance_map)
+        monkeypatch.setattr(paths, "local_map", counted_local_map)
+        zigzag(cech_path(triangle_config(), 0.9), 0.01)
+        # two instants, each entered from both sides: no map is an identity
+        assert len(spans) == 4 and all(t_from != t_to for t_from, t_to in spans)
+        assert len(snaps) == len(spans)
+
+    def test_a_jump_within_one_ulp_is_refused_in_bounded_time(self, monkeypatch):
+        # the second track jumps from 1 to 10 within one ulp of time: the
+        # midpoint of 0.5 and t1 rounds back to 0.5, outside the safe ball
+        t1 = math.nextafter(0.5, 1.0)
+        p = PLPath(1, (0.0, 0.5, t1, 1.0), (((0.0,),) * 4, ((1.0,), (1.0,), (10.0,), (10.0,))),
+                   (0.1,) * 4)
+        calls = []
+
+        def bounded(*args):
+            calls.append(args)
+            assert len(calls) <= 200, "entrance_map does not stop"
+            return evaluate(*args)
+
+        monkeypatch.setattr(paths, "evaluate", bounded)
+        with pytest.raises(ValueError, match="safe ball"):
+            entrance_map(p, 0.25, t1)
+
+    def test_still_maps_match_the_reference(self):
+        rng = random.Random(6066)
+        tally = {"map": 0, "refused": 0, "mended": 0}
+        for _ in range(300):
+            p = random_still_path(rng)
+            instants = [t for t, _ in transitions(p, 0.01)]
+            for t_from, t_to in itertools.permutations(
+                    rng.sample([rng.random(), rng.random(), *instants], 2)):
+                got = map_or_refusal(entrance_map, p, t_from, t_to)
+                expected = map_or_refusal(reference_entrance_map, p, t_from, t_to)
+                if got != expected:
+                    # the reference certified [t_from, tau] only, and mapped
+                    # across an instant inside the safe ball of x(t_to)
+                    assert got == f"label is not constant on [{t_from}, {t_to}): changes"
+                    assert any(min(t_from, t_to) <= t <= max(t_from, t_to) and t != t_to
+                               for t in instants)
+                    tally["mended"] += 1
+                tally["refused" if isinstance(got, str) else "map"] += 1
+        assert tally["map"] >= 150 and tally["refused"] >= 300 and tally["mended"] >= 1
+
+    def test_moving_maps_match_the_reference(self):
+        rng = random.Random(11)
+        tally = {"map": 0, "refused": 0}
+        for _ in range(150):
+            p = random_moving_path(rng)
+            for t_from, t_to in itertools.permutations((rng.random(), rng.random())):
+                got = map_or_refusal(entrance_map, p, t_from, t_to)
+                assert got == map_or_refusal(reference_entrance_map, p, t_from, t_to)
+                tally["refused" if isinstance(got, str) else "map"] += 1
+        assert tally["map"] >= 100 and tally["refused"] >= 100
 
 
 class TestZigzag:
