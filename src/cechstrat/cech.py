@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _json, _kernels
-from ._bits import proper_submasks
+from ._bits import close_down, family_of, members
 from ._kernels._pure import MAX_SUBSET_VERTICES
 from .complexes import SimplicialComplex
 from .geometry import EPS_GEO, PointConfig, RanPoint, _check_radius
@@ -102,16 +102,14 @@ class Scan(tuple):
             c = self._complexes[hi] = SimplicialComplex(self.n_points, self.complex_masks(hi))
         return c
 
-    def complex_masks(self, hi: int) -> set[int]:
+    def complex_masks(self, hi: int) -> list[int]:
         """The Cech complex's masks where the first ``hi`` subsets by radius
-        span (a zone's ``hi``): the singletons, those subsets and their
-        faces (closed downward explicitly against last-ulp rounding of the
-        scan)."""
-        masks = {1 << i for i in range(self.n_points)}
-        for mask in self.masks[:hi]:
-            masks.add(mask)
-            masks.update(proper_submasks(mask))
-        return masks
+        span (a zone's ``hi``), ascending: the singletons, those subsets and
+        their faces (closed downward explicitly against last-ulp rounding of
+        the scan)."""
+        n = self.n_points
+        spanned = family_of(n, [*(1 << i for i in range(n)), *self.masks[:hi]])
+        return members(close_down(n, spanned))
 
     def critical_masks(self, zone: Zone) -> tuple[int, ...]:
         """The subsets at their critical radius in ``zone``, by radius."""
@@ -226,7 +224,7 @@ class Filtration:
                 raise ValueError(f"a complex has {c.n_vertices} vertices for "
                                  f"{len(self.config)} points")
         for a, b in zip(self.complexes, self.complexes[1:]):
-            if not set(a.masks) <= set(b.masks):
+            if a.family & ~b.family:
                 raise ValueError("filtration complexes must be nested")
 
     def complex_at(self, r: float) -> SimplicialComplex:

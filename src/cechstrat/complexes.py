@@ -13,16 +13,23 @@ from __future__ import annotations
 import functools
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import _json, _kernels
-from ._bits import facet_submasks, family_of, holding, mask_of, proper_submasks, vertices_of
+from ._bits import close_down, family_of, holding, mask_of, members, vertices_of
 
 VERTEX_CAP = 8
+#: the most vertices of a complex, as of every kernel; a family has 2^n bits
+MAX_VERTICES = 16
 
 
 class CapExceeded(ValueError):
     """Vertex count exceeds a search's cap."""
+
+
+def _check_vertex_count(n_vertices: int):
+    if n_vertices > MAX_VERTICES:
+        raise ValueError(f"a complex has at most {MAX_VERTICES} vertices, got {n_vertices}")
 
 
 @dataclass(frozen=True, init=False)
@@ -30,9 +37,10 @@ class SimplicialComplex:
     """Abstract simplicial complex on vertices ``0..n_vertices-1``.
 
     ``masks`` holds every simplex (not just facets) as a vertex bitmask, in
-    ascending order; ``simplices`` derives sorted vertex tuples from them,
-    ordered by dimension then vertex order.  Construction checks that every
-    mask is in range, every singleton present and the set downward closed;
+    ascending order, and ``family`` the same set as one family bitset;
+    ``simplices`` derives sorted vertex tuples from them, ordered by
+    dimension then vertex order.  Construction checks that every mask is
+    in range, every singleton present and the set downward closed;
     :func:`make_complex` builds a complex from vertex tuples.  The order
     invariants ``n_components`` and ``f_vector`` are computed once per
     complex, on first use.
@@ -40,24 +48,30 @@ class SimplicialComplex:
 
     n_vertices: int
     masks: tuple[int, ...]
+    family: int = field(repr=False, compare=False)
 
     def __init__(self, n_vertices: int, masks: Iterable[int] = ()):
         if n_vertices < 0:
             raise ValueError("n_vertices must be nonnegative")
+        _check_vertex_count(n_vertices)
         present = set(masks)
         for v in range(n_vertices):
             if 1 << v not in present:
                 raise ValueError(f"vertex {v} is missing its singleton simplex")
-        for m in present:
+        ordered = sorted(present)
+        for m in ordered[:1] + ordered[-1:]:  # the least and the greatest
             if not 0 < m < 1 << n_vertices:
                 raise ValueError(f"simplex mask {m:#b} is empty or outside 0..{n_vertices - 1}")
-            for face in facet_submasks(m):
-                if face and face not in present:
-                    raise ValueError(f"not downward closed: {vertices_of(m)} present "
-                                     f"but face {vertices_of(face)} missing")
+        family = family_of(n_vertices, ordered)
+        for v in range(n_vertices):
+            # each present mask holding v, with v removed; bit 0 is the empty face
+            if missing := (family & holding(n_vertices, v)) >> (1 << v) & ~family & ~1:
+                face = (missing & -missing).bit_length() - 1
+                raise ValueError(f"not downward closed: {vertices_of(face | 1 << v)} present "
+                                 f"but face {vertices_of(face)} missing")
         object.__setattr__(self, "n_vertices", n_vertices)
-        object.__setattr__(self, "masks", tuple(sorted(present)))
-        object.__setattr__(self, "_present", frozenset(present))
+        object.__setattr__(self, "masks", tuple(ordered))
+        object.__setattr__(self, "family", family)
 
     @functools.cached_property
     def simplices(self) -> tuple[tuple[int, ...], ...]:
@@ -95,17 +109,11 @@ class SimplicialComplex:
         each simplex without vertex v that is a face of one with v, so the
         facets are the bits of F marked for no v.
         """
-        n = self.n_vertices
-        family = family_of(n, self.masks)
+        n, family = self.n_vertices, self.family
         grows = 0
         for v in range(n):
             grows |= (family & holding(n, v)) >> (1 << v)
-        bits = format(family & ~grows, "b")[::-1]
-        maximal = []
-        m = bits.find("1")
-        while m >= 0:
-            maximal.append(vertices_of(m))
-            m = bits.find("1", m + 1)
+        maximal = map(vertices_of, members(family & ~grows))
         return tuple(sorted(maximal, key=lambda t: (len(t), t)))
 
     def to_json_dict(self) -> dict:
@@ -124,20 +132,20 @@ class SimplicialComplex:
 def make_complex(n_vertices: int, generators: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Downward closure of the generators plus all singletons.
 
-    Rejects ``n_vertices == 0`` and generator vertices outside range.
+    Rejects ``n_vertices == 0``, more than ``MAX_VERTICES`` and generator
+    vertices outside range.
     """
     if n_vertices < 1:
         raise ValueError("a point configuration is nonempty: n_vertices must be >= 1")
-    masks = {1 << v for v in range(n_vertices)}
+    _check_vertex_count(n_vertices)
+    masks = [1 << v for v in range(n_vertices)]
     for gen in generators:
         vs = {int(v) for v in gen}
         if not vs.issubset(range(n_vertices)):
             raise ValueError(f"generator {sorted(vs)} has a vertex outside 0..{n_vertices - 1}")
-        if vs:
-            m = mask_of(vs)
-            masks.add(m)
-            masks.update(proper_submasks(m))
-    return SimplicialComplex(n_vertices, masks)
+        masks.append(mask_of(vs))
+    closure = close_down(n_vertices, family_of(n_vertices, masks))
+    return SimplicialComplex(n_vertices, members(closure))
 
 
 def _vertex_image(w) -> int:
@@ -200,15 +208,15 @@ def is_simplicial(m: SimplicialMap) -> bool:
     simplex's image is that face's image plus one vertex, and the check
     stops at the first image missing from the target.
     """
-    vm, present = m.vertex_map, m.target._present
+    vm, family = m.vertex_map, m.target.family
     if vm == tuple(range(len(vm))):
-        return m.source._present <= present
+        return not m.source.family & ~family
     bits = [1 << w for w in vm]
     image = {0: 0}
     for s in m.source.masks:
         low = s & -s
         image[s] = img = image[s ^ low] | bits[low.bit_length() - 1]
-        if img not in present:
+        if not family >> img & 1:
             return False
     return True
 

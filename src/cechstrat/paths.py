@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass, field
 
 from . import _json
-from .cech import cech_complex, read_scan, subset_radii, zone_edges
+from .cech import Zone, cech_complex, read_scan, subset_radii, zone_edges
 from .complexes import (
     IsoClass,
     SimplicialMap,
@@ -479,27 +479,15 @@ def _still_events(path: PLPath, first: int, last: int) -> list[tuple[float, Stra
     def zone(t: float):
         return read_scan(scan, evaluate(path, t).radius)
 
-    def joined(u: float, v: float) -> bool:
-        """Whether u <= v, two crossings or a crossing and a stretch end,
-        are one instant: at most ``_INSTANT_WIDTH`` apart with the radius
-        inside a tolerance band between them (the zone is constant there),
-        or too close for an interval (see :func:`zigzag`)."""
-        if v - u <= 2.0 * _BRACKET_FLOOR:
-            return True
-        if v - u > _INSTANT_WIDTH:
-            return False
-        z = zone(0.5 * (u + v))
-        return z.lo < z.hi
-
     spans: list[list[float]] = []
     for t in _crossings(path, first, last, zone_edges(scan)):
-        if spans and joined(spans[-1][1], t):
+        if spans and _joined(zone, spans[-1][1], t):
             spans[-1][1] = t
         else:
             spans.append([t, t])
-    if spans and joined(bp[first], spans[0][0]):
+    if spans and _joined(zone, bp[first], spans[0][0]):
         spans[0][0] = bp[first]
-    if spans and joined(spans[-1][1], bp[last]):
+    if spans and _joined(zone, spans[-1][1], bp[last]):
         spans[-1][1] = bp[last]
     # where an instant may lie: the roots, the bends and the stretch ends
     marks = sorted((*_crossings(path, first, last, scan.radii), bp[first], bp[last],
@@ -539,6 +527,20 @@ def _still_events(path: PLPath, first: int, last: int) -> list[tuple[float, Stra
         if any(side is not None and side != low for side in sides[k:k + 2]):
             events.append((t_star, low))
     return events
+
+
+def _joined(zone, u: float, v: float) -> bool:
+    """Whether u and v, two crossings or a crossing and a stretch end or an
+    instant, are one instant of a still stretch whose zone at a time
+    ``zone`` reads: at most ``_INSTANT_WIDTH`` apart with the radius inside
+    a tolerance band between them (the zone is constant there), or too
+    close for an interval (see :func:`zigzag`)."""
+    if abs(v - u) <= 2.0 * _BRACKET_FLOOR:
+        return True
+    if abs(v - u) > _INSTANT_WIDTH:
+        return False
+    z = zone(0.5 * (u + v))
+    return z.lo < z.hi
 
 
 def _step_past(zone, near: float, far: float) -> float:
@@ -582,16 +584,16 @@ def _renaming_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
     return m
 
 
-def _still_bends(path: PLPath, t_from: float, t_to: float) -> tuple[int, ...] | None:
-    """The bends strictly between t_from and t_to when both lie on one
-    still stretch, else None."""
+def _still_run(path: PLPath, t_from: float, t_to: float) -> tuple[int, int] | None:
+    """The breakpoints first and last of the shortest run of breakpoints
+    around t_from and t_to when both lie on one still stretch, else None."""
     lo, hi = min(t_from, t_to), max(t_from, t_to)
     bp = path.breakpoints
     i, j = bisect.bisect_right(bp, lo), bisect.bisect_left(bp, hi)
     shared = path._still[i - 1]
     if shared is None or path._still[j - 1] is not shared:
         return None
-    return _inner_bends(path, i - 1, j)
+    return i - 1, j
 
 
 def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
@@ -599,11 +601,11 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
 
     Certify, then step.  The refined label must be constant on [t_from,
     t_to); it may drop at t_to.  On a still stretch this is certified
-    exactly: the label is a function of the radius, monotone between bends,
-    so the labels at the least and the greatest radius among t_to and the
-    bends strictly between t_from and t_to must be the label at t_from, or
-    differ from it only inside the tolerance band of the subsets critical
-    at t_to (see :func:`_approaches`).  Where tracks move, the label is
+    exactly: the label is a function of the zone of the radius, which
+    changes only where the radius meets a zone edge, so the zone must be
+    the one at t_from up to the instant that t_to lies in, and inside that
+    instant differ from it only by subsets critical both there and at t_to
+    (see :func:`_left_early`).  Where tracks move, the label is
     spot-checked at ``_CONSTANCY_SAMPLES`` evenly spaced times of [t_from,
     t_to).
 
@@ -619,22 +621,18 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
     if t_from == t_to:
         return identity_map(cech_complex(evaluate(path, t_from)))
     x_from, end = evaluate(path, t_from), evaluate(path, t_to)
-    bends = _still_bends(path, t_from, t_to)
-    if bends is None:
+    run = _still_run(path, t_from, t_to)
+    if run is None:
         checks = [t_from + (t_to - t_from) * k / _CONSTANCY_SAMPLES
                   for k in range(1, _CONSTANCY_SAMPLES)]
+        labels = [stratum_label(evaluate(path, t)) for t in checks]
+        # labelled after the checks, so that its scan is still cached for the renaming
+        l_from = stratum_label(x_from)
+        change = next((t for t, label in zip(checks, labels) if label != l_from), None)
     else:
-        # with the radius at t_from, these hold the least and the greatest
-        # radius on [t_from, t_to]
-        seen = [(end.radius, t_to), *((path.radius[k], path.breakpoints[k]) for k in bends)]
-        checks = [t for r, t in dict.fromkeys((min(seen), max(seen)))
-                  if r != x_from.radius and not _approaches(x_from, r, end)]
-    labels = [stratum_label(evaluate(path, t)) for t in checks]
-    # labelled after the checks, so that its scan is still cached for the renaming
-    l_from = stratum_label(x_from)
-    for t, label in zip(checks, labels):
-        if label != l_from:
-            raise ValueError(f"label is not constant on [{t_from}, {t_to}): changes near t={t}")
+        change = _left_early(path, run, t_from, t_to, x_from, end)
+    if change is not None:
+        raise ValueError(f"label is not constant on [{t_from}, {t_to}): changes near t={change}")
     safe = tilde_r(end).safe_radius
     tau = t_from
     while True:
@@ -647,15 +645,42 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
             return compose(_renaming_map(path, t_from, tau), local_map(x_tau, end))
 
 
-def _approaches(start: RanPoint, r: float, end: RanPoint) -> bool:
-    """Whether radius ``r`` of the still configuration differs from the
-    start only by subsets critical at the end, and loses no simplex: the
-    tolerance band of the instant the path enters, not a stratum of its
-    own."""
-    scan = subset_radii(start.config)
-    a, b, window = read_scan(scan, start.radius), read_scan(scan, r), read_scan(scan, end.radius)
-    return b.hi >= a.hi and all(
-        window.lo <= min(i, j) and max(i, j) <= window.hi for i, j in zip(a, b) if i != j)
+def _left_early(path: PLPath, run: tuple[int, int], t_from: float, t_to: float,
+                x_from: RanPoint, x_to: RanPoint) -> float | None:
+    """Where the still path over the breakpoints ``run`` leaves its zone at
+    t_from, where it is ``x_from``, before the instant that t_to lies in,
+    or None if it does not.
+
+    The zone changes only where the radius meets a zone edge.  Taken from
+    t_from on, the crossings strictly between t_from and t_to keep the zone
+    at t_from between them up to the first that leaves it.  From there on,
+    every two crossings in turn, and the last one and t_to, must be one
+    instant (:func:`_joined`) inside the band of t_to (:func:`_approaches`).
+    """
+    scan = subset_radii(x_from.config)
+    start, end = read_scan(scan, x_from.radius), read_scan(scan, x_to.radius)
+    lo, hi = sorted((t_from, t_to))
+    met = [t for t in _crossings(path, *run, zone_edges(scan)) if lo < t < hi]
+    chain = [*(reversed(met) if t_to < t_from else met), t_to]
+    left = None
+    for u, v in zip(chain, chain[1:]):
+        # the zone is constant between two crossings
+        zone = read_scan(scan, evaluate(path, 0.5 * (u + v)).radius)
+        if left is None and zone == start:
+            continue
+        left = u if left is None else left
+        if not (_joined(lambda t: zone, u, v) and _approaches(start, zone, end)):
+            return left
+    return None
+
+
+def _approaches(start: Zone, zone: Zone, end: Zone) -> bool:
+    """Whether ``zone`` differs from ``start`` only by subsets critical
+    both in it and at the ``end``, and loses no simplex: the tolerance
+    band of the instant the path enters, not a stratum of its own."""
+    lo, hi = max(zone.lo, end.lo), min(zone.hi, end.hi)
+    return zone.hi >= start.hi and all(lo <= min(i, j) and max(i, j) <= hi
+                                       for i, j in zip(start, zone) if i != j)
 
 
 @dataclass(frozen=True)
@@ -699,23 +724,26 @@ class ZigzagDiagram:
 def zigzag(path: PLPath, resolution: float) -> ZigzagDiagram:
     """Zigzag of simplicial maps along a path.
 
-    Interval classes are sampled at interval midpoints; each transition
-    instant receives entrance maps from both sides.  A transition at an
-    endpoint of the path degenerates its outer interval to the instant
-    itself (identity map).
+    Inner interval classes are sampled at interval midpoints, the first
+    interval at t = 0 and the last at t = 1, the path's ends, which lie
+    outside the tolerance band of the adjacent instant however close to
+    the end it is; each transition instant receives entrance maps from
+    both sides, starting at the same times.  A transition at an endpoint
+    of the path degenerates its outer interval to the instant itself
+    (identity map).
     """
     events = transitions(path, resolution)
     times = [t for t, _ in events]
     bounds = [0.0] + times + [1.0]
     interval_classes: list[StratumLabel] = []
-    mids: list[float | None] = []
-    for a, b in zip(bounds, bounds[1:]):
+    samples: list[float | None] = []
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
         if b - a > 2.0 * _BRACKET_FLOOR:
-            mid = 0.5 * (a + b)
-            mids.append(mid)
-            interval_classes.append(stratum_label(evaluate(path, mid)))
+            t = 0.0 if k == 0 else 1.0 if k == len(events) else 0.5 * (a + b)
+            samples.append(t)
+            interval_classes.append(stratum_label(evaluate(path, t)))
         else:
-            mids.append(None)
+            samples.append(None)
             # zero-width outer interval: the instant is the whole interval
             idx = len(interval_classes)
             lbl = events[idx][1] if idx < len(events) else events[-1][1]
@@ -723,8 +751,8 @@ def zigzag(path: PLPath, resolution: float) -> ZigzagDiagram:
     map_pairs = []
     for k, (t_star, _) in enumerate(events):
         # a zero-width outer interval enters its instant by the identity
-        left, right = (entrance_map(path, t_star if mid is None else mid, t_star)
-                       for mid in mids[k:k + 2])
+        left, right = (entrance_map(path, t_star if t is None else t, t_star)
+                       for t in samples[k:k + 2])
         map_pairs.append((left, right))
     return ZigzagDiagram(
         tuple(times),

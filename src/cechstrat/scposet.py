@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass
 
 from . import _json, _kernels
-from ._bits import facet_submasks, holding, set_bits, vertices_of
+from ._bits import holding, members, set_bits
 from .complexes import (
     VERTEX_CAP,
     CapExceeded,
@@ -133,7 +133,7 @@ def _labeled_complexes(n: int) -> list[int]:
     families = [sum(1 << (1 << v) for v in range(n))]
     for m in sorted((m for m in range(1 << n) if m.bit_count() >= 2),
                     key=lambda m: (m.bit_count(), m)):
-        faces = sum(1 << face for face in facet_submasks(m))
+        faces = sum(1 << (m ^ 1 << v) for v in set_bits(m))
         families += [f | 1 << m for f in families if f & faces == faces]
     return families
 
@@ -211,7 +211,7 @@ def enumerate_classes(n_max: int) -> PosetUniverse:
         known: set[int] = set()
         for family in _labeled_complexes(n):
             if family not in known:
-                found.append(canonical_form(SimplicialComplex(n, vertices_of(family))))
+                found.append(canonical_form(SimplicialComplex(n, members(family))))
                 known.update(_orbit(family, swaps))
     classes = tuple(sorted(found, key=lambda c: (c.n_vertices, c.key)))
 

@@ -331,6 +331,14 @@ class TestMalformedDocuments:
         assert (code, out) == (2, "")
         assert err == "error: generator [-1, 0] has a vertex outside 0..1\n"
 
+    def test_more_vertices_than_a_family_holds_is_refused(self, capsys, tmp_path):
+        # a complex's family bitset has 2^n bits: 17 vertices are refused
+        # before anything of that size is built
+        code, out, err = run_reader(capsys, tmp_path, "dominates",
+                                    {"n_vertices": 17, "simplices": []})
+        assert (code, out) == (2, "")
+        assert err == "error: a complex has at most 16 vertices, got 17\n"
+
     def test_integral_numbers_are_coordinates(self, capsys, tmp_path):
         # a JSON integer is a number: 1 and 1.0 read alike as coordinates and radii
         floats = run_reader(capsys, tmp_path, "track", PATH_DOC)

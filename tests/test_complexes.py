@@ -25,7 +25,7 @@ from conftest import FIG2_MAP_C_TO_D, fig2_complexes, random_complex
 
 def reference_is_simplicial(m):
     """The definition: every source simplex's image is a target simplex."""
-    vm, present = m.vertex_map, m.target._present
+    vm, present = m.vertex_map, set(m.target.masks)
     return all(mask_of(vm[v] for v in vertices_of(s)) in present for s in m.source.masks)
 
 
@@ -88,6 +88,46 @@ class TestMakeComplex:
     def test_from_masks_validates(self, masks, match):
         with pytest.raises(ValueError, match=match):
             SimplicialComplex(3, masks)
+
+    def test_missing_face_names_the_first_vertex_and_lowest_face(self):
+        # vertex 0 first: 15 without vertex 0 is 14, which is missing
+        with pytest.raises(ValueError, match=r"^not downward closed: \(0, 1, 2, 3\) present "
+                                             r"but face \(1, 2, 3\) missing$"):
+            SimplicialComplex(4, (1, 2, 4, 8, 15))
+
+    def test_checks_singletons_before_ranges_before_closure(self):
+        with pytest.raises(ValueError, match="singleton"):
+            SimplicialComplex(3, (0b001, 0b010, 0b1000, 0b110))
+        with pytest.raises(ValueError, match="outside"):
+            SimplicialComplex(3, (0b001, 0b010, 0b100, 0b111, 0b1000))
+
+    @pytest.mark.parametrize("build", [
+        lambda n: SimplicialComplex(n, [1 << v for v in range(n)]),
+        lambda n: make_complex(n, []),
+    ])
+    def test_at_most_sixteen_vertices(self, build):
+        assert build(16).n_vertices == 16
+        with pytest.raises(ValueError, match="^a complex has at most 16 vertices, got 17$"):
+            build(17)
+
+    def test_family_is_the_masks_as_one_bitset(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            c = random_complex(rng)
+            assert c.family == sum(1 << m for m in c.masks)
+            assert c == SimplicialComplex(c.n_vertices, reversed(c.masks))
+        assert "family" not in repr(c)
+
+    def test_make_complex_closes_like_every_submask(self):
+        rng = random.Random(13)
+        for _ in range(100):
+            n = rng.randint(1, 7)
+            gens = [rng.sample(range(n), rng.randint(0, n)) for _ in range(rng.randint(0, 4))]
+            closure = {1 << v for v in range(n)}
+            for g in gens:
+                m = mask_of(g)
+                closure |= {s for s in range(1, m + 1) if s & m == s}
+            assert make_complex(n, gens).masks == tuple(sorted(closure))
 
     def test_one_constructor_on_masks(self):
         # vertex tuples come in through make_complex only

@@ -32,17 +32,17 @@ from cechstrat import (
     zigzag,
 )
 from cechstrat import paths
-from cechstrat.cech import cech_complex
+from cechstrat.cech import cech_complex, read_scan, subset_radii
 from cechstrat.geometry import DELTA_PT, EPS_GEO
 from cechstrat.paths import (
     _CECH_PATH_T_MAX,
     _CECH_PATH_TOL,
     _CONSTANCY_SAMPLES,
-    _approaches,
     _dedupe,
     _evaluate_tracks,
     _renaming_map,
-    _still_bends,
+    _inner_bends,
+    _still_run,
     reversed_path,
 )
 
@@ -372,6 +372,16 @@ def reference_as_filtration(z):
     return chain, [dominates(hi.canonical, lo.canonical) for hi, lo in zip(chain, chain[1:])]
 
 
+def reference_approaches(start, r, end):
+    """The band rule of ``reference_entrance_map``: radius ``r`` differs
+    from the start only by subsets critical at the end, and loses no
+    simplex."""
+    scan = subset_radii(start.config)
+    a, b, window = (read_scan(scan, x) for x in (start.radius, r, end.radius))
+    return b.hi >= a.hi and all(
+        window.lo <= min(i, j) and max(i, j) <= window.hi for i, j in zip(a, b) if i != j)
+
+
 def reference_entrance_map(path, t_from, t_to):
     """The halving search that ``entrance_map`` replaced: tau runs through
     t_to - (t_to - t_from)/2^k, skipping bends outside the safe ball, until
@@ -381,7 +391,8 @@ def reference_entrance_map(path, t_from, t_to):
         raise ValueError("path parameters must lie in [0, 1]")
     if t_from == t_to:
         return identity_map(cech_complex(evaluate(path, t_from)))
-    bends = _still_bends(path, t_from, t_to)
+    run = _still_run(path, t_from, t_to)
+    bends = None if run is None else _inner_bends(path, *run)
     samples = [] if bends is not None else [t_from + (t_to - t_from) * k / _CONSTANCY_SAMPLES
                                             for k in range(1, _CONSTANCY_SAMPLES)]
     labels = [stratum_label(evaluate(path, t)) for t in samples]
@@ -412,7 +423,7 @@ def reference_entrance_map(path, t_from, t_to):
                                             if abs(bp[k] - t_from) < abs(tau - t_from)]
             for r, t in dict.fromkeys((min(seen), max(seen))):
                 if r != x_from.radius and stratum_label(evaluate(path, t)) != l_from \
-                        and not _approaches(x_from, r, end):
+                        and not reference_approaches(x_from, r, end):
                     raise ValueError(
                         f"label is not constant on [{t_from}, {t_to}): changes near t={t}")
         return compose(_renaming_map(path, t_from, tau), snap)
@@ -767,7 +778,70 @@ class TestTransitions:
         assert fine - coarse < 8 * 9_000  # less than one pointer per extra step
 
 
+def critical_still_path(rng):
+    """2-4 fixed points in the unit square under a radius polyline of 2-6
+    breakpoints, each radius a critical radius of the configuration, one
+    within 1e-10..1e-6 of it, or anywhere below 1.2 times the largest."""
+    while True:
+        try:
+            cfg = PointConfig(2, tuple((rng.random(), rng.random())
+                                       for _ in range(rng.randint(2, 4))))
+            break
+        except ValueError:
+            continue
+    criticals = subset_radii(cfg).radii
+
+    def radius():
+        u = rng.random()
+        if u < 0.35:
+            return rng.choice(criticals)
+        if u < 0.5:
+            return rng.choice(criticals) + rng.choice((-1, 1)) * rng.choice(
+                (1e-10, 5e-10, 2e-9, 1e-6))
+        return rng.uniform(0.0, 1.2 * criticals[-1])
+
+    n_bp = rng.randint(2, 6)
+    bp = (0.0, *sorted(rng.uniform(0.01, 0.99) for _ in range(n_bp - 2)), 1.0)
+    return PLPath(2, bp, tuple((q,) * n_bp for q in cfg.points), tuple(radius() for _ in bp))
+
+
+#: the instant at t = 0.25, where the radius rises through the edge's 0.5,
+#: lies between t = 0 and the end at 0.5 again; the bend at 0.6 is past
+#: the edge's band, so the end's band does not reach back over it
+OVERSHOOT_PATH = PLPath(1, (0.0, 0.5, 1.0), (((0.0,),) * 3, ((1.0,),) * 3), (0.4, 0.6, 0.5))
+
+
 class TestEntranceMap:
+    def test_an_overshoot_past_the_band_is_not_constant(self):
+        p = OVERSHOOT_PATH
+        assert [t for t, _ in transitions(p, 0.01)] == [0.25, 1.0]
+        for path, t_from, t_to, near in ((p, 0.0, 1.0, 0.25), (reversed_path(p), 1.0, 0.0, 0.75)):
+            with pytest.raises(ValueError, match="not constant") as err:
+                entrance_map(path, t_from, t_to)
+            # where the radius enters the edge's band on its way up
+            assert float(str(err.value).split("near t=")[1]) == pytest.approx(near)
+        # from inside the band of the end, the end is entered
+        assert entrance_map(p, 0.9, 1.0).vertex_map == (0, 1)
+
+    def test_critical_still_paths_refuse_across_an_instant(self):
+        # an instant strictly between the ends: one at t_from may carry the
+        # label of the interval that follows it
+        rng = random.Random(5)
+        refused = 0
+        for _ in range(150):
+            p = critical_still_path(rng)
+            instants = [t for t, _ in transitions(p, 0.01)]
+            for _ in range(4):
+                t_from, t_to = (rng.choice(instants) if instants and rng.random() < 0.5
+                                else rng.random() for _ in range(2))
+                lo, hi = sorted((t_from, t_to))
+                if not any(lo < t < hi for t in instants):
+                    continue
+                with pytest.raises(ValueError, match="not constant"):
+                    entrance_map(p, t_from, t_to)
+                refused += 1
+        assert refused >= 200
+
     def test_constant_label_renaming(self):
         p = constant_path()
         m = entrance_map(p, 0.1, 0.9)
@@ -972,6 +1046,42 @@ class TestZigzag:
         assert outer.source == outer.target and outer.vertex_map == (0, 1)
         assert z.interval_classes[side] == z.transition_classes[0]
         assert all(lbl.cls.key == named_classes["edge"].key for lbl in z.interval_classes)
+
+    @pytest.mark.parametrize("radius", [(0.5 + 1.5e-9, 0.3), (0.3, 0.5 + 1.5e-9)])
+    def test_an_outer_interval_is_read_at_the_path_end(self, named_classes, radius):
+        # the instant, where the radius leaves the edge's band, lies 7.5e-9
+        # from an end: the midpoint of the outer interval is inside the band
+        p = PLPath(1, (0.0, 1.0), (((0.0,),) * 2, ((1.0,),) * 2), radius)
+        z = zigzag(p, 0.01)
+        assert len(z.times) == 1 and min(z.times[0], 1.0 - z.times[0]) < 1e-8
+        outer = z.interval_classes[0 if radius[0] > radius[1] else 1]
+        assert outer.cls.key == named_classes["edge"].key and not outer.degenerate
+        assert z.transition_classes[0].degenerate
+
+    def test_critical_still_path_classes_are_the_labels(self):
+        rng = random.Random(1)
+        tally = {"zigzag": 0, "refused": 0}
+        for _ in range(150):
+            p = critical_still_path(rng)
+            try:
+                z = zigzag(p, 0.01)
+            except ValueError:
+                tally["refused"] += 1
+                continue
+            tally["zigzag"] += 1
+            bounds = (0.0, *z.times, 1.0)
+            for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+                if b - a <= 2.0 * paths._BRACKET_FLOOR:
+                    continue
+                adjacent = z.transition_classes[max(k - 1, 0):k + 1]
+                samples = [a + (b - a) * j / 8 for j in range(1, 8)]
+                samples += [0.0] if k == 0 else []
+                samples += [1.0] if k == len(z.times) else []
+                for t in samples:
+                    label = stratum_label(evaluate(p, t))
+                    if label not in adjacent:
+                        assert label == z.interval_classes[k], (k, t)
+        assert tally["zigzag"] >= 120
 
     def test_start_at_critical_radius(self, named_classes):
         # the degenerate stratum occupies a tolerance-band sliver at t = 0;

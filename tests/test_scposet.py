@@ -25,7 +25,7 @@ from cechstrat import (
     upset,
 )
 from cechstrat import _kernels, complexes, scposet
-from cechstrat._bits import facet_submasks, vertices_of
+from cechstrat._bits import vertices_of
 
 from conftest import FIG2_MAP_C_TO_D, fig2_complexes, package_modules, random_complex
 
@@ -38,6 +38,15 @@ ENUM5_SHA256 = "08665fc97ca899b3bd299a51753b75b6689fd5a40da45eeb91fd00d4f0b367eb
 @pytest.fixture(scope="module")
 def universe5():
     return enumerate_classes(5)
+
+
+def facet_submasks(mask):
+    """Submasks obtained by dropping exactly one vertex."""
+    m = mask
+    while m:
+        low = m & -m
+        yield mask ^ low
+        m ^= low
 
 
 def _recursive_labeled_complexes(n):

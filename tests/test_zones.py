@@ -27,11 +27,19 @@ from cechstrat import (
     tilde_r,
 )
 from cechstrat import _kernels, cech
-from cechstrat._bits import proper_submasks, vertices_of
+from cechstrat._bits import vertices_of
 from cechstrat.geometry import EPS_GEO
 from cechstrat.strat import SafeBall, StratumLabel, _zone_label
 
 from conftest import clear_package_caches
+
+
+def proper_submasks(mask):
+    """Nonempty proper submasks of ``mask``."""
+    sub = (mask - 1) & mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
 
 
 def reference_read_scan(n_points, scan, r):
