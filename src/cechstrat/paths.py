@@ -52,10 +52,9 @@ _INCOMPARABLE = ("transition between incomparable labels: the instant label "
 #: radius that changes by at least 2e-4 per unit time passes a band in less
 _INSTANT_WIDTH = 1e-5
 
-#: radius interpolation error of ``cech_path`` on each full step before ``t_max``
-_CECH_PATH_TOL = 1e-6
-#: the largest ``t_max`` of a growth path; its breakpoint count grows like
-#: 10^3 (1 - t_max)^(-1/2), to 99,002 here (9,002 at 0.99)
+#: the largest ``t_max`` of a growth path, a radius of 9,999: near t = 1
+#: one float step of time spans about 1.1e-16 (1 + r)^2 of radius, 1.1e-8
+#: here, and radii closer than that share a time
 _CECH_PATH_T_MAX = 1.0 - 1e-4
 
 
@@ -72,12 +71,11 @@ class PLPath:
     Construction converts and checks each waypoint in one pass per track
     and collects in one set the segments where some track moves.  A
     waypoint that is the same object as the one before it reuses that
-    conversion, and a track whose waypoints are all one object (as
-    ``cech_path`` builds them) is recognised in one identity pass, checked
-    once and holds one tuple.  A run of segments where no track moves is a
-    still stretch: its configuration and track assignment are built once,
-    from the gaps between moving segments, and shared by every evaluation
-    on it; only the radius varies.  The breakpoints where the radius changes
+    conversion, so a track that stands still as one object holds one
+    tuple.  A run of segments where no track moves is a still stretch: its
+    configuration and track assignment are built once, from the gaps
+    between moving segments, and shared by every evaluation on it; only
+    the radius varies.  The breakpoints where the radius changes
     between rising, falling and holding are found once as well, so that
     the extremes of the radius over any stretch of time lie at its ends or
     at those breakpoints.
@@ -122,17 +120,14 @@ class PLPath:
             return q
 
         tracks, moves = [], set()
-        for tr in map(tuple, self.tracks):
-            if tr and all(map(operator.is_, tr, itertools.repeat(tr[0]))):
-                waypoints = (waypoint(tr[0]),) * len(tr)
-            else:
-                waypoints, last = [], None
-                for p in tr:
-                    if not waypoints or p is not last:
-                        q, last = waypoint(p), p
-                        if waypoints and q != waypoints[-1]:
-                            moves.add(len(waypoints) - 1)
-                    waypoints.append(q)
+        for tr in self.tracks:
+            waypoints, last = [], None
+            for p in tr:
+                if not waypoints or p is not last:
+                    q, last = waypoint(p), p
+                    if waypoints and q != waypoints[-1]:
+                        moves.add(len(waypoints) - 1)
+                waypoints.append(q)
             if len(waypoints) != len(bp):
                 raise ValueError("each track needs one waypoint per breakpoint")
             tracks.append(tuple(waypoints))
@@ -799,32 +794,35 @@ def as_filtration(z: ZigzagDiagram) -> ChainFiltration | None:
 
 
 def cech_path(config: PointConfig, t_max: float) -> PLPath:
-    """Stationary-configuration path whose radius grows like t/(1-t).
+    """Stationary-configuration path that reads the configuration as its
+    filtration: up to ``t_max`` it has the labels, instants and entrance
+    maps of the radius t/(1-t), and after it the radius is held.
 
-    With u = (1-t)^(-1/2) the radius is u^2 - 1, and its chord between u_a
-    and u_b lies above it by at most (u_b - u_a)^2, reached at
-    u = sqrt(u_a * u_b).  The breakpoints sit at u = 1 + k*sqrt(tol)
-    (tol = ``_CECH_PATH_TOL``, 1e-6) below ``t_max``, then at
-    ``t_max``: the interpolation error is exactly tol on every full step
-    and less on the last one.  The radius is held after ``t_max``, so the
-    label sequence up to ``t_max`` matches the filtration of the
-    configuration below radius ``t_max/(1-t_max)``.  ``t_max`` is at most
-    ``_CECH_PATH_T_MAX`` (1 - 1e-4, a radius of 9,999): toward 1 the
-    breakpoints grow without bound, and neighbouring ones round to one float.
+    On a still path the label is a function of the radius's zone in the
+    configuration's one scan, which is constant between two consecutive
+    zone edges (:func:`~cechstrat.cech.zone_edges`).  So a breakpoint sits
+    at t = v/(1+v), with radius exactly v, for each zone edge and scan
+    radius v in (0, t_max/(1-t_max)), between those at 0 and ``t_max``.
+    Between breakpoints the radius is linear, not t/(1-t), but each chord
+    stays in one zone, and each instant is the time v/(1+v) of its scan
+    radius.  A breakpoint whose time, or one minus it, rounds onto the
+    previous one's or onto ``t_max``'s is dropped, so that
+    :func:`reversed_path` builds.  The scan is the one the path's zigzag
+    reads, so it refuses what that refuses, such as more than
+    ``UNCAPPED_POINTS`` points.  ``t_max`` is at most ``_CECH_PATH_T_MAX``.
     """
     if not (0.0 < t_max <= _CECH_PATH_T_MAX):
         raise ValueError(f"t_max must lie in (0, {_CECH_PATH_T_MAX}], got {t_max}")
-    step = math.sqrt(_CECH_PATH_TOL)
-    steps = math.ceil(((1.0 - t_max) ** -0.5 - 1.0) / step) + 1
-    ts = [1.0 - (1.0 + k * step) ** -2 for k in range(steps)]
-    while ts[-1] >= t_max:  # the times ascend, so only a tail reaches t_max
-        ts.pop()
-    ts.append(t_max)
-    radii = [t / (1.0 - t) for t in ts]
-    ts.append(1.0)
-    radii.append(radii[-1])
-    tracks = tuple((p,) * len(ts) for p in config.points)
-    return PLPath(config.dim, tuple(ts), tracks, tuple(radii))
+    scan = subset_radii(config)
+    top = t_max / (1.0 - t_max)
+    ts, radii = [0.0], [0.0]
+    for v in sorted({*scan.radii, *zone_edges(scan)}):
+        t = v / (1.0 + v)
+        if 0.0 < v < top and 1.0 - ts[-1] > 1.0 - t > 1.0 - t_max:
+            ts.append(t)
+            radii.append(v)
+    tracks = tuple((p,) * (len(ts) + 2) for p in config.points)
+    return PLPath(config.dim, (*ts, t_max, 1.0), tracks, (*radii, top, top))
 
 
 def reversed_path(path: PLPath) -> PLPath:

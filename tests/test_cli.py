@@ -12,7 +12,7 @@ from cechstrat.paths import reversed_path
 
 #: sha256 of the ``track --as-filtration`` output of the growth paths of
 #: ``growth_configs()``, each forward then reversed, concatenated
-GROWTH_TRACK_SHA256 = "dad6dbf7d6c58d7120f9ed8b98c427e8a4075e98d1f217d71c7a9d23130fffa4"
+GROWTH_TRACK_SHA256 = "6e24c11a75bec5e10e5e9a5e4cdddc95e627e5c586aa4540c6545df9ead11a3b"
 
 
 @pytest.fixture

@@ -32,11 +32,10 @@ from cechstrat import (
     zigzag,
 )
 from cechstrat import paths
-from cechstrat.cech import cech_complex, read_scan, subset_radii
+from cechstrat.cech import cech_complex, read_scan, subset_radii, zone_edges
 from cechstrat.geometry import DELTA_PT, EPS_GEO
 from cechstrat.paths import (
     _CECH_PATH_T_MAX,
-    _CECH_PATH_TOL,
     _CONSTANCY_SAMPLES,
     _dedupe,
     _evaluate_tracks,
@@ -608,7 +607,7 @@ class TestConstruction:
         cfg = PointConfig(2, ((0.0, 0.0), (1.0, 0.1), (0.4, 0.9), (0.2, 0.45), (0.85, 0.7)))
         p = cech_path(cfg, 0.9)
         for path in (p, reversed_path(p)):
-            assert len(path.breakpoints) > 2000
+            assert len(path.breakpoints) > 30
             for tr in path.tracks:
                 assert len(set(map(id, tr))) == 1
         q = PLPath.from_json_dict(p.to_json_dict())
@@ -983,12 +982,14 @@ class TestZigzag:
 
     def test_growth_times_are_the_same_on_every_backend(self):
         # radii bit-equal across backends give equal transition times: the
-        # instant is where the radius meets the scan radius, one division
+        # instant is the time v/(1+v) of the scan radius v, one division
         cfg = PointConfig(2, ((0.7748417797458663, 0.1685230873018202),
                               (0.3919152606639159, 0.023123830219864083),
                               (0.7729798597694224, 0.38282264820311507),
                               (0.2247346192298202, 0.7185251345569895)))
-        assert zigzag(cech_path(cfg, 0.9), 0.01).times[1] == 0.16998671226415643
+        v = 0.20480091734182007  # the edge {0, 1}
+        assert subset_radii(cfg).radii[1] == v
+        assert zigzag(cech_path(cfg, 0.9), 0.01).times[1] == v / (1.0 + v) == 0.16998735176403834
 
     def test_triangle_growth_two_transitions(self, named_classes):
         z = zigzag(cech_path(triangle_config(), 0.9), 0.01)
@@ -1374,9 +1375,34 @@ class TestAsFiltration:
         assert tally["chain"] >= 30 and tally["reordered"] >= 10 and tally["none"] >= 1
 
 
+#: the chord error of the reference growth path on each full step
+CHORD_TOL = 1e-6
+
+
 def on_u_grid(k: int) -> float:
-    """Time of a growth path's k-th breakpoint, computed as ``cech_path`` does."""
-    return 1.0 - (1.0 + k * math.sqrt(_CECH_PATH_TOL)) ** -2
+    """Time of the reference growth path's k-th breakpoint."""
+    return 1.0 - (1.0 + k * math.sqrt(CHORD_TOL)) ** -2
+
+
+def chord_path(config: PointConfig, t_max: float) -> PLPath:
+    """The reference growth path, as ``cech_path`` built it before its
+    breakpoints sat on the scan: the chords of t/(1-t) between the times
+    ``on_u_grid`` below ``t_max``, then ``t_max``, then the radius held.
+
+    With u = (1-t)^(-1/2) the radius is u^2 - 1, and its chord between u_a
+    and u_b lies above it by at most (u_b - u_a)^2, so the grid step
+    sqrt(``CHORD_TOL``) in u keeps every chord within ``CHORD_TOL``.
+    """
+    steps = math.ceil(((1.0 - t_max) ** -0.5 - 1.0) / math.sqrt(CHORD_TOL)) + 1
+    ts = [on_u_grid(k) for k in range(steps)]
+    while ts[-1] >= t_max:
+        ts.pop()
+    ts.append(t_max)
+    radii = [t / (1.0 - t) for t in ts]
+    ts.append(1.0)
+    radii.append(radii[-1])
+    return PLPath(config.dim, tuple(ts), tuple((p,) * len(ts) for p in config.points),
+                  tuple(radii))
 
 
 def chord_error(t_a, r_a, t_b, r_b) -> Fraction:
@@ -1397,10 +1423,32 @@ GRID_T_MAX = [t for k in (1, 500, 2162)
                         math.nextafter(on_u_grid(k), 1.0))]
 
 
+def random_plane_config(rng, n_min: int, n_max: int, side: float = 1.0) -> PointConfig:
+    while True:
+        pts = tuple((rng.uniform(0, side), rng.uniform(0, side))
+                    for _ in range(rng.randint(n_min, n_max)))
+        try:
+            return PointConfig(2, pts)
+        except ValueError:
+            continue
+
+
+def zigzag_outcome(z):
+    """Everything a zigzag says but its times: classes, maps and whether
+    it reads as a chain."""
+    return (z.interval_classes, z.transition_classes,
+            [(left.to_json_dict(), right.to_json_dict()) for left, right in z.maps],
+            as_filtration(z) is None)
+
+
 class TestCechPath:
+    # The first two tests pin the reference chord path that
+    # test_matches_the_chord_path compares with: its breakpoints, bit for
+    # bit, and its chord error, the bound on how far its instants may lie
+    # from those of the curve.
     @pytest.mark.parametrize("t_max", [1e-6, 0.1, 0.5, 0.9, 0.99] + GRID_T_MAX)
     def test_chord_error_is_the_tolerance_on_every_full_step(self, t_max):
-        p = cech_path(PointConfig(1, ((0.0,), (1.0,))), t_max)
+        p = chord_path(PointConfig(1, ((0.0,), (1.0,))), t_max)
         bp, radius = p.breakpoints, p.radius
         assert all(a < b for a, b in zip(bp, bp[1:]))
         assert bp[-2:] == (t_max, 1.0)
@@ -1408,31 +1456,97 @@ class TestCechPath:
         # the last segment holds the radius; the one before it ends at t_max
         for seg in range(len(bp) - 2):
             error = chord_error(bp[seg], radius[seg], bp[seg + 1], radius[seg + 1])
-            assert error <= _CECH_PATH_TOL * (1 + 1e-8)
+            assert error <= CHORD_TOL * (1 + 1e-8)
             if seg < len(bp) - 3:
-                assert error >= _CECH_PATH_TOL * (1 - 1e-8)
+                assert error >= CHORD_TOL * (1 - 1e-8)
 
     @pytest.mark.parametrize("t_max", [1e-6, 0.1, 0.5, 0.9, 0.99, _CECH_PATH_T_MAX] + GRID_T_MAX)
     def test_breakpoints_are_the_grid_times_below_t_max(self, t_max):
-        step = math.sqrt(_CECH_PATH_TOL)
+        step = math.sqrt(CHORD_TOL)
         grid = (1.0 - (1.0 + k * step) ** -2 for k in itertools.count())
         expected = list(itertools.takewhile(lambda t: t < t_max, grid)) + [t_max, 1.0]
-        p = cech_path(PointConfig(1, ((0.0,), (1.0,))), t_max)
+        p = chord_path(PointConfig(1, ((0.0,), (1.0,))), t_max)
         assert list(map(float.hex, p.breakpoints)) == list(map(float.hex, expected))
+
+    @pytest.mark.parametrize("t_max", [1e-6, 0.1, 0.35, 0.5, 0.9, 0.99, _CECH_PATH_T_MAX])
+    def test_breakpoints_are_the_zone_edges_and_scan_radii_below_t_max(self, t_max):
+        scan = subset_radii(triangle_config())
+        top = t_max / (1.0 - t_max)
+        values = {v for v in (*scan.radii, *zone_edges(scan)) if v < top}
+        p = cech_path(triangle_config(), t_max)
+        assert (p.breakpoints[0], *p.breakpoints[-2:]) == (0.0, t_max, 1.0)
+        assert (p.radius[0], *p.radius[-2:]) == (0.0, top, top)
+        # one breakpoint per time, at one of the radii of that time (the
+        # edges 0.49999999999999994 and 0.5 share the time 1/3)
+        inner = list(zip(p.breakpoints, p.radius))[1:-2]
+        assert all(v in values and t == v / (1.0 + v) for t, v in inner)
+        assert {t for t, _ in inner} == {v / (1.0 + v) for v in values}
+
+    def test_chords_stay_in_the_zone_of_the_curve(self):
+        # between breakpoints the radius is not t/(1-t), but its zone is
+        cfg = triangle_config()
+        p, scan = cech_path(cfg, 0.9), subset_radii(cfg)
+        bp = p.breakpoints
+        rng = random.Random(1)
+        # a midpoint of two neighbouring floats rounds onto a breakpoint,
+        # where the radius is its value v and the float t/(1-t) only near it
+        times = [*(rng.uniform(0, 0.9) for _ in range(300)),
+                 *(t for a, b in zip(bp, bp[1:-1]) if a < (t := 0.5 * (a + b)) < b)]
+        assert len(times) > 305
+        for t in times:
+            assert read_scan(scan, evaluate(p, t).radius) == read_scan(scan, t / (1.0 - t))
+
+    def test_breakpoint_count_is_at_most_three_per_subset_and_three(self):
+        rng = random.Random(4)
+        for _ in range(30):
+            cfg = random_plane_config(rng, 1, 8)
+            for t_max in (0.5, 0.9, _CECH_PATH_T_MAX):
+                assert len(cech_path(cfg, t_max).breakpoints) <= 3 * len(subset_radii(cfg)) + 3
+
+    def test_each_still_instant_is_the_time_of_a_scan_radius(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            cfg = random_plane_config(rng, 2, 6)
+            times = {v / (1.0 + v) for v in subset_radii(cfg).radii}
+            path = cech_path(cfg, 0.9)
+            forward = zigzag(path, 0.01).times
+            assert forward and set(forward) <= times
+            assert set(zigzag(reversed_path(path), 0.01).times) <= {1.0 - t for t in times}
+
+    def test_every_growth_path_reverses(self):
+        # at radii in the thousands, the times of a band's edges round onto
+        # each other and breakpoints are dropped; the reversed times stay apart
+        rng = random.Random(6)
+        dropped = 0
+        for side in (1.0, 100.0, 3000.0, 9000.0):
+            for _ in range(10):
+                cfg = random_plane_config(rng, 1, 6, side)
+                scan = subset_radii(cfg)
+                for t_max in (1e-6, 0.5, 0.9, 0.99, _CECH_PATH_T_MAX):
+                    p = cech_path(cfg, t_max)
+                    q = reversed_path(p)
+                    assert q.breakpoints == tuple(1.0 - t for t in reversed(p.breakpoints))
+                    top = t_max / (1.0 - t_max)
+                    values = {v for v in (*scan.radii, *zone_edges(scan)) if 0.0 < v < top}
+                    dropped += len(values) + 3 - len(p.breakpoints)
+        assert dropped > 50
+
+    def test_matches_the_chord_path(self):
+        # the chords of t/(1-t) lie at most 1e-6 above the curve, so their
+        # instants are those of the curve to within 1e-6, and so are the
+        # classes and maps
+        rng = random.Random(6066)
+        for _ in range(40):
+            cfg = random_plane_config(rng, 2, 6)
+            exact, chords = cech_path(cfg, 0.9), chord_path(cfg, 0.9)
+            for a, b in ((exact, chords), (reversed_path(exact), reversed_path(chords))):
+                za, zb = zigzag(a, 0.01), zigzag(b, 0.01)
+                assert zigzag_outcome(za) == zigzag_outcome(zb)
+                assert all(abs(s - t) <= 1e-6 for s, t in zip(za.times, zb.times))
 
     def test_radius_endpoint(self):
         p = cech_path(PointConfig(1, ((0.0,), (1.0,))), 0.5)
         assert evaluate(p, 1.0).radius == pytest.approx(1.0)
-
-    def test_radius_approximation_error(self):
-        p = cech_path(triangle_config(), 0.9)
-        rng = random.Random(1)
-        t_max = 0.9
-        for _ in range(300):
-            t = rng.uniform(0, t_max)
-            assert evaluate(p, t).radius == pytest.approx(
-                t / (1.0 - t), abs=1.1e-6
-            )
 
     def test_constant_after_t_max(self):
         p = cech_path(triangle_config(), 0.9)
@@ -1463,6 +1577,14 @@ class TestCechPath:
         p = cech_path(PointConfig(1, ((0.0,),)), 0.9)
         assert transitions(p, 0.05) == []
 
+    def test_more_than_eight_points_are_refused_at_build_time(self):
+        # the scan refuses them, as the zigzag would
+        cfg = PointConfig(1, tuple((float(i),) for i in range(9)))
+        with pytest.raises(ValueError, match="configurations with more than 8 points require "
+                                             "max_dim; labels, safe balls, maps and paths take "
+                                             "at most 8 points"):
+            cech_path(cfg, 0.9)
+
     def test_t_max_validation(self):
         with pytest.raises(ValueError):
             cech_path(triangle_config(), 1.0)
@@ -1470,7 +1592,6 @@ class TestCechPath:
     @pytest.mark.parametrize("t_max", [math.nextafter(_CECH_PATH_T_MAX, 1.0), 1.0 - 1e-6,
                                        1.0 - 1e-12, math.nextafter(1.0, 0.0), math.nan])
     def test_t_max_near_one_is_refused_before_building(self, t_max):
-        # 1 - 1e-6 would build 999,002 breakpoints, 1 - 1e-12 about 10^9
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="t_max must lie in"):
@@ -1481,8 +1602,59 @@ class TestCechPath:
 
     def test_t_max_bound_is_accepted(self):
         p = cech_path(PointConfig(1, ((0.0,), (1.0,))), _CECH_PATH_T_MAX)
-        assert len(p.breakpoints) == 99_002
+        # the edge's band: its lower edge, its radius, its upper edge
+        assert p.radius[1:4] == (0.5 - EPS_GEO, 0.5, 0.5 + EPS_GEO)
+        assert len(p.breakpoints) == 6
         assert p.breakpoints[-2:] == (_CECH_PATH_T_MAX, 1.0)
+
+    def test_a_far_pair_keeps_its_instant_near_one(self, named_classes):
+        # at radius 5,000 one float step of time spans about 2.8e-9 of
+        # radius: the band's upper edge shares the time of the radius and
+        # is dropped, and the instant keeps the radius's own time
+        p = cech_path(PointConfig(1, ((0.0,), (10_000.0,))), _CECH_PATH_T_MAX)
+        assert len(p.breakpoints) == 5
+        keys = [named_classes["two_points"].key, named_classes["edge"].key]
+        for path, t_star, order in ((p, 5000.0 / 5001.0, keys),
+                                    (reversed_path(p), 1.0 - 5000.0 / 5001.0, keys[::-1])):
+            z = zigzag(path, 0.01)
+            assert z.times == (t_star,)
+            assert [lbl.cls.key for lbl in z.interval_classes] == order
+            assert z.transition_classes[0].cls.key == named_classes["edge"].key
+
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="at radius 9,500 the band's three edges share one time; the "
+                              "growing path raises 'no time ... lies inside the safe ball'")
+    def test_a_farther_pair_keeps_its_instant_near_one(self):
+        p = cech_path(PointConfig(1, ((0.0,), (19_000.0,))), _CECH_PATH_T_MAX)
+        for path in (p, reversed_path(p)):
+            assert len(zigzag(path, 0.01).times) == 1
+
+
+#: four points whose edge {0, 1} (radius 0.23103591968551312) and triangle
+#: {0, 1, 2} (0.2310359211438846) lie 1.46e-9 apart, between EPS_GEO and
+#: twice it, so their tolerance bands join
+JOINED_BANDS_POINTS = ((0.6364549266476008, 0.5289672515273726),
+                       (0.7853245249885238, 0.09153356806262636),
+                       (0.8357410465596304, 0.5046703993825288),
+                       (0.37355883488139496, 0.37856632158282255))
+
+
+class TestJoinedBands:
+    """``transitions`` makes two joined bands one instant, but the band
+    rule of ``entrance_map`` admits only the subsets critical at the
+    instant's own radius, where the edge has left its band."""
+
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason="label is not constant")
+    def test_still_path(self):
+        bp = (0.0, 0.13182368595274965, 0.13532627007813086, 0.4300904986156574,
+              0.71744484344972, 1.0)
+        radius = (0.23103591968551312, 0.043592415272924775, 0.239538428565162,
+                  0.07588776262411388, 0.25096652038002143, 0.1925864001471168)
+        zigzag(PLPath(2, bp, tuple((p,) * len(bp) for p in JOINED_BANDS_POINTS), radius), 0.01)
+
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason="label is not constant")
+    def test_growth_path(self):
+        zigzag(cech_path(PointConfig(2, JOINED_BANDS_POINTS), 0.9), 0.01)
 
 
 class TestJsonRoundTrips:
