@@ -181,7 +181,13 @@ def read_scan(scan: Scan, r: float) -> Zone:
 def zone_edges(scan: Scan) -> list[float]:
     """The radii at which the zone of a radius in ``scan`` can change,
     ascending: a subset becomes spanned and critical at its radius minus
-    ``EPS_GEO`` and stops being critical at its radius plus ``EPS_GEO``."""
+    ``EPS_GEO`` and stops being critical at its radius plus ``EPS_GEO``.
+
+    Each edge is a rounded float, and so is the radius it is compared with:
+    an edge's float may read on either side of its band.  The lower edge
+    of the band of 0.5, for one, is the float 0.499999999, and it reads
+    outside the band, since 0.5 - 0.499999999 is 1.0000000272e-9, more
+    than ``EPS_GEO``."""
     return sorted([r - EPS_GEO for r in scan.radii] + [r + EPS_GEO for r in scan.radii])
 
 

@@ -75,10 +75,7 @@ class PLPath:
     tuple.  A run of segments where no track moves is a still stretch: its
     configuration and track assignment are built once, from the gaps
     between moving segments, and shared by every evaluation on it; only
-    the radius varies.  The breakpoints where the radius changes
-    between rising, falling and holding are found once as well, so that
-    the extremes of the radius over any stretch of time lie at its ends or
-    at those breakpoints.
+    the radius varies.
     """
 
     dim: int
@@ -89,11 +86,6 @@ class PLPath:
     #: still stretch, or None on a segment where some track moves
     _still: tuple[tuple[PointConfig, tuple[int, ...]] | None, ...] = field(
         init=False, repr=False, compare=False)
-    #: (first, last) breakpoint indices of each still stretch, in order
-    _stretches: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    #: interior breakpoint indices where the radius changes between rising,
-    #: falling and holding, ascending
-    _bends: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.dim <= _MAX_DIM:
@@ -143,19 +135,14 @@ class PLPath:
         # the gaps between moving segments are the still stretches
         n_seg = len(bp) - 1
         still: list[tuple[PointConfig, tuple[int, ...]] | None] = [None] * n_seg
-        stretches, first = [], 0
+        first = 0
         for seg in (*moving, n_seg):
             if seg > first:
                 # the interpolation formula turns a -0.0 coordinate into +0.0
                 shared = _dedupe(self.dim, [tuple(c + 0.0 for c in tr[first]) for tr in tracks])
                 still[first:seg] = itertools.repeat(shared, seg - first)
-                stretches.append((first, seg))
             first = seg + 1
         object.__setattr__(self, "_still", tuple(still))
-        object.__setattr__(self, "_stretches", tuple(stretches))
-        rises = bytes(map(operator.lt, radius, radius[1:]))
-        falls = bytes(map(operator.gt, radius, radius[1:]))
-        object.__setattr__(self, "_bends", tuple(sorted({*_switches(rises), *_switches(falls)})))
 
     def _check_merge_persistence(self, moving: list[int]):
         """One sweep over each pair's offsets, one offset per breakpoint,
@@ -265,14 +252,6 @@ def _dedupe(dim: int, positions: list[tuple[float, ...]]) -> tuple[PointConfig, 
     return PointConfig(dim, tuple(points)), tuple(assignment)
 
 
-def _switches(flags: bytes) -> list[int]:
-    """Positions k >= 1 where ``flags[k]`` differs from ``flags[k - 1]``."""
-    out, k = [], 0
-    while (k := flags.find(b"\0" if flags[k] else b"\1", k)) > 0:
-        out.append(k)
-    return out
-
-
 def evaluate(path: PLPath, t: float) -> RanPoint:
     """Configuration-radius pair at time t, coincident tracks merged."""
     return _evaluate_tracks(path, t)[0]
@@ -345,15 +324,16 @@ def transitions(path: PLPath, resolution: float) -> list[tuple[float, StratumLab
                          "the width of the bisection's final bracket")
     steps = max(1, math.ceil(1.0 / resolution))
     bp = path.breakpoints
-    end = len(bp) - 1
     events: list[tuple[float, StratumLabel]] = []
-    moving_from = 0
-    for first, last in (*path._stretches, (end, end)):
-        if first > moving_from:
-            events.extend(_grid_events(path, bp[moving_from], bp[first], steps, resolution * 1e-3))
-        if last > first:
+    first = 0
+    # a run of segments sharing one configuration is a still stretch
+    for shared, run in itertools.groupby(path._still):
+        last = first + len(list(run))
+        if shared is None:
+            events.extend(_grid_events(path, bp[first], bp[last], steps, resolution * 1e-3))
+        else:
             events.extend(_still_events(path, first, last))
-        moving_from = last
+        first = last
     return events
 
 
@@ -408,42 +388,40 @@ def _crossings(path: PLPath, first: int, last: int, values) -> list[float]:
     """Times, ascending, at which the radius meets each of the sorted
     ``values`` on the still stretch over breakpoints first..last.
 
-    The stretch splits at its bends into runs where the radius rises,
-    falls or holds; a rising or falling run meets the values between its
-    end radii in order, each on the segment found by bisection, at a time
-    found by one division.  A value met where two runs join is met twice.
+    One walk over the stretch's segments in time order (:func:`_trends`):
+    a rising segment meets the values above its start radius up to and
+    including its end radius, ascending, and a falling one those below it
+    down to and including its end radius, descending, each at a time found
+    by one division.  The first segment of a rise or fall also meets its
+    start radius, so a value met where the radius turns is met twice.
     """
     bp, radius = path.breakpoints, path.radius
-    cuts = (first, *_inner_bends(path, first, last), last)
+    left, right = bisect.bisect_left, bisect.bisect_right
     times = []
-    for a, b in zip(cuts, cuts[1:]):
-        ra, rb = radius[a], radius[b]
-        low, high = min(ra, rb), max(ra, rb)
-        met = values[bisect.bisect_left(values, low):bisect.bisect_right(values, high)]
-        if ra < rb:
-            for value in met:
-                j = bisect.bisect_left(radius, value, a, b + 1)
-                times.append(_meets(bp, radius, j, value))
-        elif ra > rb:
-            for value in reversed(met):
-                j = bisect.bisect_left(radius, -value, a, b + 1, key=operator.neg)
-                times.append(_meets(bp, radius, j, value))
+    for s, trend, turned in _trends(path, first, last):
+        r0, r1, t0, t1 = radius[s], radius[s + 1], bp[s], bp[s + 1]
+        # the end radius is always met, the start radius where the trend turned
+        if trend > 0:
+            met = values[(left if turned else right)(values, r0):right(values, r1)]
+        elif trend < 0:
+            met = values[left(values, r1):(right if turned else left)(values, r0)][::-1]
+        else:
+            continue
+        for value in met:
+            u = (value - r0) / (r1 - r0)
+            times.append(t1 if value == r1 else min(t0 + u * (t1 - t0), t1))
     return times
 
 
-def _inner_bends(path: PLPath, first: int, last: int) -> tuple[int, ...]:
-    """The bends strictly between breakpoints first and last."""
-    bends = path._bends
-    return bends[bisect.bisect_right(bends, first):bisect.bisect_left(bends, last)]
-
-
-def _meets(bp, radius, j: int, value: float) -> float:
-    """The time at which the radius meets ``value`` on the segment ending
-    at breakpoint j, or at breakpoint j itself."""
-    if radius[j] == value:
-        return bp[j]
-    u = (value - radius[j - 1]) / (radius[j] - radius[j - 1])
-    return min(bp[j - 1] + u * (bp[j] - bp[j - 1]), bp[j])
+def _trends(path: PLPath, first: int, last: int):
+    """Each segment s of the stretch over breakpoints first..last, in time
+    order, as (s, trend, turned): trend is 1 where the radius rises on it,
+    -1 where it falls and 0 where it holds, and turned says whether the
+    trend differs from the previous segment's, which the first segment's
+    does."""
+    r = path.radius[first:last + 1]
+    trends = [(a < b) - (a > b) for a, b in zip(r, r[1:])]
+    return zip(range(first, last), trends, map(operator.ne, trends, [None, *trends]))
 
 
 def _still_events(path: PLPath, first: int, last: int) -> list[tuple[float, StratumLabel]]:
@@ -458,8 +436,11 @@ def _still_events(path: PLPath, first: int, last: int) -> list[tuple[float, Stra
     path passes, make one instant, which takes in a stretch end that near;
     a longer stay inside a band is an interval between two instants.
 
-    Only the instants and one time between each two are labelled.  An
-    instant lies where the radius meets a scan radius, turns or the
+    Only the instants and one time between each two are labelled.  One
+    walk over the stretch's segments finds where the radius meets a zone
+    edge or a scan radius (:func:`_crossings`), and the radius turns where
+    a segment's trend differs from the one before it (:func:`_trends`).
+    An instant lies where the radius meets a scan radius, turns or the
     stretch ends, at the one of these with the lowest label; a lone
     crossing into or out of a longer stay has none, and its instant is
     the first time past it on the side of the lower label, found by
@@ -484,9 +465,10 @@ def _still_events(path: PLPath, first: int, last: int) -> list[tuple[float, Stra
         spans[0][0] = bp[first]
     if spans and _joined(zone, spans[-1][1], bp[last]):
         spans[-1][1] = bp[last]
-    # where an instant may lie: the roots, the bends and the stretch ends
-    marks = sorted((*_crossings(path, first, last, scan.radii), bp[first], bp[last],
-                    *(bp[k] for k in _inner_bends(path, first, last))))
+    # where an instant may lie: the roots, the turns and the stretch ends
+    # (the first segment counts as turned)
+    marks = sorted((*_crossings(path, first, last, scan.radii), bp[last],
+                    *(bp[s] for s, _, turned in _trends(path, first, last) if turned)))
     bounds = (bp[first], *(x for span in spans for x in span), bp[last])
     sides = [stratum_label(evaluate(path, 0.5 * (u + v)))
              if v - u > 2.0 * _BRACKET_FLOOR else None

@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, settings
 
 import cechstrat
 from cechstrat import (
-    IsoClass, PLPath, SimplicialComplex, _kernels, canonical_form, cech, make_complex,
+    IsoClass, PLPath, PointConfig, SimplicialComplex, _kernels, canonical_form, cech,
+    make_complex,
 )
 
 # A bare `pytest` in a checkout finds the package through pyproject's
@@ -82,6 +83,34 @@ def random_moving_path(rng):
             return PLPath(2, tuple(bps), tracks, tuple(rng.uniform(0.05, 0.5) for _ in bps))
         except ValueError:  # tracks touch inside a segment
             continue
+
+
+def random_still_path(rng):
+    """2-5 fixed points in the unit square under a radius polyline of 2-12
+    breakpoints: a quarter of the radii hold the one before, a quarter sit
+    exactly on a scan radius or a zone edge, the rest lie anywhere below
+    1.2 times the largest scan radius."""
+    while True:
+        try:
+            cfg = PointConfig(2, tuple((rng.random(), rng.random())
+                                       for _ in range(rng.randint(2, 5))))
+            break
+        except ValueError:
+            continue
+    scan = cech.subset_radii(cfg)
+    marked = (*scan.radii, *cech.zone_edges(scan))
+    n_bp = rng.randint(2, 12)
+    bp = (0.0, *sorted(rng.uniform(0.01, 0.99) for _ in range(n_bp - 2)), 1.0)
+    radius = []
+    for _ in bp:
+        u = rng.random()
+        if u < 0.25 and radius:
+            radius.append(radius[-1])
+        elif u < 0.5:
+            radius.append(rng.choice(marked))
+        else:
+            radius.append(rng.uniform(0.0, 1.2 * scan.radii[-1]))
+    return PLPath(2, bp, tuple((q,) * n_bp for q in cfg.points), tuple(radius))
 
 
 def package_modules():

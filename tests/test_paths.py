@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -37,15 +38,16 @@ from cechstrat.geometry import DELTA_PT, EPS_GEO
 from cechstrat.paths import (
     _CECH_PATH_T_MAX,
     _CONSTANCY_SAMPLES,
+    _crossings,
     _dedupe,
     _evaluate_tracks,
     _renaming_map,
-    _inner_bends,
     _still_run,
+    _trends,
     reversed_path,
 )
 
-from conftest import clear_package_caches, random_moving_path
+from conftest import clear_package_caches, random_moving_path, random_still_path
 
 SQRT3 = math.sqrt(3.0)
 
@@ -381,6 +383,58 @@ def reference_approaches(start, r, end):
         window.lo <= min(i, j) and max(i, j) <= window.hi for i, j in zip(a, b) if i != j)
 
 
+def reference_switches(flags: bytes) -> list[int]:
+    """Positions k >= 1 where ``flags[k]`` differs from ``flags[k - 1]``."""
+    out, k = [], 0
+    while (k := flags.find(b"\0" if flags[k] else b"\1", k)) > 0:
+        out.append(k)
+    return out
+
+
+def reference_inner_bends(path, first, last):
+    """The interior breakpoints strictly between first and last where the
+    radius changes between rising, falling and holding, ascending: the
+    bend index that ``PLPath`` kept before ``_crossings`` walked the
+    segments."""
+    radius = path.radius
+    rises = bytes(map(operator.lt, radius, radius[1:]))
+    falls = bytes(map(operator.gt, radius, radius[1:]))
+    bends = sorted({*reference_switches(rises), *reference_switches(falls)})
+    return tuple(bends[bisect.bisect_right(bends, first):bisect.bisect_left(bends, last)])
+
+
+def reference_meets(bp, radius, j, value):
+    """The time at which the radius meets ``value`` on the segment ending
+    at breakpoint j, or at breakpoint j itself."""
+    if radius[j] == value:
+        return bp[j]
+    u = (value - radius[j - 1]) / (radius[j] - radius[j - 1])
+    return min(bp[j - 1] + u * (bp[j] - bp[j - 1]), bp[j])
+
+
+def reference_crossings(path, first, last, values):
+    """The run bisection that the walk in ``_crossings`` replaced: the
+    stretch splits at its bends into runs where the radius rises, falls or
+    holds, and a rising or falling run meets the values between its end
+    radii, each on the segment found by bisection."""
+    bp, radius = path.breakpoints, path.radius
+    cuts = (first, *reference_inner_bends(path, first, last), last)
+    times = []
+    for a, b in zip(cuts, cuts[1:]):
+        ra, rb = radius[a], radius[b]
+        low, high = min(ra, rb), max(ra, rb)
+        met = values[bisect.bisect_left(values, low):bisect.bisect_right(values, high)]
+        if ra < rb:
+            for value in met:
+                j = bisect.bisect_left(radius, value, a, b + 1)
+                times.append(reference_meets(bp, radius, j, value))
+        elif ra > rb:
+            for value in reversed(met):
+                j = bisect.bisect_left(radius, -value, a, b + 1, key=operator.neg)
+                times.append(reference_meets(bp, radius, j, value))
+    return times
+
+
 def reference_entrance_map(path, t_from, t_to):
     """The halving search that ``entrance_map`` replaced: tau runs through
     t_to - (t_to - t_from)/2^k, skipping bends outside the safe ball, until
@@ -391,7 +445,7 @@ def reference_entrance_map(path, t_from, t_to):
     if t_from == t_to:
         return identity_map(cech_complex(evaluate(path, t_from)))
     run = _still_run(path, t_from, t_to)
-    bends = None if run is None else _inner_bends(path, *run)
+    bends = None if run is None else reference_inner_bends(path, *run)
     samples = [] if bends is not None else [t_from + (t_to - t_from) * k / _CONSTANCY_SAMPLES
                                             for k in range(1, _CONSTANCY_SAMPLES)]
     labels = [stratum_label(evaluate(path, t)) for t in samples]
@@ -438,8 +492,9 @@ def map_or_refusal(build, path, t_from, t_to):
         return str(err).split(" near t=")[0]
 
 
-def random_still_path(rng):
-    """2-5 fixed points in the plane under a random radius polyline."""
+def uniform_still_path(rng):
+    """2-5 fixed points in the plane under a uniformly random radius
+    polyline."""
     while True:
         try:
             cfg = PointConfig(2, tuple((rng.uniform(0, 1), rng.uniform(0, 1))
@@ -754,7 +809,7 @@ class TestTransitions:
         # has no grid) but takes only two configurations, whose scans and
         # labels stay cached
         p = creeping_path()
-        assert p._stretches == ()
+        assert all(shared is None for shared in p._still)
 
         def walk_peak(resolution):
             tracemalloc.reset_peak()
@@ -931,7 +986,7 @@ class TestEntranceMap:
         rng = random.Random(6066)
         tally = {"map": 0, "refused": 0, "mended": 0}
         for _ in range(300):
-            p = random_still_path(rng)
+            p = uniform_still_path(rng)
             instants = [t for t, _ in transitions(p, 0.01)]
             for t_from, t_to in itertools.permutations(
                     rng.sample([rng.random(), rng.random(), *instants], 2)):
@@ -1249,6 +1304,32 @@ class TestStillStretches:
             bp = (0.0, *sorted(rng.uniform(0.01, 0.99) for _ in range(n_bp - 2)), 1.0)
             radius = tuple(edge + rng.uniform(-4e-9, 4e-9) for _ in bp)
             zigzag(PLPath(2, bp, tuple((q,) * n_bp for q in tri.points), radius), 0.01)
+
+
+class TestCrossingWalk:
+    """The walk over a still stretch's segments against the run bisection
+    it replaced."""
+
+    def test_matches_the_run_bisection(self):
+        rng = random.Random(7)
+        met = turns = 0
+        for _ in range(200):
+            forward = random_still_path(rng)
+            scan = subset_radii(forward._still[0][0])
+            value_sets = (zone_edges(scan), scan.radii, sorted(forward.radius))
+            for path in (forward, reversed_path(forward)):
+                # every run of breakpoints, as entrance maps take them too
+                for first, last in itertools.combinations(range(len(path.breakpoints)), 2):
+                    for values in value_sets:
+                        got = _crossings(path, first, last, values)
+                        assert [t.hex() for t in got] == [
+                            t.hex() for t in reference_crossings(path, first, last, values)]
+                        met += len(got)
+                    inner = [s for s, _, turned in _trends(path, first, last)
+                             if turned and s > first]
+                    assert inner == list(reference_inner_bends(path, first, last))
+                    turns += len(inner)
+        assert met > 10_000 and turns > 1_000
 
 
 class TestMovingTracks:
@@ -1655,6 +1736,24 @@ class TestJoinedBands:
     @pytest.mark.xfail(strict=True, raises=ValueError, reason="label is not constant")
     def test_growth_path(self):
         zigzag(cech_path(PointConfig(2, JOINED_BANDS_POINTS), 0.9), 0.01)
+
+
+class TestBandEdgeInstant:
+    """The float 0.499999999 reads outside the band of the edge at 0.5
+    (0.5 - 0.499999999 exceeds ``EPS_GEO`` by rounding), so the radius
+    crosses the band's lower edge on its way down to the turn at t = 0.5,
+    and the turn is the span's only mark.  The instant takes the lower
+    label, the critical edge, from the side before it, but stays at the
+    turn, where the label is the two points."""
+
+    @pytest.mark.xfail(strict=True, raises=RuntimeError,
+                       reason="local map failed simpliciality validation")
+    def test_each_instant_carries_the_label_at_its_time(self):
+        p = PLPath(1, (0.0, 0.5, 1.0), (((0.0,),) * 3, ((1.0,),) * 3),
+                   (0.500000001, 0.499999999, 0.499999999))
+        z = zigzag(p, 0.01)
+        for t, label in zip(z.times, z.transition_classes):
+            assert stratum_label(evaluate(p, t)) == label
 
 
 class TestJsonRoundTrips:
