@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass, field
 
 from . import _json
-from .cech import Zone, cech_complex, read_scan, subset_radii, zone_edges
+from .cech import cech_complex, read_scan, subset_radii, zone_edges
 from .complexes import (
     IsoClass,
     SimplicialMap,
@@ -580,9 +580,9 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
     t_to); it may drop at t_to.  On a still stretch this is certified
     exactly: the label is a function of the zone of the radius, which
     changes only where the radius meets a zone edge, so the zone must be
-    the one at t_from up to the instant that t_to lies in, and inside that
-    instant differ from it only by subsets critical both there and at t_to
-    (see :func:`_left_early`).  Where tracks move, the label is
+    the one at t_from up to the instant that t_to lies in, and may change
+    only inside that instant: the crossings that :func:`transitions` joins
+    into one (see :func:`_left_early`).  Where tracks move, the label is
     spot-checked at ``_CONSTANCY_SAMPLES`` evenly spaced times of [t_from,
     t_to).
 
@@ -607,7 +607,7 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
         l_from = stratum_label(x_from)
         change = next((t for t, label in zip(checks, labels) if label != l_from), None)
     else:
-        change = _left_early(path, run, t_from, t_to, x_from, end)
+        change = _left_early(path, run, t_from, t_to, x_from)
     if change is not None:
         raise ValueError(f"label is not constant on [{t_from}, {t_to}): changes near t={change}")
     safe = tilde_r(end).safe_radius
@@ -623,19 +623,20 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
 
 
 def _left_early(path: PLPath, run: tuple[int, int], t_from: float, t_to: float,
-                x_from: RanPoint, x_to: RanPoint) -> float | None:
+                x_from: RanPoint) -> float | None:
     """Where the still path over the breakpoints ``run`` leaves its zone at
     t_from, where it is ``x_from``, before the instant that t_to lies in,
     or None if it does not.
 
     The zone changes only where the radius meets a zone edge.  Taken from
     t_from on, the crossings strictly between t_from and t_to keep the zone
-    at t_from between them up to the first that leaves it.  From there on,
-    every two crossings in turn, and the last one and t_to, must be one
-    instant (:func:`_joined`) inside the band of t_to (:func:`_approaches`).
+    at t_from between them up to the first that leaves it.  From there on
+    the zone may change only inside the instant that t_to lies in: every
+    two crossings in turn, and the last one and t_to, must be one instant
+    by :func:`_joined`, the rule by which :func:`transitions` joins them.
     """
     scan = subset_radii(x_from.config)
-    start, end = read_scan(scan, x_from.radius), read_scan(scan, x_to.radius)
+    start = read_scan(scan, x_from.radius)
     lo, hi = sorted((t_from, t_to))
     met = [t for t in _crossings(path, *run, zone_edges(scan)) if lo < t < hi]
     chain = [*(reversed(met) if t_to < t_from else met), t_to]
@@ -646,18 +647,9 @@ def _left_early(path: PLPath, run: tuple[int, int], t_from: float, t_to: float,
         if left is None and zone == start:
             continue
         left = u if left is None else left
-        if not (_joined(lambda t: zone, u, v) and _approaches(start, zone, end)):
+        if not _joined(lambda t: zone, u, v):
             return left
     return None
-
-
-def _approaches(start: Zone, zone: Zone, end: Zone) -> bool:
-    """Whether ``zone`` differs from ``start`` only by subsets critical
-    both in it and at the ``end``, and loses no simplex: the tolerance
-    band of the instant the path enters, not a stratum of its own."""
-    lo, hi = max(zone.lo, end.lo), min(zone.hi, end.hi)
-    return zone.hi >= start.hi and all(lo <= min(i, j) and max(i, j) <= hi
-                                       for i, j in zip(start, zone) if i != j)
 
 
 @dataclass(frozen=True)

@@ -1306,6 +1306,28 @@ class TestStillStretches:
             zigzag(PLPath(2, bp, tuple((q,) * n_bp for q in tri.points), radius), 0.01)
 
 
+#: sha256 of the JSON list of [index, zigzag JSON] (resolution 0.01, keys
+#: sorted) of the zigzags that build among the first 100 seed-7
+#: ``random_still_path``s and their reversals, in turn
+STILL_SAMPLE_SHA256 = "3c27a77a9e3ce7cc28d31c55d348349d249988170597a2ecd0d4a478f6816f5a"
+
+
+class TestStillSample:
+    def test_zigzags_are_pinned_and_each_refusal_has_a_mislabelled_instant(self):
+        rng = random.Random(7)
+        built = []
+        for k in range(100):
+            p = random_still_path(rng)
+            for i, path in enumerate((p, reversed_path(p))):
+                try:
+                    built.append([2 * k + i, zigzag(path, 0.01).to_json_dict()])
+                except (ValueError, RuntimeError):
+                    # the band-edge defect of ``TestBandEdgeInstant``
+                    assert mislabelled_instant(path), 2 * k + i
+        blob = json.dumps(built, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == STILL_SAMPLE_SHA256
+
+
 class TestCrossingWalk:
     """The walk over a still stretch's segments against the run bisection
     it replaced."""
@@ -1720,22 +1742,69 @@ JOINED_BANDS_POINTS = ((0.6364549266476008, 0.5289672515273726),
                        (0.37355883488139496, 0.37856632158282255))
 
 
-class TestJoinedBands:
-    """``transitions`` makes two joined bands one instant, but the band
-    rule of ``entrance_map`` admits only the subsets critical at the
-    instant's own radius, where the edge has left its band."""
+#: the radii of the edge {0, 1} and the triangle {0, 1, 2} of
+#: ``JOINED_BANDS_POINTS``, whose tolerance bands join
+JOINED_RADII = (0.23103591968551312, 0.2310359211438846)
 
-    @pytest.mark.xfail(strict=True, raises=ValueError, reason="label is not constant")
+
+def mislabelled_instant(path):
+    """Whether some instant of the path carries a label other than the one
+    at its own time."""
+    return any(stratum_label(evaluate(path, t)) != label for t, label in transitions(path, 0.01))
+
+
+def joined_bands_path(rng):
+    """``JOINED_BANDS_POINTS`` under a radius polyline of 2-7 breakpoints,
+    each radius a scan radius, one of ``JOINED_RADII`` or anywhere in
+    [0.22, 0.24]."""
+    radii = subset_radii(PointConfig(2, JOINED_BANDS_POINTS)).radii
+    n_bp = rng.randint(2, 7)
+    bp = (0.0, *sorted(rng.uniform(0.01, 0.99) for _ in range(n_bp - 2)), 1.0)
+    radius = []
+    for _ in bp:
+        u = rng.random()
+        radius.append(rng.choice(radii) if u < 1 / 3 else rng.choice(JOINED_RADII) if u < 2 / 3
+                      else rng.uniform(0.22, 0.24))
+    return PLPath(2, bp, tuple((q,) * n_bp for q in JOINED_BANDS_POINTS), tuple(radius))
+
+
+class TestJoinedBands:
+    """``transitions`` makes two joined bands one instant, and
+    ``entrance_map`` enters the whole of it, though at the instant's own
+    radius the edge has left its band."""
+
     def test_still_path(self):
         bp = (0.0, 0.13182368595274965, 0.13532627007813086, 0.4300904986156574,
               0.71744484344972, 1.0)
         radius = (0.23103591968551312, 0.043592415272924775, 0.239538428565162,
                   0.07588776262411388, 0.25096652038002143, 0.1925864001471168)
-        zigzag(PLPath(2, bp, tuple((p,) * len(bp) for p in JOINED_BANDS_POINTS), radius), 0.01)
+        p = PLPath(2, bp, tuple((q,) * len(bp) for q in JOINED_BANDS_POINTS), radius)
+        zigzag(p, 0.01)
+        assert not mislabelled_instant(p)
 
-    @pytest.mark.xfail(strict=True, raises=ValueError, reason="label is not constant")
     def test_growth_path(self):
-        zigzag(cech_path(PointConfig(2, JOINED_BANDS_POINTS), 0.9), 0.01)
+        cfg = PointConfig(2, JOINED_BANDS_POINTS)
+        p = cech_path(cfg, 0.9)
+        z = zigzag(p, 0.01)
+        assert not mislabelled_instant(p)
+        assert as_filtration(z) is not None
+        # the edge's stage, 1.46e-9 of radius wide, lies inside the joined instant
+        filt = cech_filtration(cfg)
+        assert [lbl.cls.key for lbl in z.interval_classes] == [
+            canonical_form(c).key for c, r in zip(filt.complexes, filt.critical_radii)
+            if r != JOINED_RADII[0]]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_well_labelled_path_gives_a_zigzag(self, seed):
+        # a path with a mislabelled instant is the band-edge defect below
+        rng = random.Random(seed)
+        built = 0
+        for _ in range(200):
+            p = joined_bands_path(rng)
+            if not mislabelled_instant(p):
+                zigzag(p, 0.01)
+                built += 1
+        assert built >= 150
 
 
 class TestBandEdgeInstant:
@@ -1754,6 +1823,21 @@ class TestBandEdgeInstant:
         z = zigzag(p, 0.01)
         for t, label in zip(z.times, z.transition_classes):
             assert stratum_label(evaluate(p, t)) == label
+
+
+class TestBandEdgeTurn:
+    """The float 0.250000001 reads as the zone above the band of the edge
+    at 0.25, so where the radius turns on it at t = 0.3 the label leaves
+    the band for one point.  ``transitions`` drops that point, because
+    both of its sides carry the lower, critical label, but
+    ``entrance_map`` sees the zone change there."""
+
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason="label is not constant")
+    def test_a_turn_on_an_upper_band_edge_gives_a_zigzag(self):
+        p = PLPath(1, (0.0, 0.3, 0.6, 1.0), (((0.0,),) * 4, ((0.5,),) * 4),
+                   (0.25, 0.250000001, 0.25, 0.35))
+        zigzag(p, 0.01)
+        assert not mislabelled_instant(p)
 
 
 class TestJsonRoundTrips:
