@@ -59,8 +59,9 @@ class Zone(NamedTuple):
     finds it.  The critical subsets, hence the stratum label, depend on the
     radius only through its zone, and the Cech complex only through ``hi``."""
 
-    #: subsets with radius within EPS_GEO of r: the run [lo, hi) of the
-    #: radius order; all before ``hi`` (radius - r at most EPS_GEO) span
+    #: subsets whose band [radius - EPS_GEO, radius + EPS_GEO] holds r: the
+    #: run [lo, hi) of the radius order; all before ``hi`` (radius - EPS_GEO
+    #: at most r) span
     lo: int
     hi: int
 
@@ -153,41 +154,38 @@ def subset_radii(config: PointConfig, max_dim: int | None = None) -> Scan:
 
 
 def _read_radii(radii: Sequence[float], r: float) -> Zone:
-    """The zone of radius ``r`` among ascending ``radii``: the run [lo, hi)
-    whose offset from ``r`` lies in [-EPS_GEO, EPS_GEO], everything before
-    ``hi`` having offset at most EPS_GEO."""
-
-    def offset(radius: float) -> float:  # its absolute value is the slack
-        return radius - r
-
-    lo = bisect.bisect_left(radii, -EPS_GEO, key=offset)
-    return Zone(lo, bisect.bisect_right(radii, EPS_GEO, lo, key=offset))
+    """The zone of radius ``r`` among ascending ``radii``, read against the
+    band edges that :func:`zone_edges` lists: the run [lo, hi) with
+    radius - EPS_GEO <= r <= radius + EPS_GEO, everything before ``hi``
+    having radius - EPS_GEO <= r."""
+    lo = bisect.bisect_left(radii, r, key=lambda radius: radius + EPS_GEO)
+    return Zone(lo, bisect.bisect_right(radii, r, lo, key=lambda radius: radius - EPS_GEO))
 
 
 def read_scan(scan: Scan, r: float) -> Zone:
     """The zone of radius ``r`` in a :func:`subset_radii` scan.
 
-    A subset is critical when its radius's offset from ``r`` lies in
-    [-EPS_GEO, EPS_GEO], and spans a simplex when that offset is at most
-    EPS_GEO.  The offset is monotone in the radius, so two bisections of
-    the sorted radii find the critical run [lo, hi), and the spanned
-    subsets are the prefix before ``hi``.  Reading both from the one
-    offset keeps them from disagreeing by a rounding of ``r + EPS_GEO``;
+    A subset spans a simplex when ``r`` is at least its radius minus
+    EPS_GEO, and is critical when ``r`` is also at most its radius plus
+    EPS_GEO: both ends of the closed band are the floats that
+    :func:`zone_edges` lists, so the zone changes exactly where ``r``
+    passes one of them, and a critical subset spans.  The edges rise with
+    the radius, so two bisections of the sorted radii find the critical
+    run [lo, hi), and the spanned subsets are the prefix before ``hi``;
     :meth:`Filtration.complex_at` reads its stages by the same rule.
     """
     return _read_radii(scan.radii, r)
 
 
 def zone_edges(scan: Scan) -> list[float]:
-    """The radii at which the zone of a radius in ``scan`` can change,
+    """The radii at which the zone of a radius in ``scan`` changes,
     ascending: a subset becomes spanned and critical at its radius minus
-    ``EPS_GEO`` and stops being critical at its radius plus ``EPS_GEO``.
+    ``EPS_GEO`` and stops being critical past its radius plus ``EPS_GEO``.
 
-    Each edge is a rounded float, and so is the radius it is compared with:
-    an edge's float may read on either side of its band.  The lower edge
-    of the band of 0.5, for one, is the float 0.499999999, and it reads
-    outside the band, since 0.5 - 0.499999999 is 1.0000000272e-9, more
-    than ``EPS_GEO``."""
+    These rounded floats are the band edges that :func:`read_scan` compares
+    a radius with, so each edge reads inside the band it bounds: the lower
+    edge of the band of 0.5 is the float 0.499999999, which reads as
+    critical although 0.5 - 0.499999999 is 1.0000000272e-9."""
     return sorted([r - EPS_GEO for r in scan.radii] + [r + EPS_GEO for r in scan.radii])
 
 
@@ -195,7 +193,7 @@ def cech_complex(x: RanPoint, max_dim: int | None = None) -> SimplicialComplex:
     """Cech complex of a configuration at its radius.
 
     Vertex i is the i-th configuration point; a subset is a simplex when
-    its enclosing-ball radius exceeds ``radius`` by at most ``EPS_GEO``.
+    ``radius`` is at least its enclosing-ball radius minus ``EPS_GEO``.
     ``max_dim`` caps the simplex dimension; it is required above
     ``UNCAPPED_POINTS`` points.  The complex depends on the radius only
     through the spanned prefix of its zone (:func:`read_scan`), so the
@@ -235,7 +233,7 @@ class Filtration:
 
     def complex_at(self, r: float) -> SimplicialComplex:
         """The stored complex at radius ``r >= 0``: that of the last stage
-        whose critical radius exceeds ``r`` by at most EPS_GEO, the rule by
+        whose critical radius minus EPS_GEO is at most ``r``, the rule by
         which :func:`read_scan` spans a subset, so that the stage agrees
         with :func:`cech_complex` inside the tolerance band too."""
         return self.complexes[_read_radii(self.critical_radii, _check_radius(r)).hi - 1]

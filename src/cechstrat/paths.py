@@ -212,12 +212,17 @@ def _evaluate_tracks(path: PLPath, t: float) -> tuple[RanPoint, tuple[int, ...]]
     bp = path.breakpoints
     seg = min(bisect.bisect_right(bp, t), len(bp) - 1) - 1
     u = (t - bp[seg]) / (bp[seg + 1] - bp[seg])
-    radius = path.radius[seg] + u * (path.radius[seg + 1] - path.radius[seg])
+
+    def at(a: float, b: float) -> float:
+        # u == 1 reads the segment's end value, which interpolation can miss
+        # by an ulp; + 0.0 turns -0.0 into +0.0, as interpolation does
+        return b + 0.0 if u == 1.0 else a + u * (b - a)
+
+    radius = at(path.radius[seg], path.radius[seg + 1])
     shared = path._still[seg]
     if shared is None:
-        config, assignment = _dedupe(path.dim, [
-            tuple(aa + u * (bb - aa) for aa, bb in zip(tr[seg], tr[seg + 1]))
-            for tr in path.tracks])
+        config, assignment = _dedupe(path.dim, [tuple(map(at, tr[seg], tr[seg + 1]))
+                                                for tr in path.tracks])
     else:
         config, assignment = shared
     return RanPoint(config, max(radius, 0.0)), assignment

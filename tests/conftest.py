@@ -1,4 +1,5 @@
 import importlib
+import math
 import os
 import pkgutil
 import random
@@ -108,6 +109,42 @@ def random_still_path(rng):
             radius.append(radius[-1])
         elif u < 0.5:
             radius.append(rng.choice(marked))
+        else:
+            radius.append(rng.uniform(0.0, 1.2 * scan.radii[-1]))
+    return PLPath(2, bp, tuple((q,) * n_bp for q in cfg.points), tuple(radius))
+
+
+def float_steps(x: float, k: int) -> float:
+    """``x`` moved by ``k`` floats, up for k > 0 and down for k < 0."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def random_edge_path(rng):
+    """2-4 fixed points in the unit square under a radius polyline of 2-6
+    breakpoints, each radius within a few floats of a band edge: a fifth
+    of the radii hold the one before, half are a scan radius or a zone
+    edge moved by -3..3 floats, the rest lie anywhere below 1.2 times the
+    largest scan radius."""
+    while True:
+        try:
+            cfg = PointConfig(2, tuple((rng.random(), rng.random())
+                                       for _ in range(rng.randint(2, 4))))
+            break
+        except ValueError:
+            continue
+    scan = cech.subset_radii(cfg)
+    marked = (*scan.radii, *cech.zone_edges(scan))
+    n_bp = rng.randint(2, 6)
+    bp = (0.0, *sorted(rng.uniform(0.01, 0.99) for _ in range(n_bp - 2)), 1.0)
+    radius = []
+    for _ in bp:
+        u = rng.random()
+        if u < 0.2 and radius:
+            radius.append(radius[-1])
+        elif u < 0.7:
+            radius.append(max(float_steps(rng.choice(marked), rng.randint(-3, 3)), 0.0))
         else:
             radius.append(rng.uniform(0.0, 1.2 * scan.radii[-1]))
     return PLPath(2, bp, tuple((q,) * n_bp for q in cfg.points), tuple(radius))

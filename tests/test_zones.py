@@ -6,6 +6,7 @@ references below read every subset of the scan at each radius, which is
 the definition; every reading must agree with them bit for bit.
 """
 
+import bisect
 import math
 import random
 from types import SimpleNamespace
@@ -31,7 +32,7 @@ from cechstrat._bits import vertices_of
 from cechstrat.geometry import EPS_GEO
 from cechstrat.strat import SafeBall, StratumLabel, _zone_label
 
-from conftest import clear_package_caches
+from conftest import clear_package_caches, float_steps
 
 
 def proper_submasks(mask):
@@ -45,16 +46,18 @@ def proper_submasks(mask):
 def reference_read_scan(n_points, scan, r):
     """Masks, critical masks and both slacks, from one pass over the scan.
 
-    A subset spans when its radius exceeds r by at most EPS_GEO, the same
-    offset that makes it critical, so the two readings agree at every ulp."""
+    A subset spans when r is at least its band's lower edge, radius -
+    EPS_GEO, and is critical when r is also at most its upper edge, radius
+    + EPS_GEO: the floats that ``zone_edges`` lists, so a critical subset
+    spans at every ulp."""
     masks = {1 << i for i in range(n_points)}
     for mask, radius in scan:
-        if radius - r <= EPS_GEO:
+        if radius - EPS_GEO <= r:
             masks.add(mask)
             masks.update(proper_submasks(mask))
     slack = {mask: abs(r - radius) for mask, radius in scan}
-    critical = [mask for mask, s in slack.items() if s <= EPS_GEO]
-    noncritical = [s for s in slack.values() if s > EPS_GEO]
+    critical = [mask for mask, radius in scan if radius - EPS_GEO <= r <= radius + EPS_GEO]
+    noncritical = [s for mask, s in slack.items() if mask not in critical]
     return (masks, critical, 2.0 * min(slack.values(), default=math.inf),
             2.0 * min(noncritical, default=math.inf))
 
@@ -253,17 +256,84 @@ def test_radius_exactly_eps_geo_above_is_critical():
     assert not stratum_label(RanPoint(config, math.nextafter(r, 1.0))).degenerate
 
 
-def test_spanned_and_critical_read_one_offset():
-    # two edge radii of the equilateral triangle round to 0.49999999999999994;
-    # at this r they lie just over EPS_GEO above it, although r + EPS_GEO
-    # rounds up to them: neither critical nor spanned
+def test_spanned_and_critical_read_one_band_edge():
+    # two edge radii of the equilateral triangle round to 0.49999999999999994,
+    # whose band's lower edge is the float 0.4999999989999999: there both
+    # edges read as spanned and critical, though they lie just over EPS_GEO
+    # above it, and one float below it as neither
     config = PointConfig(2, ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)))
     scan = cech.subset_radii(config)
     r = 0.4999999989999999
     assert scan.radii[:2] == (0.49999999999999994,) * 2
-    assert scan.radii[0] - r > EPS_GEO
-    assert tuple(cech.read_scan(scan, r)) == (0, 0)
-    assert cech_complex(RanPoint(config, r)).masks == (1, 2, 4)
+    assert scan.radii[0] - EPS_GEO == r and scan.radii[0] - r > EPS_GEO
+    assert tuple(cech.read_scan(scan, r)) == (0, 2)
+    assert cech_complex(RanPoint(config, r)).masks == (1, 2, 4, 5, 6)
+    below = math.nextafter(r, 0.0)
+    assert tuple(cech.read_scan(scan, below)) == (0, 0)
+    assert cech_complex(RanPoint(config, below)).masks == (1, 2, 4)
+
+
+CONFIG_DRAWS = [
+    lambda rng: PointConfig(2, tuple((rng.random(), rng.random()) for _ in range(rng.randint(2, 6)))),
+    random_tied_config,
+    near_tied_config,
+    tiny_config,
+]
+CONFIG_DRAW_IDS = ["random", "grid-tied", "near-tied", "tiny-scale"]
+
+
+@pytest.mark.parametrize("draw", CONFIG_DRAWS, ids=CONFIG_DRAW_IDS)
+def test_each_zone_edge_reads_inside_its_band(draw):
+    # the edges that ``zone_edges`` lists are where ``read_scan`` changes zone
+    rng = random.Random(13)
+    for _ in range(200):
+        scan = cech.subset_radii(draw(rng))
+        lower = [radius - EPS_GEO for radius in scan.radii]
+        upper = [radius + EPS_GEO for radius in scan.radii]
+        assert cech.zone_edges(scan) == sorted(lower + upper)
+        for i, (lo_edge, hi_edge) in enumerate(zip(lower, upper)):
+            for edge in (lo_edge, hi_edge):
+                zone = cech.read_scan(scan, edge)
+                assert zone.lo <= i < zone.hi, (scan, edge)  # critical, hence spanned
+            assert i < cech.read_scan(scan, math.nextafter(hi_edge, math.inf)).lo
+            assert i >= cech.read_scan(scan, math.nextafter(lo_edge, -math.inf)).hi
+
+
+def offset_read_radii(radii, r):
+    """The zone of ``r`` by the offset radius - r against +-EPS_GEO, the
+    reading before zones were read against their band edges."""
+
+    def offset(radius):
+        return radius - r
+
+    lo = bisect.bisect_left(radii, -EPS_GEO, key=offset)
+    return cech.Zone(lo, bisect.bisect_right(radii, EPS_GEO, lo, key=offset))
+
+
+@pytest.mark.parametrize("draw", CONFIG_DRAWS, ids=CONFIG_DRAW_IDS)
+def test_band_edges_and_offsets_differ_only_at_the_edges(draw):
+    # the two readings round radius -+ EPS_GEO and radius - r, each by at
+    # most a float at the scale of the radius or r, whichever is larger, so
+    # they can differ only that near an edge; most probes that differ lie
+    # exactly on an edge's float
+    rng = random.Random(14)
+    differ = on_an_edge = 0
+    for _ in range(200):
+        config = draw(rng)
+        scan = cech.subset_radii(config)
+        bands = [(radius, edge) for radius in scan.radii
+                 for edge in (radius - EPS_GEO, radius + EPS_GEO)]
+        probes = set(probe_radii(config))
+        for _, edge in bands:
+            probes.update(float_steps(edge, k) for k in range(-6, 7))
+        for r in probes:
+            if r < 0.0 or cech.read_scan(scan, r) == offset_read_radii(scan.radii, r):
+                continue
+            differ += 1
+            on_an_edge += any(r == edge for _, edge in bands)
+            assert any(abs(r - edge) <= 2 * math.ulp(max(r, radius)) for radius, edge in bands), \
+                (config, r)
+    assert differ > 1000 and on_an_edge > 1000
 
 
 def test_zone_is_the_label_cache_key():
