@@ -41,6 +41,10 @@ from .strat import StratumLabel, local_map, stratum_label, tilde_r
 
 _BRACKET_FLOOR = 1e-13
 
+#: an interval no wider than this, two final brackets, is just the instant
+#: that bounds it
+_POINT_WIDTH = 2.0 * _BRACKET_FLOOR
+
 #: evenly spaced label checks that ``entrance_map`` makes where tracks move
 _CONSTANCY_SAMPLES = 32
 
@@ -476,7 +480,7 @@ def _still_events(path: PLPath, first: int, last: int) -> list[tuple[float, Stra
                     *(bp[s] for s, _, turned in _trends(path, first, last) if turned)))
     bounds = (bp[first], *(x for span in spans for x in span), bp[last])
     sides = [stratum_label(evaluate(path, 0.5 * (u + v)))
-             if v - u > 2.0 * _BRACKET_FLOOR else None
+             if v - u > _POINT_WIDTH else None
              for u, v in zip(bounds[::2], bounds[1::2])]
     events = []
     for k, (lo, hi) in enumerate(spans):
@@ -517,7 +521,7 @@ def _joined(zone, u: float, v: float) -> bool:
     ``zone`` reads: at most ``_INSTANT_WIDTH`` apart with the radius inside
     a tolerance band between them (the zone is constant there), or too
     close for an interval (see :func:`zigzag`)."""
-    if abs(v - u) <= 2.0 * _BRACKET_FLOOR:
+    if abs(v - u) <= _POINT_WIDTH:
         return True
     if abs(v - u) > _INSTANT_WIDTH:
         return False
@@ -698,41 +702,31 @@ class ZigzagDiagram:
 def zigzag(path: PLPath, resolution: float) -> ZigzagDiagram:
     """Zigzag of simplicial maps along a path.
 
-    Inner interval classes are sampled at interval midpoints, the first
-    interval at t = 0 and the last at t = 1, the path's ends, which lie
+    Each interval is read at one sample time: its class is the label
+    there, and its maps are the entrance maps from there into the instants
+    on both sides.  Inner intervals are sampled at their midpoints, the
+    first at t = 0 and the last at t = 1, the path's ends, which lie
     outside the tolerance band of the adjacent instant however close to
-    the end it is; each transition instant receives entrance maps from
-    both sides, starting at the same times.  A transition at an endpoint
-    of the path degenerates its outer interval to the instant itself
-    (identity map).
+    the end it is.  An interval no wider than ``_POINT_WIDTH``, such as the
+    outer interval of a transition at an end of the path, is just an
+    instant: it is read at the instant that closes it, the last interval at
+    the one that opens it, and enters that instant by the identity.
     """
     events = transitions(path, resolution)
     times = [t for t, _ in events]
-    bounds = [0.0] + times + [1.0]
-    interval_classes: list[StratumLabel] = []
-    samples: list[float | None] = []
+    bounds = [0.0, *times, 1.0]
+    samples = []
     for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        if b - a > 2.0 * _BRACKET_FLOOR:
-            t = 0.0 if k == 0 else 1.0 if k == len(events) else 0.5 * (a + b)
-            samples.append(t)
-            interval_classes.append(stratum_label(evaluate(path, t)))
+        if b - a <= _POINT_WIDTH:
+            samples.append(b if k < len(events) else a)
         else:
-            samples.append(None)
-            # zero-width outer interval: the instant is the whole interval
-            idx = len(interval_classes)
-            lbl = events[idx][1] if idx < len(events) else events[-1][1]
-            interval_classes.append(lbl)
-    map_pairs = []
-    for k, (t_star, _) in enumerate(events):
-        # a zero-width outer interval enters its instant by the identity
-        left, right = (entrance_map(path, t_star if t is None else t, t_star)
-                       for t in samples[k:k + 2])
-        map_pairs.append((left, right))
+            samples.append(0.0 if k == 0 else 1.0 if k == len(events) else 0.5 * (a + b))
     return ZigzagDiagram(
         tuple(times),
-        tuple(interval_classes),
+        tuple(stratum_label(evaluate(path, t)) for t in samples),
         tuple(lbl for _, lbl in events),
-        tuple(map_pairs),
+        tuple((entrance_map(path, samples[k], t_star), entrance_map(path, samples[k + 1], t_star))
+              for k, t_star in enumerate(times)),
     )
 
 

@@ -1126,7 +1126,8 @@ class TestZigzag:
         outer = z.maps[0][side]
         assert outer == entrance_map(p, t_star, t_star)
         assert outer.source == outer.target and outer.vertex_map == (0, 1)
-        assert z.interval_classes[side] == z.transition_classes[0]
+        assert z.interval_classes[side] == z.transition_classes[0] == stratum_label(
+            evaluate(p, t_star))
         assert all(lbl.cls.key == named_classes["edge"].key for lbl in z.interval_classes)
 
     @pytest.mark.parametrize("radius", [(0.5 + 1.5e-9, 0.3), (0.3, 0.5 + 1.5e-9)])
@@ -1442,6 +1443,47 @@ class TestMovingTracks:
         half_width = math.sqrt(0.13) / 4.0
         assert z.times[0] == pytest.approx(0.5 - half_width, abs=1e-5)
         assert z.times[1] == pytest.approx(0.5 + half_width, abs=1e-5)
+
+
+@pytest.fixture(scope="module")
+def seed_11_moving_paths():
+    """The 300 seed-11 ``random_moving_path``s, in turn."""
+    rng = random.Random(11)
+    return [random_moving_path(rng) for _ in range(300)]
+
+
+#: a point that dips from 1.0 to 0.4 and back within 0.004 of time, beside
+#: a point at 0.0 under radius 0.3: at t = 0.505 alone the pair is the
+#: critical edge
+NARROW_EXCURSION = PLPath(1, (0.0, 0.503, 0.505, 0.507, 1.0),
+                          (((0.0,),) * 5, ((1.0,), (1.0,), (0.4,), (1.0,), (1.0,))), (0.3,) * 5)
+
+
+class TestMovingExcursions:
+    """Moving paths whose label leaves and comes back between two label
+    checks of the transition grid, regression cases for certified events
+    on moving stretches: ``zigzag`` refuses the seed-11 paths "label is
+    not constant", and reads the narrow excursion as one interval."""
+
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="label is not constant: the grid misses a stratum")
+    @pytest.mark.parametrize("index", [1, 33, 90, 197, 227, 243])
+    def test_a_seed_11_path_gives_a_zigzag(self, seed_11_moving_paths, index):
+        path = seed_11_moving_paths[index]
+        zigzag(path, 0.01)
+        assert not mislabelled_instant(path)
+
+    def test_the_narrow_excursion_touches_the_edge(self, named_classes):
+        assert stratum_label(evaluate(NARROW_EXCURSION, 0.505)).cls.key == named_classes["edge"].key
+        for t in (0.0, 0.504, 0.506, 1.0):
+            label = stratum_label(evaluate(NARROW_EXCURSION, t))
+            assert label.cls.key == named_classes["two_points"].key
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="no instant: the grid steps over the excursion")
+    def test_an_excursion_narrower_than_a_grid_step_is_in_the_zigzag(self):
+        z = zigzag(NARROW_EXCURSION, 0.01)
+        assert stratum_label(evaluate(NARROW_EXCURSION, 0.505)) in z.transition_classes
 
 
 class TestAsFiltration:
@@ -1910,7 +1952,27 @@ class TestBandEdgeStart:
     starts outside it, and leaves it as near the end.  ``_joined`` makes
     the entry and t = 0 one instant, because their midpoint reads inside
     the band, although t = 0 reads outside it; so the start's interval
-    takes the label of the band, or the map from it refuses."""
+    takes the label of the band, or the map from it refuses.
+
+    The cause is in ``evaluate``: the radius rises one float per about
+    7e-9 of time, and interpolation rounds to nearest, so the radius
+    reads inside the band from half the entry crossing's time on."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="evaluate reads inside the band from half the crossing's time on")
+    @pytest.mark.parametrize("bp", [(0.0, 0.5, 1.0), (0.0, 0.7216525306622434, 1.0)],
+                             ids=["silent", "refused"])
+    def test_the_radius_enters_the_band_at_the_entry_crossing(self, bp):
+        p = PLPath(2, bp, tuple((q,) * 3 for q in BAND_EDGE_START_POINTS), BAND_EDGE_START_RADIUS)
+        scan = subset_radii(p._still[0][0])
+        entry = _crossings(p, 0, 2, zone_edges(scan))[0]
+
+        def critical(t):
+            zone = read_scan(scan, evaluate(p, t).radius)
+            return zone.lo < zone.hi
+
+        assert critical(entry)
+        assert not critical(math.nextafter(entry, 0.0))
 
     @pytest.mark.parametrize("bp", [
         pytest.param((0.0, 0.5, 1.0), id="silent", marks=pytest.mark.xfail(
