@@ -442,13 +442,15 @@ def _still_events(path: PLPath, first: int, last: int) -> list[tuple[float, Stra
     (:func:`~cechstrat.cech.zone_edges`).  Crossings less than
     ``_INSTANT_WIDTH`` apart with the radius inside a tolerance band
     between them, such as the way in and out of the band of a radius the
-    path passes, make one instant, which takes in a stretch end that near;
-    a longer stay inside a band is an interval between two instants.
+    path passes, make one instant, which takes in a stretch end that near
+    and itself inside a band (:func:`_end_joined`); a longer stay inside a
+    band is an interval between two instants.
 
-    Only the instants and one time between each two are labelled.  One
-    walk over the stretch's segments finds where the radius meets a zone
-    edge or a scan radius (:func:`_crossings`), and the radius turns where
-    a segment's trend differs from the one before it (:func:`_trends`).
+    Only the instants and one time between each two are labelled: the
+    midpoint, or the stretch end for an outer side.  One walk over the
+    stretch's segments finds where the radius meets a zone edge or a scan
+    radius (:func:`_crossings`), and the radius turns where a segment's
+    trend differs from the one before it (:func:`_trends`).
     An instant lies where the radius meets a scan radius, turns or the
     stretch ends, at the one of these with the lowest label; a lone
     crossing into or out of a longer stay has none, and its instant is
@@ -470,18 +472,19 @@ def _still_events(path: PLPath, first: int, last: int) -> list[tuple[float, Stra
             spans[-1][1] = t
         else:
             spans.append([t, t])
-    if spans and _joined(zone, bp[first], spans[0][0]):
+    if spans and _end_joined(zone, bp[first], spans[0][0]):
         spans[0][0] = bp[first]
-    if spans and _joined(zone, spans[-1][1], bp[last]):
+    if spans and _end_joined(zone, bp[last], spans[-1][1]):
         spans[-1][1] = bp[last]
     # where an instant may lie: the roots, the turns and the stretch ends
     # (the first segment counts as turned)
     marks = sorted((*_crossings(path, first, last, scan.radii), bp[last],
                     *(bp[s] for s, _, turned in _trends(path, first, last) if turned)))
     bounds = (bp[first], *(x for span in spans for x in span), bp[last])
-    sides = [stratum_label(evaluate(path, 0.5 * (u + v)))
-             if v - u > _POINT_WIDTH else None
-             for u, v in zip(bounds[::2], bounds[1::2])]
+    mids = [0.5 * (u + v) for u, v in zip(bounds[::2], bounds[1::2])]
+    reads = [bp[first], *mids[1:-1], bp[last]]
+    sides = [stratum_label(evaluate(path, t)) if v - u > _POINT_WIDTH else None
+             for t, u, v in zip(reads, bounds[::2], bounds[1::2])]
     events = []
     for k, (lo, hi) in enumerate(spans):
         candidates = {}  # one mark per zone
@@ -527,6 +530,18 @@ def _joined(zone, u: float, v: float) -> bool:
         return False
     z = zone(0.5 * (u + v))
     return z.lo < z.hi
+
+
+def _end_joined(zone, end: float, crossing: float) -> bool:
+    """Whether a stretch end and its nearest crossing are one instant: by
+    :func:`_joined`, and with the end itself inside a tolerance band unless
+    it lies within ``_POINT_WIDTH`` of the crossing.  A midpoint inside the
+    band is not enough: where the radius rises one float per many floats of
+    time, the band is read from half the crossing's time on."""
+    if abs(crossing - end) <= _POINT_WIDTH:
+        return True
+    z = zone(end)
+    return z.lo < z.hi and _joined(zone, end, crossing)
 
 
 def _step_past(zone, near: float, far: float) -> float:

@@ -181,61 +181,61 @@ def _bijection_excluded(fa: tuple[int, ...], fb: tuple[int, ...]) -> bool:
     return fa == fb or any(x > y for x, y in zip(fa, fb))
 
 
+def _addable(n: int, family: int) -> int:
+    """The masks not in ``family``, a complex on n vertices, whose facets all
+    are, as a family bitset: bit m of ``family << 2^v`` is m's facet without v."""
+    addable = ((1 << (1 << n)) - 2) & ~family
+    for v in range(n):
+        addable &= ~holding(n, v) | family << (1 << v)
+    return addable
+
+
 def enumerate_classes(n_max: int) -> PosetUniverse:
     """Every isomorphism class on 1..n_max vertices with the full relation;
     ``n_max`` is at most ``ENUM_CAP``.
 
-    Classes: the labeled complexes of each vertex count are visited in
-    turn as family bitsets, and one that is not yet a known relabeling
-    gets its canonical form.  Its whole orbit is then marked known, walked
-    on the bitset by the n! - 1 adjacent vertex swaps of plain-changes
-    order, a few word operations each.  So the canonical labeling runs
-    once per class.
+    Classes: the labeled complexes of each vertex count are visited as
+    family bitsets.  One of a class not yet known gets its canonical form,
+    and its orbit, walked by the n! - 1 adjacent swaps of plain-changes
+    order, is mapped to that class, so each class is labeled once.
 
-    Relation: the pairs (a, b) are decided with ``a`` ascending and ``b``
-    descending in class order, by transitivity from the answers already
-    known where it applies:
+    Relation: rows are filled with the vertex count ascending and the
+    simplex count descending, so every class below a has its row first:
 
-    - some c with a >= c >= b: yes;
-    - some c with c >= a but not c >= b, or b >= c but not a >= c: no;
-    - otherwise by :func:`dominates`, whose invariants decide most of the
-      rest without a witness search.
+    - as many vertices: a map is a bijection, so a >= c exactly when c is a
+      relabeled a grown one addable simplex at a time (:func:`_addable`);
+    - fewer vertices, in class order: a class not in the row, nor above one
+      found not below a, is decided by :func:`dominates`.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > ENUM_CAP:
         raise CapExceeded(f"enumeration capped at {ENUM_CAP} vertices, got n_max={n_max}")
     found: list[IsoClass] = []
+    class_of: dict[int, IsoClass] = {}
     for n in range(1, n_max + 1):
         swaps = _plain_changes(n)
-        known: set[int] = set()
         for family in _labeled_complexes(n):
-            if family not in known:
+            if family not in class_of:
                 found.append(canonical_form(SimplicialComplex(n, members(family))))
-                known.update(_orbit(family, swaps))
+                class_of.update(dict.fromkeys(_orbit(family, swaps), found[-1]))
     classes = tuple(sorted(found, key=lambda c: (c.n_vertices, c.key)))
-
-    size = len(classes)
-    # known facts as bitsets: ge[a] holds each b with a >= b, le[b] each
-    # a with a >= b; nge and nle the same for "not >="
-    ge = [1 << a for a in range(size)]
-    le = ge[:]
-    nge = [0] * size
-    nle = [0] * size
-    for a, ca in enumerate(classes):
-        for b in reversed(range(size)):
-            if ge[a] & le[b]:
-                above = True
-            elif le[a] & nle[b] or ge[b] & nge[a]:
-                above = False
-            else:
-                above = dominates(ca.canonical, classes[b].canonical) is not None
-            if above:
-                ge[a] |= 1 << b
-                le[b] |= 1 << a
-            else:
-                nge[a] |= 1 << b
-                nle[b] |= 1 << a
+    index = {c.key: i for i, c in enumerate(classes)}
+    sizes = [c.n_vertices for c in classes]
+    ge = [0] * len(classes)  # bit b of ge[a] set when a >= b
+    for a in sorted(range(len(classes)), key=lambda a: (sizes[a], -len(classes[a].canonical.masks))):
+        c = classes[a].canonical
+        row = 1 << a
+        for m in set_bits(_addable(c.n_vertices, c.family)):
+            row |= ge[index[class_of[c.family | 1 << m].key]]
+        no = 0  # the classes found not below a
+        for b in range(sizes.index(sizes[a])):
+            if not (row >> b & 1 or ge[b] & no):
+                if dominates(c, classes[b].canonical) is None:
+                    no |= 1 << b
+                else:
+                    row |= ge[b]
+        ge[a] = row
     return PosetUniverse(classes, tuple(ge), n_max)
 
 

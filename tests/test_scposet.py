@@ -334,7 +334,21 @@ class TestEnumeration:
         monkeypatch.setattr(_kernels, "canonical_masks", counting_canonical)
         u = enumerate_classes(5)
         assert calls["canonical_masks"] == len(u.classes) == 208
-        assert len(searches) <= 2600
+        assert len(searches) == 462
+
+    def test_no_search_between_equal_vertex_counts(self, searches):
+        """Pairs of equal vertex counts are read off one-simplex additions."""
+        enumerate_classes(5)
+        assert searches
+        assert all(n_src > n_tgt for n_src, n_tgt, _, _ in searches)
+
+    def test_addable_masks_match_brute_force(self, universe5):
+        for cls in universe5.classes:
+            c = cls.canonical
+            expected = [m for m in range(1 << c.n_vertices)
+                        if m.bit_count() >= 2 and m not in c.masks
+                        and all(face in c.masks for face in facet_submasks(m))]
+            assert list(vertices_of(scposet._addable(c.n_vertices, c.family))) == expected
 
 
 class TestEnumerationRules:
