@@ -13,7 +13,7 @@ import functools
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import _json, _kernels
@@ -41,16 +41,19 @@ def _subset_size_cap(n_points: int, max_dim: int | None) -> int:
     return min(n_points, max_dim + 1)
 
 
-#: scans kept, by configuration, each with the complexes and labels read
-#: from it; a still stretch needs one whatever it does, an entrance map
-#: where tracks move 33 (its 31 samples and both ends, read so that the
-#: start is still cached for the renaming).  An uncapped scan (at most 8
-#: points) holds 247 entries, about 33 kB with its radius order, and at
-#: most 248 prefix complexes and 2 * 247 + 1 zone labels, about 1.6 MB
-#: with all of them built, so 32 of them take about 52 MB; a perfbench
-#: growth zigzag (seed 1) builds at most 15 and 29 of them.  The largest
-#: scan (16 points, max_dim 15) holds 65,519 entries, about 8.6 MB, so 32
-#: of those take about 277 MB, plus every complex read from them.
+#: scans kept, by configuration, each with the complexes, labels and
+#: separations read from it; a still stretch needs one whatever it does,
+#: an entrance map where tracks move 33 (its 31 samples and both ends, read
+#: so that the start is still cached for the renaming).  Measured with
+#: tracemalloc on the compiled backend: an uncapped scan (at most 8
+#: points) holds 247 entries, about 42 kB with its radius order and band
+#: edges (26 kB without the edges), and at most 248 prefix complexes,
+#: 2 * 247 + 1 zone labels and 1,024 separations, about 1.3 MB with all of
+#: them built (8 random points in R^7), so 32 of them take about 42 MB; a
+#: perfbench growth zigzag (seed 1) builds at most 15 complexes and 29
+#: labels.  The largest scan (16 points, max_dim 15) holds 65,519
+#: entries, about 13.1 MB with its band edges (8.9 MB without), so 32 of
+#: those take about 420 MB, plus every complex read from them.
 _SCAN_CACHE_SIZE = 32
 
 
@@ -71,27 +74,40 @@ class Scan(tuple):
     points, in kernel order.
 
     ``masks`` and ``radii`` list the same subsets by ascending radius (ties
-    in kernel order), so that :func:`read_scan` can place a radius among
-    them by bisection.  The scan is the one cache entry of its
-    configuration: it keeps the Cech complex of each spanned prefix
-    (:meth:`complex`) and, in ``labels``, the stratum label of each zone
-    (filled by :func:`cechstrat.strat.stratum_label`), and both go when
-    the scan leaves the cache.
+    in kernel order), and ``lower`` and ``upper`` their band edges
+    (:func:`_band_edges`), so that :func:`read_scan` can place a radius
+    among them by bisection.  The scan is the one cache entry of its
+    configuration: it keeps its band edges, the Cech complex of each
+    spanned prefix (:meth:`complex`), in ``labels`` the stratum label of
+    each zone (filled by :func:`cechstrat.strat.stratum_label`) and in
+    ``separations`` the separation of each radius read (filled by
+    :func:`cechstrat.strat.tilde_r`), and all go when the scan leaves the
+    cache.
     """
 
     masks: tuple[int, ...]
     radii: tuple[float, ...]
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
     n_points: int
     labels: dict
+    separations: dict
 
     def __new__(cls, entries, n_points: int):
         scan = super().__new__(cls, entries)
         ranked = sorted(scan, key=operator.itemgetter(1))
         scan.masks, scan.radii = tuple(zip(*ranked)) or ((), ())
+        scan.lower, scan.upper = _band_edges(scan.radii)
         scan.n_points = n_points
         scan.labels = {}
+        scan.separations = {}
         scan._complexes = {}
         return scan
+
+    @functools.cached_property
+    def edges(self) -> tuple[float, ...]:
+        """``lower`` and ``upper`` merged, ascending, kept once read."""
+        return tuple(sorted(self.lower + self.upper))
 
     def complex(self, hi: int) -> SimplicialComplex:
         """The Cech complex where the first ``hi`` subsets by radius span,
@@ -153,13 +169,19 @@ def subset_radii(config: PointConfig, max_dim: int | None = None) -> Scan:
     return _scan(config.points, _subset_size_cap(len(config), max_dim))
 
 
-def _read_radii(radii: Sequence[float], r: float) -> Zone:
-    """The zone of radius ``r`` among ascending ``radii``, read against the
-    band edges that :func:`zone_edges` lists: the run [lo, hi) with
-    radius - EPS_GEO <= r <= radius + EPS_GEO, everything before ``hi``
-    having radius - EPS_GEO <= r."""
-    lo = bisect.bisect_left(radii, r, key=lambda radius: radius + EPS_GEO)
-    return Zone(lo, bisect.bisect_right(radii, r, lo, key=lambda radius: radius - EPS_GEO))
+def _band_edges(radii: Sequence[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The lower and upper edges, radius - EPS_GEO and radius + EPS_GEO, of
+    the tolerance band of each of the ascending ``radii``: two ascending
+    tuples, since rounding keeps the order."""
+    return tuple(r - EPS_GEO for r in radii), tuple(r + EPS_GEO for r in radii)
+
+
+def _read_band(lower: Sequence[float], upper: Sequence[float], r: float) -> Zone:
+    """The zone of radius ``r`` among radii with band edges ``lower`` and
+    ``upper`` (:func:`_band_edges`): the run [lo, hi) with lower <= r <=
+    upper, everything before ``hi`` having lower <= r."""
+    lo = bisect.bisect_left(upper, r)
+    return Zone(lo, bisect.bisect_right(lower, r, lo))
 
 
 def read_scan(scan: Scan, r: float) -> Zone:
@@ -170,11 +192,12 @@ def read_scan(scan: Scan, r: float) -> Zone:
     EPS_GEO: both ends of the closed band are the floats that
     :func:`zone_edges` lists, so the zone changes exactly where ``r``
     passes one of them, and a critical subset spans.  The edges rise with
-    the radius, so two bisections of the sorted radii find the critical
-    run [lo, hi), and the spanned subsets are the prefix before ``hi``;
-    :meth:`Filtration.complex_at` reads its stages by the same rule.
+    the radius, so two bisections of the scan's kept edges find the
+    critical run [lo, hi), and the spanned subsets are the prefix before
+    ``hi``; :meth:`Filtration.complex_at` reads its stages by the same
+    rule.
     """
-    return _read_radii(scan.radii, r)
+    return _read_band(scan.lower, scan.upper, r)
 
 
 def zone_edges(scan: Scan) -> list[float]:
@@ -185,8 +208,9 @@ def zone_edges(scan: Scan) -> list[float]:
     These rounded floats are the band edges that :func:`read_scan` compares
     a radius with, so each edge reads inside the band it bounds: the lower
     edge of the band of 0.5 is the float 0.499999999, which reads as
-    critical although 0.5 - 0.499999999 is 1.0000000272e-9."""
-    return sorted([r - EPS_GEO for r in scan.radii] + [r + EPS_GEO for r in scan.radii])
+    critical although 0.5 - 0.499999999 is 1.0000000272e-9.  The list is
+    a copy of the scan's ``edges``."""
+    return list(scan.edges)
 
 
 def cech_complex(x: RanPoint, max_dim: int | None = None) -> SimplicialComplex:
@@ -216,6 +240,9 @@ class Filtration:
     config: PointConfig
     critical_radii: tuple[float, ...]
     complexes: tuple[SimplicialComplex, ...]
+    #: the band edges of the critical radii (:func:`_band_edges`)
+    _band: tuple[tuple[float, ...], tuple[float, ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.critical_radii) != len(self.complexes):
@@ -223,6 +250,7 @@ class Filtration:
         radii = self.critical_radii
         if not radii or radii[0] != 0.0 or not all(map(operator.lt, radii, radii[1:])):
             raise ValueError("critical radii must rise strictly from 0")
+        object.__setattr__(self, "_band", _band_edges(radii))
         for c in self.complexes:
             if c.n_vertices != len(self.config):
                 raise ValueError(f"a complex has {c.n_vertices} vertices for "
@@ -236,7 +264,7 @@ class Filtration:
         whose critical radius minus EPS_GEO is at most ``r``, the rule by
         which :func:`read_scan` spans a subset, so that the stage agrees
         with :func:`cech_complex` inside the tolerance band too."""
-        return self.complexes[_read_radii(self.critical_radii, _check_radius(r)).hi - 1]
+        return self.complexes[_read_band(*self._band, _check_radius(r)).hi - 1]
 
     def to_json_dict(self) -> dict:
         return {

@@ -205,31 +205,44 @@ class PLPath:
                    tracks, _json.numbers(radius, fmt, '"radius"'))
 
 
+def _place(path: PLPath, t: float) -> tuple[int, float]:
+    """The segment that time t lies in and the fraction u of it before t."""
+    if not (0.0 <= t <= 1.0):
+        raise ValueError(f"path parameter {t} outside [0, 1]")
+    bp = path.breakpoints
+    seg = min(bisect.bisect_right(bp, t), len(bp) - 1) - 1
+    return seg, (t - bp[seg]) / (bp[seg + 1] - bp[seg])
+
+
+def _lerp(u: float, a: float, b: float) -> float:
+    """The value a fraction u of the way from a to b.  u == 1 reads b
+    itself, which interpolation can miss by an ulp; + 0.0 turns -0.0 into
+    +0.0, as interpolation does."""
+    return b + 0.0 if u == 1.0 else a + u * (b - a)
+
+
+def _radius_at(path: PLPath, seg: int, u: float) -> float:
+    """The radius a fraction u into segment ``seg`` (:func:`_place`): the
+    radius of :func:`evaluate`, which still-stretch zone reads take without
+    building a configuration."""
+    return max(_lerp(u, path.radius[seg], path.radius[seg + 1]), 0.0)
+
+
 def _evaluate_tracks(path: PLPath, t: float) -> tuple[RanPoint, tuple[int, ...]]:
     """Configuration at time t plus the track -> vertex assignment.
 
     On a still stretch both are the ones built with the path; elsewhere
     the tracks are interpolated and coincident ones merged.
     """
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"path parameter {t} outside [0, 1]")
-    bp = path.breakpoints
-    seg = min(bisect.bisect_right(bp, t), len(bp) - 1) - 1
-    u = (t - bp[seg]) / (bp[seg + 1] - bp[seg])
-
-    def at(a: float, b: float) -> float:
-        # u == 1 reads the segment's end value, which interpolation can miss
-        # by an ulp; + 0.0 turns -0.0 into +0.0, as interpolation does
-        return b + 0.0 if u == 1.0 else a + u * (b - a)
-
-    radius = at(path.radius[seg], path.radius[seg + 1])
+    seg, u = _place(path, t)
     shared = path._still[seg]
     if shared is None:
-        config, assignment = _dedupe(path.dim, [tuple(map(at, tr[seg], tr[seg + 1]))
-                                                for tr in path.tracks])
+        positions = [tuple(_lerp(u, a, b) for a, b in zip(tr[seg], tr[seg + 1]))
+                     for tr in path.tracks]
+        config, assignment = _dedupe(path.dim, positions)
     else:
         config, assignment = shared
-    return RanPoint(config, max(radius, 0.0)), assignment
+    return RanPoint(config, _radius_at(path, seg, u)), assignment
 
 
 def _dedupe(dim: int, positions: list[tuple[float, ...]]) -> tuple[PointConfig, tuple[int, ...]]:
@@ -464,7 +477,7 @@ def _still_events(path: PLPath, first: int, last: int) -> list[tuple[float, Stra
     scan = subset_radii(path._still[first][0])
 
     def zone(t: float):
-        return read_scan(scan, evaluate(path, t).radius)
+        return read_scan(scan, _radius_at(path, *_place(path, t)))
 
     spans: list[list[float]] = []
     for t in _crossings(path, first, last, zone_edges(scan)):
@@ -667,7 +680,7 @@ def _left_early(path: PLPath, run: tuple[int, int], t_from: float, t_to: float,
     left = None
     for u, v in zip(chain, chain[1:]):
         # the zone is constant between two crossings
-        zone = read_scan(scan, evaluate(path, 0.5 * (u + v)).radius)
+        zone = read_scan(scan, _radius_at(path, *_place(path, 0.5 * (u + v))))
         if left is None and zone == start:
             continue
         left = u if left is None else left

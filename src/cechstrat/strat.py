@@ -83,6 +83,12 @@ class SafeBall:
         return self.r_tilde / 4.0
 
 
+#: separations a scan keeps, the oldest dropped first: a zigzag reads one
+#: per instant, most of them at one of the scan's radii (247 at most on 8
+#: points), and each takes about 140 bytes
+_SEPARATIONS_KEPT = 1024
+
+
 def tilde_r(x: RanPoint) -> SafeBall:
     """Separation radius of a configuration-radius pair.
 
@@ -91,16 +97,26 @@ def tilde_r(x: RanPoint) -> SafeBall:
     subset is exactly critical; otherwise it is "generic" and the slack
     equals :func:`r2`.  Singletons admit any perturbation radius, so they
     get 4*r (or 1 when r = 0) as a convention.
+
+    The separation and case depend on the configuration and the radius
+    alone, so the configuration's cached scan keeps them per radius (the
+    last ``_SEPARATIONS_KEPT``), as it keeps one label per zone.  The ball
+    is built around ``x`` itself: equal points, which share a scan, can
+    differ in the sign of a zero.
     """
     config, r = x.config, x.radius
     if len(config) == 1:
         rt = 4.0 * r if r > 0.0 else 1.0
         return SafeBall(x, rt, "generic")
     scan = subset_radii(config)
-    zone = read_scan(scan, r)
-    rt = min(r1(config), scan.slacks(r, zone)[1])
-    case: Case = "boundary" if zone.lo < zone.hi else "generic"
-    return SafeBall(x, rt, case)
+    separation = scan.separations.get(r)
+    if separation is None:
+        if len(scan.separations) >= _SEPARATIONS_KEPT:
+            del scan.separations[next(iter(scan.separations))]  # the oldest
+        zone = read_scan(scan, r)
+        case: Case = "boundary" if zone.lo < zone.hi else "generic"
+        separation = scan.separations[r] = (min(r1(config), scan.slacks(r, zone)[1]), case)
+    return SafeBall(x, *separation)
 
 
 def local_map(source: RanPoint, target: RanPoint) -> SimplicialMap:

@@ -314,4 +314,4 @@ class TestOneTolerance:
             if isinstance(node, ast.FunctionDef):
                 if any(isinstance(n, ast.Name) and n.id == "EPS_GEO" for n in ast.walk(node)):
                     readers.add(node.name)
-        assert readers == {"_read_radii", "zone_edges"}
+        assert readers == {"_band_edges"}

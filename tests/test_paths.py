@@ -1986,6 +1986,32 @@ class TestBandEdgeStart:
         assert not mislabelled_instant(p)
 
 
+#: ``random_edge_path(random.Random(2))``'s 113th path: three still points
+#: under a radius that turns at breakpoint 0.5625428044691156, one float
+#: below the lower edge of the band of the scan radius 0.2395420650716699
+ULP_STRESS_PATH = PLPath(
+    2,
+    (0.0, 0.04583636083717619, 0.5275754376194999, 0.5625428044691156, 0.8499096137797444, 1.0),
+    tuple((q,) * 6 for q in ((0.6902265974218249, 0.8821248856398787),
+                             (0.7555037840384126, 0.7006777594285737),
+                             (0.7633702190735085, 0.22165821603285885))),
+    (0.0709159582027368, 0.23954206607166992, 0.2395420650716698, 0.23954206407166986,
+     0.33225224267494163, 0.2395420640716698))
+
+
+class TestUlpStressRefusal:
+    """One of the ulp-stress corpus's refusals: the map from the interval
+    read at 0.5625428055336585 into the instant at 0.5625428034985761,
+    which straddle the radius's turn, finds the zone changing between
+    them."""
+
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="label is not constant on [0.5625428055336585, 0.5625428034985761)")
+    def test_the_zigzag_builds(self):
+        zigzag(ULP_STRESS_PATH, 0.01)
+        assert not mislabelled_instant(ULP_STRESS_PATH)
+
+
 class TestJsonRoundTrips:
     def test_path_round_trip(self):
         p = cech_path(triangle_config(), 0.5)

@@ -27,7 +27,7 @@ from cechstrat import (
     stratum_label,
     tilde_r,
 )
-from cechstrat import _kernels, cech
+from cechstrat import _kernels, cech, paths, strat
 from cechstrat._bits import vertices_of
 from cechstrat.geometry import EPS_GEO
 from cechstrat.strat import SafeBall, StratumLabel, _zone_label
@@ -334,6 +334,64 @@ def test_band_edges_and_offsets_differ_only_at_the_edges(draw):
             assert any(abs(r - edge) <= 2 * math.ulp(max(r, radius)) for radius, edge in bands), \
                 (config, r)
     assert differ > 1000 and on_an_edge > 1000
+
+
+def key_read_radii(radii, r):
+    """The zone of ``r`` by bisecting ``radii`` with the band edges taken
+    as keys, radius -+ EPS_GEO computed at each step: the reading before
+    the scan kept its band edges."""
+    lo = bisect.bisect_left(radii, r, key=lambda radius: radius + EPS_GEO)
+    return cech.Zone(lo, bisect.bisect_right(radii, r, lo, key=lambda radius: radius - EPS_GEO))
+
+
+def edge_probes(radii):
+    """Every band edge of ``radii`` and the float on either side of it,
+    those at least 0."""
+    return [r for radius in radii for edge in (radius - EPS_GEO, radius + EPS_GEO)
+            for r in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf))
+            if r >= 0.0]
+
+
+class TestKeptOnTheScan:
+    """The scan keeps its band edges and the separation of each radius
+    read, so a growth zigzag computes each once."""
+
+    def test_one_separation_per_instant(self, monkeypatch):
+        clear_package_caches()
+        calls = []
+
+        def counted_r1(config):
+            calls.append(config)
+            return r1(config)
+
+        monkeypatch.setattr(strat, "r1", counted_r1)
+        triangle = PointConfig(2, ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)))
+        z = paths.zigzag(paths.cech_path(triangle, 0.9), 0.01)
+        # two instants, each entered from both sides: 4 maps, 8 safe balls
+        assert len(z.times) == 2 and len(calls) == 2
+
+    @pytest.mark.parametrize("draw", CONFIG_DRAWS, ids=CONFIG_DRAW_IDS)
+    def test_kept_band_reads_like_the_key_bisection(self, draw):
+        rng = random.Random(15)
+        for _ in range(100):
+            config = draw(rng)
+            scan = cech.subset_radii(config)
+            assert scan.lower == tuple(radius - EPS_GEO for radius in scan.radii)
+            assert scan.upper == tuple(radius + EPS_GEO for radius in scan.radii)
+            for r in edge_probes(scan.radii):
+                assert cech.read_scan(scan, r) == key_read_radii(scan.radii, r), (config, r)
+            filtration = cech_filtration(config)
+            radii = filtration.critical_radii
+            for r in edge_probes(radii):
+                stage = filtration.complexes[key_read_radii(radii, r).hi - 1]
+                assert filtration.complex_at(r) is stage, (config, r)
+
+    def test_zone_edges_is_a_fresh_list(self):
+        scan = cech.subset_radii(PointConfig(2, ((0.0, 0.0), (1.0, 0.0), (0.5, 0.8))))
+        edges = cech.zone_edges(scan)
+        assert edges == list(scan.edges) and edges is not cech.zone_edges(scan)
+        edges.clear()
+        assert cech.zone_edges(scan) == sorted(scan.lower + scan.upper)
 
 
 def test_zone_is_the_label_cache_key():
