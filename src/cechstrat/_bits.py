@@ -4,7 +4,9 @@ Simplices on vertices {0, ..., n-1} are represented internally as integer
 masks; these helpers convert between masks and sorted vertex tuples.  A
 set of masks on n vertices is also one integer, its *family bitset*, with
 bit ``m`` set for each mask ``m``; these helpers build one, close it
-downward in n word operations and list its members.
+downward in n word operations and list its members.  The relabellings
+of a family bitset are walked by delta swaps of adjacent vertices in
+plain-changes order, each reached once.
 """
 
 from __future__ import annotations
@@ -68,3 +70,45 @@ def set_bits(x: int):
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
+
+
+def plain_changes(n: int) -> list[tuple[int, int]]:
+    """The n! - 1 swaps of adjacent vertices in plain-changes order
+    (Steinhaus-Johnson-Trotter): applied in turn to a family bitset, they
+    reach each of its relabellings once.
+
+    The swap of u and u + 1 is given as ``(a, 2^u)``: it moves the masks in
+    ``a``, those holding u but not u + 1, up by 2^u, and the masks they
+    land on down by as much.
+    """
+    order: list[int] = []
+    for k in range(2, n + 1):
+        # item k - 1 sweeps down across the other k - 1 and back up, with one
+        # swap of their own order between two sweeps; while it is at the
+        # bottom, the others sit one place higher
+        sweeps = (range(k - 2, -1, -1), range(k - 1))
+        longer: list[int] = []
+        for i, u in enumerate(order):
+            longer += sweeps[i % 2]
+            longer.append(u + 1 - i % 2)
+        order = longer + list(sweeps[len(order) % 2])
+    swaps = [(holding(n, u) & ~holding(n, u + 1), 1 << u) for u in range(n - 1)]
+    return [swaps[u] for u in order]
+
+
+#: ``SWAPS[n]`` is ``plain_changes(n)`` for n = 0..5, built once at import:
+#: the sizes that enumeration walks, and that the pure labeling walks
+#: rather than search (from six vertices the walk is the slower one)
+SWAPS = tuple(plain_changes(n) for n in range(6))
+
+
+def orbit(family: int, swaps: list[tuple[int, int]]) -> list[int]:
+    """``family`` followed by its image after each of ``swaps`` in turn.
+    Each is a delta swap: ``t`` marks the masks in ``a`` whose bit differs
+    from the bit ``d`` places above, and both bits of each pair flip."""
+    out = [family]
+    for a, d in swaps:
+        t = (family ^ family >> d) & a
+        family ^= t | t << d
+        out.append(family)
+    return out

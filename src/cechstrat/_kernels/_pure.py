@@ -8,10 +8,13 @@ ones operation for operation: same processing order, same deterministic
 shuffle, same tolerances and the same floating-point operations in the
 same order, so radii agree across backends bit for bit.  The canonical
 labeling and the surjection search return the compiled kernels' exact
-results by pruned searches instead of their exhaustive ones.  The
-surjection search reads a plan per complex and role, target or source,
-built once and kept by value in a bounded cache, so an enumeration that
-searches the same complexes thousands of times builds each plan once.
+results.  Up to five vertices the labeling is exhaustive too: it walks
+every relabeling of the family bitset by the plain-changes swaps of
+``cechstrat._bits``, as enumeration does.  From six vertices it, and the
+surjection search at any size, are pruned searches.  The surjection
+search reads a plan per complex and role, target or source, built once
+and kept by value in a bounded cache, so an enumeration that searches
+the same complexes thousands of times builds each plan once.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 import math
 from typing import NoReturn
 
-from .._bits import family_of, holding
+from .._bits import SWAPS, family_of, holding, members, orbit
 
 _MASK64 = (1 << 64) - 1
 _SHUFFLE_SEED = 0x9E3779B97F4A7C15
@@ -262,15 +265,20 @@ def canonical_masks(n: int, masks) -> tuple[int, ...]:
     """Lexicographically least relabeling of a simplex mask set.
 
     The least, over all n! vertex relabelings, of the sorted tuple of
-    remapped masks; a complete isomorphism invariant.  Labels are given
-    one at a time: the masks below 2^(k+1) are exactly those on labels
-    0..k, so the vertices given labels 0..k fix a prefix of the sorted
-    tuple.  Every level keeps only the partial labelings whose prefix is
-    least, a proper prefix ranking after its extensions (the tuples have
-    equal length, and the next mask of the shorter one is larger), and
-    branches only on the least unlabeled vertex of each twin class (its
-    twins would give the same tuples).  So the least leaf is the least
-    relabeling without trying them all.
+    remapped masks; a complete isomorphism invariant.
+
+    Up to five vertices (``SWAPS`` holds the walk's swaps for those sizes)
+    every relabeling is tried, as the compiled kernel does, by walking the
+    orbit of the family bitset and keeping its least member.  From six
+    vertices the walk is the slower way, and labels are given one at a
+    time: the masks below 2^(k+1) are exactly those on labels 0..k, so the
+    vertices given labels 0..k fix a prefix of the sorted tuple.  Every
+    level keeps only the partial labelings whose prefix is least, a proper
+    prefix ranking after its extensions (the tuples have equal length, and
+    the next mask of the shorter one is larger), and branches only on the
+    least unlabeled vertex of each twin class (its twins would give the
+    same tuples).  So the least leaf is the least relabeling without
+    trying them all.
     """
     n = _c_int(n)  # the compiled kernel converts its int arguments first
     if not 0 <= n <= _MAX_CANONICAL_VERTICES:
@@ -285,6 +293,15 @@ def canonical_masks(n: int, masks) -> tuple[int, ...]:
                      "mask out of range for vertex count")
     if not ms:
         return ()
+    if n < len(SWAPS):
+        # equal-size families: the lesser sorted tuple holds the lowest bit
+        # of their XOR
+        best = family_of(n, ms)
+        for f in orbit(best, SWAPS[n]):
+            d = f ^ best
+            if f & d & -d:
+                best = f
+        return tuple(members(best))
     present = set(ms)
     # per vertex v: each mask holding v, its face without v, and whether a
     # partial labeling keeps that face's image (a mask, a vertex or empty)

@@ -4,8 +4,9 @@ Vertices are dense integers ``0..n-1``; a complex stores its full simplex
 set (downward closed, every vertex present as a singleton) as integer
 bitmasks, bit ``v`` standing for vertex ``v``.  Vertex tuples are derived
 from the masks on demand, for JSON and display.  A canonical form is the
-least relabeling of the masks, found by a pruned search under a fixed
-vertex cap, so keys agree exactly on isomorphism classes.
+least relabeling of the masks under a fixed vertex cap, found by trying
+every relabeling up to five vertices and by a pruned search above, so keys
+agree exactly on isomorphism classes.
 """
 
 from __future__ import annotations
@@ -283,10 +284,11 @@ def canonical_form(c: SimplicialComplex) -> IsoClass:
     """Canonical representative and key under vertex relabeling.
 
     The representative is the relabeling whose sorted masks are
-    lexicographically least: the pure kernel finds it by a pruned search,
-    the compiled one by trying all n! relabelings.  Complexes above
-    ``VERTEX_CAP`` vertices are rejected rather than silently taking
-    factorial time.
+    lexicographically least.  The compiled kernel tries all n!
+    relabelings; the pure one does too up to five vertices, by the
+    plain-changes walk, and finds it by a pruned search above.  Complexes
+    above ``VERTEX_CAP`` vertices are rejected rather than silently
+    taking factorial time.
     """
     if c.n_vertices > VERTEX_CAP:
         raise CapExceeded(f"canonical form needs {c.n_vertices} vertices > cap {VERTEX_CAP}")

@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass
 
 from . import _json, _kernels
-from ._bits import holding, members, set_bits
+from ._bits import SWAPS, holding, members, orbit, set_bits
 from .complexes import (
     VERTEX_CAP,
     CapExceeded,
@@ -138,42 +138,6 @@ def _labeled_complexes(n: int) -> list[int]:
     return families
 
 
-def _plain_changes(n: int) -> list[tuple[int, int]]:
-    """The n! - 1 swaps of adjacent vertices in plain-changes order
-    (Steinhaus-Johnson-Trotter): applied in turn to a family bitset, they
-    reach each of its relabellings once.
-
-    The swap of u and u + 1 is given as ``(a, 2^u)``: it moves the masks in
-    ``a``, those holding u but not u + 1, up by 2^u, and the masks they
-    land on down by as much.
-    """
-    order: list[int] = []
-    for k in range(2, n + 1):
-        # item k - 1 sweeps down across the other k - 1 and back up, with one
-        # swap of their own order between two sweeps; while it is at the
-        # bottom, the others sit one place higher
-        sweeps = (range(k - 2, -1, -1), range(k - 1))
-        longer: list[int] = []
-        for i, u in enumerate(order):
-            longer += sweeps[i % 2]
-            longer.append(u + 1 - i % 2)
-        order = longer + list(sweeps[len(order) % 2])
-    swaps = [(holding(n, u) & ~holding(n, u + 1), 1 << u) for u in range(n - 1)]
-    return [swaps[u] for u in order]
-
-
-def _orbit(family: int, swaps: list[tuple[int, int]]) -> list[int]:
-    """``family`` followed by its image after each of ``swaps`` in turn.
-    Each is a delta swap: ``t`` marks the masks in ``a`` whose bit differs
-    from the bit ``d`` places above, and both bits of each pair flip."""
-    orbit = [family]
-    for a, d in swaps:
-        t = (family ^ family >> d) & a
-        family ^= t | t << d
-        orbit.append(family)
-    return orbit
-
-
 def _bijection_excluded(fa: tuple[int, ...], fb: tuple[int, ...]) -> bool:
     """True when no simplicial bijection maps a complex with f-vector ``fa``
     onto a different class with f-vector ``fb``: a bijection is injective
@@ -197,7 +161,8 @@ def enumerate_classes(n_max: int) -> PosetUniverse:
     Classes: the labeled complexes of each vertex count are visited as
     family bitsets.  One of a class not yet known gets its canonical form,
     and its orbit, walked by the n! - 1 adjacent swaps of plain-changes
-    order, is mapped to that class, so each class is labeled once.
+    order (``SWAPS[n]``, which the pure labeling walks too), is mapped to
+    that class, so each class is labeled once.
 
     Relation: rows are filled with the vertex count ascending and the
     simplex count descending, so every class below a has its row first:
@@ -214,11 +179,10 @@ def enumerate_classes(n_max: int) -> PosetUniverse:
     found: list[IsoClass] = []
     class_of: dict[int, IsoClass] = {}
     for n in range(1, n_max + 1):
-        swaps = _plain_changes(n)
         for family in _labeled_complexes(n):
             if family not in class_of:
                 found.append(canonical_form(SimplicialComplex(n, members(family))))
-                class_of.update(dict.fromkeys(_orbit(family, swaps), found[-1]))
+                class_of.update(dict.fromkeys(orbit(family, SWAPS[n]), found[-1]))
     classes = tuple(sorted(found, key=lambda c: (c.n_vertices, c.key)))
     index = {c.key: i for i, c in enumerate(classes)}
     sizes = [c.n_vertices for c in classes]

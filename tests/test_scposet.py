@@ -24,7 +24,7 @@ from cechstrat import (
     make_complex,
     upset,
 )
-from cechstrat import _kernels, complexes, scposet
+from cechstrat import _bits, _kernels, complexes, scposet
 from cechstrat._bits import vertices_of
 
 from conftest import FIG2_MAP_C_TO_D, fig2_complexes, package_modules, random_complex
@@ -583,8 +583,10 @@ class TestUniverseJson:
 
 
 class TestOrbitWalk:
-    """Each new class marks its orbit by walking the plain-changes swaps on
-    its family bitset."""
+    """The one relabelling walk, ``_bits.orbit`` over the plain-changes
+    swaps: each new class of the enumeration marks its orbit by it, and the
+    pure ``canonical_masks`` takes the least member of it up to five
+    vertices."""
 
     @staticmethod
     def relabellings(n, family):
@@ -594,18 +596,17 @@ class TestOrbitWalk:
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_every_labelled_complex_up_to_four_vertices(self, n):
-        swaps = scposet._plain_changes(n)
         for family in scposet._labeled_complexes(n):
-            assert set(scposet._orbit(family, swaps)) == self.relabellings(n, family)
+            assert set(_bits.orbit(family, _bits.SWAPS[n])) == self.relabellings(n, family)
 
     def test_a_sample_on_five_vertices(self):
-        swaps = scposet._plain_changes(5)
         for family in random.Random(37).sample(scposet._labeled_complexes(5), 60):
-            assert set(scposet._orbit(family, swaps)) == self.relabellings(5, family)
+            assert set(_bits.orbit(family, _bits.SWAPS[5])) == self.relabellings(5, family)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(len(_bits.SWAPS) + 1))
     def test_swaps_reach_each_permutation_once(self, n):
-        swaps = scposet._plain_changes(n)
+        swaps = _bits.plain_changes(n)
+        assert n >= len(_bits.SWAPS) or _bits.SWAPS[n] == swaps
         order = list(range(n))
         seen = {tuple(order)}
         for _, d in swaps:
