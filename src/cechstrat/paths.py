@@ -324,9 +324,23 @@ def _resolve(label_fn, lo, hi, l_lo, l_hi):
     return [(lo, l_lo) if low is l_lo else (hi, l_hi)]
 
 
-def transitions(path: PLPath, resolution: float) -> list[tuple[float, StratumLabel]]:
+class Instant(tuple):
+    """A transition as the pair (t, label), which also keeps the instant's
+    extent [``lo``, ``hi``]: on a still stretch the crossings it joins and
+    its time t, elsewhere t alone."""
+
+    lo: float
+    hi: float
+
+    def __new__(cls, t: float, label: StratumLabel, lo: float, hi: float):
+        instant = super().__new__(cls, (t, label))
+        instant.lo, instant.hi = lo, hi
+        return instant
+
+
+def transitions(path: PLPath, resolution: float) -> list[Instant]:
     """Instants where the refined stratum label changes, with the label at
-    each instant.
+    each instant, as :class:`Instant` pairs.
 
     On a still stretch the instants are exact and the resolution plays no
     part (see :func:`_still_events`).  Where tracks move, labels are taken
@@ -346,13 +360,14 @@ def transitions(path: PLPath, resolution: float) -> list[tuple[float, StratumLab
                          "the width of the bisection's final bracket")
     steps = max(1, math.ceil(1.0 / resolution))
     bp = path.breakpoints
-    events: list[tuple[float, StratumLabel]] = []
+    events: list[Instant] = []
     first = 0
     # a run of segments sharing one configuration is a still stretch
     for shared, run in itertools.groupby(path._still):
         last = first + len(list(run))
         if shared is None:
-            events.extend(_grid_events(path, bp[first], bp[last], steps, resolution * 1e-3))
+            events.extend(Instant(t, label, t, t) for t, label in
+                          _grid_events(path, bp[first], bp[last], steps, resolution * 1e-3))
         else:
             events.extend(_still_events(path, first, last))
         first = last
@@ -446,7 +461,7 @@ def _trends(path: PLPath, first: int, last: int):
     return zip(range(first, last), trends, map(operator.ne, trends, [None, *trends]))
 
 
-def _still_events(path: PLPath, first: int, last: int) -> list[tuple[float, StratumLabel]]:
+def _still_events(path: PLPath, first: int, last: int) -> list[Instant]:
     """Exact transitions of the still stretch over breakpoints first..last.
 
     The label is a function of the zone of the radius in the stretch's one
@@ -527,7 +542,7 @@ def _still_events(path: PLPath, first: int, last: int) -> list[tuple[float, Stra
         if low is None:
             raise ValueError(_INCOMPARABLE)
         if any(side is not None and side != low for side in sides[k:k + 2]):
-            events.append((t_star, low))
+            events.append(Instant(t_star, low, min(lo, t_star), max(hi, t_star)))
     return events
 
 
@@ -732,23 +747,29 @@ def zigzag(path: PLPath, resolution: float) -> ZigzagDiagram:
 
     Each interval is read at one sample time: its class is the label
     there, and its maps are the entrance maps from there into the instants
-    on both sides.  Inner intervals are sampled at their midpoints, the
-    first at t = 0 and the last at t = 1, the path's ends, which lie
-    outside the tolerance band of the adjacent instant however close to
-    the end it is.  An interval no wider than ``_POINT_WIDTH``, such as the
-    outer interval of a transition at an end of the path, is just an
-    instant: it is read at the instant that closes it, the last interval at
-    the one that opens it, and enters that instant by the identity.
+    on both sides.  Inner intervals are sampled in the middle of the gap
+    between their instants' extents (:class:`Instant`), which on a still
+    stretch hold the crossings each instant joins, so that the sample lies
+    outside both; the first is sampled at t = 0 and the last at t = 1, the
+    path's ends, which lie outside the tolerance band of the adjacent
+    instant however close to the end it is.  An interval no wider than
+    ``_POINT_WIDTH`` between the times that bound it, such as the outer
+    interval of a transition at an end of the path, is just an instant: it
+    is read at the instant that closes it, the last interval at the one
+    that opens it, and enters that instant by the identity.
     """
     events = transitions(path, resolution)
     times = [t for t, _ in events]
     bounds = [0.0, *times, 1.0]
+    # each gap runs from the extent of the instant before to the next one's
+    gaps = [0.0, *(x for e in events for x in (e.lo, e.hi)), 1.0]
     samples = []
     for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
         if b - a <= _POINT_WIDTH:
             samples.append(b if k < len(events) else a)
         else:
-            samples.append(0.0 if k == 0 else 1.0 if k == len(events) else 0.5 * (a + b))
+            samples.append(0.0 if k == 0 else 1.0 if k == len(events)
+                           else 0.5 * (gaps[2 * k] + gaps[2 * k + 1]))
     return ZigzagDiagram(
         tuple(times),
         tuple(stratum_label(evaluate(path, t)) for t in samples),

@@ -122,22 +122,6 @@ class PosetUniverse:
         return universe
 
 
-def _labeled_complexes(n: int) -> list[int]:
-    """Every downward-closed simplex family on exactly n labeled vertices,
-    each as one bitset with bit ``m`` set for simplex mask ``m``.
-
-    Simplices of size >= 2 are taken in (size, mask) order, and each family
-    found so far that holds all facets of a mask is found again with the
-    mask added, so each family comes out exactly once.
-    """
-    families = [sum(1 << (1 << v) for v in range(n))]
-    for m in sorted((m for m in range(1 << n) if m.bit_count() >= 2),
-                    key=lambda m: (m.bit_count(), m)):
-        faces = sum(1 << (m ^ 1 << v) for v in set_bits(m))
-        families += [f | 1 << m for f in families if f & faces == faces]
-    return families
-
-
 def _bijection_excluded(fa: tuple[int, ...], fb: tuple[int, ...]) -> bool:
     """True when no simplicial bijection maps a complex with f-vector ``fa``
     onto a different class with f-vector ``fb``: a bijection is injective
@@ -158,11 +142,13 @@ def enumerate_classes(n_max: int) -> PosetUniverse:
     """Every isomorphism class on 1..n_max vertices with the full relation;
     ``n_max`` is at most ``ENUM_CAP``.
 
-    Classes: the labeled complexes of each vertex count are visited as
-    family bitsets.  One of a class not yet known gets its canonical form,
-    and its orbit, walked by the n! - 1 adjacent swaps of plain-changes
-    order (``SWAPS[n]``, which the pure labeling walks too), is mapped to
-    that class, so each class is labeled once.
+    Classes: those on n vertices are grown from the discrete complex as
+    family bitsets, one addable simplex (:func:`_addable`) at a time.  A
+    family of a class not yet known gets its canonical form, its orbit,
+    walked by the n! - 1 adjacent swaps of plain-changes order (``SWAPS[n]``,
+    which the pure labeling walks too), is mapped to that class, and its
+    additions are grown.  So each class is labeled once, and each is
+    reached: a complex less a maximal simplex has that simplex addable.
 
     Relation: rows are filled with the vertex count ascending and the
     simplex count descending, so every class below a has its row first:
@@ -179,10 +165,13 @@ def enumerate_classes(n_max: int) -> PosetUniverse:
     found: list[IsoClass] = []
     class_of: dict[int, IsoClass] = {}
     for n in range(1, n_max + 1):
-        for family in _labeled_complexes(n):
+        grown = [sum(1 << (1 << v) for v in range(n))]
+        while grown:
+            family = grown.pop()
             if family not in class_of:
                 found.append(canonical_form(SimplicialComplex(n, members(family))))
                 class_of.update(dict.fromkeys(orbit(family, SWAPS[n]), found[-1]))
+                grown += (family | 1 << m for m in set_bits(_addable(n, family)))
     classes = tuple(sorted(found, key=lambda c: (c.n_vertices, c.key)))
     index = {c.key: i for i, c in enumerate(classes)}
     sizes = [c.n_vertices for c in classes]

@@ -74,11 +74,16 @@ def _recursive_labeled_complexes(n):
     yield from rec(0)
 
 
+def labeled_families(n):
+    """The reference generator's complexes as family bitsets."""
+    return [sum(1 << m for m in masks) for masks in _recursive_labeled_complexes(n)]
+
+
 def orbit_count(n):
     """Classes on exactly n vertices by orbit counting, independent of the
     enumeration's own relabelling tables: the number of orbits is the
     average, over vertex permutations, of the labelled families they fix."""
-    families = [frozenset(vertices_of(f)) for f in scposet._labeled_complexes(n)]
+    families = [frozenset(masks) for masks in _recursive_labeled_complexes(n)]
     perms = list(itertools.permutations(range(n)))
     fixed_total = 0
     for perm in perms:
@@ -255,11 +260,15 @@ class TestEnumeration:
         assert len(u.classes) == 8
 
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_labeled_complexes_match_recursive_generator(self, n):
-        families = scposet._labeled_complexes(n)
-        assert len(set(families)) == len(families)
-        expected = {sum(1 << m for m in masks) for masks in _recursive_labeled_complexes(n)}
-        assert set(families) == expected
+    def test_class_orbits_are_the_labeled_complexes(self, n, universe5):
+        """Growth from the discrete complex reaches every class once: the
+        orbits of the classes found are disjoint and cover every labeled
+        complex on n vertices."""
+        orbits = [set(_bits.orbit(c.canonical.family, _bits.SWAPS[n]))
+                  for c in universe5.classes if c.n_vertices == n]
+        families = set().union(*orbits)
+        assert sum(map(len, orbits)) == len(families)
+        assert families == set(labeled_families(n))
 
     def test_counts_match_orbit_counting(self):
         for n, expected in [(1, 1), (2, 2), (3, 5), (4, 20)]:
@@ -305,7 +314,7 @@ class TestEnumeration:
         assert (reach == strict).all()
 
     def test_five_vertex_orbit_count(self):
-        assert len(scposet._labeled_complexes(5)) == 6894
+        assert len(labeled_families(5)) == 6894
         assert orbit_count(5) == 180
 
     def test_five_vertex_output_bytes(self, universe5):
@@ -596,11 +605,11 @@ class TestOrbitWalk:
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_every_labelled_complex_up_to_four_vertices(self, n):
-        for family in scposet._labeled_complexes(n):
+        for family in labeled_families(n):
             assert set(_bits.orbit(family, _bits.SWAPS[n])) == self.relabellings(n, family)
 
     def test_a_sample_on_five_vertices(self):
-        for family in random.Random(37).sample(scposet._labeled_complexes(5), 60):
+        for family in random.Random(37).sample(labeled_families(5), 60):
             assert set(_bits.orbit(family, _bits.SWAPS[5])) == self.relabellings(5, family)
 
     @pytest.mark.parametrize("n", range(len(_bits.SWAPS) + 1))

@@ -11,8 +11,10 @@ compared line by line.  Each line gives the sha256 of the JSON list of
 every zigzag's JSON, or its refusal as ``{"refused": message}``, in turn;
 the number of zigzags built and of intervals no wider than two final
 brackets; the refusals, grouped by message with the numbers taken out;
-and the instants whose label is not the label at their own time, as
-(zigzag index, time).  The corpora, all at resolution 0.01:
+the instants whose label is not the label at their own time, as
+(zigzag index, time); and the zigzags whose path takes, at some
+t = k/64, a label that the zigzag lacks, as (zigzag index, first such
+t).  The corpora, all at resolution 0.01:
 
 - growth: the benchmark's growth inputs of seeds 1-3, as
   ``cech_path(cfg, 0.9)``, both ways (162 zigzags);
@@ -21,7 +23,7 @@ and the instants whose label is not the label at their own time, as
 - moving: 300 ``random_moving_path``s of seed 11.
 
 This is a script, not a test module: pytest does not collect it.  It
-takes about 75 s on the pure kernels.
+takes about 90 s on the pure kernels.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ import sys
 from pathlib import Path
 
 RESOLUTION = 0.01
+
+#: the labels a path takes are read at t = k/SAMPLES, k = 0..SAMPLES
+SAMPLES = 64
 
 
 def load(name: str, file: Path):
@@ -75,7 +80,7 @@ def corpora(cechstrat, conftest, workloads):
 
 def summary(cechstrat, name: str, paths) -> str:
     point_width = 2.0 * cechstrat.paths._BRACKET_FLOOR
-    out, refusals, mislabelled = [], collections.Counter(), []
+    out, refusals, mislabelled, absent = [], collections.Counter(), [], []
     built = points = 0
     for i, path in enumerate(paths):
         try:
@@ -91,10 +96,14 @@ def summary(cechstrat, name: str, paths) -> str:
         points += sum(b - a <= point_width for a, b in zip(bounds, bounds[1:]))
         mislabelled += [(i, t) for t, label in zip(z.times, z.transition_classes)
                         if cechstrat.stratum_label(cechstrat.evaluate(path, t)) != label]
+        labels = z.interval_classes + z.transition_classes
+        absent += [(i, t) for t in (k / SAMPLES for k in range(SAMPLES + 1))
+                   if cechstrat.stratum_label(cechstrat.evaluate(path, t)) not in labels][:1]
     digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
     refused = "; ".join(f"{n} x {message}" for message, n in sorted(refusals.items()))
     return (f"{name}: sha256 {digest}, {built} built, {points} zero-width intervals, "
-            f"{sum(refusals.values())} refused [{refused}], mislabelled instants {mislabelled}")
+            f"{sum(refusals.values())} refused [{refused}], mislabelled instants {mislabelled}, "
+            f"labels taken but absent {absent}")
 
 
 def main(argv: list[str]) -> None:
