@@ -15,7 +15,10 @@ zigzag of vertex-surjective simplicial maps.  An entrance map is certified,
 then stepped: the label is checked once on the whole interval up to the
 instant, then the tracks are followed to a time inside the instant's safe
 ball and one local map snaps them onto it.  The step halves toward the
-instant and stops, refusing the map, where a halving no longer moves.
+instant and stops, refusing the map, where a halving no longer moves.  On
+a still stretch the certification reads the stretch's one walk over its
+zone-edge crossings, made once per path, the step compares radii alone,
+and the tracks are renamed by the stretch's one track assignment.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .complexes import (
 )
 from .geometry import _MAX_DIM, DELTA_PT, PointConfig, RanPoint, sup_distance
 from .scposet import dominates
-from .strat import StratumLabel, local_map, stratum_label, tilde_r
+from .strat import StratumLabel, _zone_label, local_map, stratum_label, tilde_r
 
 _BRACKET_FLOOR = 1e-13
 
@@ -79,7 +82,9 @@ class PLPath:
     tuple.  A run of segments where no track moves is a still stretch: its
     configuration and track assignment are built once, from the gaps
     between moving segments, and shared by every evaluation on it; only
-    the radius varies.
+    the radius varies.  Construction scans no configuration: the times at
+    which the radius meets a zone edge of a stretch's scan are walked by
+    the first reader that needs them.
     """
 
     dim: int
@@ -90,6 +95,10 @@ class PLPath:
     #: still stretch, or None on a segment where some track moves
     _still: tuple[tuple[PointConfig, tuple[int, ...]] | None, ...] = field(
         init=False, repr=False, compare=False)
+    #: per segment of a still stretch, the stretch's zone-edge crossings
+    #: (:func:`_stretch_walk`), walked by the first reader and kept for
+    #: every segment of the stretch
+    _walks: dict[int, list[float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.dim <= _MAX_DIM:
@@ -147,6 +156,7 @@ class PLPath:
                 still[first:seg] = itertools.repeat(shared, seg - first)
             first = seg + 1
         object.__setattr__(self, "_still", tuple(still))
+        object.__setattr__(self, "_walks", {})
 
     def _check_merge_persistence(self, moving: list[int]):
         """One sweep over each pair's offsets, one offset per breakpoint,
@@ -461,6 +471,32 @@ def _trends(path: PLPath, first: int, last: int):
     return zip(range(first, last), trends, map(operator.ne, trends, [None, *trends]))
 
 
+def _stretch_walk(path: PLPath, seg: int) -> list[float]:
+    """The times, ascending, at which the radius meets a zone edge
+    (:func:`~cechstrat.cech.zone_edges`) on the whole still stretch that
+    holds segment ``seg``: one :func:`_crossings` walk per stretch, made by
+    its first reader and kept on the path for each of its segments."""
+    walk = path._walks.get(seg)
+    if walk is None:
+        still, shared = path._still, path._still[seg]
+        first, last = seg, seg + 1
+        while first > 0 and still[first - 1] is shared:
+            first -= 1
+        while last < len(still) and still[last] is shared:
+            last += 1
+        walk = _crossings(path, first, last, zone_edges(subset_radii(shared[0])))
+        path._walks.update(dict.fromkeys(range(first, last), walk))
+    return walk
+
+
+def _crossed_between(path: PLPath, seg: int, lo: float, hi: float) -> list[float]:
+    """The zone-edge crossings strictly between ``lo`` and ``hi`` on the
+    still stretch that holds segment ``seg``, by two bisections of its walk
+    (:func:`_stretch_walk`)."""
+    walk = _stretch_walk(path, seg)
+    return walk[bisect.bisect_right(walk, lo):bisect.bisect_left(walk, hi)]
+
+
 def _still_events(path: PLPath, first: int, last: int) -> list[Instant]:
     """Exact transitions of the still stretch over breakpoints first..last.
 
@@ -474,11 +510,13 @@ def _still_events(path: PLPath, first: int, last: int) -> list[Instant]:
     and itself inside a band (:func:`_end_joined`); a longer stay inside a
     band is an interval between two instants.
 
-    Only the instants and one time between each two are labelled: the
-    midpoint, or the stretch end for an outer side.  One walk over the
-    stretch's segments finds where the radius meets a zone edge or a scan
-    radius (:func:`_crossings`), and the radius turns where a segment's
-    trend differs from the one before it (:func:`_trends`).
+    Only the instants and one time between each two are labelled, by the
+    zone read there: the midpoint, or the stretch end for an outer side.
+    One walk over the stretch's segments finds where the radius meets a
+    zone edge (kept on the path for its entrance maps, see
+    :func:`_stretch_walk`) or a scan radius (:func:`_crossings`), and the
+    radius turns where a segment's trend differs from the one before it
+    (:func:`_trends`).
     An instant lies where the radius meets a scan radius, turns or the
     stretch ends, at the one of these with the lowest label; a lone
     crossing into or out of a longer stay has none, and its instant is
@@ -495,7 +533,7 @@ def _still_events(path: PLPath, first: int, last: int) -> list[Instant]:
         return read_scan(scan, _radius_at(path, *_place(path, t)))
 
     spans: list[list[float]] = []
-    for t in _crossings(path, first, last, zone_edges(scan)):
+    for t in _stretch_walk(path, first):
         if spans and _joined(zone, spans[-1][1], t):
             spans[-1][1] = t
         else:
@@ -511,7 +549,7 @@ def _still_events(path: PLPath, first: int, last: int) -> list[Instant]:
     bounds = (bp[first], *(x for span in spans for x in span), bp[last])
     mids = [0.5 * (u + v) for u, v in zip(bounds[::2], bounds[1::2])]
     reads = [bp[first], *mids[1:-1], bp[last]]
-    sides = [stratum_label(evaluate(path, t)) if v - u > _POINT_WIDTH else None
+    sides = [_zone_label(scan, zone(t)) if v - u > _POINT_WIDTH else None
              for t, u, v in zip(reads, bounds[::2], bounds[1::2])]
     events = []
     for k, (lo, hi) in enumerate(spans):
@@ -528,8 +566,8 @@ def _still_events(path: PLPath, first: int, last: int) -> list[Instant]:
             candidates[zone(far)] = _step_past(zone, lo, far)
         t_star = low = None
         # a tie of classes keeps the first: the most critical subsets go first
-        for _, t in sorted(candidates.items(), key=lambda item: item[0].lo - item[0].hi):
-            label = stratum_label(evaluate(path, t))
+        for z, t in sorted(candidates.items(), key=lambda item: item[0].lo - item[0].hi):
+            label = _zone_label(scan, z)
             lower = label if low is None else _lower_label(low, label)
             if lower is None:
                 raise ValueError(_INCOMPARABLE)
@@ -586,26 +624,38 @@ def _step_past(zone, near: float, far: float) -> float:
 
 def _renaming_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
     """Vertex renaming induced by following the tracks along a stretch with
-    constant label."""
-    rp_a, asn_a = _evaluate_tracks(path, t_from)
-    rp_b, asn_b = _evaluate_tracks(path, t_to)
-    n_a = len(rp_a.config)
-    vmap: list[int | None] = [None] * n_a
-    for track, v in enumerate(asn_a):
-        w = asn_b[track]
-        if vmap[v] is None:
-            vmap[v] = w
-        elif vmap[v] != w:
-            raise ValueError(
-                f"tracks split between t={t_from} and t={t_to}; label constancy violated"
-            )
-    if any(v is None for v in vmap):
-        raise ValueError("some vertex lost all its tracks; label constancy violated")
-    m = SimplicialMap(
-        cech_complex(rp_a),
-        cech_complex(rp_b),
-        tuple(vmap),  # type: ignore[arg-type]
-    )
+    constant label.
+
+    On a still stretch it is the identity of the stretch's one track
+    assignment, between the Cech complexes of the stretch's scan at the two
+    radii (:meth:`~cechstrat.cech.Scan.complex`, the objects that
+    :func:`~cechstrat.cech.cech_complex` returns).  Elsewhere each vertex
+    at t_from goes where its tracks are at t_to.  Either way the map must
+    be vertex-surjective and simplicial.
+    """
+    run = _still_run(path, t_from, t_to)
+    if run is None:
+        rp_a, asn_a = _evaluate_tracks(path, t_from)
+        rp_b, asn_b = _evaluate_tracks(path, t_to)
+        vmap: list[int | None] = [None] * len(rp_a.config)
+        for track, v in enumerate(asn_a):
+            w = asn_b[track]
+            if vmap[v] is None:
+                vmap[v] = w
+            elif vmap[v] != w:
+                raise ValueError(
+                    f"tracks split between t={t_from} and t={t_to}; label constancy violated"
+                )
+        if any(v is None for v in vmap):
+            raise ValueError("some vertex lost all its tracks; label constancy violated")
+        source, target = cech_complex(rp_a), cech_complex(rp_b)
+    else:
+        config = path._still[run[0]][0]
+        scan = subset_radii(config)
+        source, target = (scan.complex(read_scan(scan, _radius_at(path, *_place(path, t))).hi)
+                          for t in (t_from, t_to))
+        vmap = list(range(len(config)))
+    m = SimplicialMap(source, target, tuple(vmap))  # type: ignore[arg-type]
     if not m.is_vertex_surjective():
         raise ValueError("renaming map is not onto; label constancy violated")
     if not is_simplicial(m):
@@ -630,28 +680,32 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
 
     Certify, then step.  The refined label must be constant on [t_from,
     t_to); it may drop at t_to.  On a still stretch this is certified
-    exactly: the label is a function of the zone of the radius, which
-    changes only where the radius meets a zone edge, so the zone must be
-    the one at t_from up to the instant that t_to lies in, and may change
-    only inside that instant: the crossings that :func:`transitions` joins
-    into one (see :func:`_left_early`).  Where tracks move, the label is
-    spot-checked at ``_CONSTANCY_SAMPLES`` evenly spaced times of [t_from,
-    t_to).
+    exactly, from the stretch's one walk over its zone-edge crossings: the
+    label is a function of the zone of the radius, which changes only where
+    the radius meets a zone edge, so the zone must be the one at t_from up
+    to the instant that t_to lies in, and may change only inside that
+    instant: the crossings that :func:`transitions` joins into one (see
+    :func:`_left_early`).  Where tracks move, the label is spot-checked at
+    ``_CONSTANCY_SAMPLES`` evenly spaced times of [t_from, t_to).
 
     The step is the track renaming from t_from to tau composed with
     :func:`~cechstrat.strat.local_map` from x(tau) onto x(t_to): tau starts
     at the midpoint and moves halfway to t_to until x(tau) lies strictly
-    inside the safe ball of x(t_to).  Where the next tau would equal t_to
-    or round back onto tau, no time is left to try and the map is refused.
-    Works in either time direction.
+    inside the safe ball of x(t_to).  On a still stretch the configuration
+    does not move, so that is read from the radius alone, and the renaming
+    is the identity of the stretch's one track assignment
+    (:func:`_renaming_map`).  Where the next tau would equal t_to or round
+    back onto tau, no time is left to try and the map is refused.  Works in
+    either time direction.
     """
     if not (0.0 <= t_from <= 1.0 and 0.0 <= t_to <= 1.0):
         raise ValueError("path parameters must lie in [0, 1]")
     if t_from == t_to:
         return identity_map(cech_complex(evaluate(path, t_from)))
-    x_from, end = evaluate(path, t_from), evaluate(path, t_to)
+    end = evaluate(path, t_to)
     run = _still_run(path, t_from, t_to)
     if run is None:
+        x_from = evaluate(path, t_from)
         checks = [t_from + (t_to - t_from) * k / _CONSTANCY_SAMPLES
                   for k in range(1, _CONSTANCY_SAMPLES)]
         labels = [stratum_label(evaluate(path, t)) for t in checks]
@@ -659,7 +713,7 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
         l_from = stratum_label(x_from)
         change = next((t for t, label in zip(checks, labels) if label != l_from), None)
     else:
-        change = _left_early(path, run, t_from, t_to, x_from)
+        change = _left_early(path, run, t_from, t_to)
     if change is not None:
         raise ValueError(f"label is not constant on [{t_from}, {t_to}): changes near t={change}")
     safe = tilde_r(end).safe_radius
@@ -669,28 +723,38 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
         if tau == last or tau == t_to:
             raise ValueError(f"no time between t={last} and t={t_to} lies inside the safe "
                              f"ball of x(t={t_to})")
-        x_tau = evaluate(path, tau)
-        if sup_distance(x_tau, end) < safe:
-            return compose(_renaming_map(path, t_from, tau), local_map(x_tau, end))
+        if run is None:
+            x_tau = evaluate(path, tau)
+            if not sup_distance(x_tau, end) < safe:
+                continue
+        elif abs(_radius_at(path, *_place(path, tau)) - end.radius) < safe:
+            # one configuration, at Hausdorff distance 0.0 from itself: the
+            # sup distance is the radius difference
+            x_tau = evaluate(path, tau)
+        else:
+            continue
+        return compose(_renaming_map(path, t_from, tau), local_map(x_tau, end))
 
 
-def _left_early(path: PLPath, run: tuple[int, int], t_from: float, t_to: float,
-                x_from: RanPoint) -> float | None:
-    """Where the still path over the breakpoints ``run`` leaves its zone at
-    t_from, where it is ``x_from``, before the instant that t_to lies in,
-    or None if it does not.
+def _left_early(path: PLPath, run: tuple[int, int], t_from: float,
+                t_to: float) -> float | None:
+    """Where the still path over the breakpoints ``run`` leaves the zone
+    of its radius at t_from before the instant that t_to lies in, or None
+    if it does not.
 
     The zone changes only where the radius meets a zone edge.  Taken from
-    t_from on, the crossings strictly between t_from and t_to keep the zone
-    at t_from between them up to the first that leaves it.  From there on
-    the zone may change only inside the instant that t_to lies in: every
-    two crossings in turn, and the last one and t_to, must be one instant
-    by :func:`_joined`, the rule by which :func:`transitions` joins them.
+    t_from on, the crossings strictly between t_from and t_to, two
+    bisections of the stretch's one walk (:func:`_crossed_between`), keep
+    the zone at t_from between them up to the first that leaves it.  From
+    there on the zone may change only inside the instant that t_to lies
+    in: every two crossings in turn, and the last one and t_to, must be one
+    instant by :func:`_joined`, the rule by which :func:`transitions` joins
+    them.
     """
-    scan = subset_radii(x_from.config)
-    start = read_scan(scan, x_from.radius)
+    scan = subset_radii(path._still[run[0]][0])
+    start = read_scan(scan, _radius_at(path, *_place(path, t_from)))
     lo, hi = sorted((t_from, t_to))
-    met = [t for t in _crossings(path, *run, zone_edges(scan)) if lo < t < hi]
+    met = _crossed_between(path, run[0], lo, hi)
     chain = [*(reversed(met) if t_to < t_from else met), t_to]
     left = None
     for u, v in zip(chain, chain[1:]):

@@ -128,17 +128,17 @@ def local_map(source: RanPoint, target: RanPoint) -> SimplicialMap:
     radius ``r_tilde/4`` around the target points and is mapped there.
     Raises when the points are too far apart (the caller must subdivide).
     """
-    ball = tilde_r(target)
+    safe = tilde_r(target).safe_radius
     dist = sup_distance(source, target)
-    if not (dist < ball.safe_radius):
+    if not (dist < safe):
         raise ValueError(
             f"sup distance {dist} is not strictly inside the safe radius "
-            f"{ball.safe_radius}; subdivide the step"
+            f"{safe}; subdivide the step"
         )
     tgt_pts = target.config.points
     vertex_map = []
     for q in source.config.points:
-        hits = [i for i, p in enumerate(tgt_pts) if math.dist(q, p) < ball.safe_radius]
+        hits = [i for i, p in enumerate(tgt_pts) if math.dist(q, p) < safe]
         if len(hits) != 1:
             raise RuntimeError(
                 f"point {q} lies in {len(hits)} of the disjoint snap balls; "

@@ -991,6 +991,52 @@ class TestEntranceMap:
         assert len(spans) == 4 and all(t_from != t_to for t_from, t_to in spans)
         assert len(snaps) == len(spans)
 
+    def test_one_walk_per_stretch(self, monkeypatch):
+        walked = []
+
+        def counted_crossings(path, first, last, values):
+            walked.append(values)
+            return _crossings(path, first, last, values)
+
+        monkeypatch.setattr(paths, "_crossings", counted_crossings)
+        z = zigzag(cech_path(triangle_config(), 0.9), 0.01)
+        # the stretch's zone edges and its scan radii, once each: the four
+        # maps read the zone edges' walk that the transitions made
+        assert len(z.maps) == 2
+        scan = subset_radii(triangle_config())
+        assert walked == [zone_edges(scan), scan.radii]
+
+    def test_bisected_crossings_match_the_run_walk(self):
+        rng = random.Random(35)
+
+        def growth_path(rng):
+            return cech_path(random_plane_config(rng, 2, 5), 0.9)
+
+        compared = unturned = 0
+        for make in (uniform_still_path, critical_still_path, growth_path):
+            for _ in range(60):
+                forward = make(rng)
+                for p in (forward, reversed_path(forward)):
+                    instants = [t for t, _ in transitions(p, 0.01)]
+                    trends = [trend for _, trend, _ in _trends(p, 0, len(p.breakpoints) - 1)]
+                    for t_from, t_to in itertools.permutations(
+                            rng.sample([rng.random(), rng.random(), *instants], 2)):
+                        run = _still_run(p, t_from, t_to)
+                        lo, hi = sorted((t_from, t_to))
+                        scan = subset_radii(p._still[run[0]][0])
+                        walk = _crossings(p, *run, zone_edges(scan))
+                        got = paths._crossed_between(p, run[0], lo, hi)
+                        assert [t.hex() for t in got] == [
+                            t.hex() for t in walk if lo < t < hi]
+                        compared += 1
+                        # the run's walk counts its first segment as turned and
+                        # meets its start radius there, at lo or before
+                        first = run[0]
+                        if first > 0 and trends[first - 1] == trends[first] != 0 and \
+                                any(t <= lo for t in walk):
+                            unturned += 1
+        assert compared >= 700 and unturned >= 30
+
     def test_a_jump_within_one_ulp_is_refused_in_bounded_time(self, monkeypatch):
         # the second track jumps from 1 to 10 within one ulp of time: the
         # midpoint of 0.5 and t1 rounds back to 0.5, outside the safe ball
