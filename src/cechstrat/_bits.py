@@ -112,3 +112,30 @@ def orbit(family: int, swaps: list[tuple[int, int]]) -> list[int]:
         family ^= t | t << d
         out.append(family)
     return out
+
+
+def cube(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The steps up the lattice of vertex sets on n vertices, and its
+    layers.  Step v is ``(a, 2^v)``, ``a`` the family bitset of the masks
+    without v: ``(family & a) << 2^v`` adds v to each of them.  Layer j is
+    the family bitset of the j-vertex sets, j = 0..n, the empty set first."""
+    full = (1 << (1 << n)) - 1
+    steps = tuple((full & ~holding(n, v), 1 << v) for v in range(n))
+    layers = [1]
+    for _ in range(n):
+        layers.append(grown(layers[-1], steps))
+    return steps, tuple(layers)
+
+
+def grown(family: int, steps) -> int:
+    """Every mask of ``family`` with one vertex it lacks added, by the
+    steps of :func:`cube`."""
+    out = 0
+    for a, d in steps:
+        out |= (family & a) << d
+    return out
+
+
+#: ``CUBES[n]`` is ``cube(n)`` for n = 0..5, built once at import: the sizes
+#: that enumeration compares by free sets
+CUBES = tuple(cube(n) for n in range(6))

@@ -6,7 +6,12 @@ input limits and messages; one of the two is selected at import time by
 ``cechstrat._kernels``.  The enclosing-ball kernels mirror the compiled
 ones operation for operation: same processing order, same deterministic
 shuffle, same tolerances and the same floating-point operations in the
-same order, so radii agree across backends bit for bit.  The canonical
+same order, so radii agree across backends bit for bit.  One Welzl serves
+both: the balls of one and two support points take closed forms that
+perform exactly the operations the Gram elimination performs for them,
+and each ordered support is solved once per call, however many subsets
+of a scan reach it.  The shuffled orders up to ``MAX_SUBSET_VERTICES``
+points are built once, at import.  The canonical
 labeling and the surjection search return the compiled kernels' exact
 results.  Up to five vertices the labeling is exhaustive too: it walks
 every relabeling of the family bitset by the plain-changes swaps of
@@ -32,6 +37,7 @@ _MULT = 0x2545F4914F6CDD1D
 
 _INSIDE_REL = 1e-12
 _INSIDE_ABS = 1e-28
+_INSIDE_SCALE = 1.0 + _INSIDE_REL
 _PIVOT_TOL = 1e-12
 
 MAX_SUBSET_VERTICES = 16
@@ -55,6 +61,10 @@ def _shuffled_order(n: int) -> list[int]:
     return order
 
 
+#: the shuffled order of each subset size the scan takes
+_ORDERS = tuple(tuple(_shuffled_order(n)) for n in range(MAX_SUBSET_VERTICES + 1))
+
+
 # Sums run left to right in plain float adds, as in the compiled kernel:
 # ``sum()`` compensates float sums from Python 3.12 on, and ``math.dist`` is
 # more precise than ``sqrt`` of the rounded sum, either of which would move
@@ -75,20 +85,16 @@ def _dist_sq(p, q) -> float:
 
 
 def _circumball(support: list[tuple[float, ...]], d: int) -> tuple[tuple[float, ...], float]:
-    """Smallest ball with all support points on its boundary.
+    """Smallest ball with all of three or more support points on its
+    boundary.
 
     Solves the Gram system for the center in the affine hull of the support;
     near-dependent directions are dropped (pivot skip), and the radius is
     taken as the max distance to the support so the ball always covers it.
     """
-    m = len(support)
-    if m == 0:
-        return (0.0,) * d, -1.0
     q0 = support[0]
-    if m == 1:
-        return q0, 0.0
     vs = [[q[k] - q0[k] for k in range(d)] for q in support[1:]]
-    r = m - 1
+    r = len(vs)
     a = [[2.0 * _dot(vs[i], vs[j]) for j in range(r)] for i in range(r)]
     b = [_dot(v, v) for v in vs]
     scale = max(max(abs(x) for x in row) for row in a) or 1.0
@@ -132,31 +138,77 @@ def _circumball(support: list[tuple[float, ...]], d: int) -> tuple[tuple[float, 
     return tuple(center), rad
 
 
-def _inside(center: tuple[float, ...], radius: float, p: tuple[float, ...]) -> bool:
-    if radius < 0.0:
-        return False
-    return _dist_sq(center, p) <= radius * radius * (1.0 + _INSIDE_REL) + _INSIDE_ABS
+def _solve(pts, support: tuple[int, ...], d: int) -> tuple[tuple[float, ...], float, float]:
+    """The ball through the points ``pts[i]`` for ``i`` in ``support``, in
+    that order, with the bound its inside test compares squared distances
+    with.
+
+    One or two points take closed forms, written as exactly the operations
+    the Gram elimination of :func:`_circumball` performs for them: the
+    center of one point is the point, and of two it is the first plus
+    alpha times their difference, where alpha is b / a for the 1x1 system
+    a = 2 |v|^2, b = |v|^2, or 0.0 where the pivot is skipped.
+    """
+    if len(support) == 1:
+        return pts[support[0]], 0.0, _INSIDE_ABS  # 0.0 * 0.0 * _INSIDE_SCALE + _INSIDE_ABS
+    if len(support) == 2:
+        q0, q1 = pts[support[0]], pts[support[1]]
+        v = [q1[k] - q0[k] for k in range(d)]
+        b = _dot(v, v)
+        a = 2.0 * b
+        center = q0
+        if not abs(a) <= _PIVOT_TOL * (abs(a) or 1.0):
+            alpha = b / a
+            if alpha != 0.0:
+                center = tuple([q0[k] + alpha * v[k] for k in range(d)])
+        rad = 0.0
+        for q in (q0, q1):
+            s = math.sqrt(_dist_sq(center, q))
+            if s > rad:
+                rad = s
+    else:
+        center, rad = _circumball([pts[i] for i in support], d)
+    return center, rad, rad * rad * _INSIDE_SCALE + _INSIDE_ABS
 
 
-def _mtf(pts, order, end, support, d):
-    center, radius = _circumball([pts[i] for i in support], d)
-    if len(support) == d + 1:
-        return center, radius
+def _welzl(pts, order: list[int], end: int, support: tuple[int, ...],
+           ball: tuple[tuple[float, ...], float, float], balls: dict,
+           d: int) -> tuple[tuple[float, ...], float, float]:
+    """Welzl's move-to-front recursion: the ball of the points ``order[:end]``
+    with ``support`` on its boundary, from ``ball``, that of ``support``.
+
+    ``order`` is moved to front in place.  ``balls`` keeps each ordered
+    support's ball as :func:`_solve` gives it, so each is solved once per
+    kernel call however many subsets reach it.  A point is inside where
+    its squared distance to the center is at most the ball's bound.  A
+    support of d + 1 points, or with no points before it to cover, is
+    final, so it is not recursed into.
+    """
+    center, _, bound = ball
     i = 0
     while i < end:
         idx = order[i]
-        if not _inside(center, radius, pts[idx]):
-            center, radius = _mtf(pts, order, i, support + [idx], d)
+        s = 0.0
+        for x, y in zip(center, pts[idx]):
+            x -= y
+            s += x * x
+        if not s <= bound:
+            extended = support + (idx,)
+            ball = balls.get(extended)
+            if ball is None:
+                ball = balls[extended] = _solve(pts, extended, d)
+            if i and len(extended) <= d:
+                ball = _welzl(pts, order, i, extended, ball, balls, d)
+            center, _, bound = ball
             del order[i]
             order.insert(0, idx)
         i += 1
-    return center, radius
+    return ball
 
 
-def _meb_tuples(pts: list[tuple[float, ...]]) -> tuple[tuple[float, ...], float]:
-    d = len(pts[0])
-    order = _shuffled_order(len(pts))
-    return _mtf(pts, order, len(pts), [], d)
+def _empty_ball(d: int) -> tuple[tuple[float, ...], float, float]:
+    """The ball of the empty support: every point is outside its bound."""
+    return (0.0,) * d, -1.0, -math.inf
 
 
 def meb(points) -> tuple[tuple[float, ...], float]:
@@ -168,14 +220,19 @@ def meb(points) -> tuple[tuple[float, ...], float]:
     pts = [tuple(float(c) for c in p) for p in points]
     if not pts:
         raise ValueError("meb requires at least one point")
-    return _meb_tuples(pts)
+    n, d = len(pts), len(pts[0])
+    order = list(_ORDERS[n]) if n <= MAX_SUBSET_VERTICES else _shuffled_order(n)
+    center, radius, _ = _welzl(pts, order, n, (), _empty_ball(d), {}, d)
+    return tuple(center), radius
 
 
 def subset_meb_radii(points, max_size: int) -> list[tuple[int, float]]:
     """Enclosing-ball radius for every subset of 2..max_size points.
 
     Returns ``(mask, radius)`` pairs ordered by (subset size, lexicographic
-    vertex order); masks index into the input order.
+    vertex order); masks index into the input order.  Each subset is run
+    through Welzl's algorithm in its own shuffled order, on the input
+    points' indices, so every subset shares one table of solved supports.
     """
     max_size = _c_int(max_size)  # the compiled kernel converts its int arguments first
     pts = [tuple(float(c) for c in p) for p in points]
@@ -183,13 +240,17 @@ def subset_meb_radii(points, max_size: int) -> list[tuple[int, float]]:
     if n > MAX_SUBSET_VERTICES:
         raise ValueError(f"subset scan limited to {MAX_SUBSET_VERTICES} points, got {n}")
     out: list[tuple[int, float]] = []
+    if n < 2 or max_size < 2:
+        return out
+    d = len(pts[0])
+    empty, balls = _empty_ball(d), {}
     for size in range(2, min(max_size, n) + 1):
+        shuffle = _ORDERS[size]
         for comb in itertools.combinations(range(n), size):
             mask = 0
             for i in comb:
                 mask |= 1 << i
-            _, radius = _meb_tuples([pts[i] for i in comb])
-            out.append((mask, radius))
+            out.append((mask, _welzl(pts, [comb[j] for j in shuffle], size, (), empty, balls, d)[1]))
     return out
 
 

@@ -17,7 +17,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import _json, _kernels
-from ._bits import close_down, family_of, holding, mask_of, members, vertices_of
+from ._bits import CUBES, close_down, cube, family_of, grown, holding, mask_of, members, vertices_of
 
 VERTEX_CAP = 8
 #: the most vertices of a complex, as of every kernel; a family has 2^n bits
@@ -43,8 +43,8 @@ class SimplicialComplex:
     dimension then vertex order.  Construction checks that every mask is
     in range, every singleton present and the set downward closed;
     :func:`make_complex` builds a complex from vertex tuples.  The order
-    invariants ``n_components`` and ``f_vector`` are computed once per
-    complex, on first use.
+    invariants ``n_components``, ``f_vector`` and ``free_sizes`` are
+    computed once per complex, on first use.
     """
 
     n_vertices: int
@@ -98,6 +98,34 @@ class SimplicialComplex:
         for m in self.masks:
             counts[m.bit_count() - 1] += 1
         return tuple(counts)
+
+    @functools.cached_property
+    def free_sizes(self) -> tuple[int, ...]:
+        """By simplex size k = 1..n_vertices, the most vertices that span
+        no k-vertex simplex.  No vertex-surjective simplicial map out of
+        the complex can raise an entry: one preimage of each vertex of a
+        free set of the target is a free set of the same size, since the
+        map is injective on it and takes simplices to simplices.
+
+        Read off the family bitset: the vertex sets that span a simplex of
+        at least k vertices are the upward closure of those simplices, and
+        the entry is the size of the largest set outside it.  Free sets are
+        closed downward, and the entries grow with k.
+        """
+        n = self.n_vertices
+        steps, layers = CUBES[n] if n < len(CUBES) else cube(n)
+        sizes = []
+        simplices = self.family  # those of at least k vertices
+        free = 0  # the last entry
+        while simplices:
+            spans = simplices
+            for a, d in steps:
+                spans |= (spans & a) << d
+            while free < n and layers[free + 1] & ~spans:
+                free += 1
+            sizes.append(free)
+            simplices &= grown(simplices, steps)
+        return tuple(sizes) + (n,) * (n - len(sizes))
 
     @property
     def dim(self) -> int:

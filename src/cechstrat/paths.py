@@ -30,7 +30,7 @@ import operator
 from dataclasses import dataclass, field
 
 from . import _json
-from .cech import cech_complex, read_scan, subset_radii, zone_edges
+from .cech import Scan, Zone, cech_complex, read_scan, subset_radii, zone_edges
 from .complexes import (
     IsoClass,
     SimplicialMap,
@@ -648,14 +648,24 @@ def _renaming_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
                 )
         if any(v is None for v in vmap):
             raise ValueError("some vertex lost all its tracks; label constancy violated")
-        source, target = cech_complex(rp_a), cech_complex(rp_b)
-    else:
-        config = path._still[run[0]][0]
-        scan = subset_radii(config)
-        source, target = (scan.complex(read_scan(scan, _radius_at(path, *_place(path, t))).hi)
-                          for t in (t_from, t_to))
-        vmap = list(range(len(config)))
-    m = SimplicialMap(source, target, tuple(vmap))  # type: ignore[arg-type]
+        return _checked_renaming(cech_complex(rp_a), cech_complex(rp_b), vmap)
+    scan = subset_radii(path._still[run[0]][0])
+    return _still_renaming(scan, *(read_scan(scan, _radius_at(path, *_place(path, t)))
+                                   for t in (t_from, t_to)))
+
+
+def _still_renaming(scan: Scan, start: Zone, stop: Zone) -> SimplicialMap:
+    """The renaming along a still stretch with the uncapped ``scan``, from
+    its radius in zone ``start`` to one in zone ``stop``: the identity of
+    the stretch's one track assignment between the scan's complexes."""
+    return _checked_renaming(scan.complex(start.hi), scan.complex(stop.hi),
+                             range(scan.n_points))
+
+
+def _checked_renaming(source, target, vmap) -> SimplicialMap:
+    """The renaming ``vmap`` from ``source`` onto ``target``, checked
+    vertex-surjective and simplicial."""
+    m = SimplicialMap(source, target, tuple(vmap))
     if not m.is_vertex_surjective():
         raise ValueError("renaming map is not onto; label constancy violated")
     if not is_simplicial(m):
@@ -713,7 +723,11 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
         l_from = stratum_label(x_from)
         change = next((t for t, label in zip(checks, labels) if label != l_from), None)
     else:
-        change = _left_early(path, run, t_from, t_to)
+        # the stretch's scan and its zone at t_from, read once for the
+        # certification and every renaming the halving loop tries
+        scan = subset_radii(path._still[run[0]][0])
+        start = read_scan(scan, _radius_at(path, *_place(path, t_from)))
+        change = _left_early(path, run[0], scan, start, t_from, t_to)
     if change is not None:
         raise ValueError(f"label is not constant on [{t_from}, {t_to}): changes near t={change}")
     safe = tilde_r(end).safe_radius
@@ -727,20 +741,23 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
             x_tau = evaluate(path, tau)
             if not sup_distance(x_tau, end) < safe:
                 continue
-        elif abs(_radius_at(path, *_place(path, tau)) - end.radius) < safe:
+            renaming = _renaming_map(path, t_from, tau)
+        else:
+            r_tau = _radius_at(path, *_place(path, tau))
             # one configuration, at Hausdorff distance 0.0 from itself: the
             # sup distance is the radius difference
+            if not abs(r_tau - end.radius) < safe:
+                continue
             x_tau = evaluate(path, tau)
-        else:
-            continue
-        return compose(_renaming_map(path, t_from, tau), local_map(x_tau, end))
+            renaming = _still_renaming(scan, start, read_scan(scan, r_tau))
+        return compose(renaming, local_map(x_tau, end))
 
 
-def _left_early(path: PLPath, run: tuple[int, int], t_from: float,
+def _left_early(path: PLPath, seg: int, scan: Scan, start: Zone, t_from: float,
                 t_to: float) -> float | None:
-    """Where the still path over the breakpoints ``run`` leaves the zone
-    of its radius at t_from before the instant that t_to lies in, or None
-    if it does not.
+    """Where the still path through segment ``seg``, with the stretch's
+    ``scan``, leaves ``start``, the zone of its radius at t_from, before
+    the instant that t_to lies in, or None if it does not.
 
     The zone changes only where the radius meets a zone edge.  Taken from
     t_from on, the crossings strictly between t_from and t_to, two
@@ -751,10 +768,8 @@ def _left_early(path: PLPath, run: tuple[int, int], t_from: float,
     instant by :func:`_joined`, the rule by which :func:`transitions` joins
     them.
     """
-    scan = subset_radii(path._still[run[0]][0])
-    start = read_scan(scan, _radius_at(path, *_place(path, t_from)))
     lo, hi = sorted((t_from, t_to))
-    met = _crossed_between(path, run[0], lo, hi)
+    met = _crossed_between(path, seg, lo, hi)
     chain = [*(reversed(met) if t_to < t_from else met), t_to]
     left = None
     for u, v in zip(chain, chain[1:]):

@@ -10,6 +10,7 @@ queries, and Hasse diagrams with DOT export.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 from . import _json, _kernels
@@ -32,9 +33,12 @@ def dominates(c: SimplicialComplex, c_prime: SimplicialComplex) -> SimplicialMap
     Deterministic: returns the first witness found by backtracking over
     vertex assignments in ascending order.  Refuses complexes of more than
     ``VERTEX_CAP`` vertices.  Returns None without a search when, by the
-    invariants each complex computes once (``n_components``, ``f_vector``),
+    invariants each complex computes once (``n_components``, ``f_vector``,
+    ``free_sizes``),
 
     - ``c`` has fewer vertices than ``c_prime``, or fewer connected components;
+    - more vertices, and for some k fewer vertices that span no k-vertex
+      simplex than ``c_prime`` has;
     - as many vertices (a map would be a bijection, so injective on
       simplices), and some simplex count above ``c_prime``'s, or all of
       them equal and the two not isomorphic.
@@ -44,7 +48,12 @@ def dominates(c: SimplicialComplex, c_prime: SimplicialComplex) -> SimplicialMap
                           f"got {c.n_vertices} and {c_prime.n_vertices}")
     if c.n_vertices < c_prime.n_vertices or c.n_components < c_prime.n_components:
         return None
-    if c.n_vertices == c_prime.n_vertices:
+    if c.n_vertices > c_prime.n_vertices:
+        # compared up to c_prime's vertex count n': above it c_prime's entry
+        # would be n', and any n' vertices of c span no larger simplex
+        if any(map(operator.lt, c.free_sizes, c_prime.free_sizes)):
+            return None
+    else:
         fa, fb = c.f_vector, c_prime.f_vector
         # equal f-vectors exclude only a different class: decide by the keys
         if _bijection_excluded(fa, fb) and (
@@ -151,12 +160,15 @@ def enumerate_classes(n_max: int) -> PosetUniverse:
     reached: a complex less a maximal simplex has that simplex addable.
 
     Relation: rows are filled with the vertex count ascending and the
-    simplex count descending, so every class below a has its row first:
+    simplex count descending, lowest first, so every class below a has its
+    row first:
 
     - as many vertices: a map is a bijection, so a >= c exactly when c is a
       relabeled a grown one addable simplex at a time (:func:`_addable`);
-    - fewer vertices, in class order: a class not in the row, nor above one
-      found not below a, is decided by :func:`dominates`.
+    - fewer vertices, in the rows' order: a class not in the row, nor above
+      one found not below a, is decided by :func:`dominates`.  Lowest
+      first, a class found not below a rules out the classes above it
+      before they are tried.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -176,13 +188,15 @@ def enumerate_classes(n_max: int) -> PosetUniverse:
     index = {c.key: i for i, c in enumerate(classes)}
     sizes = [c.n_vertices for c in classes]
     ge = [0] * len(classes)  # bit b of ge[a] set when a >= b
-    for a in sorted(range(len(classes)), key=lambda a: (sizes[a], -len(classes[a].canonical.masks))):
+    rows = sorted(range(len(classes)), key=lambda a: (sizes[a], -len(classes[a].canonical.masks)))
+    row_sizes = [sizes[a] for a in rows]
+    for a in rows:
         c = classes[a].canonical
         row = 1 << a
         for m in set_bits(_addable(c.n_vertices, c.family)):
             row |= ge[index[class_of[c.family | 1 << m].key]]
         no = 0  # the classes found not below a
-        for b in range(sizes.index(sizes[a])):
+        for b in rows[:row_sizes.index(sizes[a])]:
             if not (row >> b & 1 or ge[b] & no):
                 if dominates(c, classes[b].canonical) is None:
                     no |= 1 << b

@@ -159,6 +159,33 @@ class TestFacets:
         assert SimplicialComplex(0).facets() == ()
 
 
+def reference_free_sizes(c):
+    """By simplex size k = 1..n, the largest vertex set holding no k-vertex
+    simplex, by trying every vertex set."""
+    return tuple(max(s.bit_count() for s in range(1 << c.n_vertices)
+                     if not any(m.bit_count() == k and not m & ~s for m in c.masks))
+                 for k in range(1, c.n_vertices + 1))
+
+
+class TestFreeSizes:
+    def test_random_complexes_of_one_to_eight_vertices(self):
+        rng = random.Random(37)
+        for n_max in range(1, 9):
+            for _ in range(25):
+                c = random_complex(rng, n_max)
+                assert c.free_sizes == reference_free_sizes(c)
+
+    def test_named_complexes(self):
+        assert make_complex(4, []).free_sizes == (0, 4, 4, 4)
+        assert make_complex(4, [range(4)]).free_sizes == (0, 1, 2, 3)
+        assert make_complex(5, [{v, (v + 1) % 5} for v in range(5)]).free_sizes == (0, 2, 5, 5, 5)
+        assert SimplicialComplex(0).free_sizes == ()
+
+    def test_full_simplex_on_sixteen_vertices(self):
+        full = SimplicialComplex(16, range(1, 1 << 16))
+        assert full.free_sizes == tuple(range(16))
+
+
 class TestIsSimplicial:
     def test_identity_on_edge(self):
         edge = make_complex(2, [{0, 1}])

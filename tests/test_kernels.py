@@ -160,6 +160,166 @@ def reference_surjection_witness(n_src, n_tgt, src_masks, tgt_masks):
     return tuple(assign) if rec(0, frozenset()) else None
 
 
+def _reference_shuffle(n):
+    """The kernels' fixed-seed Fisher-Yates order of n points (xorshift64*)."""
+    order, state = list(range(n)), 0x9E3779B97F4A7C15
+    for i in range(n - 1, 0, -1):
+        state ^= state >> 12
+        state = (state ^ state << 25) & (1 << 64) - 1
+        state ^= state >> 27
+        j = (state * 0x2545F4914F6CDD1D & (1 << 64) - 1) % (i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+def _reference_dot(u, v):
+    s = 0.0
+    for x, y in zip(u, v):
+        s += x * y
+    return s
+
+
+def _reference_dist_sq(p, q):
+    s = 0.0
+    for x, y in zip(p, q):
+        x -= y
+        s += x * x
+    return s
+
+
+def _reference_circumball(support, d):
+    """The ball through ``support``: every support of two or more points
+    goes through the Gram elimination, with plain left-to-right float sums."""
+    dot = _reference_dot
+    m = len(support)
+    if m == 0:
+        return (0.0,) * d, -1.0
+    q0 = support[0]
+    if m == 1:
+        return q0, 0.0
+    vs = [[q[k] - q0[k] for k in range(d)] for q in support[1:]]
+    r = m - 1
+    a = [[2.0 * dot(vs[i], vs[j]) for j in range(r)] for i in range(r)]
+    b = [dot(v, v) for v in vs]
+    scale = max(max(abs(x) for x in row) for row in a) or 1.0
+    piv = list(range(r))
+    for col in range(r):
+        best, best_row = -1.0, col
+        for row in range(col, r):
+            v = abs(a[piv[row]][col])
+            if v > best:
+                best, best_row = v, row
+        piv[col], piv[best_row] = piv[best_row], piv[col]
+        p = piv[col]
+        if abs(a[p][col]) <= 1e-12 * scale:
+            a[p][col] = 0.0
+            continue
+        for row in range(col + 1, r):
+            q = piv[row]
+            f = a[q][col] / a[p][col]
+            if f != 0.0:
+                for k in range(col, r):
+                    a[q][k] -= f * a[p][k]
+                b[q] -= f * b[p]
+    alpha = [0.0] * r
+    for col in range(r - 1, -1, -1):
+        p = piv[col]
+        if a[p][col] == 0.0:
+            continue
+        s = b[p]
+        for k in range(col + 1, r):
+            s -= a[p][k] * alpha[k]
+        alpha[col] = s / a[p][col]
+    center = list(q0)
+    for i in range(r):
+        if alpha[i] != 0.0:
+            for k in range(d):
+                center[k] += alpha[i] * vs[i][k]
+    rad = 0.0
+    for q in support:
+        rad = max(rad, math.sqrt(_reference_dist_sq(center, q)))
+    return tuple(center), rad
+
+
+def reference_meb(pts):
+    """Welzl's move-to-front recursion over the kernels' shuffle, frozen as
+    the kernels first ran it: each level builds its support's point list
+    and solves it afresh.  The kernels must keep its balls bit for bit."""
+    d = len(pts[0])
+
+    def mtf(order, end, support):
+        center, radius = _reference_circumball([pts[i] for i in support], d)
+        if len(support) == d + 1:
+            return center, radius
+        i = 0
+        while i < end:
+            idx = order[i]
+            bound = radius * radius * (1.0 + 1e-12) + 1e-28
+            if radius < 0.0 or not _reference_dist_sq(center, pts[idx]) <= bound:
+                center, radius = mtf(order, i, support + [idx])
+                del order[i]
+                order.insert(0, idx)
+            i += 1
+        return center, radius
+
+    return mtf(_reference_shuffle(len(pts)), len(pts), [])
+
+
+def reference_subset_meb_radii(pts, max_size):
+    """:func:`reference_meb` of every subset of 2..max_size points, in the
+    kernels' order: by size, then lexicographically."""
+    return [(sum(1 << i for i in comb), reference_meb([pts[i] for i in comb])[1])
+            for size in range(2, min(max_size, len(pts)) + 1)
+            for comb in itertools.combinations(range(len(pts)), size)]
+
+
+SHAPES = ("random", "lattice", "collinear", "cocircular")
+
+
+def shaped_points(rng, shape, n, d):
+    """n points in d dimensions: uniform, on the integer lattice (repeated
+    points, exact ties), within 1e-9 of a line, or on a circle in the
+    first two coordinates (at two points in one dimension)."""
+    if shape == "random":
+        return [tuple(rng.uniform(-2, 2) for _ in range(d)) for _ in range(n)]
+    if shape == "lattice":
+        return [tuple(float(rng.randint(-2, 2)) for _ in range(d)) for _ in range(n)]
+    a = [rng.uniform(-1, 1) for _ in range(d)]
+    if shape == "collinear":
+        b = [rng.uniform(-1, 1) for _ in range(d)]
+        return [tuple(x + t * y + rng.uniform(-1e-9, 1e-9) for x, y in zip(a, b))
+                for t in [rng.uniform(-1, 1) for _ in range(n)]]
+    r = rng.uniform(0.1, 3.0)
+    pts = []
+    for _ in range(n):
+        p = list(a)
+        if d == 1:
+            p[0] += rng.choice((-r, r))
+        else:
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            p[0] += r * math.cos(theta)
+            p[1] += r * math.sin(theta)
+        pts.append(tuple(p))
+    return pts
+
+
+def shaped_configurations(seed, count):
+    """``count`` configurations of 2-8 points in 1-4 dimensions, the
+    shapes in turn."""
+    rng = random.Random(seed)
+    return [shaped_points(rng, SHAPES[i % len(SHAPES)], rng.randint(2, 8), rng.randint(1, 4))
+            for i in range(count)]
+
+
+def hex_scan(scan):
+    return [(m, r.hex()) for m, r in scan]
+
+
+def hex_ball(ball):
+    center, radius = ball
+    return [x.hex() for x in center], radius.hex()
+
+
 def labelled_families(n):
     """Every downward-closed mask set on n labelled vertices that holds
     every vertex: 1, 2, 9, 114 and 6,894 of them for n = 1..5."""
@@ -221,6 +381,13 @@ class TestAgainstReference:
         for n in (3, 4, 4, 5, 5, 5, 6, 6):
             masks = random_masks(rng, n, rng.choice([0.05, 0.2, 0.5]), closed=False) or [1]
             assert backend.canonical_masks(n, masks) == reference_canonical_masks(n, masks)
+
+    def test_enclosing_balls_match_the_frozen_welzl(self, backend):
+        for pts in shaped_configurations(12, 240):
+            assert hex_ball(backend.meb(pts)) == hex_ball(reference_meb(pts))
+            for max_size in (len(pts) - 1, len(pts)):
+                assert hex_scan(backend.subset_meb_radii(pts, max_size)) == \
+                    hex_scan(reference_subset_meb_radii(pts, max_size))
 
     def test_witness_every_class_pair_up_to_four_vertices(self, backend):
         from cechstrat import enumerate_classes
@@ -445,22 +612,61 @@ class TestSearchPlans:
         assert _pure._source_plan.cache_info().currsize == 0
 
 
+class TestPureWelzl:
+    def test_each_ordered_support_is_solved_once_per_call(self, monkeypatch):
+        solved = []
+        solve = _pure._solve
+
+        def recording(pts, support, d):
+            solved.append(support)
+            return solve(pts, support, d)
+
+        monkeypatch.setattr(_pure, "_solve", recording)
+        in_scans = one_by_one = 0
+        for pts in shaped_configurations(15, 60):
+            solved.clear()
+            _pure.subset_meb_radii(pts, len(pts))
+            scan = list(solved)
+            assert len(set(scan)) == len(scan)
+            # the scan solves exactly the supports its subsets reach alone,
+            # as ordered tuples of the input's point indices
+            reached = set()
+            for size in range(2, len(pts) + 1):
+                for comb in itertools.combinations(range(len(pts)), size):
+                    solved.clear()
+                    _pure.meb([pts[i] for i in comb])
+                    assert len(set(solved)) == len(solved)
+                    one_by_one += len(solved)
+                    reached.update(tuple(comb[j] for j in support) for support in solved)
+            assert set(scan) == reached
+            in_scans += len(scan)
+        assert in_scans < one_by_one / 2
+
+    def test_shuffles_are_built_once_for_every_scan_size(self):
+        assert len(_pure._ORDERS) == _pure.MAX_SUBSET_VERTICES + 1
+        for n, order in enumerate(_pure._ORDERS):
+            assert order == tuple(_reference_shuffle(n))
+
+    def test_meb_beyond_the_scan_limit_shuffles_its_own_order(self):
+        pts = [(math.cos(k), math.sin(2 * k), k / 20) for k in range(20)]
+        assert hex_ball(_pure.meb(pts)) == hex_ball(reference_meb(pts))
+
+
 @needs_compiled
 class TestBackendParity:
     def test_meb_parity(self):
         compiled = _kernels.backends["compiled"]
         rng = random.Random(3)
-        for _ in range(400):
-            pts = random_points(rng)
-            assert _pure.meb(pts) == compiled.meb(pts)
+        for pts in [random_points(rng) for _ in range(400)] + shaped_configurations(13, 200):
+            assert hex_ball(_pure.meb(pts)) == hex_ball(compiled.meb(pts))
 
     def test_subset_scan_parity(self):
         compiled = _kernels.backends["compiled"]
         rng = random.Random(4)
-        for _ in range(60):
-            pts = random_points(rng, n=rng.randint(2, 6))
-            assert _pure.subset_meb_radii(pts, len(pts)) == \
-                compiled.subset_meb_radii(pts, len(pts))
+        configurations = [random_points(rng, n=rng.randint(2, 6)) for _ in range(60)]
+        for pts in configurations + shaped_configurations(14, 120):
+            assert hex_scan(_pure.subset_meb_radii(pts, len(pts))) == \
+                hex_scan(compiled.subset_meb_radii(pts, len(pts)))
 
     def test_canonical_parity(self):
         compiled = _kernels.backends["compiled"]

@@ -991,6 +991,34 @@ class TestEntranceMap:
         assert len(spans) == 4 and all(t_from != t_to for t_from, t_to in spans)
         assert len(snaps) == len(spans)
 
+    def test_a_still_map_reads_its_stretch_once(self, monkeypatch):
+        """One run and one zone at t_from per still map, shared by the
+        certification and the renaming."""
+        spans, runs, read = [], [], []
+
+        def counted_entrance_map(path, t_from, t_to):
+            spans.append((t_from, t_to))
+            runs.clear()
+            read.clear()
+            m = entrance_map(path, t_from, t_to)
+            assert len(runs) == 1
+            assert read.count(paths._radius_at(path, *paths._place(path, t_from))) == 1
+            return m
+
+        def counted_still_run(*args):
+            runs.append(args)
+            return _still_run(*args)
+
+        def counted_read_scan(scan, r):
+            read.append(r)
+            return read_scan(scan, r)
+
+        monkeypatch.setattr(paths, "entrance_map", counted_entrance_map)
+        monkeypatch.setattr(paths, "_still_run", counted_still_run)
+        monkeypatch.setattr(paths, "read_scan", counted_read_scan)
+        zigzag(cech_path(triangle_config(), 0.9), 0.01)
+        assert len(spans) == 4
+
     def test_one_walk_per_stretch(self, monkeypatch):
         walked = []
 

@@ -161,10 +161,26 @@ class TestDominates:
             (named["path3"], named["two_points"]),    # fewer components
             (named["filled3"], named["cycle3"]),      # a simplex count above
             (path4, star4),                           # equal f-vectors, not isomorphic
+            (make_complex(4, [{0, 1, 2, 3}]), named["path3"]),  # no two vertices free
         ]
         for a, b in excluded:
             assert dominates(a, b) is None
         assert searches == []
+
+    def test_free_sizes_exclude_no_pair_with_a_witness(self, universe5, searches):
+        """Where ``dominates`` refuses a pair of classes up to five vertices
+        without a search, the kernel finds no map either; past the
+        component count, that is the free-set rule's doing 804 times."""
+        witness = _kernels.backends[_kernels.BACKEND].surjection_witness
+        classes = [c.canonical for c in universe5.classes]
+        by_free_sizes = 0
+        for a, b in itertools.product(classes, repeat=2):
+            if a.n_vertices > b.n_vertices:
+                searches.clear()
+                if dominates(a, b) is None and not searches:
+                    assert witness(a.n_vertices, b.n_vertices, a.masks, b.masks) is None
+                    by_free_sizes += a.n_components >= b.n_components
+        assert by_free_sizes == 804
 
     def test_first_witness_of_the_kernel_on_relabelled_classes(self):
         rng = random.Random(23)
@@ -343,7 +359,7 @@ class TestEnumeration:
         monkeypatch.setattr(_kernels, "canonical_masks", counting_canonical)
         u = enumerate_classes(5)
         assert calls["canonical_masks"] == len(u.classes) == 208
-        assert len(searches) == 462
+        assert len(searches) == 210
 
     def test_no_search_between_equal_vertex_counts(self, searches):
         """Pairs of equal vertex counts are read off one-simplex additions."""
