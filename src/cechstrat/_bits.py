@@ -4,13 +4,18 @@ Simplices on vertices {0, ..., n-1} are represented internally as integer
 masks; these helpers convert between masks and sorted vertex tuples.  A
 set of masks on n vertices is also one integer, its *family bitset*, with
 bit ``m`` set for each mask ``m``; these helpers build one, close it
-downward in n word operations and list its members.  The relabellings
-of a family bitset are walked by delta swaps of adjacent vertices in
-plain-changes order, each reached once.
+downward in n word operations and list its members.  All n! relabellings
+of a family bitset on at most five vertices are taken at once: the
+family is copied into n! lanes of one wide int, and a network of
+lane-masked delta swaps of adjacent vertices leaves a different
+relabelling in each lane (Knuth, *TAOCP* 4A, 7.1.3, "Bitwise tricks and
+techniques").
 """
 
 from __future__ import annotations
 
+import itertools
+import struct
 from collections.abc import Iterable
 
 
@@ -41,11 +46,20 @@ def family_of(n: int, masks: Iterable[int]) -> int:
     return int(digits[::-1], 2)
 
 
+def _holding(n: int, v: int) -> int:
+    full = (1 << (1 << n)) - 1
+    return full // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v))
+
+
+#: ``holding(n, v)`` for n = 0..5, built once at import: enumeration and
+#: complex construction ask for these thousands of times
+_HOLDING = tuple(tuple(_holding(n, v) for v in range(n)) for n in range(6))
+
+
 def holding(n: int, v: int) -> int:
     """The family bitset of the masks on n vertices that hold vertex v:
     blocks of 2^v set bits every 2^(v+1), from bit 2^v."""
-    full = (1 << (1 << n)) - 1
-    return full // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v))
+    return _HOLDING[n][v] if n < len(_HOLDING) else _holding(n, v)
 
 
 def close_down(n: int, family: int) -> int:
@@ -72,46 +86,51 @@ def set_bits(x: int):
         x ^= low
 
 
-def plain_changes(n: int) -> list[tuple[int, int]]:
-    """The n! - 1 swaps of adjacent vertices in plain-changes order
-    (Steinhaus-Johnson-Trotter): applied in turn to a family bitset, they
-    reach each of its relabellings once.
+def network(n: int) -> tuple[int, tuple[tuple[int, int], ...], struct.Struct]:
+    """The tables of :func:`relabellings` on n vertices: the repunit that
+    copies a family bitset into each of n! lanes, the lane-masked swaps,
+    and the struct that reads the lanes off.
 
-    The swap of u and u + 1 is given as ``(a, 2^u)``: it moves the masks in
-    ``a``, those holding u but not u + 1, up by 2^u, and the masks they
-    land on down by as much.
+    A lane is max(8, 2^n) bits wide, so that it is a whole number of
+    bytes.  Lane i has the i-th insertion code (j_1, ..., j_{n-1}),
+    0 <= j_k <= k, in ``itertools.product`` order.  For k = 1..n-1 and u =
+    k-1 down to 0, the swap of vertices u and u + 1 runs in the lanes where
+    j_k <= u, so vertex k is carried down to place j_k; each lane composes
+    a different product of these cycles, and every permutation is one.
+    The swap is ``(a, 2^u)``, ``a`` the masks holding u but not u + 1 in
+    those lanes: each moves up by 2^u, and the mask it lands on down.
     """
-    order: list[int] = []
-    for k in range(2, n + 1):
-        # item k - 1 sweeps down across the other k - 1 and back up, with one
-        # swap of their own order between two sweeps; while it is at the
-        # bottom, the others sit one place higher
-        sweeps = (range(k - 2, -1, -1), range(k - 1))
-        longer: list[int] = []
-        for i, u in enumerate(order):
-            longer += sweeps[i % 2]
-            longer.append(u + 1 - i % 2)
-        order = longer + list(sweeps[len(order) % 2])
-    swaps = [(holding(n, u) & ~holding(n, u + 1), 1 << u) for u in range(n - 1)]
-    return [swaps[u] for u in order]
+    size = max(8, 1 << n) // 8  # bytes per lane
+    codes = list(itertools.product(*(range(k + 1) for k in range(1, n))))
+    rep = int.from_bytes((1).to_bytes(size, "little") * len(codes), "little")
+    layers = []
+    for k in range(1, n):
+        for u in range(k - 1, -1, -1):
+            a = (holding(n, u) & ~holding(n, u + 1)).to_bytes(size, "little")
+            masked = b"".join(a if code[k - 1] <= u else bytes(size) for code in codes)
+            layers.append((int.from_bytes(masked, "little"), 1 << u))
+    unsigned = {1: "B", 2: "H", 4: "I"}[size]
+    return rep, tuple(layers), struct.Struct(f"<{len(codes)}{unsigned}")
 
 
-#: ``SWAPS[n]`` is ``plain_changes(n)`` for n = 0..5, built once at import:
-#: the sizes that enumeration walks, and that the pure labeling walks
-#: rather than search (from six vertices the walk is the slower one)
-SWAPS = tuple(plain_changes(n) for n in range(6))
+#: ``NETWORKS[n]`` is ``network(n)`` for n = 0..5, built once at import: the
+#: sizes that enumeration relabels, and that the pure labeling relabels
+#: rather than search (from six vertices the search is the faster)
+NETWORKS = tuple(network(n) for n in range(6))
 
 
-def orbit(family: int, swaps: list[tuple[int, int]]) -> list[int]:
-    """``family`` followed by its image after each of ``swaps`` in turn.
-    Each is a delta swap: ``t`` marks the masks in ``a`` whose bit differs
-    from the bit ``d`` places above, and both bits of each pair flip."""
-    out = [family]
-    for a, d in swaps:
-        t = (family ^ family >> d) & a
-        family ^= t | t << d
-        out.append(family)
-    return out
+def relabellings(n: int, family: int) -> tuple[int, ...]:
+    """The images of a family bitset on n <= 5 vertices under all n!
+    relabellings, one per lane, in one pass over one wide int: the family
+    is copied into every lane, and each layer of :func:`network` is a
+    delta swap, ``t`` marking the masks whose bit differs from the bit
+    ``d`` places above, where both bits of each pair flip."""
+    rep, layers, lanes = NETWORKS[n]
+    w = family * rep
+    for a, d in layers:
+        t = (w ^ w >> d) & a
+        w ^= t | t << d
+    return lanes.unpack(w.to_bytes(lanes.size, "little"))
 
 
 def cube(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:

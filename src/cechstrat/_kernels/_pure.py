@@ -13,13 +13,14 @@ and each ordered support is solved once per call, however many subsets
 of a scan reach it.  The shuffled orders up to ``MAX_SUBSET_VERTICES``
 points are built once, at import.  The canonical
 labeling and the surjection search return the compiled kernels' exact
-results.  Up to five vertices the labeling is exhaustive too: it walks
-every relabeling of the family bitset by the plain-changes swaps of
-``cechstrat._bits``, as enumeration does.  From six vertices it, and the
-surjection search at any size, are pruned searches.  The surjection
-search reads a plan per complex and role, target or source, built once
-and kept by value in a bounded cache, so an enumeration that searches
-the same complexes thousands of times builds each plan once.
+results.  Up to five vertices the labeling is exhaustive too: it takes
+every relabeling of the family bitset in one wide-integer pass
+(``cechstrat._bits.relabellings``), as enumeration does.  From six
+vertices it, and the surjection search at any size, are pruned searches.
+This labeling serves both backends (see ``cechstrat._kernels``).  The
+surjection search reads a plan per complex and role, target or source,
+built once and kept by value in a bounded cache, so an enumeration that
+searches the same complexes thousands of times builds each plan once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import itertools
 import math
 from typing import NoReturn
 
-from .._bits import SWAPS, family_of, holding, members, orbit
+from .._bits import NETWORKS, family_of, holding, relabellings
 
 _MASK64 = (1 << 64) - 1
 _SHUFFLE_SEED = 0x9E3779B97F4A7C15
@@ -41,6 +42,9 @@ _INSIDE_SCALE = 1.0 + _INSIDE_REL
 _PIVOT_TOL = 1e-12
 
 MAX_SUBSET_VERTICES = 16
+#: the point limits of the compiled kernels' fixed buffers
+_MAX_POINTS = 64
+_MAX_DIM = 16
 
 
 def _xorshift(state: int) -> tuple[int, int]:
@@ -211,15 +215,32 @@ def _empty_ball(d: int) -> tuple[tuple[float, ...], float, float]:
     return (0.0,) * d, -1.0, -math.inf
 
 
+def _load_points(points) -> list[tuple[float, ...]]:
+    """The points as the compiled kernels read them, checked in the same
+    order and with the same messages: at least one and at most
+    ``_MAX_POINTS`` points, the first of 1..``_MAX_DIM`` coordinates, and
+    that many coordinates read off each point.  ``ldexp(x, 0)`` is ``x``
+    read as a C double, as the compiled kernels read it: through
+    ``__float__`` or ``__index__``, so a string is refused."""
+    n = len(points)
+    if n == 0:
+        raise ValueError("meb requires at least one point")
+    if n > _MAX_POINTS:
+        raise ValueError(f"compiled kernel limited to {_MAX_POINTS} points, got {n}")
+    d = len(points[0])
+    if not 1 <= d <= _MAX_DIM:
+        raise ValueError(f"dimension must be in 1..{_MAX_DIM}, got {d}")
+    ldexp = math.ldexp
+    return [tuple([ldexp(p[k], 0) for k in range(d)]) for p in points]
+
+
 def meb(points) -> tuple[tuple[float, ...], float]:
     """Minimum enclosing ball of a nonempty point sequence.
 
     Welzl's algorithm with move-to-front over a fixed deterministic shuffle;
     returns ``(center, radius)``.
     """
-    pts = [tuple(float(c) for c in p) for p in points]
-    if not pts:
-        raise ValueError("meb requires at least one point")
+    pts = _load_points(points)
     n, d = len(pts), len(pts[0])
     order = list(_ORDERS[n]) if n <= MAX_SUBSET_VERTICES else _shuffled_order(n)
     center, radius, _ = _welzl(pts, order, n, (), _empty_ball(d), {}, d)
@@ -235,12 +256,12 @@ def subset_meb_radii(points, max_size: int) -> list[tuple[int, float]]:
     points' indices, so every subset shares one table of solved supports.
     """
     max_size = _c_int(max_size)  # the compiled kernel converts its int arguments first
-    pts = [tuple(float(c) for c in p) for p in points]
+    pts = _load_points(points)
     n = len(pts)
     if n > MAX_SUBSET_VERTICES:
         raise ValueError(f"subset scan limited to {MAX_SUBSET_VERTICES} points, got {n}")
     out: list[tuple[int, float]] = []
-    if n < 2 or max_size < 2:
+    if max_size < 2:
         return out
     d = len(pts[0])
     empty, balls = _empty_ball(d), {}
@@ -328,12 +349,12 @@ def canonical_masks(n: int, masks) -> tuple[int, ...]:
     The least, over all n! vertex relabelings, of the sorted tuple of
     remapped masks; a complete isomorphism invariant.
 
-    Up to five vertices (``SWAPS`` holds the walk's swaps for those sizes)
-    every relabeling is tried, as the compiled kernel does, by walking the
-    orbit of the family bitset and keeping its least member.  From six
-    vertices the walk is the slower way, and labels are given one at a
-    time: the masks below 2^(k+1) are exactly those on labels 0..k, so the
-    vertices given labels 0..k fix a prefix of the sorted tuple.  Every
+    Up to five vertices (``NETWORKS`` holds the tables for those sizes)
+    every relabeling is tried, as the compiled kernel does, all at once by
+    :func:`cechstrat._bits.relabellings`.  From six vertices that is the
+    slower way, and labels are given one at a time: the masks below
+    2^(k+1) are exactly those on labels 0..k, so the vertices given
+    labels 0..k fix a prefix of the sorted tuple.  Every
     level keeps only the partial labelings whose prefix is least, a proper
     prefix ranking after its extensions (the tuples have equal length, and
     the next mask of the shorter one is larger), and branches only on the
@@ -354,15 +375,18 @@ def canonical_masks(n: int, masks) -> tuple[int, ...]:
                      "mask out of range for vertex count")
     if not ms:
         return ()
-    if n < len(SWAPS):
-        # equal-size families: the lesser sorted tuple holds the lowest bit
-        # of their XOR
-        best = family_of(n, ms)
-        for f in orbit(best, SWAPS[n]):
-            d = f ^ best
-            if f & d & -d:
-                best = f
-        return tuple(members(best))
+    if n < len(NETWORKS):
+        # of two equal-size families, the lesser sorted tuple holds the
+        # lowest bit of their XOR; complements reverse the bits and commute
+        # with relabelling, so the least relabelling is the complement of
+        # the greatest relabelled family of complements.  Digit m of a
+        # family's 2^n binary digits, read from the left, is the bit of the
+        # complement of m.
+        digits = bytearray(b"0") * (1 << n)
+        for m in ms:
+            digits[m] = 49  # ord("1")
+        best = max(relabellings(n, int(digits, 2)))
+        return tuple([m for m, bit in enumerate(format(best, f"0{1 << n}b")) if bit == "1"])
     present = set(ms)
     # per vertex v: each mask holding v, its face without v, and whether a
     # partial labeling keeps that face's image (a mask, a vertex or empty)

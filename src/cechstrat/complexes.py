@@ -85,11 +85,30 @@ class SimplicialComplex:
     @functools.cached_property
     def n_components(self) -> int:
         """Connected components, which no vertex-surjective simplicial map
-        out of the complex can increase."""
-        parts: list[int] = []  # disjoint vertex sets, so a sum of them is their union
+        out of the complex can increase.
+
+        Those of the 1-skeleton: each vertex's neighbours (and itself) are
+        one bitset, read off the 2-vertex masks, and each component is
+        reached from its least unseen vertex by a bit-BFS whose frontier
+        takes each vertex once."""
+        n = self.n_vertices
+        adjacent = [1 << v for v in range(n)]
         for m in self.masks:
-            parts = [p for p in parts if not p & m] + [m | sum(p for p in parts if p & m)]
-        return len(parts)
+            if m.bit_count() == 2:
+                adjacent[(m & -m).bit_length() - 1] |= m
+                adjacent[m.bit_length() - 1] |= m
+        unseen = (1 << n) - 1
+        count = 0
+        while unseen:
+            reached = frontier = unseen & -unseen
+            while frontier:
+                low = frontier & -frontier
+                new = adjacent[low.bit_length() - 1] & ~reached
+                reached |= new
+                frontier ^= low | new  # low leaves, the new neighbours join
+            unseen &= ~reached
+            count += 1
+        return count
 
     @functools.cached_property
     def f_vector(self) -> tuple[int, ...]:
@@ -312,9 +331,9 @@ def canonical_form(c: SimplicialComplex) -> IsoClass:
     """Canonical representative and key under vertex relabeling.
 
     The representative is the relabeling whose sorted masks are
-    lexicographically least.  The compiled kernel tries all n!
-    relabelings; the pure one does too up to five vertices, by the
-    plain-changes walk, and finds it by a pruned search above.  Complexes
+    lexicographically least.  The one labeling of both backends, the
+    pure kernel's, tries all n! relabelings up to five vertices, in one
+    wide-integer pass, and finds it by a pruned search above.  Complexes
     above ``VERTEX_CAP`` vertices are rejected rather than silently
     taking factorial time.
     """

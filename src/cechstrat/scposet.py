@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 
 from . import _json, _kernels
-from ._bits import SWAPS, holding, members, orbit, set_bits
+from ._bits import holding, members, relabellings, set_bits
 from .complexes import (
     VERTEX_CAP,
     CapExceeded,
@@ -63,6 +63,10 @@ def dominates(c: SimplicialComplex, c_prime: SimplicialComplex) -> SimplicialMap
     return None if witness is None else SimplicialMap(c, c_prime, witness)
 
 
+#: the digits "0" and "1" to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 @dataclass(frozen=True)
 class PosetUniverse:
     """All isomorphism classes with at most ``n_max`` vertices plus the
@@ -83,8 +87,10 @@ class PosetUniverse:
 
     @functools.cached_property
     def relation(self) -> tuple[tuple[bool, ...], ...]:
+        # each row's digits, lowest bit first, as bytes 0 and 1
         digits = f"0{len(self.classes)}b"
-        return tuple(tuple(map("1".__eq__, format(row, digits)[::-1])) for row in self.ge)
+        return tuple(tuple(map(bool, format(row, digits)[::-1].encode().translate(_BIT_BYTES)))
+                     for row in self.ge)
 
     def index_of(self, cls: IsoClass) -> int:
         for i, c in enumerate(self.classes):
@@ -153,10 +159,10 @@ def enumerate_classes(n_max: int) -> PosetUniverse:
 
     Classes: those on n vertices are grown from the discrete complex as
     family bitsets, one addable simplex (:func:`_addable`) at a time.  A
-    family of a class not yet known gets its canonical form, its orbit,
-    walked by the n! - 1 adjacent swaps of plain-changes order (``SWAPS[n]``,
-    which the pure labeling walks too), is mapped to that class, and its
-    additions are grown.  So each class is labeled once, and each is
+    family of a class not yet known gets its canonical form, its n!
+    relabellings, taken at once by :func:`cechstrat._bits.relabellings` (as
+    the labeling takes them), are mapped to that class, and its additions
+    are grown.  So each class is labeled once, and each is
     reached: a complex less a maximal simplex has that simplex addable.
 
     Relation: rows are filled with the vertex count ascending and the
@@ -182,7 +188,7 @@ def enumerate_classes(n_max: int) -> PosetUniverse:
             family = grown.pop()
             if family not in class_of:
                 found.append(canonical_form(SimplicialComplex(n, members(family))))
-                class_of.update(dict.fromkeys(orbit(family, SWAPS[n]), found[-1]))
+                class_of.update(dict.fromkeys(relabellings(n, family), found[-1]))
                 grown += (family | 1 << m for m in set_bits(_addable(n, family)))
     classes = tuple(sorted(found, key=lambda c: (c.n_vertices, c.key)))
     index = {c.key: i for i, c in enumerate(classes)}

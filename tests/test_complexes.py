@@ -18,7 +18,7 @@ from cechstrat import (
     is_simplicial,
     make_complex,
 )
-from cechstrat._bits import mask_of, vertices_of
+from cechstrat._bits import holding, mask_of, vertices_of
 
 from conftest import FIG2_MAP_C_TO_D, fig2_complexes, random_complex
 
@@ -184,6 +184,37 @@ class TestFreeSizes:
     def test_full_simplex_on_sixteen_vertices(self):
         full = SimplicialComplex(16, range(1, 1 << 16))
         assert full.free_sizes == tuple(range(16))
+
+
+def test_holding_is_the_family_of_the_masks_with_the_vertex():
+    # read from the import-time table up to five vertices, computed above
+    for n in range(8):
+        for v in range(n):
+            assert holding(n, v) == sum(1 << m for m in range(1 << n) if m >> v & 1)
+
+
+def reference_n_components(c):
+    """The components by merging each simplex into every part it meets."""
+    parts = []  # disjoint vertex sets, so a sum of them is their union
+    for m in c.masks:
+        parts = [p for p in parts if not p & m] + [m | sum(p for p in parts if p & m)]
+    return len(parts)
+
+
+class TestComponents:
+    def test_random_complexes_of_one_to_nine_vertices(self):
+        rng = random.Random(41)
+        for n_max in range(1, 10):
+            for _ in range(25):
+                c = random_complex(rng, n_max)
+                assert c.n_components == reference_n_components(c)
+
+    def test_named_complexes(self):
+        assert SimplicialComplex(0).n_components == 0
+        assert make_complex(5, []).n_components == 5
+        assert make_complex(5, [(0, 4), (1, 3)]).n_components == 3
+        assert make_complex(5, [(0, 1, 2), (2, 4)]).n_components == 2
+        assert make_complex(5, [{v, (v + 1) % 5} for v in range(5)]).n_components == 1
 
 
 class TestIsSimplicial:

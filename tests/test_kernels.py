@@ -1,7 +1,10 @@
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -508,6 +511,34 @@ class TestInputDomain:
         with pytest.raises(_refusal(message), match=message):
             backend.subset_meb_radii(*args)
 
+    @pytest.mark.parametrize("points, message", [
+        ([], "meb requires at least one point"),
+        ([(0.0,)] * 65, "compiled kernel limited to 64 points, got 65"),
+        ([()], "dimension must be in 1..16, got 0"),
+        ([(0.0,) * 17], "dimension must be in 1..16, got 17"),
+        # the point count is checked before the dimension
+        ([()] * 65, "compiled kernel limited to 64 points, got 65"),
+    ])
+    def test_points_refused_by_both_kernels(self, backend, points, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            backend.meb(points)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            backend.subset_meb_radii(points, 2)
+
+    def test_scan_point_limit_comes_after_the_ball_limits(self, backend):
+        with pytest.raises(ValueError, match="subset scan limited to 16 points, got 17"):
+            backend.subset_meb_radii([(float(i),) for i in range(17)], 2)
+        assert backend.meb([(0.0,)] * 64)[1] == 0.0
+
+    @pytest.mark.parametrize("coordinate", ["1.0", b"1.0"])
+    def test_coordinates_are_read_as_c_doubles(self, backend, coordinate):
+        # through __float__ or __index__, as a C double is: a string is no number
+        with pytest.raises(TypeError, match="must be real number"):
+            backend.meb([(coordinate,)])
+        with pytest.raises(TypeError, match="must be real number"):
+            backend.subset_meb_radii([(0.0,), (coordinate,)], 2)
+        assert backend.meb([(1,), (Fraction(3),)]) == ((2.0,), 1.0)
+
     def test_scan_takes_any_c_int_size_cap(self, backend):
         points = ((0.0,), (1.0,))
         assert backend.subset_meb_radii(points, (1 << 31) - 1) == [(3, 0.5)]
@@ -544,6 +575,36 @@ class TestInputDomain:
         for call in calls:
             with pytest.raises(TypeError, match=message):
                 call()
+
+
+#: run in a fresh interpreter per backend, so that a kernel that crashes
+#: on ragged points fails its test rather than the suite
+_DISPATCH_SCRIPT = """
+from cechstrat import _kernels
+from cechstrat._kernels import _pure
+print(_kernels.BACKEND, _kernels.canonical_masks is _pure.canonical_masks)
+for points in ([(0.0, 0.0), (1.0,)], [(0.0,), (1.0, 2.0)]):
+    for call in (lambda: _kernels.meb(points), lambda: _kernels.subset_meb_radii(points, 2)):
+        try:
+            call()
+        except ValueError as e:
+            print(e)
+"""
+
+
+@pytest.mark.parametrize("name", sorted(_kernels.backends))
+class TestDispatch:
+    """What ``cechstrat._kernels`` adds to the backend it selects."""
+
+    def test_ragged_points_are_refused_before_the_kernel(self, name):
+        env = dict(os.environ, CECHSTRAT_KERNELS=name)
+        proc = subprocess.run([sys.executable, "-c", _DISPATCH_SCRIPT],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == f"{name} True"  # one canonical labeling on every backend
+        assert lines[1:] == ["every point needs the first one's dimension, "
+                             "got dimensions [1, 2]"] * 4
 
 
 class TestSearchPlans:

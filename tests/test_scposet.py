@@ -280,7 +280,7 @@ class TestEnumeration:
         """Growth from the discrete complex reaches every class once: the
         orbits of the classes found are disjoint and cover every labeled
         complex on n vertices."""
-        orbits = [set(_bits.orbit(c.canonical.family, _bits.SWAPS[n]))
+        orbits = [set(_bits.relabellings(n, c.canonical.family))
                   for c in universe5.classes if c.n_vertices == n]
         families = set().union(*orbits)
         assert sum(map(len, orbits)) == len(families)
@@ -608,10 +608,10 @@ class TestUniverseJson:
 
 
 class TestOrbitWalk:
-    """The one relabelling walk, ``_bits.orbit`` over the plain-changes
-    swaps: each new class of the enumeration marks its orbit by it, and the
-    pure ``canonical_masks`` takes the least member of it up to five
-    vertices."""
+    """The orbit of a family bitset, taken in one wide-integer pass by
+    ``_bits.relabellings``: each new class of the enumeration marks its
+    orbit by it, and the ``canonical_masks`` of both backends takes the
+    least of it up to five vertices."""
 
     @staticmethod
     def relabellings(n, family):
@@ -622,23 +622,32 @@ class TestOrbitWalk:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_every_labelled_complex_up_to_four_vertices(self, n):
         for family in labeled_families(n):
-            assert set(_bits.orbit(family, _bits.SWAPS[n])) == self.relabellings(n, family)
+            assert set(_bits.relabellings(n, family)) == self.relabellings(n, family)
 
     def test_a_sample_on_five_vertices(self):
         for family in random.Random(37).sample(labeled_families(5), 60):
-            assert set(_bits.orbit(family, _bits.SWAPS[5])) == self.relabellings(5, family)
+            assert set(_bits.relabellings(5, family)) == self.relabellings(5, family)
 
-    @pytest.mark.parametrize("n", range(len(_bits.SWAPS) + 1))
+    @pytest.mark.parametrize("n", range(len(_bits.NETWORKS)))
+    def test_random_families_complexes_or_not(self, n):
+        # any set of masks, the empty one included, relabels as a set
+        rng = random.Random(n)
+        for _ in range(40):
+            family = rng.getrandbits(1 << n)
+            lanes = _bits.relabellings(n, family)
+            assert len(lanes) == math.factorial(n)
+            assert set(lanes) == self.relabellings(n, family)
+
+    @pytest.mark.parametrize("n", range(len(_bits.NETWORKS)))
     def test_swaps_reach_each_permutation_once(self, n):
-        swaps = _bits.plain_changes(n)
-        assert n >= len(_bits.SWAPS) or _bits.SWAPS[n] == swaps
-        order = list(range(n))
-        seen = {tuple(order)}
-        for _, d in swaps:
-            u = d.bit_length() - 1
-            order[u], order[u + 1] = order[u + 1], order[u]
-            seen.add(tuple(order))
-        assert len(seen) == len(swaps) + 1 == math.factorial(n)
+        # masks 0, {0}, {0, 1}, ..., {0, ..., n-2}: a chain that only the
+        # identity maps onto itself, so n! relabellings give n! families
+        family = sum(1 << (1 << k) - 1 for k in range(n))
+        assert len(set(_bits.relabellings(n, family))) == math.factorial(n)
+
+    def test_the_tables_cover_up_to_five_vertices(self):
+        assert len(_bits.NETWORKS) == 6
+        assert [len(layers) for _, layers, _ in _bits.NETWORKS] == [0, 0, 1, 3, 6, 10]
 
 
 class TestBitsetRows:
