@@ -26,15 +26,15 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+#: ``vertices_of(m)`` for every mask m below 2^8, built once at import: the
+#: masks of complexes on at most ``complexes.VERTEX_CAP`` = 8 vertices,
+#: which labels, canonical forms and enumeration list thousands of times
+_VERTICES = tuple(tuple(v for v in range(8) if m >> v & 1) for m in range(256))
+
+
 def vertices_of(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
+    """The vertices of ``mask``, ascending."""
+    return _VERTICES[mask] if 0 <= mask < 256 else tuple(set_bits(mask))
 
 
 def family_of(n: int, masks: Iterable[int]) -> int:

@@ -42,18 +42,19 @@ def _subset_size_cap(n_points: int, max_dim: int | None) -> int:
 
 
 #: scans kept, by configuration, each with the complexes, labels and
-#: separations read from it; a still stretch needs one whatever it does,
+#: separation read from it; a still stretch needs one whatever it does,
 #: an entrance map where tracks move 33 (its 31 samples and both ends, read
 #: so that the start is still cached for the renaming).  Measured with
-#: tracemalloc on the compiled backend: an uncapped scan (at most 8
-#: points) holds 247 entries, about 42 kB with its radius order and band
-#: edges (26 kB without the edges), and at most 248 prefix complexes,
-#: 2 * 247 + 1 zone labels and 1,024 separations, about 1.3 MB with all of
-#: them built (8 random points in R^7), so 32 of them take about 42 MB; a
-#: perfbench growth zigzag (seed 1) builds at most 15 complexes and 29
-#: labels.  The largest scan (16 points, max_dim 15) holds 65,519
-#: entries, about 13.1 MB with its band edges (8.9 MB without), so 32 of
-#: those take about 420 MB, plus every complex read from them.
+#: tracemalloc on the compiled backend, 8 random points in R^7 (three
+#: seeds): an uncapped scan (at most 8 points) holds 247 entries, 26-31 kB
+#: with its radius order and band edges (30-35 kB with the merged edges
+#: read), and at most 248 prefix complexes, 2 * 247 + 1 zone labels and
+#: one separation, 0.62-0.87 MB with every complex built and a label read
+#: in every zone, so 32 of them take about 28 MB; a perfbench growth
+#: zigzag (seed 1) builds at most 15 complexes and 29 labels.  The
+#: largest scan (16 points, max_dim 15) holds 65,519 entries, about 13.1 MB
+#: with its band edges (8.9 MB without), so 32 of those take about 420 MB,
+#: plus every complex read from them.
 _SCAN_CACHE_SIZE = 32
 
 
@@ -80,8 +81,8 @@ class Scan(tuple):
     configuration: it keeps its band edges, the Cech complex of each
     spanned prefix (:meth:`complex`), in ``labels`` the stratum label of
     each zone (filled by :func:`cechstrat.strat.stratum_label`) and in
-    ``separations`` the separation of each radius read (filled by
-    :func:`cechstrat.strat.tilde_r`), and all go when the scan leaves the
+    ``separation`` the radius that :func:`cechstrat.strat.tilde_r` read
+    last with its separation and case, and all go when the scan leaves the
     cache.
     """
 
@@ -91,7 +92,7 @@ class Scan(tuple):
     upper: tuple[float, ...]
     n_points: int
     labels: dict
-    separations: dict
+    separation: tuple | None
 
     def __new__(cls, entries, n_points: int):
         scan = super().__new__(cls, entries)
@@ -100,7 +101,7 @@ class Scan(tuple):
         scan.lower, scan.upper = _band_edges(scan.radii)
         scan.n_points = n_points
         scan.labels = {}
-        scan.separations = {}
+        scan.separation = None
         scan._complexes = {}
         return scan
 

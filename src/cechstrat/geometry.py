@@ -11,15 +11,15 @@ import math
 from dataclasses import dataclass
 
 from . import _json, _kernels
+# the largest ambient dimension and the most points :func:`meb` takes: the
+# compiled kernels' fixed buffers, whose limits both kernels keep
+from ._kernels._pure import _MAX_DIM
+from ._kernels._pure import _MAX_POINTS as _MAX_MEB_POINTS
 
 #: absolute tolerance for geometric comparisons (ball membership, zero slack)
 EPS_GEO = 1e-9
 #: two points closer than this are considered the same element of a configuration
 DELTA_PT = 1e-9
-#: largest ambient dimension; the compiled kernels hold coordinates in fixed buffers
-_MAX_DIM = 16
-#: most points :func:`meb` takes, for the same reason
-_MAX_MEB_POINTS = 64
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ ball and one local map snaps them onto it.  The step halves toward the
 instant and stops, refusing the map, where a halving no longer moves.  On
 a still stretch the certification reads the stretch's one walk over its
 zone-edge crossings, made once per path, the step compares radii alone,
-and the tracks are renamed by the stretch's one track assignment.
+and the map is the renaming by the stretch's one track assignment, from
+the complex at the start into the instant's, checked once.
 """
 
 from __future__ import annotations
@@ -624,42 +625,23 @@ def _step_past(zone, near: float, far: float) -> float:
 
 def _renaming_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
     """Vertex renaming induced by following the tracks along a stretch with
-    constant label.
-
-    On a still stretch it is the identity of the stretch's one track
-    assignment, between the Cech complexes of the stretch's scan at the two
-    radii (:meth:`~cechstrat.cech.Scan.complex`, the objects that
-    :func:`~cechstrat.cech.cech_complex` returns).  Elsewhere each vertex
-    at t_from goes where its tracks are at t_to.  Either way the map must
-    be vertex-surjective and simplicial.
-    """
-    run = _still_run(path, t_from, t_to)
-    if run is None:
-        rp_a, asn_a = _evaluate_tracks(path, t_from)
-        rp_b, asn_b = _evaluate_tracks(path, t_to)
-        vmap: list[int | None] = [None] * len(rp_a.config)
-        for track, v in enumerate(asn_a):
-            w = asn_b[track]
-            if vmap[v] is None:
-                vmap[v] = w
-            elif vmap[v] != w:
-                raise ValueError(
-                    f"tracks split between t={t_from} and t={t_to}; label constancy violated"
-                )
-        if any(v is None for v in vmap):
-            raise ValueError("some vertex lost all its tracks; label constancy violated")
-        return _checked_renaming(cech_complex(rp_a), cech_complex(rp_b), vmap)
-    scan = subset_radii(path._still[run[0]][0])
-    return _still_renaming(scan, *(read_scan(scan, _radius_at(path, *_place(path, t)))
-                                   for t in (t_from, t_to)))
-
-
-def _still_renaming(scan: Scan, start: Zone, stop: Zone) -> SimplicialMap:
-    """The renaming along a still stretch with the uncapped ``scan``, from
-    its radius in zone ``start`` to one in zone ``stop``: the identity of
-    the stretch's one track assignment between the scan's complexes."""
-    return _checked_renaming(scan.complex(start.hi), scan.complex(stop.hi),
-                             range(scan.n_points))
+    constant label: each vertex at t_from goes where its tracks are at
+    t_to (on a still stretch, the identity of its one track assignment).
+    The map must be vertex-surjective and simplicial."""
+    rp_a, asn_a = _evaluate_tracks(path, t_from)
+    rp_b, asn_b = _evaluate_tracks(path, t_to)
+    vmap: list[int | None] = [None] * len(rp_a.config)
+    for track, v in enumerate(asn_a):
+        w = asn_b[track]
+        if vmap[v] is None:
+            vmap[v] = w
+        elif vmap[v] != w:
+            raise ValueError(
+                f"tracks split between t={t_from} and t={t_to}; label constancy violated"
+            )
+    if any(v is None for v in vmap):
+        raise ValueError("some vertex lost all its tracks; label constancy violated")
+    return _checked_renaming(cech_complex(rp_a), cech_complex(rp_b), vmap)
 
 
 def _checked_renaming(source, target, vmap) -> SimplicialMap:
@@ -698,15 +680,17 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
     :func:`_left_early`).  Where tracks move, the label is spot-checked at
     ``_CONSTANCY_SAMPLES`` evenly spaced times of [t_from, t_to).
 
-    The step is the track renaming from t_from to tau composed with
+    The step is the track renaming from t_from to tau
+    (:func:`_renaming_map`) composed with
     :func:`~cechstrat.strat.local_map` from x(tau) onto x(t_to): tau starts
     at the midpoint and moves halfway to t_to until x(tau) lies strictly
     inside the safe ball of x(t_to).  On a still stretch the configuration
-    does not move, so that is read from the radius alone, and the renaming
-    is the identity of the stretch's one track assignment
-    (:func:`_renaming_map`).  Where the next tau would equal t_to or round
-    back onto tau, no time is left to try and the map is refused.  Works in
-    either time direction.
+    does not move, so that is read from the radius alone, and the local
+    map snaps each point onto itself: the map is the identity of the
+    stretch's one track assignment from the complex at t_from into the one
+    at t_to, checked once.  Where the next tau would equal t_to or round
+    back onto tau, no time is left to try and the map is refused.  Works
+    in either time direction.
     """
     if not (0.0 <= t_from <= 1.0 and 0.0 <= t_to <= 1.0):
         raise ValueError("path parameters must lie in [0, 1]")
@@ -724,7 +708,7 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
         change = next((t for t, label in zip(checks, labels) if label != l_from), None)
     else:
         # the stretch's scan and its zone at t_from, read once for the
-        # certification and every renaming the halving loop tries
+        # certification and the map
         scan = subset_radii(path._still[run[0]][0])
         start = read_scan(scan, _radius_at(path, *_place(path, t_from)))
         change = _left_early(path, run[0], scan, start, t_from, t_to)
@@ -739,18 +723,14 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
                              f"ball of x(t={t_to})")
         if run is None:
             x_tau = evaluate(path, tau)
-            if not sup_distance(x_tau, end) < safe:
-                continue
-            renaming = _renaming_map(path, t_from, tau)
-        else:
-            r_tau = _radius_at(path, *_place(path, tau))
+            if sup_distance(x_tau, end) < safe:
+                return compose(_renaming_map(path, t_from, tau), local_map(x_tau, end))
+        elif abs(_radius_at(path, *_place(path, tau)) - end.radius) < safe:
             # one configuration, at Hausdorff distance 0.0 from itself: the
-            # sup distance is the radius difference
-            if not abs(r_tau - end.radius) < safe:
-                continue
-            x_tau = evaluate(path, tau)
-            renaming = _still_renaming(scan, start, read_scan(scan, r_tau))
-        return compose(renaming, local_map(x_tau, end))
+            # sup distance is the radius difference, and the snap takes each
+            # point onto itself, so the map runs from t_from straight into x(t_to)
+            snap = local_map(evaluate(path, tau), end)
+            return _checked_renaming(scan.complex(start.hi), snap.target, snap.vertex_map)
 
 
 def _left_early(path: PLPath, seg: int, scan: Scan, start: Zone, t_from: float,

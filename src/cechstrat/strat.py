@@ -83,12 +83,6 @@ class SafeBall:
         return self.r_tilde / 4.0
 
 
-#: separations a scan keeps, the oldest dropped first: a zigzag reads one
-#: per instant, most of them at one of the scan's radii (247 at most on 8
-#: points), and each takes about 140 bytes
-_SEPARATIONS_KEPT = 1024
-
-
 def tilde_r(x: RanPoint) -> SafeBall:
     """Separation radius of a configuration-radius pair.
 
@@ -99,24 +93,22 @@ def tilde_r(x: RanPoint) -> SafeBall:
     get 4*r (or 1 when r = 0) as a convention.
 
     The separation and case depend on the configuration and the radius
-    alone, so the configuration's cached scan keeps them per radius (the
-    last ``_SEPARATIONS_KEPT``), as it keeps one label per zone.  The ball
-    is built around ``x`` itself: equal points, which share a scan, can
-    differ in the sign of a zero.
+    alone, so the configuration's cached scan keeps them for the last
+    radius read: a zigzag reads each instant's four times in a row, once
+    for each of its two entrance maps and their local maps.  The ball is
+    built around ``x`` itself: equal points, which share a scan, can differ
+    in the sign of a zero.
     """
     config, r = x.config, x.radius
     if len(config) == 1:
         rt = 4.0 * r if r > 0.0 else 1.0
         return SafeBall(x, rt, "generic")
     scan = subset_radii(config)
-    separation = scan.separations.get(r)
-    if separation is None:
-        if len(scan.separations) >= _SEPARATIONS_KEPT:
-            del scan.separations[next(iter(scan.separations))]  # the oldest
+    if scan.separation is None or scan.separation[0] != r:
         zone = read_scan(scan, r)
         case: Case = "boundary" if zone.lo < zone.hi else "generic"
-        separation = scan.separations[r] = (min(r1(config), scan.slacks(r, zone)[1]), case)
-    return SafeBall(x, *separation)
+        scan.separation = (r, min(r1(config), scan.slacks(r, zone)[1]), case)
+    return SafeBall(x, *scan.separation[1:])
 
 
 def local_map(source: RanPoint, target: RanPoint) -> SimplicialMap:

@@ -193,6 +193,13 @@ def test_holding_is_the_family_of_the_masks_with_the_vertex():
             assert holding(n, v) == sum(1 << m for m in range(1 << n) if m >> v & 1)
 
 
+def test_vertices_of_lists_the_set_bits_ascending():
+    # read from the import-time table below 2^8, by the set bits above
+    for mask in range(1 << 12):
+        assert vertices_of(mask) == tuple(v for v in range(12) if mask >> v & 1), mask
+    assert vertices_of(1 << 40 | 5) == (0, 2, 40)
+
+
 def reference_n_components(c):
     """The components by merging each simplex into every part it meets."""
     parts = []  # disjoint vertex sets, so a sum of them is their union

@@ -1034,6 +1034,26 @@ class TestEntranceMap:
         scan = subset_radii(triangle_config())
         assert walked == [zone_edges(scan), scan.radii]
 
+    def test_a_map_from_mid_stretch_walks_the_whole_stretch(self):
+        """The first reader of a stretch's walk may start past its first
+        segment: the walk still covers the stretch, is kept for each of
+        its segments, and is the one that ``transitions`` makes."""
+
+        def still_path():
+            tracks = tuple((p,) * 5 for p in triangle_config().points)
+            return PLPath(2, (0.0, 0.25, 0.5, 0.75, 1.0), tracks, (0.1, 0.2, 0.3, 0.4, 0.6))
+
+        walked = still_path()
+        (t_to, _), *_ = transitions(walked, 0.01)
+        path = still_path()
+        assert not path._walks
+        m = entrance_map(path, 0.6, t_to)  # from segment 2, into segment 3
+        walk = path._walks[2]
+        assert path._walks == dict.fromkeys(range(4), walk)
+        assert all(w is walk for w in path._walks.values())
+        assert walk == walked._walks[0]
+        assert m == entrance_map(walked, 0.6, t_to)
+
     def test_bisected_crossings_match_the_run_walk(self):
         rng = random.Random(35)
 
