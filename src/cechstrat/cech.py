@@ -47,14 +47,14 @@ def _subset_size_cap(n_points: int, max_dim: int | None) -> int:
 #: so that the start is still cached for the renaming).  Measured with
 #: tracemalloc on the compiled backend, 8 random points in R^7 (three
 #: seeds): an uncapped scan (at most 8 points) holds 247 entries, 26-31 kB
-#: with its radius order and band edges (30-35 kB with the merged edges
-#: read), and at most 248 prefix complexes, 2 * 247 + 1 zone labels and
-#: one separation, 0.62-0.87 MB with every complex built and a label read
-#: in every zone, so 32 of them take about 28 MB; a perfbench growth
-#: zigzag (seed 1) builds at most 15 complexes and 29 labels.  The
-#: largest scan (16 points, max_dim 15) holds 65,519 entries, about 13.1 MB
-#: with its band edges (8.9 MB without), so 32 of those take about 420 MB,
-#: plus every complex read from them.
+#: with its radius order and band edges, and at most 248 prefix
+#: complexes, 2 * 247 + 1 zone labels and one separation, 0.62-0.87 MB
+#: with every complex built and a label read in every zone, so 32 of
+#: them take about 28 MB; a perfbench growth zigzag (seed 1) builds at
+#: most 15 complexes and 29 labels.  The largest scan (16 points, max_dim
+#: 15) holds 65,519 entries, about 13.1 MB with its band edges (8.9 MB
+#: without), so 32 of those take about 420 MB, plus every complex read
+#: from them.
 _SCAN_CACHE_SIZE = 32
 
 
@@ -104,11 +104,6 @@ class Scan(tuple):
         scan.separation = None
         scan._complexes = {}
         return scan
-
-    @functools.cached_property
-    def edges(self) -> tuple[float, ...]:
-        """``lower`` and ``upper`` merged, ascending, kept once read."""
-        return tuple(sorted(self.lower + self.upper))
 
     def complex(self, hi: int) -> SimplicialComplex:
         """The Cech complex where the first ``hi`` subsets by radius span,
@@ -210,8 +205,8 @@ def zone_edges(scan: Scan) -> list[float]:
     a radius with, so each edge reads inside the band it bounds: the lower
     edge of the band of 0.5 is the float 0.499999999, which reads as
     critical although 0.5 - 0.499999999 is 1.0000000272e-9.  The list is
-    a copy of the scan's ``edges``."""
-    return list(scan.edges)
+    the scan's ``lower`` and ``upper`` merged, sorted afresh per call."""
+    return sorted(scan.lower + scan.upper)
 
 
 def cech_complex(x: RanPoint, max_dim: int | None = None) -> SimplicialComplex:

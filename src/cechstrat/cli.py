@@ -19,29 +19,8 @@ from .cech import cech_complex as build_cech_complex
 from .complexes import SimplicialComplex
 from .geometry import PointConfig, RanPoint
 
-ENV_PREFIX = "CECHSTRAT_"
-
-
-def _env_default(name: str, fallback, cast):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ValueError(f"invalid {ENV_PREFIX}{name}={raw!r}: {exc}") from None
-
-
 def _dump(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
-def _emit(text: str, out_file: str | None):
-    if out_file:
-        with open(out_file, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _load_json(path: str) -> dict:
@@ -57,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cechstrat",
         description="Cech complexes, the domination order on simplicial "
         "complex classes, and stratified configuration paths.",
-        epilog=f"Environment: {ENV_PREFIX}SEED mirrors frontier-demo's --seed.",
+        epilog="Environment: CECHSTRAT_SEED mirrors frontier-demo's --seed.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -96,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("frontier-demo",
                        help="frontier-condition violation on the two-point family")
     p.add_argument("--seed", type=int,
-                   help=f"seed for the Monte-Carlo sampling (default: {ENV_PREFIX}SEED, else 0)")
+                   help="seed for the Monte-Carlo sampling (default: CECHSTRAT_SEED, else 0)")
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--refined", action="store_true",
                    help="use degeneracy-refined labels instead of coarse classes")
@@ -167,20 +146,28 @@ def _cmd_track(args) -> int:
                 "maps": [m.to_json_dict() for m in chain.maps],
             }
         )
-    _emit(_dump(data), args.out)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(_dump(data))
+    else:
+        sys.stdout.write(_dump(data))
     return 0
 
 
 def _cmd_frontier_demo(args) -> int:
+    seed = args.seed
+    if seed is None:  # the flag wins over the variable
+        raw = os.environ.get("CECHSTRAT_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"invalid CECHSTRAT_SEED={raw!r}: {exc}") from None
     family = strat.two_point_line_family()
     config = PointConfig(1, ((0.0,), (1.0,)))
     label_a = strat.stratum_label(RanPoint(config, 0.4))
     label_b = strat.stratum_label(RanPoint(config, 0.6))
-    report = strat.frontier_check(
-        family, label_a, label_b,
-        n_samples=args.samples, refined=args.refined,
-        seed=_env_default("SEED", 0, int) if args.seed is None else args.seed,
-    )
+    report = strat.frontier_check(family, label_a, label_b, n_samples=args.samples,
+                                  refined=args.refined, seed=seed)
     sys.stdout.write(_dump(report.to_json_dict()))
     return 3 if report.verdict == "inconclusive" else 0
 

@@ -41,7 +41,8 @@ def dominates(c: SimplicialComplex, c_prime: SimplicialComplex) -> SimplicialMap
       simplex than ``c_prime`` has;
     - as many vertices (a map would be a bijection, so injective on
       simplices), and some simplex count above ``c_prime``'s, or all of
-      them equal and the two not isomorphic.
+      them equal (a bijection would then be an isomorphism) and the two
+      canonical keys different; only this case labels the complexes.
     """
     if c.n_vertices > VERTEX_CAP or c_prime.n_vertices > VERTEX_CAP:
         raise CapExceeded(f"domination search capped at {VERTEX_CAP} vertices, "
@@ -55,9 +56,10 @@ def dominates(c: SimplicialComplex, c_prime: SimplicialComplex) -> SimplicialMap
             return None
     else:
         fa, fb = c.f_vector, c_prime.f_vector
-        # equal f-vectors exclude only a different class: decide by the keys
-        if _bijection_excluded(fa, fb) and (
-                fa != fb or canonical_form(c).key != canonical_form(c_prime).key):
+        # a bijection is injective on simplices, and with equal f-vectors an
+        # isomorphism: only then are the two labelled
+        if any(map(operator.gt, fa, fb)) or (
+                fa == fb and canonical_form(c).key != canonical_form(c_prime).key):
             return None
     witness = _kernels.surjection_witness(c.n_vertices, c_prime.n_vertices, c.masks, c_prime.masks)
     return None if witness is None else SimplicialMap(c, c_prime, witness)
@@ -135,13 +137,6 @@ class PosetUniverse:
                     raise ValueError(f"{fmt}: the relation is not transitive: class {a} "
                                      f"is above class {b} but not above all it is above")
         return universe
-
-
-def _bijection_excluded(fa: tuple[int, ...], fb: tuple[int, ...]) -> bool:
-    """True when no simplicial bijection maps a complex with f-vector ``fa``
-    onto a different class with f-vector ``fb``: a bijection is injective
-    on simplices, and with equal f-vectors it would be an isomorphism."""
-    return fa == fb or any(x > y for x, y in zip(fa, fb))
 
 
 def _addable(n: int, family: int) -> int:

@@ -208,6 +208,8 @@ def _zone_label(scan: Scan, zone: Zone) -> StratumLabel:
 # --------------------------------------------------------------------------
 # Monte-Carlo frontier checking
 
+#: sup-radius of the first probe ball around a candidate, in parameter units
+_PROBE_RADIUS = 0.05
 #: shrinking probe balls around a boundary candidate, each a quarter of the last
 _LEVELS = 8
 #: family points sampled per probe ball
@@ -298,26 +300,27 @@ def frontier_check(
     label_a: StratumLabel,
     label_b: StratumLabel,
     n_samples: int = 2000,
-    probe_radius: float = 0.05,
     refined: bool = False,
     seed: int = 0,
 ) -> FrontierReport:
     """Monte-Carlo check of the frontier condition for a stratum pair.
 
-    Looks for (i) a boundary witness: a stratum-b point whose shrinking
-    sup-balls all contain stratum-a points, i.e. evidence it lies in the
-    closure of stratum a; and (ii) an interior witness: a stratum-b point
-    whose probe ball contains no stratum-a point.  Both found means the
-    closure of stratum a meets stratum b without containing it: verdict
-    "violated".  Sampling that cannot populate the strata at all yields
-    "inconclusive" rather than a pass; ``n_samples`` must be at least 1.
+    Looks for (i) a boundary witness: a stratum-b point whose ``_LEVELS``
+    shrinking sup-balls, from ``_PROBE_RADIUS`` down by quarters, all
+    contain stratum-a points, i.e. evidence it lies in the closure of
+    stratum a; and (ii) an interior witness: a stratum-b point whose probe
+    ball of radius ``_PROBE_RADIUS`` contains no stratum-a point.  Both
+    found means the closure of stratum a meets stratum b without containing
+    it: verdict "violated".  Sampling that cannot populate the strata at
+    all yields "inconclusive" rather than a pass; ``n_samples`` must be at
+    least 1.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = random.Random(seed)
     params = {
         "n_samples": n_samples,
-        "probe_radius": probe_radius,
+        "probe_radius": _PROBE_RADIUS,
         "levels": _LEVELS,
         "probes_per_level": _PROBES_PER_LEVEL,
         "seed": seed,
@@ -376,7 +379,7 @@ def frontier_check(
     for theta, z in candidates:
         ok = True
         for k in range(_LEVELS):
-            rho = probe_radius * (4.0 ** (-k))
+            rho = _PROBE_RADIUS * (4.0 ** (-k))
             found = any(
                 _label_matches(lbl, label_a, refined)
                 for lbl in _probe_near(family, theta, z, rho, rng)
@@ -390,7 +393,7 @@ def frontier_check(
 
     interior_witness = None
     for theta, z, _ in b_hits:
-        labels = _probe_near(family, theta, z, probe_radius, rng)
+        labels = _probe_near(family, theta, z, _PROBE_RADIUS, rng)
         if len(labels) < _PROBES_PER_LEVEL // 2:
             continue
         if not any(_label_matches(lbl, label_a, refined) for lbl in labels):

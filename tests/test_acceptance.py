@@ -255,7 +255,6 @@ def test_criterion_4_frontier_violation():
             stratum_label(RanPoint(cfg, 0.4)),
             stratum_label(RanPoint(cfg, 0.6)),
             n_samples=2000,
-            probe_radius=0.05,
             seed=4,
         )
         assert report.verdict == "violated"

@@ -90,6 +90,11 @@ class TestEachBackend:
     def test_surjection_requires_enough_vertices(self, backend):
         assert backend.surjection_witness(1, 2, [1], [1, 2, 3]) is None
 
+    def test_empty_inputs(self, backend):
+        # no masks on three vertices: nothing to label; no vertices: the empty map
+        assert backend.canonical_masks(3, []) == ()
+        assert backend.surjection_witness(0, 0, [], []) == ()
+
     def test_surjection_identity(self, backend):
         masks = [1, 2, 3]
         w = backend.surjection_witness(2, 2, masks, masks)

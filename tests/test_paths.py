@@ -805,6 +805,22 @@ class TestTransitions:
         assert t_star == pytest.approx(1.0, abs=1e-6)
         assert lbl.cls.key == named_classes["point"].key
 
+    def test_a_dominated_instant_absorbs_the_next(self, named_classes):
+        # the radius falls from 0.6 to 0.4 within 1e-4 while a third point
+        # creeps: the filled triangle loses its 2-simplex and the edge (0, 2)
+        # near 0.5005, then the edge (0, 1) at 0.5, about 2.5e-7 later, inside
+        # the merge width of 1e-5; the first instant's triangle lies below
+        # the second's path, so the one instant keeps it
+        p = PLPath(1, (0.0, 0.5, 0.5 + 1e-4, 1.0),
+                   (((0.0,),) * 4, ((1.0,),) * 4,
+                    ((1.001,), (1.001,), (1.0011,), (1.0011,))),
+                   (0.6, 0.6, 0.4, 0.4))
+        [(t_star, lbl)] = transitions(p, 0.01)
+        assert 0.5 < t_star < 0.5 + 1e-4
+        assert lbl.cls.key == named_classes["filled3"].key
+        after = stratum_label(evaluate(p, 1.0))
+        assert after.cls.key == named_classes["edge_plus_point"].key
+
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             transitions(ramp_path(), 0.0)

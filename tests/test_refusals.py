@@ -8,6 +8,7 @@ import pytest
 from cechstrat import (
     Ball,
     Filtration,
+    PLPath,
     PointConfig,
     RanPoint,
     SafeBall,
@@ -24,6 +25,12 @@ from cechstrat import (
 
 PAIR = PointConfig(1, ((0.0,), (1.0,)))
 TRIANGLE = PointConfig(2, ((0.0, 0.0), (1.0, 0.0), (0.5, 0.8)))
+
+
+def two_tracks_to(second):
+    """Two tracks that stand at 0.0 on one point until t = 0.99, the
+    second taking the waypoints ``second``, at a radius of 0.1 throughout."""
+    return PLPath(1, (0.0, 0.99, 1.0), (((0.0,),) * 3, second), (0.1,) * 3)
 
 
 def broken_zigzag(**changes):
@@ -48,6 +55,27 @@ REFUSALS = {
     "entrance_map_past_1": (
         lambda: entrance_map(cech_path(PAIR, 0.9), 0.5, 1.5),
         r"path parameters must lie in \[0, 1\]"),
+    # the second track leaves the first just after t = 0.99, past the last
+    # spot check of the moving stretch (t = 31/32), so the label change is
+    # missed and the renaming to t = 0.998046875 finds the tracks parted
+    "entrance_map_tracks_split": (
+        lambda: entrance_map(two_tracks_to(((0.0,), (0.0,), (1.0,))), 0.0, 1.0),
+        r"tracks split between t=0\.0 and t=0\.998046875; label constancy violated"),
+    # the same, from two points 0.1 apart: their edge breaks past the last
+    # spot check, so the renaming maps it onto two points
+    "entrance_map_renaming_not_simplicial": (
+        lambda: entrance_map(two_tracks_to(((0.1,), (0.1,), (1.0,))), 0.0, 1.0),
+        "renaming map is not simplicial; label constancy violated"),
+    # the third point runs at 1.5e6 per unit time from its edge with the
+    # second into an edge with the fourth; both are critical for under
+    # 1e-14, inside the final bracket of 1e-13, so bisection sees a path on
+    # three vertices and a point turn into two disjoint edges
+    "zigzag_bracket_between_incomparable_labels": (
+        lambda: zigzag(PLPath(1, (0.0, 0.5, 0.5 + 1e-7, 1.0),
+                              (((0.0,),) * 4, ((0.5,),) * 4,
+                               ((1.45,), (1.45,), (1.6,), (1.6,)), ((2.5,),) * 4),
+                              (0.5,) * 4), 0.01),
+        "transition between incomparable labels: the instant label dominates neither side"),
     "zigzag_one_time_short": (
         lambda: broken_zigzag(times=lambda times: times[1:]),
         "one transition class and map pair per instant"),

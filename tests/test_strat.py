@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -391,6 +392,62 @@ class TestFrontierCheck:
         assert label_a.cls.key == named_classes["discrete3"].key
         report = frontier_check(family, label_a, label_b, n_samples=50, seed=1)
         assert report.verdict == "inconclusive"
+
+    @staticmethod
+    def pair_labels():
+        cfg = config_1d(0.0, 1.0)
+        return stratum_label(RanPoint(cfg, 0.4)), stratum_label(RanPoint(cfg, 0.6))
+
+    def test_a_family_that_realizes_no_sample_is_inconclusive(self):
+        def refusing(theta):
+            raise ValueError("outside the family")
+
+        family = dataclasses.replace(two_point_line_family(), realize=refusing)
+        report = frontier_check(family, *self.pair_labels(), n_samples=20, seed=1)
+        assert report.verdict == "inconclusive"
+        assert (report.samples_a, report.samples_b) == (0, 0)
+
+    def test_an_anchor_the_family_refuses_is_skipped(self):
+        family = two_point_line_family()
+        outside = (1.0, -0.1)  # a negative radius
+        with pytest.raises(ValueError):
+            family.realize(outside)
+        with_outside = dataclasses.replace(family, anchors=(outside, *family.anchors))
+        report = frontier_check(with_outside, *self.pair_labels(), n_samples=300, seed=2)
+        assert report.verdict == "violated"
+        plain = frontier_check(family, *self.pair_labels(), n_samples=300, seed=2)
+        assert report.to_json_dict() == plain.to_json_dict()
+
+    def test_refused_probes_leave_no_witness(self):
+        # the family realizes its samples and anchors, then refuses every
+        # probe: no ball finds a stratum-a point, and no stratum-b point
+        # keeps half its probes, so neither witness is taken
+        family = two_point_line_family()
+        calls = []
+
+        def stopping(theta):
+            calls.append(theta)
+            if len(calls) > 300 + len(family.anchors):
+                raise ValueError("outside the family")
+            return family.realize(theta)
+
+        report = frontier_check(dataclasses.replace(family, realize=stopping),
+                                *self.pair_labels(), n_samples=300, seed=2)
+        assert report.verdict == "satisfied-at-budget"
+        assert report.note == "no stratum-b point adjacent to stratum a was found"
+        assert report.boundary_witness is None and report.interior_witness is None
+        assert report.samples_a and report.samples_b
+        assert len(calls) > 300 + len(family.anchors) + strat._PROBES_PER_LEVEL
+
+    def test_a_window_at_the_frontier_has_no_interior_witness(self):
+        # radii within 0.02 of the critical 0.5: every edge point's probe
+        # ball holds two-point configurations
+        family = dataclasses.replace(two_point_line_family(), lower=(1.0, 0.48),
+                                     upper=(1.0, 0.52))
+        report = frontier_check(family, *self.pair_labels(), n_samples=100, seed=1)
+        assert report.verdict == "satisfied-at-budget"
+        assert report.note == "every probed stratum-b point had stratum-a points nearby"
+        assert report.boundary_witness is not None and report.interior_witness is None
 
     def test_report_json_shape(self):
         family = two_point_line_family()

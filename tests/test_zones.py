@@ -389,7 +389,7 @@ class TestKeptOnTheScan:
     def test_zone_edges_is_a_fresh_list(self):
         scan = cech.subset_radii(PointConfig(2, ((0.0, 0.0), (1.0, 0.0), (0.5, 0.8))))
         edges = cech.zone_edges(scan)
-        assert edges == list(scan.edges) and edges is not cech.zone_edges(scan)
+        assert edges is not cech.zone_edges(scan)
         edges.clear()
         assert cech.zone_edges(scan) == sorted(scan.lower + scan.upper)
 
