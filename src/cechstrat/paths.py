@@ -4,11 +4,12 @@ A path is a bundle of labeled tracks over shared breakpoints plus a
 piecewise-linear radius.  Tracks may merge (and must then stay merged to
 the end of the segment), so the induced configuration path is well
 defined.  On a still stretch, where no track moves, the label is a
-function of the radius alone and changes only where the radius meets the
-tolerance band of a radius of the configuration's one scan, so its
-transitions are found exactly, one division per crossing, whatever the
-resolution: a passage through a band is one instant, at the time the
-radius meets the critical radius.  Where tracks move, transitions are
+function of the zone of the radius in the configuration's one scan, so
+its transitions are found exactly, whatever the resolution: the zone
+changes at the first float at which the radius that :func:`evaluate`
+reads passes an edge of the tolerance band of a scan radius, and a
+passage through a band is one instant, at the time the radius meets the
+critical radius, found by one division.  Where tracks move, transitions are
 located on a grid of steps at most the resolution and by bisection.  Each
 instant gets entrance maps from both neighboring intervals, assembling a
 zigzag of vertex-surjective simplicial maps.  An entrance map is certified,
@@ -84,7 +85,7 @@ class PLPath:
     configuration and track assignment are built once, from the gaps
     between moving segments, and shared by every evaluation on it; only
     the radius varies.  Construction scans no configuration: the times at
-    which the radius meets a zone edge of a stretch's scan are walked by
+    which the zone of the radius in a stretch's scan changes are walked by
     the first reader that needs them.
     """
 
@@ -96,9 +97,9 @@ class PLPath:
     #: still stretch, or None on a segment where some track moves
     _still: tuple[tuple[PointConfig, tuple[int, ...]] | None, ...] = field(
         init=False, repr=False, compare=False)
-    #: per segment of a still stretch, the stretch's zone-edge crossings
-    #: (:func:`_stretch_walk`), walked by the first reader and kept for
-    #: every segment of the stretch
+    #: per segment of a still stretch, the times at which the stretch's zone
+    #: changes (:func:`_stretch_walk`), walked by the first reader and kept
+    #: for every segment of the stretch
     _walks: dict[int, list[float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -434,7 +435,9 @@ def _grid_events(path: PLPath, t_start: float, t_end: float, steps: int,
 
 def _crossings(path: PLPath, first: int, last: int, values) -> list[float]:
     """Times, ascending, at which the radius meets each of the sorted
-    ``values`` on the still stretch over breakpoints first..last.
+    ``values`` on the still stretch over breakpoints first..last: the
+    marks where :func:`_still_events` may put an instant, not the zone
+    changes (:func:`_stretch_walk`).
 
     One walk over the stretch's segments in time order (:func:`_trends`):
     a rising segment meets the values above its start radius up to and
@@ -473,10 +476,18 @@ def _trends(path: PLPath, first: int, last: int):
 
 
 def _stretch_walk(path: PLPath, seg: int) -> list[float]:
-    """The times, ascending, at which the radius meets a zone edge
-    (:func:`~cechstrat.cech.zone_edges`) on the whole still stretch that
-    holds segment ``seg``: one :func:`_crossings` walk per stretch, made by
-    its first reader and kept on the path for each of its segments."""
+    """The times, ascending, at which the zone of the radius changes on the
+    whole still stretch that holds segment ``seg``, made by its first
+    reader and kept on the path for each of its segments.
+
+    A segment crosses the zone edges (:func:`~cechstrat.cech.zone_edges`)
+    whose sides its two end radii read differently, by the comparisons of
+    :func:`~cechstrat.cech.read_scan`: a lower edge l is passed where the
+    radius is at least l, an upper edge u where it is above u.  Each
+    crossing is the first float of the segment at which the radius that
+    :func:`evaluate` reads is past the edge (:func:`_first_past`), so the
+    zone is constant from one crossing up to the float before the next.
+    """
     walk = path._walks.get(seg)
     if walk is None:
         still, shared = path._still, path._still[seg]
@@ -485,9 +496,48 @@ def _stretch_walk(path: PLPath, seg: int) -> list[float]:
             first -= 1
         while last < len(still) and still[last] is shared:
             last += 1
-        walk = _crossings(path, first, last, zone_edges(subset_radii(shared[0])))
+        scan = subset_radii(shared[0])
+        lower, upper, bp, radius = scan.lower, scan.upper, path.breakpoints, path.radius
+        # how many upper and lower edges the radius at each breakpoint has passed
+        passed = [(bisect.bisect_left(upper, r), bisect.bisect_right(lower, r))
+                  for r in radius[first:last + 1]]
+        walk = []
+        for s, ((u0, l0), (u1, l1)) in enumerate(zip(passed, passed[1:]), first):
+            # the nearest float on the end's side of each edge crossed, once
+            if u0 < u1 or l0 < l1:
+                values = {*lower[l0:l1], *(math.nextafter(u, math.inf) for u in upper[u0:u1])}
+            elif u0 > u1 or l0 > l1:
+                values = {*(math.nextafter(v, -math.inf) for v in lower[l1:l0]), *upper[u1:u0]}
+            else:
+                continue
+            walk += sorted({_first_past(bp[s], bp[s + 1], radius[s], radius[s + 1], v)
+                            for v in values})
         path._walks.update(dict.fromkeys(range(first, last), walk))
     return walk
+
+
+def _first_past(t0: float, t1: float, r0: float, r1: float, value: float) -> float:
+    """The first float of (t0, t1] at which the radius of the segment from
+    (t0, r0) to (t1, r1), as :func:`evaluate` reads it, is at least
+    ``value`` on a rise, or at most ``value`` on a fall: a gallop by
+    doubling steps from where the line meets ``value``, strictly inside the
+    segment, until a step leaves the bracket it has found, then bisection."""
+    rises = r0 < r1
+    lo, hi = t0, t1
+    t = t0 + (value - r0) / (r1 - r0) * (t1 - t0)
+    t = min(max(t, math.nextafter(t0, t1)), math.nextafter(t1, t0))
+    step = math.ulp(t)
+    while lo < t < hi:
+        r = max(_lerp((t - t0) / (t1 - t0), r0, r1), 0.0)
+        if r >= value if rises else r <= value:
+            hi, t = t, t - step
+        else:
+            lo, t = t, t + step
+        step *= 2.0
+        if not lo < t < hi:
+            # the step left the bracket: bisect it from here on
+            t, step = 0.5 * (lo + hi), 0.0
+    return hi
 
 
 def _crossed_between(path: PLPath, seg: int, lo: float, hi: float) -> list[float]:
@@ -502,30 +552,29 @@ def _still_events(path: PLPath, first: int, last: int) -> list[Instant]:
     """Exact transitions of the still stretch over breakpoints first..last.
 
     The label is a function of the zone of the radius in the stretch's one
-    scan, and every part of the zone is monotone in the radius, so the
-    label can change only where the radius meets a zone edge
-    (:func:`~cechstrat.cech.zone_edges`).  Crossings less than
-    ``_INSTANT_WIDTH`` apart with the radius inside a tolerance band
-    between them, such as the way in and out of the band of a radius the
-    path passes, make one instant, which takes in a stretch end that near
-    and itself inside a band (:func:`_end_joined`); a longer stay inside a
-    band is an interval between two instants.
+    scan, so it can change only at a crossing of the stretch's walk
+    (:func:`_stretch_walk`, kept on the path for its entrance maps): the
+    first float at which the radius that :func:`evaluate` reads passes a
+    zone edge (:func:`~cechstrat.cech.zone_edges`).  The crossings cut the
+    stretch into pieces of one zone each, read at the piece's first float.
+    Crossings less than ``_INSTANT_WIDTH`` apart with the radius inside a
+    tolerance band between them, such as the way in and out of the band
+    of a radius the path passes, make one instant, which takes in a
+    stretch end as near whose piece is inside a band; a longer stay inside
+    a band is an interval between two instants.
 
-    Only the instants and one time between each two are labelled, by the
-    zone read there: the midpoint, or the stretch end for an outer side.
-    One walk over the stretch's segments finds where the radius meets a
-    zone edge (kept on the path for its entrance maps, see
-    :func:`_stretch_walk`) or a scan radius (:func:`_crossings`), and the
-    radius turns where a segment's trend differs from the one before it
-    (:func:`_trends`).
-    An instant lies where the radius meets a scan radius, turns or the
-    stretch ends, at the one of these with the lowest label; a lone
-    crossing into or out of a longer stay has none, and its instant is
-    the first time past it on the side of the lower label, found by
-    bisection on the zone.  Each instant is compared with both sides by
-    :func:`_lower_label`: it carries the lower label, incomparable
-    neighbours are an error, and an instant whose sides carry its own
-    label is no transition.
+    Only the instants and the piece between each two are labelled, each
+    side by the zone of its piece.  Another walk over the stretch's
+    segments finds the marks where an instant may lie: where the radius
+    meets a scan radius, by division (:func:`_crossings`), where it turns,
+    that is where a segment's trend differs from the one before it
+    (:func:`_trends`), and the stretch's end.  An instant lies at the mark
+    inside it with the lowest label; a lone crossing into or out of a
+    longer stay has none, and its instant lies on the side of the lower
+    label: at the crossing, or at the float before it.  Each instant is
+    compared with both sides by :func:`_lower_label`: it carries the lower
+    label, incomparable neighbours are an error, and an instant whose
+    sides carry its own label is no transition.
     """
     bp = path.breakpoints
     scan = subset_radii(path._still[first][0])
@@ -539,19 +588,17 @@ def _still_events(path: PLPath, first: int, last: int) -> list[Instant]:
             spans[-1][1] = t
         else:
             spans.append([t, t])
-    if spans and _end_joined(zone, bp[first], spans[0][0]):
+    if spans and _joined(zone, bp[first], spans[0][0]):
         spans[0][0] = bp[first]
-    if spans and _end_joined(zone, bp[last], spans[-1][1]):
+    if spans and _joined(zone, spans[-1][1], bp[last]):
         spans[-1][1] = bp[last]
     # where an instant may lie: the roots, the turns and the stretch ends
     # (the first segment counts as turned)
     marks = sorted((*_crossings(path, first, last, scan.radii), bp[last],
                     *(bp[s] for s, _, turned in _trends(path, first, last) if turned)))
     bounds = (bp[first], *(x for span in spans for x in span), bp[last])
-    mids = [0.5 * (u + v) for u, v in zip(bounds[::2], bounds[1::2])]
-    reads = [bp[first], *mids[1:-1], bp[last]]
-    sides = [_zone_label(scan, zone(t)) if v - u > _POINT_WIDTH else None
-             for t, u, v in zip(reads, bounds[::2], bounds[1::2])]
+    sides = [_zone_label(scan, zone(u)) if v - u > _POINT_WIDTH else None
+             for u, v in zip(bounds[::2], bounds[1::2])]
     events = []
     for k, (lo, hi) in enumerate(spans):
         candidates = {}  # one mark per zone
@@ -559,12 +606,14 @@ def _still_events(path: PLPath, first: int, last: int) -> list[Instant]:
             candidates.setdefault(zone(t), t)
         if not candidates:
             # a lone crossing, with an interval on each side (a span at a
-            # stretch end holds the end): step past it to the lower side
+            # stretch end holds the end): the instant lies on the side of
+            # the lower label, at the span's last crossing or at the float
+            # before its first
             low = _lower_label(sides[k], sides[k + 1])
             if low is None:
                 raise ValueError(_INCOMPARABLE)
-            far = 0.5 * (bounds[2 * k] + lo) if low is sides[k] else 0.5 * (hi + bounds[2 * k + 3])
-            candidates[zone(far)] = _step_past(zone, lo, far)
+            t = math.nextafter(lo, -math.inf) if low is sides[k] else hi
+            candidates[zone(t)] = t
         t_star = low = None
         # a tie of classes keeps the first: the most critical subsets go first
         for z, t in sorted(candidates.items(), key=lambda item: item[0].lo - item[0].hi):
@@ -587,40 +636,18 @@ def _still_events(path: PLPath, first: int, last: int) -> list[Instant]:
 
 def _joined(zone, u: float, v: float) -> bool:
     """Whether u and v, two crossings or a crossing and a stretch end or an
-    instant, are one instant of a still stretch whose zone at a time
-    ``zone`` reads: at most ``_INSTANT_WIDTH`` apart with the radius inside
-    a tolerance band between them (the zone is constant there), or too
-    close for an interval (see :func:`zigzag`)."""
+    instant, with no crossing between them, are one instant of a still
+    stretch whose zone at a time ``zone`` reads: at most ``_INSTANT_WIDTH``
+    apart with the radius inside a tolerance band between them, or too
+    close for an interval (see :func:`zigzag`).  The zone is constant
+    from the earlier of the two up to the later (:func:`_stretch_walk`),
+    and is read at the earlier."""
     if abs(v - u) <= _POINT_WIDTH:
         return True
     if abs(v - u) > _INSTANT_WIDTH:
         return False
-    z = zone(0.5 * (u + v))
+    z = zone(min(u, v))
     return z.lo < z.hi
-
-
-def _end_joined(zone, end: float, crossing: float) -> bool:
-    """Whether a stretch end and its nearest crossing are one instant: by
-    :func:`_joined`, and with the end itself inside a tolerance band unless
-    it lies within ``_POINT_WIDTH`` of the crossing.  A midpoint inside the
-    band is not enough: where the radius rises one float per many floats of
-    time, the band is read from half the crossing's time on."""
-    if abs(crossing - end) <= _POINT_WIDTH:
-        return True
-    z = zone(end)
-    return z.lo < z.hi and _joined(zone, end, crossing)
-
-
-def _step_past(zone, near: float, far: float) -> float:
-    """The time nearest ``near`` whose zone is the zone at ``far``, by
-    bisection between the two."""
-    target = zone(far)
-    while near < (mid := 0.5 * (near + far)) < far or far < mid < near:
-        if zone(mid) == target:
-            far = mid
-        else:
-            near = mid
-    return far
 
 
 def _renaming_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
@@ -672,13 +699,15 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
 
     Certify, then step.  The refined label must be constant on [t_from,
     t_to); it may drop at t_to.  On a still stretch this is certified
-    exactly, from the stretch's one walk over its zone-edge crossings: the
-    label is a function of the zone of the radius, which changes only where
-    the radius meets a zone edge, so the zone must be the one at t_from up
-    to the instant that t_to lies in, and may change only inside that
-    instant: the crossings that :func:`transitions` joins into one (see
-    :func:`_left_early`).  Where tracks move, the label is spot-checked at
-    ``_CONSTANCY_SAMPLES`` evenly spaced times of [t_from, t_to).
+    exactly, from the stretch's one walk (:func:`_stretch_walk`): the label
+    is a function of the zone of the radius, which changes only at the
+    walk's crossings, the first floats at which the radius that
+    :func:`evaluate` reads passes a zone edge, so the zone must be the one
+    at t_from up to the instant that t_to lies in, and may change only
+    inside that instant: the crossings that :func:`transitions` joins into
+    one (see :func:`_left_early`).  Where tracks move, the label is
+    spot-checked at ``_CONSTANCY_SAMPLES`` evenly spaced times of [t_from,
+    t_to).
 
     The step is the track renaming from t_from to tau
     (:func:`_renaming_map`) composed with
@@ -739,22 +768,23 @@ def _left_early(path: PLPath, seg: int, scan: Scan, start: Zone, t_from: float,
     ``scan``, leaves ``start``, the zone of its radius at t_from, before
     the instant that t_to lies in, or None if it does not.
 
-    The zone changes only where the radius meets a zone edge.  Taken from
-    t_from on, the crossings strictly between t_from and t_to, two
-    bisections of the stretch's one walk (:func:`_crossed_between`), keep
-    the zone at t_from between them up to the first that leaves it.  From
-    there on the zone may change only inside the instant that t_to lies
-    in: every two crossings in turn, and the last one and t_to, must be one
-    instant by :func:`_joined`, the rule by which :func:`transitions` joins
-    them.
+    The zone changes only at the crossings of the stretch's one walk
+    (:func:`_stretch_walk`), and is constant from each up to the float
+    before the next.  Taken from t_from on, the crossings strictly between
+    t_from and t_to, two bisections of the walk (:func:`_crossed_between`),
+    keep the zone at t_from up to the first, which leaves it.  From there
+    on the zone may change only inside the instant that t_to lies in: every
+    two crossings in turn, and the last one and t_to, must be one instant
+    by :func:`_joined`, the rule by which :func:`transitions` joins them,
+    each piece read at the earlier of its two ends.
     """
     lo, hi = sorted((t_from, t_to))
     met = _crossed_between(path, seg, lo, hi)
     chain = [*(reversed(met) if t_to < t_from else met), t_to]
     left = None
     for u, v in zip(chain, chain[1:]):
-        # the zone is constant between two crossings
-        zone = read_scan(scan, _radius_at(path, *_place(path, 0.5 * (u + v))))
+        # the zone of the piece between u and v, constant from the earlier
+        zone = read_scan(scan, _radius_at(path, *_place(path, min(u, v))))
         if left is None and zone == start:
             continue
         left = u if left is None else left

@@ -1,12 +1,15 @@
-"""The benchmark's growth zigzags: their digest, and the maps they build.
+"""The zigzag corpora of ``tests/zigzag_corpus.py``: the growth, still and
+edge lines, the maps the benchmark's growth zigzags build, and the zone
+walk of every still stretch of the still and edge corpora.
 
-The inputs are those of ``perfbench/workloads.py``, read without changing
-it; the digest line is the growth line of ``tests/zigzag_corpus.py``,
-which pins the outputs that the benchmark times.
+The growth inputs are those of ``perfbench/workloads.py``, read without
+changing it; the growth line pins the outputs that the benchmark times.
 """
 
 import collections
 from pathlib import Path
+
+import pytest
 
 import cechstrat
 import conftest
@@ -19,7 +22,17 @@ WORKLOADS = zigzag_corpus.load(
 #: the growth line of ``tests/zigzag_corpus.py``, the same on both backends
 GROWTH_LINE = ("growth: sha256 2243d9360696d57f82e1b1b1f61dce9cd0b9f4ea74ba40492cadf69ffc7c8755, "
                "162 built, 0 zero-width intervals, 0 refused [], mislabelled instants [], "
-               "labels taken but absent []")
+               "labels taken but absent [], zones absent []")
+
+#: the still and edge lines of ``tests/zigzag_corpus.py``
+LINES = {
+    "still": ("still: sha256 eb017c15289a30607be6940044fd0dd413916a0a50a5a00c7fcf1c9953a24b93, "
+              "1200 built, 485 zero-width intervals, 0 refused [], mislabelled instants [], "
+              "labels taken but absent [], zones absent []"),
+    "edge": ("edge: sha256 26c577e1ee52034e7ed63a9b88102ae81dcc5878268e632735d586d7a6a54074, "
+             "2000 built, 936 zero-width intervals, 0 refused [], mislabelled instants [], "
+             "labels taken but absent [], zones absent []"),
+}
 
 
 def growth_inputs():
@@ -30,10 +43,36 @@ def growth_inputs():
             yield from rnd
 
 
+def corpus(name: str):
+    """The paths of one corpus of ``tests/zigzag_corpus.py``, in turn."""
+    return dict(zigzag_corpus.corpora(cechstrat, conftest, WORKLOADS))[name]
+
+
 def test_growth_zigzags_are_pinned():
-    (name, growth), *_ = zigzag_corpus.corpora(cechstrat, conftest, WORKLOADS)
-    assert name == "growth"
-    assert zigzag_corpus.summary(cechstrat, name, growth) == GROWTH_LINE
+    assert zigzag_corpus.summary(cechstrat, "growth", corpus("growth")) == GROWTH_LINE
+
+
+@pytest.mark.parametrize("name", sorted(LINES))
+def test_still_and_edge_zigzags_are_pinned(name):
+    assert zigzag_corpus.summary(cechstrat, name, corpus(name)) == LINES[name]
+
+
+@pytest.mark.parametrize("name", sorted(LINES))
+def test_each_crossing_is_the_first_float_of_its_zone(name):
+    """The zone walk of every still stretch, both ways: the float before a
+    crossing reads a different zone than the crossing, and each piece
+    reads one zone at its first float and at its last.  The radius is
+    monotone in the floats of a segment, so the zone is constant on each
+    piece."""
+    crossings = 0
+    for path in corpus(name):
+        for scan, pieces in zigzag_corpus.still_stretches(cechstrat, path):
+            zones = [tuple(zigzag_corpus.zone_at(cechstrat, scan, path, t) for t in piece)
+                     for piece in pieces]
+            assert all(first == last for first, last in zones)
+            assert all(before != after for (_, before), (after, _) in zip(zones, zones[1:]))
+            crossings += len(pieces) - 1
+    assert crossings > 10_000
 
 
 def test_a_still_map_is_its_snap_and_one_checked_renaming(monkeypatch):

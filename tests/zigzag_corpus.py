@@ -12,9 +12,14 @@ every zigzag's JSON, or its refusal as ``{"refused": message}``, in turn;
 the number of zigzags built and of intervals no wider than two final
 brackets; the refusals, grouped by message with the numbers taken out;
 the instants whose label is not the label at their own time, as
-(zigzag index, time); and the zigzags whose path takes, at some
-t = k/64, a label that the zigzag lacks, as (zigzag index, first such
-t).  The corpora, all at resolution 0.01:
+(zigzag index, time); the zigzags whose path takes, at some t = k/64, a
+label that the zigzag lacks, as (zigzag index, first such t); and, with
+no sampling, the still-stretch pieces (:func:`still_stretches`) that lie
+outside every instant's extent (``Instant.lo`` to ``Instant.hi``) and
+whose zone's label the zigzag lacks, as (zigzag index, the piece's first
+float).  A piece inside an instant's extent is passed within that
+instant, so its label need not appear.  The corpora, all at resolution
+0.01:
 
 - growth: the benchmark's growth inputs of seeds 1-3, as
   ``cech_path(cfg, 0.9)``, both ways (162 zigzags);
@@ -23,7 +28,7 @@ t).  The corpora, all at resolution 0.01:
 - moving: 300 ``random_moving_path``s of seed 11.
 
 This is a script, not a test module: pytest does not collect it.  It
-takes about 60 s on the pure kernels, about 45 s of it the moving corpus.
+takes about 47 s on the pure kernels, about 35 s of it the moving corpus.
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ from __future__ import annotations
 import collections
 import hashlib
 import importlib.util
+import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -78,9 +85,40 @@ def corpora(cechstrat, conftest, workloads):
             ("moving", drawn(conftest.random_moving_path, 11, 300)))
 
 
+def still_stretches(cechstrat, path):
+    """Per still stretch of ``path``, its scan and its pieces in time order:
+    (first float, last float) pairs, each from a time at which the zone of
+    the radius changes (the stretch's walk, ``paths._stretch_walk``), or
+    the stretch's start, to the float before the next, or the stretch's
+    end."""
+    bp, first = path.breakpoints, 0
+    for shared, run in itertools.groupby(path._still):
+        last = first + len(list(run))
+        if shared is not None:
+            starts = [bp[first], *cechstrat.paths._stretch_walk(path, first)]
+            ends = [*(math.nextafter(t, -math.inf) for t in starts[1:]), bp[last]]
+            yield cechstrat.cech.subset_radii(shared[0]), list(zip(starts, ends))
+        first = last
+
+
+def zone_at(cechstrat, scan, path, t: float):
+    """The zone in ``scan`` of the radius that ``evaluate`` reads at t."""
+    paths = cechstrat.paths
+    return cechstrat.cech.read_scan(scan, paths._radius_at(path, *paths._place(path, t)))
+
+
+def zones_absent(cechstrat, path, labels) -> list[float]:
+    """The first floats of the still-stretch pieces of ``path`` whose
+    zone's label is not in ``labels`` and that no instant's extent holds."""
+    missing = [(a, b) for scan, pieces in still_stretches(cechstrat, path) for a, b in pieces
+               if cechstrat.strat._zone_label(scan, zone_at(cechstrat, scan, path, a)) not in labels]
+    extents = [(e.lo, e.hi) for e in cechstrat.transitions(path, RESOLUTION)] if missing else []
+    return [a for a, b in missing if not any(lo <= a and b <= hi for lo, hi in extents)]
+
+
 def summary(cechstrat, name: str, paths) -> str:
     point_width = 2.0 * cechstrat.paths._BRACKET_FLOOR
-    out, refusals, mislabelled, absent = [], collections.Counter(), [], []
+    out, refusals, mislabelled, absent, zones = [], collections.Counter(), [], [], []
     built = points = 0
     for i, path in enumerate(paths):
         try:
@@ -99,11 +137,12 @@ def summary(cechstrat, name: str, paths) -> str:
         labels = z.interval_classes + z.transition_classes
         absent += [(i, t) for t in (k / SAMPLES for k in range(SAMPLES + 1))
                    if cechstrat.stratum_label(cechstrat.evaluate(path, t)) not in labels][:1]
+        zones += [(i, a) for a in zones_absent(cechstrat, path, labels)]
     digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
     refused = "; ".join(f"{n} x {message}" for message, n in sorted(refusals.items()))
     return (f"{name}: sha256 {digest}, {built} built, {points} zero-width intervals, "
             f"{sum(refusals.values())} refused [{refused}], mislabelled instants {mislabelled}, "
-            f"labels taken but absent {absent}")
+            f"labels taken but absent {absent}, zones absent {zones}")
 
 
 def main(argv: list[str]) -> None:
