@@ -42,19 +42,19 @@ def _subset_size_cap(n_points: int, max_dim: int | None) -> int:
 
 
 #: scans kept, by configuration, each with the complexes, labels and
-#: separation read from it; a still stretch needs one whatever it does,
-#: an entrance map where tracks move 33 (its 31 samples and both ends, read
-#: so that the start is still cached for the renaming).  Measured with
-#: tracemalloc on the compiled backend, 8 random points in R^7 (three
-#: seeds): an uncapped scan (at most 8 points) holds 247 entries, 26-31 kB
-#: with its radius order and band edges, and at most 248 prefix
-#: complexes, 2 * 247 + 1 zone labels and one separation, 0.62-0.87 MB
-#: with every complex built and a label read in every zone, so 32 of
-#: them take about 28 MB; a perfbench growth zigzag (seed 1) builds at
-#: most 15 complexes and 29 labels.  The largest scan (16 points, max_dim
+#: separation read from it; a still stretch needs one whatever it does, an
+#: entrance map where tracks move 34 (its 31 samples, both ends and the
+#: float beside the instant, read so that the start is still cached for the
+#: renaming).  Measured with tracemalloc on the compiled backend, 8 random
+#: points in R^7 (three seeds): an uncapped scan (at most 8 points) holds
+#: 247 entries, 26-31 kB with its radius order and band edges, and at most
+#: 248 prefix complexes, 2 * 247 + 1 zone labels and one separation,
+#: 0.62-0.87 MB with every complex built and a label read in every zone, so
+#: 32 of them take about 28 MB; a perfbench growth zigzag (seed 1) builds
+#: at most 15 complexes and 29 labels.  The largest scan (16 points, max_dim
 #: 15) holds 65,519 entries, about 13.1 MB with its band edges (8.9 MB
-#: without), so 32 of those take about 420 MB, plus every complex read
-#: from them.
+#: without), so 32 of those take about 420 MB, plus every complex read from
+#: them.
 _SCAN_CACHE_SIZE = 32
 
 

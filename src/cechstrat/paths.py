@@ -14,13 +14,12 @@ located on a grid of steps at most the resolution and by bisection.  Each
 instant gets entrance maps from both neighboring intervals, assembling a
 zigzag of vertex-surjective simplicial maps.  An entrance map is certified,
 then stepped: the label is checked once on the whole interval up to the
-instant, then the tracks are followed to a time inside the instant's safe
-ball and one local map snaps them onto it.  The step halves toward the
-instant and stops, refusing the map, where a halving no longer moves.  On
-a still stretch the certification reads the stretch's one walk over its
-zone-edge crossings, made once per path, the step compares radii alone,
-and the map is the renaming by the stretch's one track assignment, from
-the complex at the start into the instant's, checked once.
+instant, then the tracks are followed to the float beside the instant and
+one local map snaps them onto it, refusing where that float lies outside
+the instant's safe ball.  On a still stretch the certification reads the
+stretch's one walk over its zone-edge crossings, made once per path, and
+the map is the renaming by the stretch's one track assignment, from the
+complex at the start into the instant's, checked once.
 """
 
 from __future__ import annotations
@@ -40,9 +39,9 @@ from .complexes import (
     identity_map,
     is_simplicial,
 )
-from .geometry import _MAX_DIM, DELTA_PT, PointConfig, RanPoint, sup_distance
+from .geometry import _MAX_DIM, DELTA_PT, PointConfig, RanPoint
 from .scposet import dominates
-from .strat import StratumLabel, _zone_label, local_map, stratum_label, tilde_r
+from .strat import StratumLabel, _zone_label, local_map, stratum_label
 
 _BRACKET_FLOOR = 1e-13
 
@@ -709,23 +708,19 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
     spot-checked at ``_CONSTANCY_SAMPLES`` evenly spaced times of [t_from,
     t_to).
 
-    The step is the track renaming from t_from to tau
-    (:func:`_renaming_map`) composed with
-    :func:`~cechstrat.strat.local_map` from x(tau) onto x(t_to): tau starts
-    at the midpoint and moves halfway to t_to until x(tau) lies strictly
-    inside the safe ball of x(t_to).  On a still stretch the configuration
-    does not move, so that is read from the radius alone, and the local
-    map snaps each point onto itself: the map is the identity of the
-    stretch's one track assignment from the complex at t_from into the one
-    at t_to, checked once.  Where the next tau would equal t_to or round
-    back onto tau, no time is left to try and the map is refused.  Works
-    in either time direction.
+    The step is the track renaming from t_from to tau, the float beside
+    t_to on the side of t_from (:func:`_renaming_map`), composed with
+    :func:`~cechstrat.strat.local_map` from x(tau) onto x(t_to), which
+    refuses where x(tau) lies outside the safe ball of x(t_to).  On a
+    still stretch the configuration does not move and the local map snaps
+    each point onto itself: the map is the identity of the stretch's one
+    track assignment from the complex at t_from into the one at t_to,
+    checked once.  Works in either time direction.
     """
     if not (0.0 <= t_from <= 1.0 and 0.0 <= t_to <= 1.0):
         raise ValueError("path parameters must lie in [0, 1]")
     if t_from == t_to:
         return identity_map(cech_complex(evaluate(path, t_from)))
-    end = evaluate(path, t_to)
     run = _still_run(path, t_from, t_to)
     if run is None:
         x_from = evaluate(path, t_from)
@@ -743,23 +738,13 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
         change = _left_early(path, run[0], scan, start, t_from, t_to)
     if change is not None:
         raise ValueError(f"label is not constant on [{t_from}, {t_to}): changes near t={change}")
-    safe = tilde_r(end).safe_radius
-    tau = t_from
-    while True:
-        tau, last = 0.5 * (tau + t_to), tau
-        if tau == last or tau == t_to:
-            raise ValueError(f"no time between t={last} and t={t_to} lies inside the safe "
-                             f"ball of x(t={t_to})")
-        if run is None:
-            x_tau = evaluate(path, tau)
-            if sup_distance(x_tau, end) < safe:
-                return compose(_renaming_map(path, t_from, tau), local_map(x_tau, end))
-        elif abs(_radius_at(path, *_place(path, tau)) - end.radius) < safe:
-            # one configuration, at Hausdorff distance 0.0 from itself: the
-            # sup distance is the radius difference, and the snap takes each
-            # point onto itself, so the map runs from t_from straight into x(t_to)
-            snap = local_map(evaluate(path, tau), end)
-            return _checked_renaming(scan.complex(start.hi), snap.target, snap.vertex_map)
+    tau = math.nextafter(t_to, t_from)
+    snap = local_map(evaluate(path, tau), evaluate(path, t_to))
+    if run is None:
+        return compose(_renaming_map(path, t_from, tau), snap)
+    # one configuration: the snap takes each point onto itself, so the map
+    # runs from t_from straight into x(t_to)
+    return _checked_renaming(scan.complex(start.hi), snap.target, snap.vertex_map)
 
 
 def _left_early(path: PLPath, seg: int, scan: Scan, start: Zone, t_from: float,

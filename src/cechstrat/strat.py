@@ -94,10 +94,10 @@ def tilde_r(x: RanPoint) -> SafeBall:
 
     The separation and case depend on the configuration and the radius
     alone, so the configuration's cached scan keeps them for the last
-    radius read: a zigzag reads each instant's four times in a row, once
-    for each of its two entrance maps and their local maps.  The ball is
-    built around ``x`` itself: equal points, which share a scan, can differ
-    in the sign of a zero.
+    radius read: a zigzag reads each instant's twice in a row, in the
+    local maps of its two entrance maps.  The ball is built around ``x``
+    itself: equal points, which share a scan, can differ in the sign of a
+    zero.
     """
     config, r = x.config, x.radius
     if len(config) == 1:
@@ -118,14 +118,14 @@ def local_map(source: RanPoint, target: RanPoint) -> SimplicialMap:
 
     Each source point falls in exactly one of the disjoint open balls of
     radius ``r_tilde/4`` around the target points and is mapped there.
-    Raises when the points are too far apart (the caller must subdivide).
+    Raises when the source lies outside the target's safe ball.
     """
     safe = tilde_r(target).safe_radius
     dist = sup_distance(source, target)
     if not (dist < safe):
         raise ValueError(
-            f"sup distance {dist} is not strictly inside the safe radius "
-            f"{safe}; subdivide the step"
+            f"sup distance {dist} is not strictly inside the safe ball "
+            f"(safe radius {safe})"
         )
     tgt_pts = target.config.points
     vertex_map = []

@@ -1035,6 +1035,39 @@ class TestEntranceMap:
         assert len(spans) == 4 and all(t_from != t_to for t_from, t_to in spans)
         assert len(snaps) == len(spans)
 
+    def test_the_local_map_is_taken_at_the_float_beside_the_instant(self, monkeypatch):
+        spans, sources = [], []
+
+        def counted_entrance_map(path, t_from, t_to):
+            spans.append((path, t_from, t_to))
+            return entrance_map(path, t_from, t_to)
+
+        def counted_local_map(source, target):
+            sources.append(source)
+            return local_map(source, target)
+
+        monkeypatch.setattr(paths, "entrance_map", counted_entrance_map)
+        monkeypatch.setattr(paths, "local_map", counted_local_map)
+        still = cech_path(triangle_config(), 0.9)
+        moving = random_moving_path(random.Random(11))
+        for path in (still, moving):
+            zigzag(path, 0.01)
+        # each instant entered from both sides: both time directions, on
+        # a still growth path and on a moving one
+        assert {(path, t_to < t_from) for path, t_from, t_to in spans} == {
+            (still, False), (still, True), (moving, False), (moving, True)}
+        assert len(sources) == len(spans)
+        for (path, t_from, t_to), source in zip(spans, sources):
+            assert source == evaluate(path, math.nextafter(t_to, t_from))
+
+    def test_a_map_across_one_float_builds(self):
+        p = cech_path(triangle_config(), 0.9)
+        (t_star, _), *_ = transitions(p, 0.01)
+        for t_from, t_to in ((0.1, math.nextafter(0.1, 1.0)),
+                             (math.nextafter(t_star, 0.0), t_star)):
+            m = entrance_map(p, t_from, t_to)
+            assert m.source == m.target and m.vertex_map == (0, 1, 2)
+
     def test_a_still_map_reads_its_stretch_once(self, monkeypatch):
         """One run and one zone at t_from per still map, shared by the
         certification and the renaming."""

@@ -57,10 +57,10 @@ REFUSALS = {
         r"path parameters must lie in \[0, 1\]"),
     # the second track leaves the first just after t = 0.99, past the last
     # spot check of the moving stretch (t = 31/32), so the label change is
-    # missed and the renaming to t = 0.998046875 finds the tracks parted
+    # missed and the renaming to the float before t = 1 finds the tracks parted
     "entrance_map_tracks_split": (
         lambda: entrance_map(two_tracks_to(((0.0,), (0.0,), (1.0,))), 0.0, 1.0),
-        r"tracks split between t=0\.0 and t=0\.998046875; label constancy violated"),
+        r"tracks split between t=0\.0 and t=0\.9999999999999999; label constancy violated"),
     # the same, from two points 0.1 apart: their edge breaks past the last
     # spot check, so the renaming maps it onto two points
     "entrance_map_renaming_not_simplicial": (
