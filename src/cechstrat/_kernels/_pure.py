@@ -16,11 +16,14 @@ labeling and the surjection search return the compiled kernels' exact
 results.  Up to five vertices the labeling is exhaustive too: it takes
 every relabeling of the family bitset in one wide-integer pass
 (``cechstrat._bits.relabellings``), as enumeration does.  From six
-vertices it, and the surjection search at any size, are pruned searches.
-This labeling serves both backends (see ``cechstrat._kernels``).  The
-surjection search reads a plan per complex and role, target or source,
-built once and kept by value in a bounded cache, so an enumeration that
-searches the same complexes thousands of times builds each plan once.
+vertices it is a pruned search.  This labeling serves both backends (see
+``cechstrat._kernels``).  The surjection search between equal vertex
+counts up to five takes the same pass: its maps are permutations, read
+off the source's relabellings in lexicographic order.  At any other sizes
+it is a pruned search that reads a plan per complex and role, target or
+source, built once and kept by value in a bounded cache, so an
+enumeration that searches the same complexes thousands of times builds
+each plan once.
 """
 
 from __future__ import annotations
@@ -439,18 +442,42 @@ def canonical_masks(n: int, masks) -> tuple[int, ...]:
 _PLAN_CACHE_SIZE = 256
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _target_plan(n: int, masks: tuple) -> tuple[bytes, tuple[int, ...]]:
-    """The target half of a search plan: byte m set for each target mask
-    m, and each target vertex's twin predecessor."""
-    table = bytearray(1 << n)
+def _target_masks(n: int, masks) -> list[int]:
+    """The target masks as ints, refused as the compiled kernel refuses
+    one out of range on n vertices."""
     ms = []
     for x in masks:
         m = int(x)
         if not 0 < m < 1 << n:
             _refuse_mask(m, "target mask out of range")
-        table[m] = 1
         ms.append(m)
+    return ms
+
+
+def _source_simplices(n: int, masks) -> list[int]:
+    """The source masks of two or more vertices as ints, each occurrence
+    counted against the compiled kernel's limit once every mask has been
+    checked on n vertices, as it checks them."""
+    simplices = []
+    for x in masks:
+        m = int(x)
+        if not 0 < m < 1 << n:
+            _refuse_mask(m, "source mask out of range")
+        if m & (m - 1):
+            simplices.append(m)
+    if len(simplices) > _MAX_MAP_SIMPLICES:
+        raise ValueError("too many source simplices")
+    return simplices
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _target_plan(n: int, masks: tuple) -> tuple[bytes, tuple[int, ...]]:
+    """The target half of a search plan: byte m set for each target mask
+    m, and each target vertex's twin predecessor."""
+    table = bytearray(1 << n)
+    ms = _target_masks(n, masks)
+    for m in ms:
+        table[m] = 1
     return bytes(table), tuple(_twin_predecessors(n, family_of(n, ms)))
 
 
@@ -461,17 +488,7 @@ def _source_plan(n: int, masks: tuple) -> tuple[tuple[tuple[tuple[int, int], ...
     with its face without that vertex, or with 0 where that face (not a
     simplex, nor a vertex) has no stored image; and each source vertex's
     twin predecessor."""
-    simplices = set()
-    count = 0
-    for x in masks:
-        m = int(x)
-        if not 0 < m < 1 << n:
-            _refuse_mask(m, "source mask out of range")
-        if m & (m - 1):
-            simplices.add(m)
-            count += 1
-    if count > _MAX_MAP_SIMPLICES:
-        raise ValueError("too many source simplices")
+    simplices = set(_source_simplices(n, masks))
     checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for m in simplices:
         top = m.bit_length() - 1
@@ -491,6 +508,52 @@ def _plan(build, n: int, masks):
     return build.__wrapped__(n, key)  # any other TypeError raises again
 
 
+def _lex_lanes(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The lanes of :func:`cechstrat._bits.relabellings` on n vertices, as
+    (lane, permutation) pairs in lexicographic order of the permutation
+    that the lane applies, p(0) first.
+
+    One relabelling pass of the chain {0..n-1} ⊃ {1..n-1} ⊃ ... ⊃ {n-1}
+    orders them.  Under p the chain {0} ⊂ {0, 1} ⊂ ... ⊂ {0..n-1} has the
+    sorted masks p({0}), p({0, 1}), ..., so its sorted tuples order the
+    lanes by p; complements reverse a family's 2^n digits and commute with
+    relabelling, so the lesser tuple of the chain is the greater family of
+    its complements (see :func:`canonical_masks`).
+    """
+    lanes = relabellings(n, sum(1 << (1 << n) - (1 << k) for k in range(n)))
+    order = sorted(range(len(lanes)), key=lanes.__getitem__, reverse=True)
+    return tuple(zip(order, itertools.permutations(range(n))))
+
+
+#: ``_LEX_LANES[n]`` is ``_lex_lanes(n)`` for the sizes of ``NETWORKS``,
+#: built once at import: the order in which the map search between equal
+#: vertex counts tries the relabellings of its source
+_LEX_LANES = tuple(_lex_lanes(n) for n in range(len(NETWORKS)))
+
+
+def _permutation_witness(n: int, src_masks, tgt_masks):
+    """The least vertex-surjective simplicial map between two mask sets on
+    n < ``len(NETWORKS)`` vertices each, or None, after the refusals of the
+    two plans in their order (:func:`_target_masks`, then
+    :func:`_source_simplices`).
+
+    Onto n vertices from n a vertex-surjective map is a permutation, so it
+    takes each vertex onto a vertex and each simplex of two or more
+    vertices onto one of as many: it is simplicial where the relabelled
+    family of the source's larger simplices lies in the target's.  One
+    pass (:func:`relabellings`) relabels the source by every permutation,
+    and the lanes are read in the lexicographic order of theirs
+    (``_LEX_LANES``), the order of the backtracking search, so the first
+    that fits is its witness.
+    """
+    outside = ~family_of(n, _target_masks(n, tgt_masks))
+    lanes = relabellings(n, family_of(n, _source_simplices(n, src_masks)))
+    for lane, p in _LEX_LANES[n]:
+        if not lanes[lane] & outside:
+            return p
+    return None
+
+
 def surjection_witness(n_src: int, n_tgt: int, src_masks, tgt_masks):
     """First vertex-surjective simplicial vertex map found, or None.
 
@@ -508,6 +571,11 @@ def surjection_witness(n_src: int, n_tgt: int, src_masks, tgt_masks):
     once per complex and role (``_target_plan``, ``_source_plan``), and
     kept until the package's caches are emptied.  A refused input is not
     kept, so it is refused again on every call, targets before sources.
+
+    Between equal vertex counts below ``len(NETWORKS)`` no plan is built
+    or kept: the witness is the first permutation whose relabelling of
+    the source fits the target (:func:`_permutation_witness`), the same
+    map, after the same refusals.
     """
     n_src, n_tgt = _c_int(n_src), _c_int(n_tgt)  # the compiled kernel converts its int arguments first
     if not (0 <= n_src <= _MAX_MAP_VERTICES and 0 <= n_tgt <= _MAX_MAP_VERTICES):
@@ -516,6 +584,8 @@ def surjection_witness(n_src: int, n_tgt: int, src_masks, tgt_masks):
         return None
     if n_tgt == 0:
         return () if n_src == 0 else None
+    if n_src == n_tgt < len(NETWORKS):
+        return _permutation_witness(n_src, src_masks, tgt_masks)
     tgt, tgt_twin = _plan(_target_plan, n_tgt, tgt_masks)
     checks, src_twin = _plan(_source_plan, n_src, src_masks)
     assign = [0] * n_src

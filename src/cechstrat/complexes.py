@@ -219,15 +219,20 @@ class SimplicialMap:
     vertex_map: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "vertex_map", tuple(map(_vertex_image, self.vertex_map)))
-        except TypeError:
-            raise ValueError(f"vertex images must be integers, got {self.vertex_map!r}") from None
-        if len(self.vertex_map) != self.source.n_vertices:
+        vm = self.vertex_map
+        # a tuple of exact ints, as the library's own maps are, is kept as it is
+        if type(vm) is not tuple or not set(map(type, vm)) <= {int}:
+            try:
+                vm = tuple(map(_vertex_image, vm))
+            except TypeError:
+                raise ValueError(f"vertex images must be integers, got {vm!r}") from None
+            object.__setattr__(self, "vertex_map", vm)
+        if len(vm) != self.source.n_vertices:
             raise ValueError("vertex_map must assign every source vertex")
-        for w in self.vertex_map:
-            if w < 0 or w >= self.target.n_vertices:
-                raise ValueError(f"vertex image {w} outside 0..{self.target.n_vertices - 1}")
+        top = self.target.n_vertices - 1
+        if vm and (min(vm) < 0 or max(vm) > top):
+            w = next(w for w in vm if w < 0 or w > top)
+            raise ValueError(f"vertex image {w} outside 0..{top}")
 
     def is_vertex_surjective(self) -> bool:
         return len(set(self.vertex_map)) == self.target.n_vertices

@@ -17,9 +17,12 @@ then stepped: the label is checked once on the whole interval up to the
 instant, then the tracks are followed to the float beside the instant and
 one local map snaps them onto it, refusing where that float lies outside
 the instant's safe ball.  On a still stretch the certification reads the
-stretch's one walk over its zone-edge crossings, made once per path, and
-the map is the renaming by the stretch's one track assignment, from the
-complex at the start into the instant's, checked once.
+stretch's one walk over its zone-edge crossings, made once per path, which
+keeps the zone of each piece between them, so every zone read on the
+stretch is one bisection of it.  The map is the renaming by the stretch's
+one track assignment, from the complex at the start into the instant's:
+the local map itself where the float beside the instant spans what the
+start spans, else checked once.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import operator
 from dataclasses import dataclass, field
 
 from . import _json
-from .cech import Scan, Zone, cech_complex, read_scan, subset_radii, zone_edges
+from .cech import Zone, cech_complex, read_scan, subset_radii, zone_edges
 from .complexes import (
     IsoClass,
     SimplicialMap,
@@ -97,9 +100,10 @@ class PLPath:
     _still: tuple[tuple[PointConfig, tuple[int, ...]] | None, ...] = field(
         init=False, repr=False, compare=False)
     #: per segment of a still stretch, the times at which the stretch's zone
-    #: changes (:func:`_stretch_walk`), walked by the first reader and kept
-    #: for every segment of the stretch
-    _walks: dict[int, list[float]] = field(init=False, repr=False, compare=False)
+    #: changes and the zone of each piece between them (:func:`_stretch_walk`),
+    #: walked by the first reader and kept for every segment of the stretch
+    _walks: dict[int, tuple[list[float], list[Zone]]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.dim <= _MAX_DIM:
@@ -477,7 +481,8 @@ def _trends(path: PLPath, first: int, last: int):
 def _stretch_walk(path: PLPath, seg: int) -> list[float]:
     """The times, ascending, at which the zone of the radius changes on the
     whole still stretch that holds segment ``seg``, made by its first
-    reader and kept on the path for each of its segments.
+    reader and kept on the path for each of its segments, with the zone of
+    each piece they cut the stretch into, one more than the times.
 
     A segment crosses the zone edges (:func:`~cechstrat.cech.zone_edges`)
     whose sides its two end radii read differently, by the comparisons of
@@ -485,7 +490,9 @@ def _stretch_walk(path: PLPath, seg: int) -> list[float]:
     radius is at least l, an upper edge u where it is above u.  Each
     crossing is the first float of the segment at which the radius that
     :func:`evaluate` reads is past the edge (:func:`_first_past`), so the
-    zone is constant from one crossing up to the float before the next.
+    zone is constant from one crossing up to the float before the next, and
+    each piece's zone is read once, at its first float: the stretch's first
+    breakpoint or a crossing.
     """
     walk = path._walks.get(seg)
     if walk is None:
@@ -500,7 +507,7 @@ def _stretch_walk(path: PLPath, seg: int) -> list[float]:
         # how many upper and lower edges the radius at each breakpoint has passed
         passed = [(bisect.bisect_left(upper, r), bisect.bisect_right(lower, r))
                   for r in radius[first:last + 1]]
-        walk = []
+        crossings = []
         for s, ((u0, l0), (u1, l1)) in enumerate(zip(passed, passed[1:]), first):
             # the nearest float on the end's side of each edge crossed, once
             if u0 < u1 or l0 < l1:
@@ -509,10 +516,13 @@ def _stretch_walk(path: PLPath, seg: int) -> list[float]:
                 values = {*(math.nextafter(v, -math.inf) for v in lower[l1:l0]), *upper[u1:u0]}
             else:
                 continue
-            walk += sorted({_first_past(bp[s], bp[s + 1], radius[s], radius[s + 1], v)
-                            for v in values})
+            crossings += sorted({_first_past(bp[s], bp[s + 1], radius[s], radius[s + 1], v)
+                                 for v in values})
+        zones = [read_scan(scan, _radius_at(path, *_place(path, t)))
+                 for t in (bp[first], *crossings)]
+        walk = crossings, zones
         path._walks.update(dict.fromkeys(range(first, last), walk))
-    return walk
+    return walk[0]
 
 
 def _first_past(t0: float, t1: float, r0: float, r1: float, value: float) -> float:
@@ -547,6 +557,15 @@ def _crossed_between(path: PLPath, seg: int, lo: float, hi: float) -> list[float
     return walk[bisect.bisect_right(walk, lo):bisect.bisect_left(walk, hi)]
 
 
+def _zone_at(path: PLPath, seg: int, t: float) -> Zone:
+    """The zone of the radius at time t on the still stretch that holds
+    segment ``seg``: that of the piece of its walk (:func:`_stretch_walk`)
+    that holds t, by one bisection, which is the zone that
+    :func:`~cechstrat.cech.read_scan` reads at t."""
+    crossings = _stretch_walk(path, seg)
+    return path._walks[seg][1][bisect.bisect_right(crossings, t)]
+
+
 def _still_events(path: PLPath, first: int, last: int) -> list[Instant]:
     """Exact transitions of the still stretch over breakpoints first..last.
 
@@ -555,7 +574,8 @@ def _still_events(path: PLPath, first: int, last: int) -> list[Instant]:
     (:func:`_stretch_walk`, kept on the path for its entrance maps): the
     first float at which the radius that :func:`evaluate` reads passes a
     zone edge (:func:`~cechstrat.cech.zone_edges`).  The crossings cut the
-    stretch into pieces of one zone each, read at the piece's first float.
+    stretch into pieces of one zone each, which the walk keeps, so the zone
+    at any time of the stretch is one bisection of it (:func:`_zone_at`).
     Crossings less than ``_INSTANT_WIDTH`` apart with the radius inside a
     tolerance band between them, such as the way in and out of the band
     of a radius the path passes, make one instant, which takes in a
@@ -579,7 +599,7 @@ def _still_events(path: PLPath, first: int, last: int) -> list[Instant]:
     scan = subset_radii(path._still[first][0])
 
     def zone(t: float):
-        return read_scan(scan, _radius_at(path, *_place(path, t)))
+        return _zone_at(path, first, t)
 
     spans: list[list[float]] = []
     for t in _stretch_walk(path, first):
@@ -714,8 +734,12 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
     refuses where x(tau) lies outside the safe ball of x(t_to).  On a
     still stretch the configuration does not move and the local map snaps
     each point onto itself: the map is the identity of the stretch's one
-    track assignment from the complex at t_from into the one at t_to,
-    checked once.  Works in either time direction.
+    track assignment from the complex at t_from into the one at t_to.
+    Where the complex at tau is the one at t_from, the cached complex of
+    the same spanned prefix, that is the snap, already checked; otherwise
+    the renaming is checked once.  The zone at t_from, which gives its
+    complex, is read off the walk (:func:`_zone_at`).  Works in either time
+    direction.
     """
     if not (0.0 <= t_from <= 1.0 and 0.0 <= t_to <= 1.0):
         raise ValueError("path parameters must lie in [0, 1]")
@@ -731,11 +755,9 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
         l_from = stratum_label(x_from)
         change = next((t for t, label in zip(checks, labels) if label != l_from), None)
     else:
-        # the stretch's scan and its zone at t_from, read once for the
-        # certification and the map
-        scan = subset_radii(path._still[run[0]][0])
-        start = read_scan(scan, _radius_at(path, *_place(path, t_from)))
-        change = _left_early(path, run[0], scan, start, t_from, t_to)
+        # the zone at t_from, read once for the certification and the map
+        start = _zone_at(path, run[0], t_from)
+        change = _left_early(path, run[0], start, t_from, t_to)
     if change is not None:
         raise ValueError(f"label is not constant on [{t_from}, {t_to}): changes near t={change}")
     tau = math.nextafter(t_to, t_from)
@@ -743,24 +765,29 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
     if run is None:
         return compose(_renaming_map(path, t_from, tau), snap)
     # one configuration: the snap takes each point onto itself, so the map
-    # runs from t_from straight into x(t_to)
-    return _checked_renaming(scan.complex(start.hi), snap.target, snap.vertex_map)
+    # runs from t_from straight into x(t_to), and is the snap itself where
+    # x(tau) spans what x(t_from) spans
+    source = subset_radii(path._still[run[0]][0]).complex(start.hi)
+    if snap.source is source:
+        return snap
+    return _checked_renaming(source, snap.target, snap.vertex_map)
 
 
-def _left_early(path: PLPath, seg: int, scan: Scan, start: Zone, t_from: float,
+def _left_early(path: PLPath, seg: int, start: Zone, t_from: float,
                 t_to: float) -> float | None:
-    """Where the still path through segment ``seg``, with the stretch's
-    ``scan``, leaves ``start``, the zone of its radius at t_from, before
-    the instant that t_to lies in, or None if it does not.
+    """Where the still path through segment ``seg`` leaves ``start``, the
+    zone of its radius at t_from, before the instant that t_to lies in, or
+    None if it does not.
 
     The zone changes only at the crossings of the stretch's one walk
     (:func:`_stretch_walk`), and is constant from each up to the float
-    before the next.  Taken from t_from on, the crossings strictly between
-    t_from and t_to, two bisections of the walk (:func:`_crossed_between`),
-    keep the zone at t_from up to the first, which leaves it.  From there
-    on the zone may change only inside the instant that t_to lies in: every
-    two crossings in turn, and the last one and t_to, must be one instant
-    by :func:`_joined`, the rule by which :func:`transitions` joins them,
+    before the next, as the walk keeps it (:func:`_zone_at`).  Taken from
+    t_from on, the crossings strictly between t_from and t_to, two
+    bisections of the walk (:func:`_crossed_between`), keep the zone at
+    t_from up to the first, which leaves it.  From there on the zone may
+    change only inside the instant that t_to lies in: every two crossings
+    in turn, and the last one and t_to, must be one instant by
+    :func:`_joined`, the rule by which :func:`transitions` joins them,
     each piece read at the earlier of its two ends.
     """
     lo, hi = sorted((t_from, t_to))
@@ -769,7 +796,7 @@ def _left_early(path: PLPath, seg: int, scan: Scan, start: Zone, t_from: float,
     left = None
     for u, v in zip(chain, chain[1:]):
         # the zone of the piece between u and v, constant from the earlier
-        zone = read_scan(scan, _radius_at(path, *_place(path, min(u, v))))
+        zone = _zone_at(path, seg, min(u, v))
         if left is None and zone == start:
             continue
         left = u if left is None else left

@@ -7,6 +7,8 @@ changing it; the growth line pins the outputs that the benchmark times.
 """
 
 import collections
+import itertools
+import math
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ import pytest
 import cechstrat
 import conftest
 import zigzag_corpus
-from cechstrat import SimplicialMap, entrance_map, paths, strat
+from cechstrat import SimplicialMap, cech_complex, entrance_map, evaluate, paths, strat
 
 WORKLOADS = zigzag_corpus.load(
     "growth_corpus_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
@@ -75,13 +77,39 @@ def test_each_crossing_is_the_first_float_of_its_zone(name):
     assert crossings > 10_000
 
 
+@pytest.mark.parametrize("name", sorted(LINES))
+def test_the_walk_keeps_the_zone_of_each_piece(name):
+    """The zone that ``paths._zone_at`` reads off a stretch's walk, from
+    any of its segments, is the zone of the radius that ``evaluate`` reads
+    at each breakpoint of the stretch, at each crossing and at the float
+    before each crossing."""
+    reads = 0
+    for path in corpus(name):
+        bp, first = path.breakpoints, 0
+        for shared, run in itertools.groupby(path._still):
+            last = first + len(list(run))
+            if shared is not None:
+                scan = cechstrat.cech.subset_radii(shared[0])
+                crossings = paths._stretch_walk(path, first)
+                times = [*bp[first:last + 1], *crossings,
+                         *(math.nextafter(t, -math.inf) for t in crossings)]
+                for seg in {first, last - 1}:
+                    for t in times:
+                        assert paths._zone_at(path, seg, t) == \
+                            zigzag_corpus.zone_at(cechstrat, scan, path, t)
+                    reads += len(times)
+            first = last
+    assert reads > 10_000
+
+
 def test_a_still_map_is_its_snap_and_one_checked_renaming(monkeypatch):
     """A growth op composes nothing: each still entrance map builds its
-    local map and one renaming from t_from into x(t_to), reads the end's
-    safe ball once (in the local map), and each instant's separation is
-    computed once for its two reads."""
+    local map, and one renaming from t_from into x(t_to) only where the
+    complex at tau, the float beside t_to, is not the one at t_from; it
+    reads the end's safe ball once (in the local map), and each instant's
+    separation is computed once for its two reads."""
     counts = collections.Counter()
-    per_map = []
+    per_map, renamed = [], []
 
     def count(module, name):
         fn = getattr(module, name)
@@ -105,6 +133,9 @@ def test_a_still_map_is_its_snap_and_one_checked_renaming(monkeypatch):
         before = counts.copy()
         m = entrance_map(path, t_from, t_to)
         per_map.append(counts - before)
+        tau = math.nextafter(t_to, t_from)
+        renamed.append(cech_complex(evaluate(path, t_from)) is not cech_complex(evaluate(path, tau)))
+        assert m.source is cech_complex(evaluate(path, t_from))
         return m
 
     monkeypatch.setattr(SimplicialMap, "__post_init__", counted_post_init)
@@ -117,6 +148,7 @@ def test_a_still_map_is_its_snap_and_one_checked_renaming(monkeypatch):
     # separation, and the second reads it from the scan
     assert instants and len(per_map) == 2 * instants
     assert [c.pop("r1", 0) for c in per_map] == [1, 0] * instants
-    assert all(c == collections.Counter(SimplicialMap=2, local_map=1, tilde_r=1)
-               for c in per_map)
+    assert all(c == collections.Counter(SimplicialMap=1 + r, local_map=1, tilde_r=1)
+               for c, r in zip(per_map, renamed))
+    assert 0 < sum(renamed) < len(renamed)
     assert counts["compose"] == 0

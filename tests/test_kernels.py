@@ -637,9 +637,10 @@ class TestSearchPlans:
                 assert _pure.surjection_witness(n_src, n_tgt, s, t) == expected
 
     def test_one_plan_per_complex_and_role(self):
-        tri = closure(3, [0b111])
+        # unequal vertex counts: between equal ones the search keeps no plan
+        tri, src = closure(3, [0b111]), closure(4, [0b0111, 0b1100])
         for n_tgt, tgt in ((3, tri), (2, [1, 2, 3]), (3, tri), (2, (1, 2, 3))):
-            _pure.surjection_witness(3, n_tgt, tuple(tri), tgt)
+            _pure.surjection_witness(4, n_tgt, tuple(src), tgt)
         assert _pure._source_plan.cache_info().currsize == 1
         assert _pure._target_plan.cache_info().currsize == 2
         assert _pure._source_plan.cache_info().hits == 3
@@ -676,6 +677,74 @@ class TestSearchPlans:
             reference_surjection_witness(3, 2, [1, 2, 4, 3, 6], [1, 2, 3])
         assert _pure._target_plan.cache_info().currsize == 0
         assert _pure._source_plan.cache_info().currsize == 0
+
+
+def first_fitting_permutation(n, src_masks, tgt_masks):
+    """The first permutation of 0..n-1, in ``itertools.permutations``
+    order, that maps every source mask of two or more vertices onto a
+    target mask, or None."""
+    tgt = set(tgt_masks)
+    src = [m for m in src_masks if m & (m - 1)]
+    for p in itertools.permutations(range(n)):
+        if all(sum(1 << p[v] for v in range(n) if m >> v & 1) in tgt for m in src):
+            return p
+    return None
+
+
+class TestEqualCountParity:
+    """Between equal vertex counts up to five the pure map search tries the
+    relabellings of its source in the lexicographic order of their
+    permutations, keeps no plan, and refuses what the plans refuse, in
+    their order; the compiled kernel, where it is built, agrees."""
+
+    @pytest.fixture(autouse=True)
+    def empty_plans(self):
+        _pure._target_plan.cache_clear()
+        _pure._source_plan.cache_clear()
+        yield
+        _pure._target_plan.cache_clear()
+        _pure._source_plan.cache_clear()
+
+    @staticmethod
+    def kernels():
+        return [_pure, *([_kernels.backends["compiled"]] if HAS_COMPILED else [])]
+
+    @staticmethod
+    def assert_no_plans():
+        assert _pure._target_plan.cache_info().currsize == 0
+        assert _pure._source_plan.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_the_witness_is_the_first_fitting_permutation(self, n):
+        rng = random.Random(43 + n)
+        outcomes = set()
+        for _ in range(150):
+            src = random_masks(rng, n, rng.choice([0.2, 0.5]), rng.random() < 0.7)
+            tgt = random_masks(rng, n, rng.choice([0.2, 0.5, 0.8]), rng.random() < 0.7)
+            expected = first_fitting_permutation(n, src, tgt)
+            outcomes.add(expected is None)
+            for kernel in self.kernels():
+                assert kernel.surjection_witness(n, n, src, tgt) == expected
+        # from two vertices on, both a witness and none
+        assert outcomes == ({False} if n == 1 else {False, True})
+        self.assert_no_plans()
+
+    @pytest.mark.parametrize("args, message", [
+        ((2, 2, [1, 2, 3], [1, 2, 7]), "target mask out of range"),
+        ((2, 2, [1, 2, 8], [1, 2, 7]), "target mask out of range"),
+        ((2, 2, [1, 2, 8], [1, 2, 3]), "source mask out of range"),
+        ((2, 2, [3] * 1025, [1, 2, 3]), "too many source simplices"),
+        ((2, 2, [3] * 1025 + [4], [1, 2, 3]), "source mask out of range"),
+        ((5, 5, [3, 0], [3]), "source mask out of range"),
+        ((5, 5, [3], [3, 1 << 40]), "value too large to convert to int"),
+        ((5, 5, [1 << 40], [3, 32]), "target mask out of range"),
+    ])
+    def test_refusals_keep_their_order_and_messages(self, args, message):
+        for kernel in self.kernels():
+            for _ in range(2):
+                with pytest.raises(_refusal(message), match=message):
+                    kernel.surjection_witness(*args)
+        self.assert_no_plans()
 
 
 class TestPureWelzl:

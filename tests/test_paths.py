@@ -45,6 +45,7 @@ from cechstrat.paths import (
     _renaming_map,
     _still_run,
     _trends,
+    _zone_at,
     reversed_path,
 )
 
@@ -1070,21 +1071,28 @@ class TestEntranceMap:
 
     def test_a_still_map_reads_its_stretch_once(self, monkeypatch):
         """One run and one zone at t_from per still map, shared by the
-        certification and the renaming."""
-        spans, runs, read = [], [], []
+        certification and the renaming, and read off the stretch's walk:
+        the maps scan no radius."""
+        spans, runs, zones, read = [], [], [], []
 
         def counted_entrance_map(path, t_from, t_to):
             spans.append((t_from, t_to))
             runs.clear()
+            zones.clear()
             read.clear()
             m = entrance_map(path, t_from, t_to)
             assert len(runs) == 1
-            assert read.count(paths._radius_at(path, *paths._place(path, t_from))) == 1
+            assert zones.count(t_from) == 1
+            assert read == []
             return m
 
         def counted_still_run(*args):
             runs.append(args)
             return _still_run(*args)
+
+        def counted_zone_at(path, seg, t):
+            zones.append(t)
+            return _zone_at(path, seg, t)
 
         def counted_read_scan(scan, r):
             read.append(r)
@@ -1092,6 +1100,7 @@ class TestEntranceMap:
 
         monkeypatch.setattr(paths, "entrance_map", counted_entrance_map)
         monkeypatch.setattr(paths, "_still_run", counted_still_run)
+        monkeypatch.setattr(paths, "_zone_at", counted_zone_at)
         monkeypatch.setattr(paths, "read_scan", counted_read_scan)
         zigzag(cech_path(triangle_config(), 0.9), 0.01)
         assert len(spans) == 4
@@ -1116,7 +1125,7 @@ class TestEntranceMap:
         # marks are walked once: the four maps read the walk that the
         # transitions made
         assert len(z.maps) == 2
-        assert len(set(searched)) == len(searched) >= len(path._walks[0]) == 5
+        assert len(set(searched)) == len(searched) >= len(path._walks[0][0]) == 5
         assert marked == [subset_radii(triangle_config()).radii]
 
     def test_a_map_from_mid_stretch_walks_the_whole_stretch(self):
