@@ -41,20 +41,20 @@ def _subset_size_cap(n_points: int, max_dim: int | None) -> int:
     return min(n_points, max_dim + 1)
 
 
-#: scans kept, by configuration, each with the complexes, labels and
-#: separation read from it; a still stretch needs one whatever it does, an
-#: entrance map where tracks move 34 (its 31 samples, both ends and the
-#: float beside the instant, read so that the start is still cached for the
-#: renaming).  Measured with tracemalloc on the compiled backend, 8 random
-#: points in R^7 (three seeds): an uncapped scan (at most 8 points) holds
-#: 247 entries, 26-31 kB with its radius order and band edges, and at most
-#: 248 prefix complexes, 2 * 247 + 1 zone labels and one separation,
-#: 0.62-0.87 MB with every complex built and a label read in every zone, so
-#: 32 of them take about 28 MB; a perfbench growth zigzag (seed 1) builds
-#: at most 15 complexes and 29 labels.  The largest scan (16 points, max_dim
-#: 15) holds 65,519 entries, about 13.1 MB with its band edges (8.9 MB
-#: without), so 32 of those take about 420 MB, plus every complex read from
-#: them.
+#: scans kept, by configuration, each with the complexes, labels,
+#: separation and pairwise gap read from it; a still stretch needs one
+#: whatever it does, an entrance map where tracks move 34 (its 31 samples,
+#: both ends and the float beside the instant, read so that the start is
+#: still cached for the renaming).  Measured with tracemalloc on the
+#: compiled backend, 8 random points in R^7 (three seeds): an uncapped scan
+#: (at most 8 points) holds 247 entries, 26-31 kB with its radius order and
+#: band edges, and at most 248 prefix complexes, 2 * 247 + 1 zone labels
+#: and one separation, 0.62-0.87 MB with every complex built and a label
+#: read in every zone, so 32 of them take about 28 MB; a perfbench growth
+#: zigzag (seed 1) builds at most 15 complexes and 29 labels.  The largest
+#: scan (16 points, max_dim 15) holds 65,519 entries, about 13.1 MB with
+#: its band edges (8.9 MB without), so 32 of those take about 420 MB, plus
+#: every complex read from them.
 _SCAN_CACHE_SIZE = 32
 
 
@@ -80,10 +80,11 @@ class Scan(tuple):
     among them by bisection.  The scan is the one cache entry of its
     configuration: it keeps its band edges, the Cech complex of each
     spanned prefix (:meth:`complex`), in ``labels`` the stratum label of
-    each zone (filled by :func:`cechstrat.strat.stratum_label`) and in
+    each zone (filled by :func:`cechstrat.strat.stratum_label`), in
     ``separation`` the radius that :func:`cechstrat.strat.tilde_r` read
-    last with its separation and case, and all go when the scan leaves the
-    cache.
+    last with its separation and case, and in ``r1`` the configuration's
+    least pairwise distance, computed at the first separation read (it
+    depends on the points alone); all go when the scan leaves the cache.
     """
 
     masks: tuple[int, ...]
@@ -93,6 +94,7 @@ class Scan(tuple):
     n_points: int
     labels: dict
     separation: tuple | None
+    r1: float | None
 
     def __new__(cls, entries, n_points: int):
         scan = super().__new__(cls, entries)
@@ -102,6 +104,7 @@ class Scan(tuple):
         scan.n_points = n_points
         scan.labels = {}
         scan.separation = None
+        scan.r1 = None
         scan._complexes = {}
         return scan
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import struct
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -326,7 +327,7 @@ def _iso_class(n: int, canon: tuple[int, ...]) -> IsoClass:
     """The class held by canonical masks, built once per class.  Its
     representative is marked canonical, so its own canonical form needs no
     search."""
-    key = bytes([n]) + b"".join(m.to_bytes(2, "big") for m in canon)
+    key = bytes([n]) + struct.pack(f">{len(canon)}H", *canon)
     rep = SimplicialComplex(n, canon)
     object.__setattr__(rep, "_canonical", True)
     return IsoClass(rep, key)

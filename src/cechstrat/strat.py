@@ -4,7 +4,10 @@ For a configuration-radius pair x, every point within ``safe_radius(x)``
 in the sup-norm has a Cech complex that dominates the complex at x, and
 :func:`local_map` constructs the witnessing vertex-surjective simplicial
 map by snapping each perturbed point to the configuration point whose
-small ball contains it.  Labels carry a degeneracy refinement (which
+small ball contains it; where both ends lie over one configuration, in its
+fiber of the universal space Ran x R>=0, that snap is the identity, taken
+without a search.  :func:`tilde_r` computes a configuration's pairwise gap
+``r1`` once per cached scan.  Labels carry a degeneracy refinement (which
 subsets sit exactly at their critical radius) so that boundary strata can
 be split off; :func:`frontier_check` probes closure relations between two
 strata by Monte Carlo sampling.
@@ -95,7 +98,10 @@ def tilde_r(x: RanPoint) -> SafeBall:
     The separation and case depend on the configuration and the radius
     alone, so the configuration's cached scan keeps them for the last
     radius read: a zigzag reads each instant's twice in a row, in the
-    local maps of its two entrance maps.  The ball is built around ``x``
+    local maps of its two entrance maps.  The pairwise gap depends on the
+    points alone, so the scan keeps it too (``Scan.r1``), computed at its
+    first separation: a growth zigzag, whose instants all lie over one
+    configuration, computes it once.  The ball is built around ``x``
     itself: equal points, which share a scan, can differ in the sign of a
     zero.
     """
@@ -107,7 +113,9 @@ def tilde_r(x: RanPoint) -> SafeBall:
     if scan.separation is None or scan.separation[0] != r:
         zone = read_scan(scan, r)
         case: Case = "boundary" if zone.lo < zone.hi else "generic"
-        scan.separation = (r, min(r1(config), scan.slacks(r, zone)[1]), case)
+        if scan.r1 is None:
+            scan.r1 = r1(config)
+        scan.separation = (r, min(scan.r1, scan.slacks(r, zone)[1]), case)
     return SafeBall(x, *scan.separation[1:])
 
 
@@ -119,6 +127,12 @@ def local_map(source: RanPoint, target: RanPoint) -> SimplicialMap:
     Each source point falls in exactly one of the disjoint open balls of
     radius ``r_tilde/4`` around the target points and is mapped there.
     Raises when the source lies outside the target's safe ball.
+
+    In one configuration's fiber, where both ends have the same points,
+    the snap is the identity without a search: each point lies at 0 from
+    itself, inside the positive safe radius, and at least ``r1`` >=
+    ``r_tilde`` = 4 * safe radius from every other point, so no search
+    could return anything else.
     """
     safe = tilde_r(target).safe_radius
     dist = sup_distance(source, target)
@@ -128,15 +142,18 @@ def local_map(source: RanPoint, target: RanPoint) -> SimplicialMap:
             f"(safe radius {safe})"
         )
     tgt_pts = target.config.points
-    vertex_map = []
-    for q in source.config.points:
-        hits = [i for i, p in enumerate(tgt_pts) if math.dist(q, p) < safe]
-        if len(hits) != 1:
-            raise RuntimeError(
-                f"point {q} lies in {len(hits)} of the disjoint snap balls; "
-                "safe-ball construction violated"
-            )
-        vertex_map.append(hits[0])
+    if source.config.points == tgt_pts:
+        vertex_map = range(len(tgt_pts))
+    else:
+        vertex_map = []
+        for q in source.config.points:
+            hits = [i for i, p in enumerate(tgt_pts) if math.dist(q, p) < safe]
+            if len(hits) != 1:
+                raise RuntimeError(
+                    f"point {q} lies in {len(hits)} of the disjoint snap balls; "
+                    "safe-ball construction violated"
+                )
+            vertex_map.append(hits[0])
     m = SimplicialMap(
         cech_complex(source),
         cech_complex(target),

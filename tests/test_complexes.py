@@ -18,6 +18,7 @@ from cechstrat import (
     is_simplicial,
     make_complex,
 )
+from cechstrat import complexes
 from cechstrat._bits import holding, mask_of, vertices_of
 
 from conftest import FIG2_MAP_C_TO_D, fig2_complexes, random_complex
@@ -397,6 +398,19 @@ class TestCanonicalForm:
         rng.shuffle(perm)
         relabeled = make_complex(c.n_vertices, [[perm[v] for v in s] for s in c.simplices])
         assert canonical_form(relabeled).key == canonical_form(c).key
+
+    def test_key_is_the_vertex_count_and_each_canonical_mask_in_two_bytes(self):
+        # the packed key equals the per-mask big-endian join, on 1 to 8 vertices
+        rng = random.Random(44)
+        seen = set()
+        for _ in range(120):
+            c = random_complex(rng, n_max=8)
+            cls = canonical_form(c)
+            masks = cls.canonical.masks
+            assert cls.key == bytes([c.n_vertices]) + b"".join(m.to_bytes(2, "big") for m in masks)
+            assert complexes._iso_class(c.n_vertices, masks) is cls
+            seen.add(c.n_vertices)
+        assert seen == set(range(1, 9))
 
     def test_isomorphic_complexes_share_one_class_object(self):
         # the canonical representative is built once per class, not once

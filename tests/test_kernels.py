@@ -658,16 +658,24 @@ class TestSearchPlans:
         assert _pure.surjection_witness(2, 2, [1, 2, 3], [1, 2, 3]) == (0, 1)
 
     def test_targets_are_refused_before_sources_with_plans_cached(self):
-        assert _pure.surjection_witness(2, 2, [1, 2, 3], [1, 2, 3]) == (0, 1)
+        # three vertices onto two, so that the search keeps both plans
+        src, tgt, bad_src, bad_tgt = (1, 2, 4, 3, 6), (1, 2, 3), (1, 2, 4, 3, 8), (1, 2, 7)
+        assert _pure.surjection_witness(3, 2, src, tgt) == \
+            reference_surjection_witness(3, 2, list(src), list(tgt)) is not None
+        assert _pure._source_plan.cache_info().currsize == 1
+        assert _pure._target_plan.cache_info().currsize == 1
         # the source plan is kept, the target refused
         with pytest.raises(ValueError, match="target mask out of range"):
-            _pure.surjection_witness(2, 2, [1, 2, 3], [1, 2, 7])
+            _pure.surjection_witness(3, 2, src, bad_tgt)
         # the target plan is kept, the source refused
         with pytest.raises(ValueError, match="source mask out of range"):
-            _pure.surjection_witness(2, 2, [1, 2, 8], [1, 2, 3])
+            _pure.surjection_witness(3, 2, bad_src, tgt)
         # both refused, neither kept: the target first
         with pytest.raises(ValueError, match="target mask out of range"):
-            _pure.surjection_witness(2, 2, [1, 2, 8], [1, 2, 7])
+            _pure.surjection_witness(3, 2, bad_src, bad_tgt)
+        assert _pure._source_plan.cache_info().currsize == 1
+        assert _pure._target_plan.cache_info().currsize == 1
+        assert _pure._target_plan.cache_info().hits == 1
 
     def test_unhashable_masks_are_searched_without_a_plan_kept(self):
         np = pytest.importorskip("numpy")

@@ -1,8 +1,10 @@
 import dataclasses
 import inspect
+import itertools
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from cechstrat import (
     cech_radius,
     cech_radius_set_distance,
     dominates,
+    evaluate,
     frontier_check,
     is_simplicial,
     local_map,
@@ -23,9 +26,18 @@ from cechstrat import (
     stratum_label,
     sup_distance,
     tilde_r,
+    transitions,
     two_point_line_family,
 )
 from cechstrat import paths, strat
+from cechstrat.cech import read_scan, subset_radii, zone_edges
+
+import cechstrat
+import conftest
+import zigzag_corpus
+
+WORKLOADS = zigzag_corpus.load(
+    "strat_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
 
 SQRT3 = math.sqrt(3.0)
 
@@ -244,6 +256,114 @@ class TestLocalMap:
                     if math.dist(q, p) < ball.safe_radius
                 ]
                 assert len(hits) == 1
+
+
+def reference_snap(source, target):
+    """The ball search: for each source point, the one target point within
+    the target's safe radius."""
+    safe = tilde_r(target).safe_radius
+    vertex_map = []
+    for q in source.config.points:
+        hits = [i for i, p in enumerate(target.config.points) if math.dist(q, p) < safe]
+        assert len(hits) == 1, (q, hits)
+        vertex_map.append(hits[0])
+    return tuple(vertex_map)
+
+
+class TestFiberSnap:
+    """Where both ends lie over one configuration, the local map snaps by
+    the identity and computes no distance; elsewhere it searches the balls.
+    Either way its vertex map is the ball search's."""
+
+    @pytest.fixture
+    def dists(self, monkeypatch):
+        calls = []
+        dist = math.dist
+
+        def counted(p, q):
+            calls.append((p, q))
+            return dist(p, q)
+
+        monkeypatch.setattr(math, "dist", counted)
+        return calls
+
+    @staticmethod
+    def snapped(source, target, dists):
+        """The local map's vertex map, the reference's, and the distances
+        the local map computed (the target's safe ball read beforehand)."""
+        expected = reference_snap(source, target)
+        dists.clear()
+        return local_map(source, target).vertex_map, expected, len(dists)
+
+    @staticmethod
+    def instant_pairs(path):
+        """(float beside the instant, instant) for each instant of ``path``
+        and each side inside [0, 1], as the entrance maps read them."""
+        for t, _ in transitions(path, 0.01):
+            for side in (-math.inf, math.inf):
+                tau = math.nextafter(t, side)
+                if 0.0 <= tau <= 1.0:
+                    yield evaluate(path, tau), evaluate(path, t)
+
+    @pytest.mark.parametrize("name, count", [("growth", 162), ("still", 400)])
+    def test_corpus_instants_snap_by_the_identity(self, dists, name, count):
+        corpus = dict(zigzag_corpus.corpora(cechstrat, conftest, WORKLOADS))[name]
+        pairs = 0
+        for path in itertools.islice(corpus, count):
+            for source, target in self.instant_pairs(path):
+                assert source.config.points == target.config.points
+                got, expected, computed = self.snapped(source, target, dists)
+                assert got == expected == tuple(range(len(target.config))), (source, target)
+                assert computed == 0
+                pairs += 1
+        assert pairs > count
+
+    def test_singletons(self, dists):
+        for r, s in ((0.0, 0.0), (0.0, 0.1), (0.5, 0.6), (0.6, 0.5)):
+            source, target = RanPoint(config_1d(0.3), s), RanPoint(config_1d(0.3), r)
+            assert self.snapped(source, target, dists) == ((0,), (0,), 0)
+
+    def test_radii_on_band_edges(self, dists):
+        rng = random.Random(44)
+        checked = refused = 0
+        for _ in range(30):
+            cfg = random_ranpoint(rng).config
+            scan = subset_radii(cfg)
+            for r in (*zone_edges(scan), *scan.radii):
+                target = RanPoint(cfg, r)
+                safe = tilde_r(target).safe_radius
+                for s in (r, math.nextafter(r, -math.inf), math.nextafter(r, math.inf),
+                          r + 2.0 * safe):
+                    source = RanPoint(config_2d(cfg.points), max(s, 0.0))
+                    if not sup_distance(source, target) < safe:
+                        with pytest.raises(ValueError, match="safe radius"):
+                            local_map(source, target)
+                        refused += 1
+                    elif read_scan(scan, source.radius).hi <= read_scan(scan, r).hi:
+                        # only sources that span no subset the target lacks: one
+                        # float past a lower band edge, a source inside the safe
+                        # ball can span one, since the slack is read from the
+                        # radius and not from its band edge, and its map then
+                        # fails validation
+                        got, expected, computed = self.snapped(source, target, dists)
+                        assert got == expected == tuple(range(len(cfg))) and computed == 0
+                        checked += 1
+        assert checked > 1000 and refused > 100
+
+    def test_signed_zeros_are_one_configuration(self, dists):
+        target = RanPoint(config_1d(0.0, 1.0), 0.7)
+        source = RanPoint(config_1d(-0.0, 1.0), 0.7)
+        assert self.snapped(source, target, dists) == ((0, 1), (0, 1), 0)
+
+    def test_other_points_snap_by_the_search(self, dists):
+        rng = random.Random(45)
+        for _ in range(40):
+            x = random_ranpoint(rng)
+            y = perturb_inside(rng, x, tilde_r(x))
+            assert y.config.points != x.config.points
+            got, expected, computed = self.snapped(y, x, dists)
+            assert got == expected
+            assert computed >= len(y.config) * len(x.config)
 
 
 class TestStratumLabel:

@@ -353,11 +353,32 @@ def edge_probes(radii):
 
 
 class TestKeptOnTheScan:
-    """The scan keeps its band edges and the separation of each radius
-    read, so a growth zigzag computes each once."""
+    """The scan keeps its band edges, the separation of each radius read
+    and the configuration's pairwise gap, so a growth zigzag computes each
+    separation once and the gap once."""
 
     def test_one_separation_per_instant(self, monkeypatch):
         clear_package_caches()
+        gaps, separations = [], []
+
+        def counted_r1(config):
+            gaps.append(config)
+            return r1(config)
+
+        def counted_slacks(scan, r, zone):
+            separations.append(r)
+            return slacks(scan, r, zone)
+
+        slacks = cech.Scan.slacks
+        monkeypatch.setattr(strat, "r1", counted_r1)
+        monkeypatch.setattr(cech.Scan, "slacks", counted_slacks)
+        triangle = PointConfig(2, ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)))
+        z = paths.zigzag(paths.cech_path(triangle, 0.9), 0.01)
+        # two instants, each entered from both sides: 4 maps, 4 safe balls
+        # read, one separation per instant and one gap for the configuration
+        assert len(z.times) == 2 and len(separations) == 2 and gaps == [triangle]
+
+    def test_one_pairwise_gap_per_scan(self, monkeypatch):
         calls = []
 
         def counted_r1(config):
@@ -365,10 +386,17 @@ class TestKeptOnTheScan:
             return r1(config)
 
         monkeypatch.setattr(strat, "r1", counted_r1)
-        triangle = PointConfig(2, ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)))
-        z = paths.zigzag(paths.cech_path(triangle, 0.9), 0.01)
-        # two instants, each entered from both sides: 4 maps, 8 safe balls
-        assert len(z.times) == 2 and len(calls) == 2
+        rng = random.Random(44)
+        instants = []
+        for _ in range(30):
+            config = PointConfig(2, tuple((rng.random(), rng.random())
+                                          for _ in range(rng.randint(2, 6))))
+            clear_package_caches()
+            calls.clear()
+            z = paths.zigzag(paths.cech_path(config, 0.9), 0.01)
+            instants.append(len(z.times))
+            assert calls == [config], len(z.times)
+        assert min(instants) >= 1 and max(instants) >= 8
 
     @pytest.mark.parametrize("draw", CONFIG_DRAWS, ids=CONFIG_DRAW_IDS)
     def test_kept_band_reads_like_the_key_bisection(self, draw):
