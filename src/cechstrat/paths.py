@@ -16,13 +16,14 @@ zigzag of vertex-surjective simplicial maps.  An entrance map is certified,
 then stepped: the label is checked once on the whole interval up to the
 instant, then the tracks are followed to the float beside the instant and
 one local map snaps them onto it, refusing where that float lies outside
-the instant's safe ball.  On a still stretch the certification reads the
-stretch's one walk over its zone-edge crossings, made once per path, which
-keeps the zone of each piece between them, so every zone read on the
-stretch is one bisection of it.  The map is the renaming by the stretch's
-one track assignment, from the complex at the start into the instant's:
-the local map itself where the float beside the instant spans what the
-start spans, else checked once.
+the instant's safe ball.  Each still stretch has one record, made once
+per path by one walk over its segments: its zone-edge crossings, the zone
+of each piece between them and the marks where an instant may lie.  Its
+transitions are read off the record, and so is the certification of its
+maps: every zone read on the stretch is one bisection of the crossings.
+The map is the renaming by the stretch's one track assignment, from the
+complex at the start into the instant's: the local map itself where the
+float beside the instant spans what the start spans, else checked once.
 """
 
 from __future__ import annotations
@@ -86,9 +87,10 @@ class PLPath:
     tuple.  A run of segments where no track moves is a still stretch: its
     configuration and track assignment are built once, from the gaps
     between moving segments, and shared by every evaluation on it; only
-    the radius varies.  Construction scans no configuration: the times at
-    which the zone of the radius in a stretch's scan changes are walked by
-    the first reader that needs them.
+    the radius varies.  Construction scans no configuration: a stretch's
+    record of the times at which the zone of the radius in its scan
+    changes, and of where an instant may lie, is walked by the first
+    reader that needs it.
     """
 
     dim: int
@@ -99,10 +101,11 @@ class PLPath:
     #: still stretch, or None on a segment where some track moves
     _still: tuple[tuple[PointConfig, tuple[int, ...]] | None, ...] = field(
         init=False, repr=False, compare=False)
-    #: per segment of a still stretch, the times at which the stretch's zone
-    #: changes and the zone of each piece between them (:func:`_stretch_walk`),
-    #: walked by the first reader and kept for every segment of the stretch
-    _walks: dict[int, tuple[list[float], list[Zone]]] = field(
+    #: per segment of a still stretch, the stretch's one record: the times
+    #: at which its zone changes, the zone of each piece between them and
+    #: the marks where an instant may lie (:func:`_stretch_walk`), walked by
+    #: the first reader and kept for every segment of the stretch
+    _walks: dict[int, tuple[list[float], list[Zone], list[float]]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -436,53 +439,13 @@ def _grid_events(path: PLPath, t_start: float, t_end: float, steps: int,
     return merged
 
 
-def _crossings(path: PLPath, first: int, last: int, values) -> list[float]:
-    """Times, ascending, at which the radius meets each of the sorted
-    ``values`` on the still stretch over breakpoints first..last: the
-    marks where :func:`_still_events` may put an instant, not the zone
-    changes (:func:`_stretch_walk`).
-
-    One walk over the stretch's segments in time order (:func:`_trends`):
-    a rising segment meets the values above its start radius up to and
-    including its end radius, ascending, and a falling one those below it
-    down to and including its end radius, descending, each at a time found
-    by one division.  The first segment of a rise or fall also meets its
-    start radius, so a value met where the radius turns is met twice.
-    """
-    bp, radius = path.breakpoints, path.radius
-    left, right = bisect.bisect_left, bisect.bisect_right
-    times = []
-    for s, trend, turned in _trends(path, first, last):
-        r0, r1, t0, t1 = radius[s], radius[s + 1], bp[s], bp[s + 1]
-        # the end radius is always met, the start radius where the trend turned
-        if trend > 0:
-            met = values[(left if turned else right)(values, r0):right(values, r1)]
-        elif trend < 0:
-            met = values[left(values, r1):(right if turned else left)(values, r0)][::-1]
-        else:
-            continue
-        for value in met:
-            u = (value - r0) / (r1 - r0)
-            times.append(t1 if value == r1 else min(t0 + u * (t1 - t0), t1))
-    return times
-
-
-def _trends(path: PLPath, first: int, last: int):
-    """Each segment s of the stretch over breakpoints first..last, in time
-    order, as (s, trend, turned): trend is 1 where the radius rises on it,
-    -1 where it falls and 0 where it holds, and turned says whether the
-    trend differs from the previous segment's, which the first segment's
-    does."""
-    r = path.radius[first:last + 1]
-    trends = [(a < b) - (a > b) for a, b in zip(r, r[1:])]
-    return zip(range(first, last), trends, map(operator.ne, trends, [None, *trends]))
-
-
-def _stretch_walk(path: PLPath, seg: int) -> list[float]:
-    """The times, ascending, at which the zone of the radius changes on the
-    whole still stretch that holds segment ``seg``, made by its first
-    reader and kept on the path for each of its segments, with the zone of
-    each piece they cut the stretch into, one more than the times.
+def _stretch_walk(path: PLPath, seg: int) -> tuple[list[float], list[Zone], list[float]]:
+    """The record of the whole still stretch that holds segment ``seg``,
+    made by its first reader in one walk over the stretch's segments and
+    kept on the path for each of them: its crossings, the times, ascending,
+    at which the zone of the radius changes; the zone of each piece they
+    cut the stretch into, one more than the crossings; and its marks, the
+    times, ascending, at which :func:`_still_events` may put an instant.
 
     A segment crosses the zone edges (:func:`~cechstrat.cech.zone_edges`)
     whose sides its two end radii read differently, by the comparisons of
@@ -493,6 +456,14 @@ def _stretch_walk(path: PLPath, seg: int) -> list[float]:
     zone is constant from one crossing up to the float before the next, and
     each piece's zone is read once, at its first float: the stretch's first
     breakpoint or a crossing.
+
+    The marks are the stretch's end, each breakpoint where the radius turns
+    between rising, falling and holding (the first segment counts as
+    turned), and each time at which the radius meets a scan radius, found
+    by one division: a rising segment meets the scan radii above its start
+    radius up to and including its end radius, a falling one those below
+    it down to and including its end radius, and a turned one its start
+    radius too, so a scan radius met where the radius turns is met twice.
     """
     walk = path._walks.get(seg)
     if walk is None:
@@ -503,12 +474,27 @@ def _stretch_walk(path: PLPath, seg: int) -> list[float]:
         while last < len(still) and still[last] is shared:
             last += 1
         scan = subset_radii(shared[0])
-        lower, upper, bp, radius = scan.lower, scan.upper, path.breakpoints, path.radius
+        lower, upper, radii = scan.lower, scan.upper, scan.radii
+        bp, radius = path.breakpoints, path.radius
+        left, right = bisect.bisect_left, bisect.bisect_right
         # how many upper and lower edges the radius at each breakpoint has passed
-        passed = [(bisect.bisect_left(upper, r), bisect.bisect_right(lower, r))
-                  for r in radius[first:last + 1]]
-        crossings = []
+        passed = [(left(upper, r), right(lower, r)) for r in radius[first:last + 1]]
+        crossings, marks, before = [], [bp[last]], None
         for s, ((u0, l0), (u1, l1)) in enumerate(zip(passed, passed[1:]), first):
+            r0, r1, t0, t1 = radius[s], radius[s + 1], bp[s], bp[s + 1]
+            trend = (r0 < r1) - (r0 > r1)
+            turned, before = trend != before, trend
+            if turned:
+                marks.append(t0)
+            # the end radius is always met, the start radius where the trend turned
+            if trend > 0:
+                met = radii[(left if turned else right)(radii, r0):right(radii, r1)]
+            elif trend < 0:
+                met = radii[left(radii, r1):(right if turned else left)(radii, r0)]
+            else:
+                met = ()
+            marks += (t1 if v == r1 else min(t0 + (v - r0) / (r1 - r0) * (t1 - t0), t1)
+                      for v in met)
             # the nearest float on the end's side of each edge crossed, once
             if u0 < u1 or l0 < l1:
                 values = {*lower[l0:l1], *(math.nextafter(u, math.inf) for u in upper[u0:u1])}
@@ -516,13 +502,12 @@ def _stretch_walk(path: PLPath, seg: int) -> list[float]:
                 values = {*(math.nextafter(v, -math.inf) for v in lower[l1:l0]), *upper[u1:u0]}
             else:
                 continue
-            crossings += sorted({_first_past(bp[s], bp[s + 1], radius[s], radius[s + 1], v)
-                                 for v in values})
+            crossings += sorted({_first_past(t0, t1, r0, r1, v) for v in values})
         zones = [read_scan(scan, _radius_at(path, *_place(path, t)))
                  for t in (bp[first], *crossings)]
-        walk = crossings, zones
+        walk = crossings, zones, sorted(marks)
         path._walks.update(dict.fromkeys(range(first, last), walk))
-    return walk[0]
+    return walk
 
 
 def _first_past(t0: float, t1: float, r0: float, r1: float, value: float) -> float:
@@ -549,33 +534,26 @@ def _first_past(t0: float, t1: float, r0: float, r1: float, value: float) -> flo
     return hi
 
 
-def _crossed_between(path: PLPath, seg: int, lo: float, hi: float) -> list[float]:
-    """The zone-edge crossings strictly between ``lo`` and ``hi`` on the
-    still stretch that holds segment ``seg``, by two bisections of its walk
-    (:func:`_stretch_walk`)."""
-    walk = _stretch_walk(path, seg)
-    return walk[bisect.bisect_right(walk, lo):bisect.bisect_left(walk, hi)]
-
-
 def _zone_at(path: PLPath, seg: int, t: float) -> Zone:
     """The zone of the radius at time t on the still stretch that holds
-    segment ``seg``: that of the piece of its walk (:func:`_stretch_walk`)
-    that holds t, by one bisection, which is the zone that
+    segment ``seg``: that of the piece of its record (:func:`_stretch_walk`)
+    that holds t, by one bisection of its crossings, which is the zone that
     :func:`~cechstrat.cech.read_scan` reads at t."""
-    crossings = _stretch_walk(path, seg)
-    return path._walks[seg][1][bisect.bisect_right(crossings, t)]
+    crossings, zones, _ = _stretch_walk(path, seg)
+    return zones[bisect.bisect_right(crossings, t)]
 
 
 def _still_events(path: PLPath, first: int, last: int) -> list[Instant]:
     """Exact transitions of the still stretch over breakpoints first..last.
 
-    The label is a function of the zone of the radius in the stretch's one
-    scan, so it can change only at a crossing of the stretch's walk
-    (:func:`_stretch_walk`, kept on the path for its entrance maps): the
-    first float at which the radius that :func:`evaluate` reads passes a
-    zone edge (:func:`~cechstrat.cech.zone_edges`).  The crossings cut the
-    stretch into pieces of one zone each, which the walk keeps, so the zone
-    at any time of the stretch is one bisection of it (:func:`_zone_at`).
+    Everything is read off the stretch's one record (:func:`_stretch_walk`,
+    kept on the path for its entrance maps).  The label is a function of
+    the zone of the radius in the stretch's one scan, so it can change only
+    at a crossing of the record: the first float at which the radius that
+    :func:`evaluate` reads passes a zone edge
+    (:func:`~cechstrat.cech.zone_edges`).  The crossings cut the stretch
+    into pieces of one zone each, which the record keeps, so the zone at
+    any time of the stretch is one bisection of them (:func:`_zone_at`).
     Crossings less than ``_INSTANT_WIDTH`` apart with the radius inside a
     tolerance band between them, such as the way in and out of the band
     of a radius the path passes, make one instant, which takes in a
@@ -583,26 +561,26 @@ def _still_events(path: PLPath, first: int, last: int) -> list[Instant]:
     a band is an interval between two instants.
 
     Only the instants and the piece between each two are labelled, each
-    side by the zone of its piece.  Another walk over the stretch's
-    segments finds the marks where an instant may lie: where the radius
-    meets a scan radius, by division (:func:`_crossings`), where it turns,
-    that is where a segment's trend differs from the one before it
-    (:func:`_trends`), and the stretch's end.  An instant lies at the mark
-    inside it with the lowest label; a lone crossing into or out of a
-    longer stay has none, and its instant lies on the side of the lower
-    label: at the crossing, or at the float before it.  Each instant is
-    compared with both sides by :func:`_lower_label`: it carries the lower
-    label, incomparable neighbours are an error, and an instant whose
-    sides carry its own label is no transition.
+    side by the zone of its piece.  The record's marks are where an
+    instant may lie: where the radius meets a scan radius, by division,
+    where it turns between rising, falling and holding, and the stretch's
+    end.  An instant lies at the mark inside it with the lowest label; a
+    lone crossing into or out of a longer stay has none, and its instant
+    lies on the side of the lower label: at the crossing, or at the float
+    before it.  Each instant is compared with both sides by
+    :func:`_lower_label`: it carries the lower label, incomparable
+    neighbours are an error, and an instant whose sides carry its own
+    label is no transition.
     """
     bp = path.breakpoints
     scan = subset_radii(path._still[first][0])
+    crossings, _, marks = _stretch_walk(path, first)
 
     def zone(t: float):
         return _zone_at(path, first, t)
 
     spans: list[list[float]] = []
-    for t in _stretch_walk(path, first):
+    for t in crossings:
         if spans and _joined(zone, spans[-1][1], t):
             spans[-1][1] = t
         else:
@@ -611,10 +589,6 @@ def _still_events(path: PLPath, first: int, last: int) -> list[Instant]:
         spans[0][0] = bp[first]
     if spans and _joined(zone, spans[-1][1], bp[last]):
         spans[-1][1] = bp[last]
-    # where an instant may lie: the roots, the turns and the stretch ends
-    # (the first segment counts as turned)
-    marks = sorted((*_crossings(path, first, last, scan.radii), bp[last],
-                    *(bp[s] for s, _, turned in _trends(path, first, last) if turned)))
     bounds = (bp[first], *(x for span in spans for x in span), bp[last])
     sides = [_zone_label(scan, zone(u)) if v - u > _POINT_WIDTH else None
              for u, v in zip(bounds[::2], bounds[1::2])]
@@ -718,9 +692,9 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
 
     Certify, then step.  The refined label must be constant on [t_from,
     t_to); it may drop at t_to.  On a still stretch this is certified
-    exactly, from the stretch's one walk (:func:`_stretch_walk`): the label
-    is a function of the zone of the radius, which changes only at the
-    walk's crossings, the first floats at which the radius that
+    exactly, from the stretch's one record (:func:`_stretch_walk`): the
+    label is a function of the zone of the radius, which changes only at
+    the record's crossings, the first floats at which the radius that
     :func:`evaluate` reads passes a zone edge, so the zone must be the one
     at t_from up to the instant that t_to lies in, and may change only
     inside that instant: the crossings that :func:`transitions` joins into
@@ -738,7 +712,7 @@ def entrance_map(path: PLPath, t_from: float, t_to: float) -> SimplicialMap:
     Where the complex at tau is the one at t_from, the cached complex of
     the same spanned prefix, that is the snap, already checked; otherwise
     the renaming is checked once.  The zone at t_from, which gives its
-    complex, is read off the walk (:func:`_zone_at`).  Works in either time
+    complex, is read off the record (:func:`_zone_at`).  Works in either time
     direction.
     """
     if not (0.0 <= t_from <= 1.0 and 0.0 <= t_to <= 1.0):
@@ -779,19 +753,20 @@ def _left_early(path: PLPath, seg: int, start: Zone, t_from: float,
     zone of its radius at t_from, before the instant that t_to lies in, or
     None if it does not.
 
-    The zone changes only at the crossings of the stretch's one walk
+    The zone changes only at the crossings of the stretch's one record
     (:func:`_stretch_walk`), and is constant from each up to the float
-    before the next, as the walk keeps it (:func:`_zone_at`).  Taken from
+    before the next, as the record keeps it (:func:`_zone_at`).  Taken from
     t_from on, the crossings strictly between t_from and t_to, two
-    bisections of the walk (:func:`_crossed_between`), keep the zone at
-    t_from up to the first, which leaves it.  From there on the zone may
-    change only inside the instant that t_to lies in: every two crossings
-    in turn, and the last one and t_to, must be one instant by
-    :func:`_joined`, the rule by which :func:`transitions` joins them,
-    each piece read at the earlier of its two ends.
+    bisections of the record's crossings, keep the zone at t_from up to
+    the first, which leaves it.  From there on the zone may change only
+    inside the instant that t_to lies in: every two crossings in turn, and
+    the last one and t_to, must be one instant by :func:`_joined`, the
+    rule by which :func:`transitions` joins them, each piece read at the
+    earlier of its two ends.
     """
+    crossings = _stretch_walk(path, seg)[0]
     lo, hi = sorted((t_from, t_to))
-    met = _crossed_between(path, seg, lo, hi)
+    met = crossings[bisect.bisect_right(crossings, lo):bisect.bisect_left(crossings, hi)]
     chain = [*(reversed(met) if t_to < t_from else met), t_to]
     left = None
     for u, v in zip(chain, chain[1:]):

@@ -1,6 +1,7 @@
 """The zigzag corpora of ``tests/zigzag_corpus.py``: the growth, still and
-edge lines, the maps the benchmark's growth zigzags build, and the zone
-walk of every still stretch of the still and edge corpora.
+edge lines, the maps the benchmark's growth zigzags build, the zone walk
+of every still stretch of the still and edge corpora, and where the
+instants of every still stretch of the three lie.
 
 The growth inputs are those of ``perfbench/workloads.py``, read without
 changing it; the growth line pins the outputs that the benchmark times.
@@ -79,7 +80,7 @@ def test_each_crossing_is_the_first_float_of_its_zone(name):
 
 @pytest.mark.parametrize("name", sorted(LINES))
 def test_the_walk_keeps_the_zone_of_each_piece(name):
-    """The zone that ``paths._zone_at`` reads off a stretch's walk, from
+    """The zone that ``paths._zone_at`` reads off a stretch's record, from
     any of its segments, is the zone of the radius that ``evaluate`` reads
     at each breakpoint of the stretch, at each crossing and at the float
     before each crossing."""
@@ -90,7 +91,7 @@ def test_the_walk_keeps_the_zone_of_each_piece(name):
             last = first + len(list(run))
             if shared is not None:
                 scan = cechstrat.cech.subset_radii(shared[0])
-                crossings = paths._stretch_walk(path, first)
+                crossings = paths._stretch_walk(path, first)[0]
                 times = [*bp[first:last + 1], *crossings,
                          *(math.nextafter(t, -math.inf) for t in crossings)]
                 for seg in {first, last - 1}:
@@ -100,6 +101,36 @@ def test_the_walk_keeps_the_zone_of_each_piece(name):
                     reads += len(times)
             first = last
     assert reads > 10_000
+
+
+#: per corpus, how many instants of its still stretches lie at a mark of
+#: the stretch's record, at a crossing and at the float before a crossing
+INSTANT_PLACES = {"growth": (714, 0, 0), "still": (12_614, 396, 400),
+                  "edge": (6_931, 583, 592)}
+
+
+@pytest.mark.parametrize("name", sorted(INSTANT_PLACES))
+def test_each_still_instant_lies_at_a_mark_or_beside_a_crossing(name):
+    """Every instant that ``transitions`` reports on a still stretch lies at
+    a mark of the stretch's record (``paths._stretch_walk``), or, a lone
+    crossing into or out of a longer stay inside a band, at the crossing
+    or at the float before it."""
+    places = [0, 0, 0]
+    for path in corpus(name):
+        bp, first = path.breakpoints, 0
+        instants = cechstrat.transitions(path, zigzag_corpus.RESOLUTION)
+        for shared, run in itertools.groupby(path._still):
+            last = first + len(list(run))
+            if shared is not None:
+                crossings, _, marks = paths._stretch_walk(path, first)
+                before = {math.nextafter(t, -math.inf) for t in crossings}
+                for t, _ in instants:
+                    if bp[first] <= t <= bp[last]:
+                        place = [t in marks, t in crossings, t in before]
+                        assert any(place), (name, t)
+                        places[place.index(True)] += 1
+            first = last
+    assert tuple(places) == INSTANT_PLACES[name]
 
 
 def test_a_still_map_is_its_snap_and_one_checked_renaming(monkeypatch):

@@ -38,13 +38,12 @@ from cechstrat.geometry import DELTA_PT, EPS_GEO
 from cechstrat.paths import (
     _CECH_PATH_T_MAX,
     _CONSTANCY_SAMPLES,
-    _crossings,
     _dedupe,
     _evaluate_tracks,
     _first_past,
     _renaming_map,
     _still_run,
-    _trends,
+    _stretch_walk,
     _zone_at,
     reversed_path,
 )
@@ -404,8 +403,8 @@ def reference_switches(flags: bytes) -> list[int]:
 def reference_inner_bends(path, first, last):
     """The interior breakpoints strictly between first and last where the
     radius changes between rising, falling and holding, ascending: the
-    bend index that ``PLPath`` kept before ``_crossings`` walked the
-    segments."""
+    bend index that ``PLPath`` kept before the stretch's walk found its
+    turns segment by segment."""
     radius = path.radius
     rises = bytes(map(operator.lt, radius, radius[1:]))
     falls = bytes(map(operator.gt, radius, radius[1:]))
@@ -423,7 +422,7 @@ def reference_meets(bp, radius, j, value):
 
 
 def reference_crossings(path, first, last, values):
-    """The run bisection that the walk in ``_crossings`` replaced: the
+    """The run bisection that the marks of a stretch's walk replaced: the
     stretch splits at its bends into runs where the radius rises, falls or
     holds, and a rising or falling run meets the values between its end
     radii, each on the segment found by bisection."""
@@ -1106,27 +1105,20 @@ class TestEntranceMap:
         assert len(spans) == 4
 
     def test_one_walk_per_stretch(self, monkeypatch):
-        searched, marked = [], []
+        searched = []
 
         def counted_first_past(*args):
             searched.append(args)
             return _first_past(*args)
 
-        def counted_crossings(path, first, last, values):
-            marked.append(values)
-            return _crossings(path, first, last, values)
-
         monkeypatch.setattr(paths, "_first_past", counted_first_past)
-        monkeypatch.setattr(paths, "_crossings", counted_crossings)
         path = cech_path(triangle_config(), 0.9)
         z = zigzag(path, 0.01)
         # the stretch's one walk searches each edge it crosses once (edges
-        # crossed at one float give one zone change), and the scan radii's
-        # marks are walked once: the four maps read the walk that the
-        # transitions made
+        # crossed at one float give one zone change): the four maps read
+        # the record that the transitions made
         assert len(z.maps) == 2
         assert len(set(searched)) == len(searched) >= len(path._walks[0][0]) == 5
-        assert marked == [subset_radii(triangle_config()).radii]
 
     def test_a_map_from_mid_stretch_walks_the_whole_stretch(self):
         """The first reader of a stretch's walk may start past its first
@@ -1149,9 +1141,9 @@ class TestEntranceMap:
         assert m == entrance_map(walked, 0.6, t_to)
 
     def test_bisected_crossings_match_the_run_walk(self):
-        """The crossings that a map reads between two times, two bisections
-        of its stretch's walk, are the zone changes of the reference
-        bisection on ``evaluate`` between them."""
+        """The crossings between two times, two bisections of the
+        crossings of their stretch's record, are the zone changes of the
+        reference bisection on ``evaluate`` between them."""
         rng = random.Random(35)
 
         def growth_path(rng):
@@ -1168,7 +1160,9 @@ class TestEntranceMap:
                             rng.sample([rng.random(), rng.random(), *instants], 2)):
                         run = _still_run(p, t_from, t_to)
                         lo, hi = sorted((t_from, t_to))
-                        got = paths._crossed_between(p, run[0], lo, hi)
+                        crossings = _stretch_walk(p, run[0])[0]
+                        got = crossings[bisect.bisect_right(crossings, lo):
+                                        bisect.bisect_left(crossings, hi)]
                         assert [t.hex() for t in got] == [
                             t.hex() for t in changes if lo < t < hi]
                         compared += 1
@@ -1518,29 +1512,25 @@ class TestStillStretches:
 
 
 class TestCrossingWalk:
-    """The walk over a still stretch's segments against the run bisection
-    it replaced."""
+    """The marks of a still stretch's record against the run bisection
+    that the walk replaced."""
 
     def test_matches_the_run_bisection(self):
         rng = random.Random(7)
         met = turns = 0
         for _ in range(200):
             forward = random_still_path(rng)
-            scan = subset_radii(forward._still[0][0])
-            value_sets = (zone_edges(scan), scan.radii, sorted(forward.radius))
+            radii = subset_radii(forward._still[0][0]).radii
             for path in (forward, reversed_path(forward)):
-                # every run of breakpoints, as entrance maps take them too
-                for first, last in itertools.combinations(range(len(path.breakpoints)), 2):
-                    for values in value_sets:
-                        got = _crossings(path, first, last, values)
-                        assert [t.hex() for t in got] == [
-                            t.hex() for t in reference_crossings(path, first, last, values)]
-                        met += len(got)
-                    inner = [s for s, _, turned in _trends(path, first, last)
-                             if turned and s > first]
-                    assert inner == list(reference_inner_bends(path, first, last))
-                    turns += len(inner)
-        assert met > 10_000 and turns > 1_000
+                bp, last = path.breakpoints, len(path.breakpoints) - 1
+                meets = reference_crossings(path, 0, last, radii)
+                inner = reference_inner_bends(path, 0, last)
+                marks = _stretch_walk(path, 0)[2]
+                assert [t.hex() for t in marks] == [
+                    t.hex() for t in sorted((*meets, bp[0], bp[last], *(bp[s] for s in inner)))]
+                met += len(meets)
+                turns += len(inner)
+        assert met > 5_000 and turns > 1_000
 
 
 class TestMovingTracks:
@@ -2150,7 +2140,7 @@ class TestBandEdgeStart:
     def test_the_radius_enters_the_band_at_the_entry_crossing(self, bp):
         p = PLPath(2, bp, tuple((q,) * 3 for q in BAND_EDGE_START_POINTS), BAND_EDGE_START_RADIUS)
         scan = subset_radii(p._still[0][0])
-        entry = paths._stretch_walk(p, 0)[0]
+        entry = _stretch_walk(p, 0)[0][0]
 
         def critical(t):
             zone = read_scan(scan, evaluate(p, t).radius)

@@ -243,6 +243,22 @@ class TestLocalMap:
         with pytest.raises(ValueError, match="safe radius"):
             local_map(source, target)
 
+    @pytest.mark.xfail(raises=RuntimeError, strict=True,
+                       reason="tilde_r reads each slack from a subset's radius, not from "
+                              "the band edge at which read_scan spans it")
+    def test_a_source_past_a_lower_band_edge_is_refused(self):
+        # the target is the lower band edge of mask 0b1110, and the source,
+        # the next float, the lower band edge of mask 0b1111: it lies inside
+        # the target's safe ball (r~ = 2.0e-9) but spans one more subset
+        cfg = config_2d(((0.7607140172122542, 0.6758670853308426),
+                         (0.4739453205651758, 0.1426824419158712),
+                         (0.9325108054462711, 0.7351570117142415),
+                         (0.005396832672037721, 0.6494298524685095),
+                         (0.9210481989779773, 0.06306021118200633)))
+        r = 0.47201283267809946
+        with pytest.raises(ValueError):
+            local_map(RanPoint(cfg, math.nextafter(r, 1.0)), RanPoint(cfg, r))
+
     def test_snap_balls_partition_sources(self):
         rng = random.Random(97)
         for _ in range(40):
