@@ -41,15 +41,15 @@ def _subset_size_cap(n_points: int, max_dim: int | None) -> int:
     return min(n_points, max_dim + 1)
 
 
-#: scans kept, by configuration, each with the complexes, labels,
-#: separation and pairwise gap read from it; a still stretch needs one
+#: scans kept, by configuration, each with the complexes, labels and
+#: pairwise gap read from it; a still stretch needs one
 #: whatever it does, an entrance map where tracks move 34 (its 31 samples,
 #: both ends and the float beside the instant, read so that the start is
 #: still cached for the renaming).  Measured with tracemalloc on the
 #: compiled backend, 8 random points in R^7 (three seeds): an uncapped scan
 #: (at most 8 points) holds 247 entries, 26-31 kB with its radius order and
-#: band edges, and at most 248 prefix complexes, 2 * 247 + 1 zone labels
-#: and one separation, 0.62-0.87 MB with every complex built and a label
+#: band edges, and at most 248 prefix complexes and 2 * 247 + 1 zone
+#: labels, 0.62-0.87 MB with every complex built and a label
 #: read in every zone, so 32 of them take about 28 MB; a perfbench growth
 #: zigzag (seed 1) builds at most 15 complexes and 29 labels.  The largest
 #: scan (16 points, max_dim 15) holds 65,519 entries, about 13.1 MB with
@@ -80,11 +80,10 @@ class Scan(tuple):
     among them by bisection.  The scan is the one cache entry of its
     configuration: it keeps its band edges, the Cech complex of each
     spanned prefix (:meth:`complex`), in ``labels`` the stratum label of
-    each zone (filled by :func:`cechstrat.strat.stratum_label`), in
-    ``separation`` the radius that :func:`cechstrat.strat.tilde_r` read
-    last with its separation and case, and in ``r1`` the configuration's
-    least pairwise distance, computed at the first separation read (it
-    depends on the points alone); all go when the scan leaves the cache.
+    each zone (filled by :func:`cechstrat.strat.stratum_label`), and in
+    ``r1`` the configuration's least pairwise distance, computed at the
+    first :func:`cechstrat.strat.tilde_r` call (it depends on the points
+    alone); all go when the scan leaves the cache.
     """
 
     masks: tuple[int, ...]
@@ -93,7 +92,6 @@ class Scan(tuple):
     upper: tuple[float, ...]
     n_points: int
     labels: dict
-    separation: tuple | None
     r1: float | None
 
     def __new__(cls, entries, n_points: int):
@@ -103,7 +101,6 @@ class Scan(tuple):
         scan.lower, scan.upper = _band_edges(scan.radii)
         scan.n_points = n_points
         scan.labels = {}
-        scan.separation = None
         scan.r1 = None
         scan._complexes = {}
         return scan
@@ -188,28 +185,17 @@ def read_scan(scan: Scan, r: float) -> Zone:
 
     A subset spans a simplex when ``r`` is at least its radius minus
     EPS_GEO, and is critical when ``r`` is also at most its radius plus
-    EPS_GEO: both ends of the closed band are the floats that
-    :func:`zone_edges` lists, so the zone changes exactly where ``r``
-    passes one of them, and a critical subset spans.  The edges rise with
-    the radius, so two bisections of the scan's kept edges find the
-    critical run [lo, hi), and the spanned subsets are the prefix before
-    ``hi``; :meth:`Filtration.complex_at` reads its stages by the same
-    rule.
+    EPS_GEO: both ends of the closed band are the rounded floats that the
+    scan keeps as ``lower`` and ``upper``, so the zone changes exactly
+    where ``r`` passes one of them, each edge reads inside the band it
+    bounds (the lower edge of the band of 0.5 is the float 0.499999999,
+    which reads as critical although 0.5 - 0.499999999 is
+    1.0000000272e-9), and a critical subset spans.  The edges rise with
+    the radius, so two bisections of them find the critical run [lo, hi),
+    and the spanned subsets are the prefix before ``hi``;
+    :meth:`Filtration.complex_at` reads its stages by the same rule.
     """
     return _read_band(scan.lower, scan.upper, r)
-
-
-def zone_edges(scan: Scan) -> list[float]:
-    """The radii at which the zone of a radius in ``scan`` changes,
-    ascending: a subset becomes spanned and critical at its radius minus
-    ``EPS_GEO`` and stops being critical past its radius plus ``EPS_GEO``.
-
-    These rounded floats are the band edges that :func:`read_scan` compares
-    a radius with, so each edge reads inside the band it bounds: the lower
-    edge of the band of 0.5 is the float 0.499999999, which reads as
-    critical although 0.5 - 0.499999999 is 1.0000000272e-9.  The list is
-    the scan's ``lower`` and ``upper`` merged, sorted afresh per call."""
-    return sorted(scan.lower + scan.upper)
 
 
 def cech_complex(x: RanPoint, max_dim: int | None = None) -> SimplicialComplex:

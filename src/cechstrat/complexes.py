@@ -181,15 +181,19 @@ class SimplicialComplex:
 def make_complex(n_vertices: int, generators: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Downward closure of the generators plus all singletons.
 
-    Rejects ``n_vertices == 0``, more than ``MAX_VERTICES`` and generator
-    vertices outside range.
+    Rejects ``n_vertices == 0``, more than ``MAX_VERTICES``, and generator
+    vertices that are not integers (as :class:`SimplicialMap` refuses
+    vertex images) or lie outside range.
     """
     if n_vertices < 1:
         raise ValueError("a point configuration is nonempty: n_vertices must be >= 1")
     _check_vertex_count(n_vertices)
     masks = [1 << v for v in range(n_vertices)]
     for gen in generators:
-        vs = {int(v) for v in gen}
+        try:
+            vs = set(map(_vertex_image, gen))
+        except TypeError:
+            raise ValueError(f"generator {gen!r} has a vertex that is not an integer") from None
         if not vs.issubset(range(n_vertices)):
             raise ValueError(f"generator {sorted(vs)} has a vertex outside 0..{n_vertices - 1}")
         masks.append(mask_of(vs))
@@ -324,13 +328,9 @@ def _canonical_cached(n: int, masks: tuple[int, ...]) -> IsoClass:
 
 @functools.lru_cache(maxsize=_CANON_CACHE_SIZE)
 def _iso_class(n: int, canon: tuple[int, ...]) -> IsoClass:
-    """The class held by canonical masks, built once per class.  Its
-    representative is marked canonical, so its own canonical form needs no
-    search."""
+    """The class held by canonical masks, built once per class."""
     key = bytes([n]) + struct.pack(f">{len(canon)}H", *canon)
-    rep = SimplicialComplex(n, canon)
-    object.__setattr__(rep, "_canonical", True)
-    return IsoClass(rep, key)
+    return IsoClass(SimplicialComplex(n, canon), key)
 
 
 def canonical_form(c: SimplicialComplex) -> IsoClass:
@@ -345,8 +345,6 @@ def canonical_form(c: SimplicialComplex) -> IsoClass:
     """
     if c.n_vertices > VERTEX_CAP:
         raise CapExceeded(f"canonical form needs {c.n_vertices} vertices > cap {VERTEX_CAP}")
-    if c.__dict__.get("_canonical"):
-        return _iso_class(c.n_vertices, c.masks)
     return _canonical_cached(c.n_vertices, c.masks)
 
 

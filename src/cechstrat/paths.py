@@ -35,7 +35,7 @@ import operator
 from dataclasses import dataclass, field
 
 from . import _json
-from .cech import Zone, cech_complex, read_scan, subset_radii, zone_edges
+from .cech import Zone, cech_complex, read_scan, subset_radii
 from .complexes import (
     IsoClass,
     SimplicialMap,
@@ -447,11 +447,12 @@ def _stretch_walk(path: PLPath, seg: int) -> tuple[list[float], list[Zone], list
     cut the stretch into, one more than the crossings; and its marks, the
     times, ascending, at which :func:`_still_events` may put an instant.
 
-    A segment crosses the zone edges (:func:`~cechstrat.cech.zone_edges`)
-    whose sides its two end radii read differently, by the comparisons of
+    A segment crosses the band edges of the scan (its ``lower`` and
+    ``upper``) between the zones of its two end radii, each read by
     :func:`~cechstrat.cech.read_scan`: a lower edge l is passed where the
-    radius is at least l, an upper edge u where it is above u.  Each
-    crossing is the first float of the segment at which the radius that
+    radius is at least l, an upper edge u where it is above u, so a radius
+    in zone (lo, hi) has passed lo upper and hi lower edges.  Each crossing
+    is the first float of the segment at which the radius that
     :func:`evaluate` reads is past the edge (:func:`_first_past`), so the
     zone is constant from one crossing up to the float before the next, and
     each piece's zone is read once, at its first float: the stretch's first
@@ -477,8 +478,8 @@ def _stretch_walk(path: PLPath, seg: int) -> tuple[list[float], list[Zone], list
         lower, upper, radii = scan.lower, scan.upper, scan.radii
         bp, radius = path.breakpoints, path.radius
         left, right = bisect.bisect_left, bisect.bisect_right
-        # how many upper and lower edges the radius at each breakpoint has passed
-        passed = [(left(upper, r), right(lower, r)) for r in radius[first:last + 1]]
+        # the zone at each breakpoint: the upper and the lower edges passed
+        passed = [read_scan(scan, r) for r in radius[first:last + 1]]
         crossings, marks, before = [], [bp[last]], None
         for s, ((u0, l0), (u1, l1)) in enumerate(zip(passed, passed[1:]), first):
             r0, r1, t0, t1 = radius[s], radius[s + 1], bp[s], bp[s + 1]
@@ -550,8 +551,8 @@ def _still_events(path: PLPath, first: int, last: int) -> list[Instant]:
     kept on the path for its entrance maps).  The label is a function of
     the zone of the radius in the stretch's one scan, so it can change only
     at a crossing of the record: the first float at which the radius that
-    :func:`evaluate` reads passes a zone edge
-    (:func:`~cechstrat.cech.zone_edges`).  The crossings cut the stretch
+    :func:`evaluate` reads passes an edge of a tolerance band
+    (:func:`~cechstrat.cech.read_scan`).  The crossings cut the stretch
     into pieces of one zone each, which the record keeps, so the zone at
     any time of the stretch is one bisection of them (:func:`_zone_at`).
     Crossings less than ``_INSTANT_WIDTH`` apart with the radius inside a
@@ -898,13 +899,14 @@ def cech_path(config: PointConfig, t_max: float) -> PLPath:
 
     On a still path the label is a function of the radius's zone in the
     configuration's one scan, which is constant between two consecutive
-    zone edges (:func:`~cechstrat.cech.zone_edges`).  So a breakpoint sits
-    at t = v/(1+v), with radius exactly v, for each zone edge and scan
-    radius v in (0, t_max/(1-t_max)), between those at 0 and ``t_max``.
-    Between breakpoints the radius is linear, not t/(1-t), but each chord
-    stays in one zone, and each instant is the time v/(1+v) of its scan
-    radius.  A breakpoint whose time, or one minus it, rounds onto the
-    previous one's or onto ``t_max``'s is dropped, so that
+    edges of the scan's tolerance bands (its ``lower`` and ``upper``, see
+    :func:`~cechstrat.cech.read_scan`).  So a breakpoint sits at
+    t = v/(1+v), with radius exactly v, for each band edge and scan radius
+    v in (0, t_max/(1-t_max)), between those at 0 and ``t_max``.  Between
+    breakpoints the radius is linear, not t/(1-t), but each chord stays in
+    one zone, and each instant is the time v/(1+v) of its scan radius.  A
+    breakpoint whose time, or one minus it, rounds onto the previous one's
+    or onto ``t_max``'s is dropped, so that
     :func:`reversed_path` builds.  The scan is the one the path's zigzag
     reads, so it refuses what that refuses, such as more than
     ``UNCAPPED_POINTS`` points.  ``t_max`` is at most ``_CECH_PATH_T_MAX``.
@@ -914,7 +916,7 @@ def cech_path(config: PointConfig, t_max: float) -> PLPath:
     scan = subset_radii(config)
     top = t_max / (1.0 - t_max)
     ts, radii = [0.0], [0.0]
-    for v in sorted({*scan.radii, *zone_edges(scan)}):
+    for v in sorted({*scan.radii, *scan.lower, *scan.upper}):
         t = v / (1.0 + v)
         if 0.0 < v < top and 1.0 - ts[-1] > 1.0 - t > 1.0 - t_max:
             ts.append(t)

@@ -95,28 +95,22 @@ def tilde_r(x: RanPoint) -> SafeBall:
     equals :func:`r2`.  Singletons admit any perturbation radius, so they
     get 4*r (or 1 when r = 0) as a convention.
 
-    The separation and case depend on the configuration and the radius
-    alone, so the configuration's cached scan keeps them for the last
-    radius read: a zigzag reads each instant's twice in a row, in the
-    local maps of its two entrance maps.  The pairwise gap depends on the
-    points alone, so the scan keeps it too (``Scan.r1``), computed at its
-    first separation: a growth zigzag, whose instants all lie over one
-    configuration, computes it once.  The ball is built around ``x``
-    itself: equal points, which share a scan, can differ in the sign of a
-    zero.
+    The zone and the slack are read from the configuration's cached scan
+    at each call.  The pairwise gap depends on the points alone, so the
+    scan keeps it (``Scan.r1``), computed at the first call: a growth
+    zigzag, whose instants all lie over one configuration, computes it
+    once.
     """
     config, r = x.config, x.radius
     if len(config) == 1:
         rt = 4.0 * r if r > 0.0 else 1.0
         return SafeBall(x, rt, "generic")
     scan = subset_radii(config)
-    if scan.separation is None or scan.separation[0] != r:
-        zone = read_scan(scan, r)
-        case: Case = "boundary" if zone.lo < zone.hi else "generic"
-        if scan.r1 is None:
-            scan.r1 = r1(config)
-        scan.separation = (r, min(scan.r1, scan.slacks(r, zone)[1]), case)
-    return SafeBall(x, *scan.separation[1:])
+    zone = read_scan(scan, r)
+    if scan.r1 is None:
+        scan.r1 = r1(config)
+    return SafeBall(x, min(scan.r1, scan.slacks(r, zone)[1]),
+                    "boundary" if zone.lo < zone.hi else "generic")
 
 
 def local_map(source: RanPoint, target: RanPoint) -> SimplicialMap:

@@ -89,7 +89,7 @@ def random_moving_path(rng):
 def random_still_path(rng):
     """2-5 fixed points in the unit square under a radius polyline of 2-12
     breakpoints: a quarter of the radii hold the one before, a quarter sit
-    exactly on a scan radius or a zone edge, the rest lie anywhere below
+    exactly on a scan radius or a band edge, the rest lie anywhere below
     1.2 times the largest scan radius."""
     while True:
         try:
@@ -99,7 +99,7 @@ def random_still_path(rng):
         except ValueError:
             continue
     scan = cech.subset_radii(cfg)
-    marked = (*scan.radii, *cech.zone_edges(scan))
+    marked = (*scan.radii, *sorted(scan.lower + scan.upper))
     n_bp = rng.randint(2, 12)
     bp = (0.0, *sorted(rng.uniform(0.01, 0.99) for _ in range(n_bp - 2)), 1.0)
     radius = []
@@ -124,7 +124,7 @@ def float_steps(x: float, k: int) -> float:
 def random_edge_path(rng):
     """2-4 fixed points in the unit square under a radius polyline of 2-6
     breakpoints, each radius within a few floats of a band edge: a fifth
-    of the radii hold the one before, half are a scan radius or a zone
+    of the radii hold the one before, half are a scan radius or a band
     edge moved by -3..3 floats, the rest lie anywhere below 1.2 times the
     largest scan radius."""
     while True:
@@ -135,7 +135,7 @@ def random_edge_path(rng):
         except ValueError:
             continue
     scan = cech.subset_radii(cfg)
-    marked = (*scan.radii, *cech.zone_edges(scan))
+    marked = (*scan.radii, *sorted(scan.lower + scan.upper))
     n_bp = rng.randint(2, 6)
     bp = (0.0, *sorted(rng.uniform(0.01, 0.99) for _ in range(n_bp - 2)), 1.0)
     radius = []

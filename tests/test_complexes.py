@@ -2,6 +2,7 @@ import inspect
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -57,6 +58,19 @@ class TestMakeComplex:
     def test_rejects_zero_vertices(self):
         with pytest.raises(ValueError):
             make_complex(0, [])
+
+    @pytest.mark.parametrize("generator", [(0, 1.5), (True, 2), ("0", "2")])
+    def test_rejects_a_vertex_that_is_not_an_integer(self, generator):
+        # as a simplicial map refuses it as a vertex image
+        message = f"generator {re.escape(repr(generator))} has a vertex that is not an integer"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_complex(3, [generator])
+
+    def test_numpy_integers_and_ranges_are_vertices(self):
+        np = pytest.importorskip("numpy")
+        assert make_complex(3, [np.array([0, 2])]).masks == (1, 2, 4, 5)
+        assert make_complex(3, [(np.int64(1), np.int32(2))]).masks == (1, 2, 4, 6)
+        assert make_complex(3, [range(3)]) == make_complex(3, [{0, 1, 2}])
 
     def test_output_is_downward_closed(self):
         rng = random.Random(7)

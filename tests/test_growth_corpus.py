@@ -137,9 +137,9 @@ def test_a_still_map_is_its_snap_and_one_checked_renaming(monkeypatch):
     """A growth op composes nothing: each still entrance map builds its
     local map, and one renaming from t_from into x(t_to) only where the
     complex at tau, the float beside t_to, is not the one at t_from; it
-    reads the end's safe ball once (in the local map), each instant's
-    separation is computed once for its two reads, and the configuration's
-    pairwise gap once per op, in its first map."""
+    reads the end's safe ball once (in the local map), and the
+    configuration's pairwise gap is computed once per op, in its first
+    map."""
     counts = collections.Counter()
     per_map, renamed = [], []
 
@@ -177,9 +177,8 @@ def test_a_still_map_is_its_snap_and_one_checked_renaming(monkeypatch):
         conftest.clear_package_caches()
         firsts.add(len(per_map))
         instants += len(WORKLOADS.op_growth(cfg).times)
-    # two maps into each instant, in turn: the first computes its
-    # separation, and the second reads it from the scan; the op's one
-    # configuration has one scan, which keeps the gap from its first map
+    # two maps into each instant; the op's one configuration has one scan,
+    # which keeps the gap from its first map
     assert instants and len(per_map) == 2 * instants
     assert [c.pop("r1", 0) for c in per_map] == [int(k in firsts) for k in range(len(per_map))]
     assert all(c == collections.Counter(SimplicialMap=1 + r, local_map=1, tilde_r=1)

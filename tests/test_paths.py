@@ -33,7 +33,7 @@ from cechstrat import (
     zigzag,
 )
 from cechstrat import paths
-from cechstrat.cech import cech_complex, read_scan, subset_radii, zone_edges
+from cechstrat.cech import cech_complex, read_scan, subset_radii
 from cechstrat.geometry import DELTA_PT, EPS_GEO
 from cechstrat.paths import (
     _CECH_PATH_T_MAX,
@@ -1817,7 +1817,7 @@ class TestCechPath:
     def test_breakpoints_are_the_zone_edges_and_scan_radii_below_t_max(self, t_max):
         scan = subset_radii(triangle_config())
         top = t_max / (1.0 - t_max)
-        values = {v for v in (*scan.radii, *zone_edges(scan)) if v < top}
+        values = {v for v in (*scan.radii, *scan.lower, *scan.upper) if v < top}
         p = cech_path(triangle_config(), t_max)
         assert (p.breakpoints[0], *p.breakpoints[-2:]) == (0.0, t_max, 1.0)
         assert (p.radius[0], *p.radius[-2:]) == (0.0, top, top)
@@ -1872,7 +1872,7 @@ class TestCechPath:
                     q = reversed_path(p)
                     assert q.breakpoints == tuple(1.0 - t for t in reversed(p.breakpoints))
                     top = t_max / (1.0 - t_max)
-                    values = {v for v in (*scan.radii, *zone_edges(scan)) if 0.0 < v < top}
+                    values = {v for v in (*scan.radii, *scan.lower, *scan.upper) if 0.0 < v < top}
                     dropped += len(values) + 3 - len(p.breakpoints)
         assert dropped > 50
 

@@ -30,7 +30,7 @@ from cechstrat import (
     two_point_line_family,
 )
 from cechstrat import paths, strat
-from cechstrat.cech import read_scan, subset_radii, zone_edges
+from cechstrat.cech import read_scan, subset_radii
 
 import cechstrat
 import conftest
@@ -345,7 +345,7 @@ class TestFiberSnap:
         for _ in range(30):
             cfg = random_ranpoint(rng).config
             scan = subset_radii(cfg)
-            for r in (*zone_edges(scan), *scan.radii):
+            for r in (*sorted(scan.lower + scan.upper), *scan.radii):
                 target = RanPoint(cfg, r)
                 safe = tilde_r(target).safe_radius
                 for s in (r, math.nextafter(r, -math.inf), math.nextafter(r, math.inf),

@@ -48,7 +48,7 @@ def reference_read_scan(n_points, scan, r):
 
     A subset spans when r is at least its band's lower edge, radius -
     EPS_GEO, and is critical when r is also at most its upper edge, radius
-    + EPS_GEO: the floats that ``zone_edges`` lists, so a critical subset
+    + EPS_GEO: the band edges that the scan keeps, so a critical subset
     spans at every ulp."""
     masks = {1 << i for i in range(n_points)}
     for mask, radius in scan:
@@ -284,13 +284,13 @@ CONFIG_DRAW_IDS = ["random", "grid-tied", "near-tied", "tiny-scale"]
 
 @pytest.mark.parametrize("draw", CONFIG_DRAWS, ids=CONFIG_DRAW_IDS)
 def test_each_zone_edge_reads_inside_its_band(draw):
-    # the edges that ``zone_edges`` lists are where ``read_scan`` changes zone
+    # the band edges that the scan keeps are where ``read_scan`` changes zone
     rng = random.Random(13)
     for _ in range(200):
         scan = cech.subset_radii(draw(rng))
         lower = [radius - EPS_GEO for radius in scan.radii]
         upper = [radius + EPS_GEO for radius in scan.radii]
-        assert cech.zone_edges(scan) == sorted(lower + upper)
+        assert (scan.lower, scan.upper) == (tuple(lower), tuple(upper))
         for i, (lo_edge, hi_edge) in enumerate(zip(lower, upper)):
             for edge in (lo_edge, hi_edge):
                 zone = cech.read_scan(scan, edge)
@@ -353,11 +353,11 @@ def edge_probes(radii):
 
 
 class TestKeptOnTheScan:
-    """The scan keeps its band edges, the separation of each radius read
-    and the configuration's pairwise gap, so a growth zigzag computes each
-    separation once and the gap once."""
+    """The scan keeps its band edges and the configuration's pairwise gap,
+    so a growth zigzag computes the gap once; the separation is computed
+    afresh for each map."""
 
-    def test_one_separation_per_instant(self, monkeypatch):
+    def test_one_separation_per_map(self, monkeypatch):
         clear_package_caches()
         gaps, separations = [], []
 
@@ -375,8 +375,8 @@ class TestKeptOnTheScan:
         triangle = PointConfig(2, ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)))
         z = paths.zigzag(paths.cech_path(triangle, 0.9), 0.01)
         # two instants, each entered from both sides: 4 maps, 4 safe balls
-        # read, one separation per instant and one gap for the configuration
-        assert len(z.times) == 2 and len(separations) == 2 and gaps == [triangle]
+        # read, one separation per map and one gap for the configuration
+        assert len(z.times) == 2 and len(separations) == 4 and gaps == [triangle]
 
     def test_one_pairwise_gap_per_scan(self, monkeypatch):
         calls = []
@@ -413,13 +413,6 @@ class TestKeptOnTheScan:
             for r in edge_probes(radii):
                 stage = filtration.complexes[key_read_radii(radii, r).hi - 1]
                 assert filtration.complex_at(r) is stage, (config, r)
-
-    def test_zone_edges_is_a_fresh_list(self):
-        scan = cech.subset_radii(PointConfig(2, ((0.0, 0.0), (1.0, 0.0), (0.5, 0.8))))
-        edges = cech.zone_edges(scan)
-        assert edges is not cech.zone_edges(scan)
-        edges.clear()
-        assert cech.zone_edges(scan) == sorted(scan.lower + scan.upper)
 
 
 def test_zone_is_the_label_cache_key():
